@@ -43,13 +43,14 @@ class _StuckEval(Exception):
 
 def big_step(e: Expr, fuel: int) -> BigStepOutcome:
     b = Budget(fuel)
+    labels: list = []
     try:
-        v, tr = _eval(e, b)
+        v = _eval(e, b, labels)
     except _OutOfFuel:
         return FuelExhausted()
     except _StuckEval as s:
         return Stuck(s.at)
-    return Value(v, tr)
+    return Value(v, tuple(labels))
 
 
 def _spend(b: Budget) -> None:
@@ -58,35 +59,32 @@ def _spend(b: Budget) -> None:
     b.spend()
 
 
-def _eval(e: Expr, b: Budget):
+def _eval(e: Expr, b: Budget, labels: list) -> Expr:
+    """The value of e; every label emitted on the way is appended to labels."""
     if is_value(e):
-        return e, ()
+        return e
     match e:
         case Succ(body):
-            v, tr = _eval(body, b)
-            return Succ(v), tr
+            return Succ(_eval(body, b, labels))
         case Case(zb, xv, sb, sc):
-            v, a = _eval(sc, b)
+            v = _eval(sc, b, labels)
             _spend(b)
             if isinstance(v, Zero):
-                r, c = _eval(zb, b)
-            elif isinstance(v, Succ):
-                r, c = _eval(subst(sb, {xv: v.body}), b)
-            else:
-                raise _StuckEval(Case(zb, xv, sb, v))
-            return r, a + c
+                return _eval(zb, b, labels)
+            if isinstance(v, Succ):
+                return _eval(subst(sb, {xv: v.body}), b, labels)
+            raise _StuckEval(Case(zb, xv, sb, v))
         case App(fn, arg):
-            f, a = _eval(fn, b)
-            v, c = _eval(arg, b)
+            f = _eval(fn, b, labels)
+            v = _eval(arg, b, labels)
             _spend(b)
             if not isinstance(f, Lam):
                 raise _StuckEval(App(f, v))
-            r, d = _eval(subst(f.body, {f.self_var: f, f.param: v}), b)
-            return r, a + c + d
+            return _eval(subst(f.body, {f.self_var: f, f.param: v}), b, labels)
         case Eff(l, body):
             _spend(b)
-            v, tr = _eval(body, b)
-            return v, (l,) + tr
+            labels.append(l)
+            return _eval(body, b, labels)
         case Var() | Let():
             raise _StuckEval(e)
     raise _StuckEval(e)

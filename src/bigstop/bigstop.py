@@ -10,6 +10,10 @@ emitted trace, and its premisses, in order.  Stop nodes are St-Stop(k):
 k = 0 freezes the whole term, k >= 1 is the congruence form that evaluates
 the first k positions of the head constructor and leaves the rest alone.
 "Val" marks a value side condition.
+
+The evaluators log every label a run emits in one list, and a node's trace
+is the span of that log its subtree emitted (traces.Span), so building and
+checking a trace copies no labels.
 """
 
 import json
@@ -22,7 +26,9 @@ from .syntax import (
     App, Case, Eff, Expr, Lam, Let, Succ, Var, Zero,
     is_value, is_mnf_value, parse_expr, print_expr, subst,
 )
-from .traces import ANN_EMPTY, ANN_ZERO, ANNIHILATOR, AnnTrace, Trace, ann_concat, ann_concat_all
+from .traces import (
+    ANN_EMPTY, ANN_ZERO, ANNIHILATOR, AnnTrace, Trace, ann_concat, ann_concat_all, emit,
+)
 from .typecheck import ArrowT, TypeFailure, infer_type
 
 
@@ -43,7 +49,7 @@ class Derivation:
     rule: str
     lhs: Expr
     rhs: Expr
-    trace: object  # Trace for most dialects, AnnTrace for StA-*
+    trace: object  # Trace or Span for most dialects, AnnTrace for StA-*
     premises: tuple = field(default_factory=tuple)
 
 
@@ -114,9 +120,12 @@ def mk_appnode(lhs: Expr, p1: Derivation, p2: Derivation, pb: Derivation) -> Der
     )
 
 
-def mk_eff(lhs: Expr, p: Derivation) -> Derivation:
+def mk_eff(lhs: Expr, p: Derivation, head: Trace | None = None) -> Derivation:
+    """head is the emitted label's own trace; the evaluator passes the span
+    it logged the label as."""
     assert isinstance(lhs, Eff)
-    return Derivation("StE-Eff", lhs, p.rhs, (lhs.label,) + p.trace, (p,))
+    head = (lhs.label,) if head is None else head
+    return Derivation("StE-Eff", lhs, p.rhs, head + p.trace, (p,))
 
 
 ### the evaluator
@@ -129,35 +138,34 @@ def bigstop_eval(e: Expr, budget: int) -> BigStopResult:
     result is wherever the term got to, as a checkable derivation whose
     conclusion matches multi_step(e, budget) exactly.
     """
-    b = Budget(budget)
-    d = _stop(e, b)
-    return BigStopResult(d.rhs, d.trace, d)
+    d = _stop(e, Budget(budget), [])
+    return BigStopResult(d.rhs, tuple(d.trace), d)
 
 
-def _stop(e: Expr, b: Budget) -> Derivation:
+def _stop(e: Expr, b: Budget, log: list) -> Derivation:
     if is_value(e) or b.remaining == 0:
         return mk_stop0(e)
     match e:
         case Succ(body):
-            return mk_stop1(e, _stop(body, b))
+            return mk_stop1(e, _stop(body, b, log))
         case Case(zb, xv, sb, sc):
-            ps = _stop(sc, b)
+            ps = _stop(sc, b, log)
             v = ps.rhs
             if not is_value(v) or b.remaining == 0:
                 return mk_stop1(e, ps)
             if isinstance(v, Zero):
                 b.spend()
-                return mk_casez(e, ps, _stop(zb, b))
+                return mk_casez(e, ps, _stop(zb, b, log))
             if isinstance(v, Succ):
                 b.spend()
-                return mk_cases(e, ps, _stop(subst(sb, {xv: v.body}), b))
+                return mk_cases(e, ps, _stop(subst(sb, {xv: v.body}), b, log))
             raise StuckError(Case(zb, xv, sb, v))
         case App(fn, arg):
-            p1 = _stop(fn, b)
+            p1 = _stop(fn, b, log)
             f = p1.rhs
             if not is_value(f):
                 return mk_stop1(e, p1)
-            p2 = _stop(arg, b)
+            p2 = _stop(arg, b, log)
             v = p2.rhs
             if not is_value(v) or b.remaining == 0:
                 return mk_stop2(e, p1, p2)
@@ -165,10 +173,11 @@ def _stop(e: Expr, b: Budget) -> Derivation:
                 raise StuckError(App(f, v))
             b.spend()
             body = subst(f.body, {f.self_var: f, f.param: v})
-            return mk_appnode(e, p1, p2, _stop(body, b))
-        case Eff(_, body):
+            return mk_appnode(e, p1, p2, _stop(body, b, log))
+        case Eff(label, body):
             b.spend()
-            return mk_eff(e, _stop(body, b))
+            head = emit(log, label)
+            return mk_eff(e, _stop(body, b, log), head)
         case Var() | Let():
             raise StuckError(e)
     raise StuckError(e)
@@ -206,7 +215,14 @@ def check_derivation(d: Derivation, dialect: str = "plain"):
 
 
 def _bad(path, reason):
-    return RuleViolation(path, reason)
+    """A violation at path.  A checker's path is () at the root and
+    (parent path, premiss index) below it, so descending costs one pair;
+    only a violation flattens it."""
+    flat = []
+    while path:
+        path, i = path
+        flat.append(i)
+    return RuleViolation(tuple(reversed(flat)), reason)
 
 
 def _check_val(d, path):
@@ -251,7 +267,7 @@ def _check_plain(d: Derivation, path) -> RuleViolation | None:
             return _bad(path, "St-Stop(1) conclusion does not match its premiss")
         if d.trace != p.trace:
             return _bad(path, "St-Stop(1) trace must equal the premiss trace")
-        return _check_plain(p, path + (0,))
+        return _check_plain(p, (path, 0))
     if k == 2:
         if (v := _premise_count(d, path, 3)):
             return v
@@ -267,9 +283,9 @@ def _check_plain(d: Derivation, path) -> RuleViolation | None:
         if d.trace != p1.trace + p2.trace:
             return _bad(path, "St-Stop(2) trace must be the premiss traces in order")
         return _first(
-            _check_plain(p1, path + (0,)),
-            _check_val(vl, path + (1,)),
-            _check_plain(p2, path + (2,)),
+            _check_plain(p1, (path, 0)),
+            _check_val(vl, (path, 1)),
+            _check_plain(p2, (path, 2)),
         )
     if k is not None:
         return _bad(path, f"no constructor has {k} evaluation positions")
@@ -285,7 +301,7 @@ def _check_plain(d: Derivation, path) -> RuleViolation | None:
             return _bad(path, "branch premiss must start at the zero branch")
         if d.rhs != pb.rhs or d.trace != ps.trace + pb.trace:
             return _bad(path, "StE-CaseZ conclusion does not match its premisses")
-        return _first(_check_plain(ps, path + (0,)), _check_plain(pb, path + (1,)))
+        return _first(_check_plain(ps, (path, 0)), _check_plain(pb, (path, 1)))
     if r == "StE-CaseS":
         if (v := _premise_count(d, path, 3)):
             return v
@@ -302,9 +318,9 @@ def _check_plain(d: Derivation, path) -> RuleViolation | None:
         if d.rhs != pb.rhs or d.trace != ps.trace + pb.trace:
             return _bad(path, "StE-CaseS conclusion does not match its premisses")
         return _first(
-            _check_plain(ps, path + (0,)),
-            _check_val(vl, path + (1,)),
-            _check_plain(pb, path + (2,)),
+            _check_plain(ps, (path, 0)),
+            _check_val(vl, (path, 1)),
+            _check_plain(pb, (path, 2)),
         )
     if r == "StE-App":
         if (v := _premise_count(d, path, 4)):
@@ -325,10 +341,10 @@ def _check_plain(d: Derivation, path) -> RuleViolation | None:
         if d.rhs != pb.rhs or d.trace != p1.trace + p2.trace + pb.trace:
             return _bad(path, "StE-App conclusion does not match its premisses")
         return _first(
-            _check_plain(p1, path + (0,)),
-            _check_plain(p2, path + (1,)),
-            _check_val(vl, path + (2,)),
-            _check_plain(pb, path + (3,)),
+            _check_plain(p1, (path, 0)),
+            _check_plain(p2, (path, 1)),
+            _check_val(vl, (path, 2)),
+            _check_plain(pb, (path, 3)),
         )
     if r == "StE-Eff":
         if (v := _premise_count(d, path, 1)):
@@ -340,7 +356,7 @@ def _check_plain(d: Derivation, path) -> RuleViolation | None:
             return _bad(path, "StE-Eff premiss must continue with the body")
         if d.trace != (d.lhs.label,) + p.trace:
             return _bad(path, "StE-Eff must emit its label first")
-        return _check_plain(p, path + (0,))
+        return _check_plain(p, (path, 0))
     return _bad(path, f"unknown rule {r!r} for the plain dialect")
 
 
@@ -369,7 +385,7 @@ def _check_mnf(d: Derivation, path) -> RuleViolation | None:
             return _bad(path, "StM-Let1 evaluates the bound term in place")
         if d.trace != p.trace:
             return _bad(path, "StM-Let1 trace must equal the premiss trace")
-        return _check_mnf(p, path + (0,))
+        return _check_mnf(p, (path, 0))
     if r == "StM-Let2":
         if (v := _premise_count(d, path, 3)):
             return v
@@ -385,9 +401,9 @@ def _check_mnf(d: Derivation, path) -> RuleViolation | None:
         if d.rhs != pb.rhs or d.trace != p1.trace + pb.trace:
             return _bad(path, "StM-Let2 conclusion does not match its premisses")
         return _first(
-            _check_mnf(p1, path + (0,)),
-            _check_val(vl, path + (1,)),
-            _check_mnf(pb, path + (2,)),
+            _check_mnf(p1, (path, 0)),
+            _check_val(vl, (path, 1)),
+            _check_mnf(pb, (path, 2)),
         )
     if r == "StM-CaseZ":
         if (v := _premise_count(d, path, 1)):
@@ -397,7 +413,7 @@ def _check_mnf(d: Derivation, path) -> RuleViolation | None:
         pb, = d.premises
         if pb.lhs != d.lhs.zero_branch or d.rhs != pb.rhs or d.trace != pb.trace:
             return _bad(path, "StM-CaseZ continues with the zero branch")
-        return _check_mnf(pb, path + (0,))
+        return _check_mnf(pb, (path, 0))
     if r == "StM-CaseS":
         if (v := _premise_count(d, path, 2)):
             return v
@@ -412,7 +428,7 @@ def _check_mnf(d: Derivation, path) -> RuleViolation | None:
             return _bad(path, "StM-CaseS branch premiss must be substituted")
         if d.rhs != pb.rhs or d.trace != pb.trace:
             return _bad(path, "StM-CaseS conclusion does not match its premiss")
-        return _first(_check_val(vl, path + (0,)), _check_mnf(pb, path + (1,)))
+        return _first(_check_val(vl, (path, 0)), _check_mnf(pb, (path, 1)))
     if r == "StM-App":
         if (v := _premise_count(d, path, 2)):
             return v
@@ -427,7 +443,7 @@ def _check_mnf(d: Derivation, path) -> RuleViolation | None:
             return _bad(path, "StM-App body premiss must be substituted")
         if d.rhs != pb.rhs or d.trace != pb.trace:
             return _bad(path, "StM-App conclusion does not match its premiss")
-        return _first(_check_val(vl, path + (0,)), _check_mnf(pb, path + (1,)))
+        return _first(_check_val(vl, (path, 0)), _check_mnf(pb, (path, 1)))
     if r == "StM-Eff":
         if (v := _premise_count(d, path, 1)):
             return v
@@ -436,7 +452,7 @@ def _check_mnf(d: Derivation, path) -> RuleViolation | None:
         p, = d.premises
         if p.lhs != d.lhs.body or d.rhs != p.rhs or d.trace != (d.lhs.label,) + p.trace:
             return _bad(path, "StM-Eff must emit its label then continue")
-        return _check_mnf(p, path + (0,))
+        return _check_mnf(p, (path, 0))
     return _bad(path, f"unknown rule {r!r} for the mnf dialect")
 
 
@@ -478,7 +494,7 @@ def _check_ec(d: Derivation, path) -> RuleViolation | None:
         pb, = d.premises
         if pb.lhs != lhs.zero_branch or d.rhs != pb.rhs or d.trace != pb.trace:
             return _bad(path, "EC-CaseZ continues with the zero branch")
-        return _check_ec(pb, path + (0,))
+        return _check_ec(pb, (path, 0))
     if r == "EC-CaseS":
         if (v := _premise_count(d, path, 2)):
             return v
@@ -493,7 +509,7 @@ def _check_ec(d: Derivation, path) -> RuleViolation | None:
             return _bad(path, "EC-CaseS branch premiss must be substituted")
         if d.rhs != pb.rhs or d.trace != pb.trace:
             return _bad(path, "EC-CaseS conclusion does not match its premiss")
-        return _first(_check_val(vl, path + (0,)), _check_ec(pb, path + (1,)))
+        return _first(_check_val(vl, (path, 0)), _check_ec(pb, (path, 1)))
     if r == "EC-App":
         if (v := _premise_count(d, path, 2)):
             return v
@@ -508,7 +524,7 @@ def _check_ec(d: Derivation, path) -> RuleViolation | None:
             return _bad(path, "EC-App body premiss must be substituted")
         if d.rhs != pb.rhs or d.trace != pb.trace:
             return _bad(path, "EC-App conclusion does not match its premiss")
-        return _first(_check_val(vl, path + (0,)), _check_ec(pb, path + (1,)))
+        return _first(_check_val(vl, (path, 0)), _check_ec(pb, (path, 1)))
     if r == "EC-Eff":
         if (v := _premise_count(d, path, 1)):
             return v
@@ -517,7 +533,7 @@ def _check_ec(d: Derivation, path) -> RuleViolation | None:
         p, = d.premises
         if p.lhs != d.lhs.body or d.rhs != p.rhs or d.trace != (d.lhs.label,) + p.trace:
             return _bad(path, "EC-Eff must emit its label then continue")
-        return _check_ec(p, path + (0,))
+        return _check_ec(p, (path, 0))
     if r == "EC-Seq":
         if (v := _premise_count(d, path, 2)):
             return v
@@ -530,7 +546,7 @@ def _check_ec(d: Derivation, path) -> RuleViolation | None:
             return _bad(path, "EC-Seq premisses do not fit any evaluation context")
         if d.rhs != p2.rhs or d.trace != p1.trace + p2.trace:
             return _bad(path, "EC-Seq conclusion does not match its premisses")
-        return _first(_check_ec(p1, path + (0,)), _check_ec(p2, path + (1,)))
+        return _first(_check_ec(p1, (path, 0)), _check_ec(p2, (path, 1)))
     return _bad(path, f"unknown rule {r!r} for the ec dialect")
 
 
@@ -557,7 +573,7 @@ def _check_ann(d: Derivation, path) -> RuleViolation | None:
             return _bad(path, "StA-Stop needs val for its (arbitrary) result value")
         if t != ANN_ZERO:
             return _bad(path, "StA-Stop emits exactly the cut-off marker")
-        return _check_val(vl, path + (0,))
+        return _check_val(vl, (path, 0))
     if r == "StA-Succ":
         if (v := _premise_count(d, path, 1)):
             return v
@@ -568,7 +584,7 @@ def _check_ann(d: Derivation, path) -> RuleViolation | None:
             return _bad(path, "StA-Succ wraps its premiss value")
         if t != _ann_trace(p):
             return _bad(path, "StA-Succ trace must equal the premiss trace")
-        return _check_ann(p, path + (0,))
+        return _check_ann(p, (path, 0))
     if r == "StA-CaseZ":
         if (v := _premise_count(d, path, 2)):
             return v
@@ -581,7 +597,7 @@ def _check_ann(d: Derivation, path) -> RuleViolation | None:
             return _bad(path, "StA-CaseZ continues with the zero branch")
         if t != ann_concat(_ann_trace(ps), _ann_trace(pb)):
             return _bad(path, "StA-CaseZ trace must absorb after a cut")
-        return _first(_check_ann(ps, path + (0,)), _check_ann(pb, path + (1,)))
+        return _first(_check_ann(ps, (path, 0)), _check_ann(pb, (path, 1)))
     if r == "StA-CaseS":
         if (v := _premise_count(d, path, 3)):
             return v
@@ -597,9 +613,9 @@ def _check_ann(d: Derivation, path) -> RuleViolation | None:
         if t != ann_concat(_ann_trace(ps), _ann_trace(pb)):
             return _bad(path, "StA-CaseS trace must absorb after a cut")
         return _first(
-            _check_ann(ps, path + (0,)),
-            _check_val(vl, path + (1,)),
-            _check_ann(pb, path + (2,)),
+            _check_ann(ps, (path, 0)),
+            _check_val(vl, (path, 1)),
+            _check_ann(pb, (path, 2)),
         )
     if r == "StA-App":
         if (v := _premise_count(d, path, 4)):
@@ -621,10 +637,10 @@ def _check_ann(d: Derivation, path) -> RuleViolation | None:
         if t != ann_concat_all(_ann_trace(p1), _ann_trace(p2), _ann_trace(pb)):
             return _bad(path, "StA-App trace must absorb after a cut")
         return _first(
-            _check_ann(p1, path + (0,)),
-            _check_ann(p2, path + (1,)),
-            _check_val(vl, path + (2,)),
-            _check_ann(pb, path + (3,)),
+            _check_ann(p1, (path, 0)),
+            _check_ann(p2, (path, 1)),
+            _check_val(vl, (path, 2)),
+            _check_ann(pb, (path, 3)),
         )
     if r == "StA-Eff":
         if (v := _premise_count(d, path, 1)):
@@ -636,7 +652,7 @@ def _check_ann(d: Derivation, path) -> RuleViolation | None:
             return _bad(path, "StA-Eff continues with the body")
         if t != ann_concat(AnnTrace((d.lhs.label,), False), _ann_trace(p)):
             return _bad(path, "StA-Eff must emit its label first")
-        return _check_ann(p, path + (0,))
+        return _check_ann(p, (path, 0))
     return _bad(path, f"unknown rule {r!r} for the annihilator dialect")
 
 
@@ -807,10 +823,6 @@ def _placeholder(demand: str) -> Expr:
     return _IDENTITY if demand == "fn" else Zero()
 
 
-def val_leaf_ann(v: Expr) -> Derivation:
-    return val_leaf(v)
-
-
 def annihilator_derivation(e: Expr, budget: int, demand: str | None = None) -> Derivation:
     """Build the StA-* derivation for e at the given budget.
 
@@ -823,16 +835,16 @@ def annihilator_derivation(e: Expr, budget: int, demand: str | None = None) -> D
             demand = "fn" if isinstance(infer_type(e), ArrowT) else "nat"
         except TypeFailure:
             demand = "nat"
-    return _ann(e, Budget(budget), demand)
+    return _ann(e, Budget(budget), demand, [])
 
 
 def annihilator_eval(e: Expr, budget: int):
     """(value, cut-off trace) for e under the annihilator semantics."""
     d = annihilator_derivation(e, budget)
-    return d.rhs, d.trace
+    return d.rhs, AnnTrace(tuple(d.trace.prefix), d.trace.annihilated)
 
 
-def _ann(e: Expr, b: Budget, demand: str) -> Derivation:
+def _ann(e: Expr, b: Budget, demand: str, log: list) -> Derivation:
     if is_value(e):
         return Derivation("StA-Val", e, e, ANN_EMPTY, ())
     if b.remaining == 0:
@@ -840,36 +852,36 @@ def _ann(e: Expr, b: Budget, demand: str) -> Derivation:
         return Derivation("StA-Stop", e, v, ANN_ZERO, (val_leaf(v),))
     match e:
         case Succ(body):
-            p = _ann(body, b, "nat")
+            p = _ann(body, b, "nat", log)
             return Derivation("StA-Succ", e, Succ(p.rhs), p.trace, (p,))
         case Case(zb, xv, sb, sc):
-            ps = _ann(sc, b, "nat")
+            ps = _ann(sc, b, "nat", log)
             v = ps.rhs
             if isinstance(v, Zero):
                 if b.remaining:
                     b.spend()
-                pb = _ann(zb, b, demand)
+                pb = _ann(zb, b, demand, log)
                 return Derivation(
                     "StA-CaseZ", e, pb.rhs, ann_concat(ps.trace, pb.trace), (ps, pb)
                 )
             if isinstance(v, Succ):
                 if b.remaining:
                     b.spend()
-                pb = _ann(subst(sb, {xv: v.body}), b, demand)
+                pb = _ann(subst(sb, {xv: v.body}), b, demand, log)
                 return Derivation(
                     "StA-CaseS", e, pb.rhs, ann_concat(ps.trace, pb.trace),
                     (ps, val_leaf(v.body), pb),
                 )
             raise StuckError(Case(zb, xv, sb, v))
         case App(fn, arg):
-            p1 = _ann(fn, b, "fn")
-            p2 = _ann(arg, b, "nat")
+            p1 = _ann(fn, b, "fn", log)
+            p2 = _ann(arg, b, "nat", log)
             f = p1.rhs
             if not isinstance(f, Lam):
                 raise StuckError(App(f, p2.rhs))
             if b.remaining:
                 b.spend()
-            pb = _ann(subst(f.body, {f.self_var: f, f.param: p2.rhs}), b, demand)
+            pb = _ann(subst(f.body, {f.self_var: f, f.param: p2.rhs}), b, demand, log)
             return Derivation(
                 "StA-App", e, pb.rhs,
                 ann_concat_all(p1.trace, p2.trace, pb.trace),
@@ -877,11 +889,9 @@ def _ann(e: Expr, b: Budget, demand: str) -> Derivation:
             )
         case Eff(l, body):
             b.spend()
-            p = _ann(body, b, demand)
-            return Derivation(
-                "StA-Eff", e, p.rhs,
-                ann_concat(AnnTrace((l,), False), p.trace), (p,),
-            )
+            head = AnnTrace(emit(log, l), False)
+            p = _ann(body, b, demand, log)
+            return Derivation("StA-Eff", e, p.rhs, ann_concat(head, p.trace), (p,))
         case Var() | Let():
             raise StuckError(e)
     raise StuckError(e)
@@ -894,22 +904,22 @@ def ec_bigstop_eval(e: Expr, budget: int) -> BigStopResult:
     """Budgeted evaluation presented as context-decomposition chains:
     each contraction is one EC-Seq link whose left premiss is the redex
     rule and whose right premiss continues with the plugged-back term."""
-    d = _ec(e, Budget(budget))
-    return BigStopResult(d.rhs, d.trace, d)
+    d = _ec(e, Budget(budget), [])
+    return BigStopResult(d.rhs, tuple(d.trace), d)
 
 
-def _ec(e: Expr, b: Budget) -> Derivation:
+def _ec(e: Expr, b: Budget, log: list) -> Derivation:
     if b.remaining == 0:
         return Derivation("EC-Stop", e, e, (), ())
     if is_value(e):
         return Derivation("EC-Val", e, e, (), ())
     ctx, r = decompose(e)
-    step = _ec_redex(r, b)
-    rest = _ec(plug(ctx, step.rhs), b)
+    step = _ec_redex(r, b, log)
+    rest = _ec(plug(ctx, step.rhs), b, log)
     return Derivation("EC-Seq", e, rest.rhs, step.trace + rest.trace, (step, rest))
 
 
-def _ec_redex(r: Expr, b: Budget) -> Derivation:
+def _ec_redex(r: Expr, b: Budget, log: list) -> Derivation:
     def halt(x: Expr) -> Derivation:
         return Derivation("EC-Stop", x, x, (), ())
 
@@ -927,7 +937,7 @@ def _ec_redex(r: Expr, b: Budget) -> Derivation:
             return Derivation("EC-App", r, out, (), (val_leaf(v), halt(out)))
         case Eff(l, body):
             b.spend()
-            return Derivation("EC-Eff", r, body, (l,), (halt(body),))
+            return Derivation("EC-Eff", r, body, emit(log, l), (halt(body),))
     raise StuckError(r)
 
 
@@ -969,4 +979,4 @@ def derivation_from_json(obj) -> Derivation:
 
 
 def derivation_to_json_str(d: Derivation) -> str:
-    return json.dumps(derivation_to_json(d), indent=2)
+    return json.dumps(derivation_to_json(d))

@@ -57,6 +57,21 @@ class _Usage(Exception):
     pass
 
 
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than least."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+            if n >= least:
+                return n
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+
+    return parse
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv:
@@ -101,8 +116,8 @@ def _pcf(args) -> int:
 
     run = sub.add_parser("run")
     run.add_argument("--sem", choices=_PCF_SEMS, default="bigstop")
-    run.add_argument("--budget", type=int, default=256)
-    run.add_argument("--fuel", type=int, default=None)
+    run.add_argument("--budget", type=_at_least(0), default=256)
+    run.add_argument("--fuel", type=_at_least(0), default=None)
     run.add_argument("--trace", action="store_true", help="print the trajectory")
     run.add_argument("--derivation", metavar="FILE", default=None)
     run.add_argument("-e", action="store_true", dest="literal",
@@ -246,7 +261,7 @@ def _imp(args) -> int:
     sub = p.add_subparsers(dest="cmd", required=True)
     run = sub.add_parser("run")
     run.add_argument("--sem", choices=_IMP_SEMS, default="bigstop")
-    run.add_argument("--budget", type=int, default=256)
+    run.add_argument("--budget", type=_at_least(0), default=256)
     run.add_argument("--init", default="", metavar="x=v,...")
     run.add_argument("-e", action="store_true", dest="literal")
     run.add_argument("program")
@@ -290,14 +305,14 @@ def _imp(args) -> int:
 def _fuzz(args) -> int:
     p = _Parser(prog="fuzz")
     p.add_argument("--suite", required=True)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--max-size", type=int, default=None)
-    p.add_argument("--max-budget", type=int, default=10)
+    p.add_argument("--trials", type=_at_least(1), default=None)
+    p.add_argument("--max-size", type=_at_least(1), default=GenConfig.max_size)
+    p.add_argument("--max-budget", type=_at_least(0), default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     ns = p.parse_args(args)
 
-    cfg = GenConfig(seed=ns.seed, max_size=ns.max_size if ns.max_size else 25)
+    cfg = GenConfig(seed=ns.seed, max_size=ns.max_size)
     try:
         report = run_property_suite(ns.suite, cfg, ns.trials, ns.max_budget)
     except KeyError:

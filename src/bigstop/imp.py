@@ -81,9 +81,6 @@ class While(Stmt):
     body: Stmt
 
 
-State = dict  # variable name -> int
-
-
 @dataclass(frozen=True)
 class ImpConfig:
     stmt: Stmt

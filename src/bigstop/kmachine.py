@@ -126,20 +126,20 @@ class KRunResult:
 
 
 def k_run(state: MachineState, budget: int) -> KRunResult:
-    trace: Trace = ()
+    labels: list = []
     for steps in range(budget + 1):
         if halted(state):
-            return KRunResult(state, trace, steps, KStatus.FINAL)
+            return KRunResult(state, tuple(labels), steps, KStatus.FINAL)
         if steps == budget:
             break
         try:
             nxt = k_step(state)
         except StuckState:
-            return KRunResult(state, trace, steps, KStatus.STUCK)
+            return KRunResult(state, tuple(labels), steps, KStatus.STUCK)
         assert nxt is not None
         state, tr = nxt
-        trace = trace + tr
-    return KRunResult(state, trace, budget, KStatus.OUT_OF_BUDGET)
+        labels += tr
+    return KRunResult(state, tuple(labels), budget, KStatus.OUT_OF_BUDGET)
 
 
 def unwind(s: MachineState) -> Expr:

@@ -19,7 +19,7 @@ from .syntax import (
     all_names, check_mnf, free_vars, is_value, subst,
 )
 from .smallstep import MultiResult, RunStatus, StepResult
-from .traces import Trace
+from .traces import emit
 
 
 def to_mnf(e: Expr) -> Expr:
@@ -180,40 +180,42 @@ def mnf_small_step(e: Expr):
 
 
 def mnf_multi_step(e: Expr, budget: int) -> MultiResult:
-    trace: Trace = ()
+    labels: list = []
     steps = 0
     while True:
         if is_value(e):
-            return MultiResult(e, trace, steps, RunStatus.REACHED_VALUE)
+            return MultiResult(e, tuple(labels), steps, RunStatus.REACHED_VALUE)
         if steps == budget:
-            return MultiResult(e, trace, steps, RunStatus.OUT_OF_BUDGET)
+            return MultiResult(e, tuple(labels), steps, RunStatus.OUT_OF_BUDGET)
         r = mnf_small_step(e)
         if r is None:
-            return MultiResult(e, trace, steps, RunStatus.STUCK)
-        e, trace, steps = r.expr, trace + r.trace, steps + 1
+            return MultiResult(e, tuple(labels), steps, RunStatus.STUCK)
+        e = r.expr
+        labels += r.trace
+        steps += 1
 
 
 def mnf_bigstop_eval(e: Expr, budget: int) -> BigStopResult:
     """Budgeted evaluation of an MNF term with an StM-* derivation."""
     if not check_mnf(e):
         raise NotMNF(f"not in monadic normal form: {e!r}")
-    d = _mstop(e, Budget(budget))
-    return BigStopResult(d.rhs, d.trace, d)
+    d = _mstop(e, Budget(budget), [])
+    return BigStopResult(d.rhs, tuple(d.trace), d)
 
 
-def _mstop(e: Expr, b: Budget) -> Derivation:
+def _mstop(e: Expr, b: Budget, log: list) -> Derivation:
     if is_value(e) or b.remaining == 0:
         return Derivation("StM-Stop", e, e, (), ())
     match e:
         case Let(x, e1, body):
-            p1 = _mstop(e1, b)
+            p1 = _mstop(e1, b, log)
             v1 = p1.rhs
             if not is_value(v1) or b.remaining == 0:
                 return Derivation(
                     "StM-Let1", e, Let(x, v1, body), p1.trace, (p1,)
                 )
             b.spend()
-            pb = _mstop(subst(body, {x: v1}), b)
+            pb = _mstop(subst(body, {x: v1}), b, log)
             return Derivation(
                 "StM-Let2", e, pb.rhs, p1.trace + pb.trace,
                 (p1, val_leaf(v1), pb),
@@ -221,12 +223,12 @@ def _mstop(e: Expr, b: Budget) -> Derivation:
         case Case(zb, xv, sb, sc):
             if isinstance(sc, Zero):
                 b.spend()
-                pb = _mstop(zb, b)
+                pb = _mstop(zb, b, log)
                 return Derivation("StM-CaseZ", e, pb.rhs, pb.trace, (pb,))
             if isinstance(sc, Succ) and is_value(sc):
                 b.spend()
                 w = sc.body
-                pb = _mstop(subst(sb, {xv: w}), b)
+                pb = _mstop(subst(sb, {xv: w}), b, log)
                 return Derivation(
                     "StM-CaseS", e, pb.rhs, pb.trace, (val_leaf(w), pb)
                 )
@@ -237,12 +239,13 @@ def _mstop(e: Expr, b: Budget) -> Derivation:
             if not isinstance(f, Lam):
                 raise StuckError(e)
             b.spend()
-            pb = _mstop(subst(f.body, {f.self_var: f, f.param: a}), b)
+            pb = _mstop(subst(f.body, {f.self_var: f, f.param: a}), b, log)
             return Derivation("StM-App", e, pb.rhs, pb.trace, (val_leaf(a), pb))
         case Eff(l, body):
             b.spend()
-            p = _mstop(body, b)
-            return Derivation("StM-Eff", e, p.rhs, (l,) + p.trace, (p,))
+            head = emit(log, l)
+            p = _mstop(body, b, log)
+            return Derivation("StM-Eff", e, p.rhs, head + p.trace, (p,))
         case Succ():
             raise NotMNF(f"successor of a non-value: {e!r}")
         case _:

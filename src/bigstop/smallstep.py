@@ -150,18 +150,18 @@ class MultiResult:
 
 
 def multi_step(e: Expr, budget: int) -> MultiResult:
-    trace: Trace = ()
+    labels: list = []
     steps = 0
     while True:
         if is_value(e):
-            return MultiResult(e, trace, steps, RunStatus.REACHED_VALUE)
+            return MultiResult(e, tuple(labels), steps, RunStatus.REACHED_VALUE)
         if steps == budget:
-            return MultiResult(e, trace, steps, RunStatus.OUT_OF_BUDGET)
+            return MultiResult(e, tuple(labels), steps, RunStatus.OUT_OF_BUDGET)
         r = small_step(e)
         if r is None:
-            return MultiResult(e, trace, steps, RunStatus.STUCK)
+            return MultiResult(e, tuple(labels), steps, RunStatus.STUCK)
         e = r.expr
-        trace = trace + r.trace
+        labels += r.trace
         steps += 1
 
 

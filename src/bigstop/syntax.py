@@ -12,6 +12,8 @@ which is what `is_mnf_value` captures.
 
 from dataclasses import dataclass
 
+from .traces import BadLabel, check_label
+
 ### abstract syntax
 
 BLANK = "_"
@@ -75,13 +77,9 @@ class Let(Expr):
 
 
 def is_value(e: Expr) -> bool:
-    match e:
-        case Zero() | Lam():
-            return True
-        case Succ(body):
-            return is_value(body)
-        case _:
-            return False
+    while isinstance(e, Succ):
+        e = e.body
+    return isinstance(e, (Zero, Lam))
 
 
 def numeral(n: int) -> Expr:
@@ -164,7 +162,11 @@ def subst(e: Expr, mapping: dict) -> Expr:
     """
     mapping = {x: v for x, v in mapping.items() if x != BLANK}
     for x, v in mapping.items():
-        if not is_value(v) or free_vars(v):
+        w = v
+        while isinstance(w, Succ):
+            w = w.body
+        # a numeral is closed; a function is closed when the Lam is
+        if not (isinstance(w, Zero) or (isinstance(w, Lam) and not free_vars(w))):
             raise SubstOpenValue(f"substituting non-closed-value for {x}: {v!r}")
     return _subst(e, mapping)
 
@@ -437,6 +439,10 @@ class _Parser:
             lab = self.peek()
             if lab.kind != "ident":
                 self.err("expected an effect label")
+            try:
+                check_label(lab.text)
+            except BadLabel as bl:
+                self.err(str(bl))
             self.next()
             self.expect("]")
             return Eff(lab.text, self.expr())

@@ -3,6 +3,7 @@ and the two alternate dialects (annihilator traces, context-threading)."""
 
 import dataclasses
 import json
+import tracemalloc
 
 import pytest
 
@@ -14,6 +15,7 @@ from bigstop import (
     StuckError,
     Var,
     Zero,
+    annihilator_derivation,
     annihilator_eval,
     bigstep_to_strict,
     bigstop_eval,
@@ -32,8 +34,7 @@ from bigstop import (
     print_expr,
     strict_to_bigstep,
 )
-from bigstop.bigstop import _ann
-from bigstop.budget import Budget
+from bigstop.traces import Span
 
 
 def mut(d, **kw):
@@ -295,7 +296,7 @@ def test_annihilator_keeps_the_emitted_prefix():
 
 
 def test_annihilator_derivation_checks():
-    d = _ann(parse_expr("eff[a] eff[b] z"), Budget(1), "nat")
+    d = annihilator_derivation(parse_expr("eff[a] eff[b] z"), 1, demand="nat")
     assert d.rule == "StA-Eff"
     assert [p.rule for p in d.premises] == ["StA-Stop"]
     assert d.trace == AnnTrace(("a",), True)
@@ -362,7 +363,7 @@ def test_json_round_trip_plain():
 
 
 def test_json_round_trip_annihilated():
-    d = _ann(parse_expr("eff[a] eff[b] z"), Budget(1), "nat")
+    d = annihilator_derivation(parse_expr("eff[a] eff[b] z"), 1, demand="nat")
     obj = json.loads(derivation_to_json_str(d))
     assert obj["trace"] == ["a", "0"]      # absorbing marker rides along
     assert derivation_from_json(obj) == d
@@ -372,3 +373,104 @@ def test_json_string_form_is_actual_json():
     d = bigstop_eval(parse_expr("(fun f(x) => x) z"), 1).derivation
     parsed = json.loads(derivation_to_json_str(d))
     assert parsed["rule"] == d.rule
+
+
+### span traces
+
+LOOP = parse_expr("(fun f(x) => eff[t] f x) z")  # omega that emits t per turn
+
+
+def _at(d, path):
+    for i in path:
+        d = d.premises[i]
+    return d
+
+
+def _replace_at(d, path, node):
+    if not path:
+        return node
+    ps = list(d.premises)
+    ps[path[0]] = _replace_at(ps[path[0]], path[1:], node)
+    return mut(d, premises=tuple(ps))
+
+
+def _eff_paths(d):
+    """Paths of the StE-Eff nodes, in preorder."""
+    out, todo = [], [(d, ())]
+    while todo:
+        node, path = todo.pop()
+        if node.rule == "StE-Eff":
+            out.append(path)
+        todo += [(p, path + (i,)) for i, p in reversed(list(enumerate(node.premises)))]
+    return out
+
+
+def test_results_keep_tuple_traces_and_nodes_hold_spans():
+    r = bigstop_eval(LOOP, 40)
+    assert type(r.trace) is tuple and r.trace == ("t",) * 20
+    assert isinstance(r.derivation.trace, Span) and r.derivation.trace == r.trace
+    assert type(ec_bigstop_eval(LOOP, 40).trace) is tuple
+    assert type(annihilator_eval(LOOP, 40)[1].prefix) is tuple
+    quiet = bigstop_eval(parse_expr("(fun f(x) => f x) z"), 20).derivation
+    assert type(quiet.trace) is tuple and quiet.trace == ()
+
+
+def test_forged_span_is_rejected_where_the_forged_tuple_is():
+    d = bigstop_eval(LOOP, 40).derivation
+    path = _eff_paths(d)[5]
+    node = _at(d, path)
+    sp = node.trace
+    assert isinstance(sp, Span)
+    relabelled = list(sp.log)
+    relabelled[sp.start + 1] = "u"
+    forged = Span(relabelled, sp.start, sp.end)
+    assert len(forged) == len(sp) and forged != sp
+    by_tuple = check_derivation(_replace_at(d, path, mut(node, trace=tuple(forged))))
+    by_span = check_derivation(_replace_at(d, path, mut(node, trace=forged)))
+    assert by_tuple is not None
+    assert by_span == by_tuple
+    assert by_span.path == path[:-1]  # the enclosing StE-App composes the trace first
+
+
+def test_span_with_the_same_labels_elsewhere_in_the_log_is_accepted():
+    d = bigstop_eval(LOOP, 40).derivation
+    path = _eff_paths(d)[5]
+    node = _at(d, path)
+    sp = node.trace
+    moved = Span(sp.log, sp.start - 2, sp.end - 2)
+    assert moved == sp
+    assert check_derivation(_replace_at(d, path, mut(node, trace=moved))) is None
+
+
+def test_a_deep_violation_reports_its_full_path():
+    d = bigstop_eval(parse_expr("s((fun f(x) => eff[t] f x) z)"), 400).derivation
+    path = _eff_paths(d)[-1]
+    assert len(path) > 300 and path[0] == 0  # under s, then down the loop
+    v = check_derivation(_replace_at(d, path, mut(_at(d, path), rule="StE-Bogus")))
+    assert v.path == path
+    assert "unknown rule" in v.reason
+
+
+def test_json_string_form_is_one_line_and_round_trips():
+    d = bigstop_eval(LOOP, 60).derivation
+    text = derivation_to_json_str(d)
+    assert "\n" not in text
+    back = derivation_from_json(text)
+    assert back == d
+    assert check_derivation(back) is None
+
+
+def _peak_bytes(budget):
+    tracemalloc.start()
+    try:
+        assert check_derivation(bigstop_eval(LOOP, budget).derivation) is None
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_eval_and_check_memory_grows_linearly_with_the_budget():
+    # a trace copied into every node, or a path tuple in every checker
+    # frame, makes the peak grow with the square of the budget (ratio 4)
+    small, large = _peak_bytes(1000), _peak_bytes(2000)
+    assert large <= 2.5 * small, (small, large)

@@ -134,6 +134,33 @@ def test_unknown_semantics_is_a_usage_error(capsys):
     assert code == 2
 
 
+def test_reserved_label_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "pcf", "run", "--budget", "1", "-e", "eff[0] z")
+    assert (code, out) == (2, "")
+    assert "label" in err
+
+
+def test_negative_budget_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "pcf", "run", "--sem", "bigstop", "--budget", "-1", "-e", "z")
+    assert (code, out) == (2, "")
+    assert "--budget" in err
+
+
+def test_negative_multi_budget_is_a_usage_error(capsys):
+    # a negative budget never equals the step count, so it must not reach the run
+    code, out, err = run(
+        capsys, "pcf", "run", "--sem", "multi", "--budget", "-1", "-e", "(fun f(x) => f x) z"
+    )
+    assert (code, out) == (2, "")
+    assert "--budget" in err
+
+
+def test_negative_fuel_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "pcf", "run", "--sem", "big", "--fuel", "-1", "-e", "z")
+    assert (code, out) == (2, "")
+    assert "--fuel" in err
+
+
 ### derivation output
 
 def test_derivation_file_holds_valid_json(capsys, tmp_path):
@@ -186,6 +213,12 @@ def test_imp_big(capsys):
     assert (code, out) == (0, "skip | {x=0}\n")
 
 
+def test_imp_negative_budget_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "imp", "run", "--sem", "bigstop", "--budget", "-1", *COUNTDOWN)
+    assert (code, out) == (2, "")
+    assert "--budget" in err
+
+
 def test_imp_freeze_reports_both_outcomes(capsys):
     code, out, _ = run(capsys, "imp", "run", "--sem", "freeze", "--budget", "3", *COUNTDOWN)
     assert (code, out) == (0, "{x=1} | frozen\n")
@@ -208,6 +241,21 @@ def test_fuzz_json_output(capsys):
     )
     assert code == 0
     assert sorted(json.loads(out).keys()) == ["failures", "property", "seed", "trials"]
+
+
+def test_fuzz_max_size_below_one_is_a_usage_error(capsys):
+    for size in ("0", "-2"):
+        code, out, err = run(capsys, "fuzz", "--suite", "stop-multi", "--max-size", size)
+        assert (code, out) == (2, "")
+        assert "--max-size" in err
+
+
+def test_fuzz_vacuous_runs_are_usage_errors(capsys):
+    # a negative --max-budget used to run no trial and report PASS
+    for flag, value in (("--max-budget", "-1"), ("--trials", "0"), ("--trials", "-5")):
+        code, out, err = run(capsys, "fuzz", "--suite", "stop-multi", flag, value)
+        assert (code, out) == (2, "")
+        assert flag in err
 
 
 def test_fuzz_unknown_suite(capsys):

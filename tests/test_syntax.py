@@ -82,6 +82,13 @@ def test_trailing_garbage_rejected():
         parse_expr("z z)")
 
 
+def test_reserved_label_rejected():
+    # "0" is the annihilator's cut-off marker; a program may not emit it
+    with pytest.raises(ParseError, match="label"):
+        parse_expr("eff[0] z")
+    assert parse_expr("eff[a0] z") == Eff("a0", Zero())
+
+
 def test_parse_error_carries_position():
     try:
         parse_expr("s(")
