@@ -17,11 +17,12 @@ checking a trace copies no labels.
 """
 
 import json
-import re
-from dataclasses import dataclass, field
+import operator
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 from .budget import Budget
-from .smallstep import decompose, plug
+from .smallstep import AppArgC, AppFnC, CaseC, Hole, SuccC, decompose, plug
 from .syntax import (
     App, Case, Eff, Expr, Lam, Let, Succ, Var, Zero,
     is_value, is_mnf_value, parse_expr, print_expr, subst,
@@ -60,12 +61,12 @@ class BigStopResult:
     derivation: Derivation
 
 
-_STOP_RE = re.compile(r"^St-Stop\((\d+)\)$")
+_STOP_K = {"St-Stop(0)": 0, "St-Stop(1)": 1, "St-Stop(2)": 2}
 
 
 def stop_k(rule: str):
-    m = _STOP_RE.match(rule)
-    return int(m.group(1)) if m else None
+    """k for a stop rule St-Stop(k), else None."""
+    return _STOP_K.get(rule)
 
 
 def val_leaf(v: Expr) -> Derivation:
@@ -192,6 +193,13 @@ def is_progressing(d: Derivation) -> bool:
 
 
 ### checking derivations
+#
+# Each dialect is a table from rule names to Rule entries, and one walker
+# checks every node against its entry.  A rule is written once: the
+# structural rules that the plain and annihilator dialects share have one
+# entry each, so do the redex rules of the MNF and evaluation-context
+# dialects.  The table uses subst and plug but none of the evaluator's
+# node builders, so the checker stays independent of the evaluator.
 
 
 @dataclass(frozen=True)
@@ -204,262 +212,63 @@ class RuleViolation:
         return f"at {where}: {self.reason}"
 
 
-def check_derivation(d: Derivation, dialect: str = "plain"):
-    """Re-derive every node; None if valid, else the first RuleViolation
-    in preorder.  Dialects: plain, mnf, ec, annihilator."""
-    try:
-        checker = _CHECKERS[dialect]
-    except KeyError:
-        raise ValueError(f"unknown dialect {dialect!r}") from None
-    return checker(d, ())
+@dataclass(frozen=True, slots=True)
+class Premiss:
+    """One premiss of a rule: a Val side condition, or a run in the rule's
+    own dialect.  at(lhs, premises) is the term it must start at (for a
+    Val, the value it asserts), from the conclusion's lhs and the premisses
+    before it; None leaves it to a side condition.  A run's result must
+    pass `ends`, when given."""
+
+    val: bool
+    at: Callable | None
+    ends: Callable | None = None
 
 
-def _bad(path, reason):
-    """A violation at path.  A checker's path is () at the root and
-    (parent path, premiss index) below it, so descending costs one pair;
-    only a violation flattens it."""
-    flat = []
-    while path:
-        path, i = path
-        flat.append(i)
-    return RuleViolation(tuple(reversed(flat)), reason)
+@dataclass(frozen=True, slots=True)
+class Rule:
+    """One inference rule: the lhs terms it applies to (None: any), its
+    premisses in order, and the conclusion's rhs as rhs(lhs, premises)
+    (None: where the last premiss ends, or the lhs if there is none).  Its
+    trace is the lhs's label if `emits`, then the traces of its run
+    premisses in order, then the cut-off marker if `cut`.  `side` is a
+    condition on the whole node that the premisses cannot state (EC-Seq's
+    context)."""
+
+    applies: Callable | None = None
+    premises: tuple = ()
+    rhs: Callable | None = None
+    emits: bool = False
+    cut: bool = False
+    side: Callable | None = None
 
 
-def _check_val(d, path):
-    if d.premises:
-        return _bad(path, "Val takes no premisses")
-    if d.lhs != d.rhs or not is_value(d.lhs):
-        return _bad(path, "Val must conclude v = v for a value")
-    if d.trace not in ((), ANN_EMPTY):
-        return _bad(path, "Val emits nothing")
-    return None
+def _run(at, ends=None) -> Premiss:
+    return Premiss(False, at, ends)
 
 
-def _premise_count(d, path, n):
-    if len(d.premises) != n:
-        return _bad(path, f"{d.rule} wants {n} premisses, got {len(d.premises)}")
-    return None
+def _val(at) -> Premiss:
+    return Premiss(True, at)
 
 
-def _check_plain(d: Derivation, path) -> RuleViolation | None:
-    r = d.rule
-    if r == "Val":
-        return _check_val(d, path)
-    k = stop_k(r)
-    if k == 0:
-        if d.premises or d.lhs != d.rhs or d.trace != ():
-            return _bad(path, "St-Stop(0) freezes the term with an empty trace")
-        return None
-    if k == 1:
-        if (v := _premise_count(d, path, 1)):
-            return v
-        p, = d.premises
-        match d.lhs:
-            case Succ(body):
-                ok = p.lhs == body and d.rhs == Succ(p.rhs)
-            case Case(zb, xv, sb, sc):
-                ok = p.lhs == sc and d.rhs == Case(zb, xv, sb, p.rhs)
-            case App(fn, arg):
-                ok = p.lhs == fn and d.rhs == App(p.rhs, arg)
-            case _:
-                return _bad(path, "St-Stop(1) applies under s, case, or application")
-        if not ok:
-            return _bad(path, "St-Stop(1) conclusion does not match its premiss")
-        if d.trace != p.trace:
-            return _bad(path, "St-Stop(1) trace must equal the premiss trace")
-        return _check_plain(p, (path, 0))
-    if k == 2:
-        if (v := _premise_count(d, path, 3)):
-            return v
-        if not isinstance(d.lhs, App):
-            return _bad(path, "St-Stop(2) applies to applications only")
-        p1, vl, p2 = d.premises
-        if vl.rule != "Val" or vl.lhs != p1.rhs:
-            return _bad(path, "St-Stop(2) needs val for the finished first position")
-        if p1.lhs != d.lhs.fn or p2.lhs != d.lhs.arg:
-            return _bad(path, "St-Stop(2) premisses must cover fn then arg")
-        if d.rhs != App(p1.rhs, p2.rhs):
-            return _bad(path, "St-Stop(2) conclusion does not match its premisses")
-        if d.trace != p1.trace + p2.trace:
-            return _bad(path, "St-Stop(2) trace must be the premiss traces in order")
-        return _first(
-            _check_plain(p1, (path, 0)),
-            _check_val(vl, (path, 1)),
-            _check_plain(p2, (path, 2)),
-        )
-    if k is not None:
-        return _bad(path, f"no constructor has {k} evaluation positions")
-    if r == "StE-CaseZ":
-        if (v := _premise_count(d, path, 2)):
-            return v
-        if not isinstance(d.lhs, Case):
-            return _bad(path, "StE-CaseZ applies to case")
-        ps, pb = d.premises
-        if ps.lhs != d.lhs.scrutinee or not isinstance(ps.rhs, Zero):
-            return _bad(path, "scrutinee premiss must conclude z")
-        if pb.lhs != d.lhs.zero_branch:
-            return _bad(path, "branch premiss must start at the zero branch")
-        if d.rhs != pb.rhs or d.trace != ps.trace + pb.trace:
-            return _bad(path, "StE-CaseZ conclusion does not match its premisses")
-        return _first(_check_plain(ps, (path, 0)), _check_plain(pb, (path, 1)))
-    if r == "StE-CaseS":
-        if (v := _premise_count(d, path, 3)):
-            return v
-        if not isinstance(d.lhs, Case):
-            return _bad(path, "StE-CaseS applies to case")
-        ps, vl, pb = d.premises
-        if vl.rule != "Val" or not is_value(vl.lhs):
-            return _bad(path, "StE-CaseS needs val for the predecessor")
-        if ps.lhs != d.lhs.scrutinee or ps.rhs != Succ(vl.lhs):
-            return _bad(path, "scrutinee premiss must conclude s of the val premiss")
-        want = subst(d.lhs.succ_branch, {d.lhs.succ_var: vl.lhs})
-        if pb.lhs != want:
-            return _bad(path, "branch premiss must start at the substituted branch")
-        if d.rhs != pb.rhs or d.trace != ps.trace + pb.trace:
-            return _bad(path, "StE-CaseS conclusion does not match its premisses")
-        return _first(
-            _check_plain(ps, (path, 0)),
-            _check_val(vl, (path, 1)),
-            _check_plain(pb, (path, 2)),
-        )
-    if r == "StE-App":
-        if (v := _premise_count(d, path, 4)):
-            return v
-        if not isinstance(d.lhs, App):
-            return _bad(path, "StE-App applies to applications")
-        p1, p2, vl, pb = d.premises
-        if p1.lhs != d.lhs.fn or p2.lhs != d.lhs.arg:
-            return _bad(path, "StE-App premisses must cover fn then arg")
-        if not isinstance(p1.rhs, Lam):
-            return _bad(path, "function position must have become a function")
-        if vl.rule != "Val" or vl.lhs != p2.rhs:
-            return _bad(path, "StE-App needs val for the argument value")
-        lam = p1.rhs
-        want = subst(lam.body, {lam.self_var: lam, lam.param: p2.rhs})
-        if pb.lhs != want:
-            return _bad(path, "body premiss must start at the substituted body")
-        if d.rhs != pb.rhs or d.trace != p1.trace + p2.trace + pb.trace:
-            return _bad(path, "StE-App conclusion does not match its premisses")
-        return _first(
-            _check_plain(p1, (path, 0)),
-            _check_plain(p2, (path, 1)),
-            _check_val(vl, (path, 2)),
-            _check_plain(pb, (path, 3)),
-        )
-    if r == "StE-Eff":
-        if (v := _premise_count(d, path, 1)):
-            return v
-        if not isinstance(d.lhs, Eff):
-            return _bad(path, "StE-Eff applies to eff")
-        p, = d.premises
-        if p.lhs != d.lhs.body or d.rhs != p.rhs:
-            return _bad(path, "StE-Eff premiss must continue with the body")
-        if d.trace != (d.lhs.label,) + p.trace:
-            return _bad(path, "StE-Eff must emit its label first")
-        return _check_plain(p, (path, 0))
-    return _bad(path, f"unknown rule {r!r} for the plain dialect")
+def _kind(cls):
+    return lambda e: isinstance(e, cls)
 
 
-def _first(*violations):
-    for v in violations:
-        if v is not None:
-            return v
-    return None
+def _part(name: str):
+    return lambda lhs, ps: getattr(lhs, name)
 
 
-def _check_mnf(d: Derivation, path) -> RuleViolation | None:
-    r = d.rule
-    if r == "Val":
-        return _check_val(d, path)
-    if r == "StM-Stop":
-        if d.premises or d.lhs != d.rhs or d.trace != ():
-            return _bad(path, "StM-Stop freezes the term with an empty trace")
-        return None
-    if r == "StM-Let1":
-        if (v := _premise_count(d, path, 1)):
-            return v
-        if not isinstance(d.lhs, Let):
-            return _bad(path, "StM-Let1 applies to let")
-        p, = d.premises
-        if p.lhs != d.lhs.bound or d.rhs != Let(d.lhs.var, p.rhs, d.lhs.body):
-            return _bad(path, "StM-Let1 evaluates the bound term in place")
-        if d.trace != p.trace:
-            return _bad(path, "StM-Let1 trace must equal the premiss trace")
-        return _check_mnf(p, (path, 0))
-    if r == "StM-Let2":
-        if (v := _premise_count(d, path, 3)):
-            return v
-        if not isinstance(d.lhs, Let):
-            return _bad(path, "StM-Let2 applies to let")
-        p1, vl, pb = d.premises
-        if vl.rule != "Val" or vl.lhs != p1.rhs:
-            return _bad(path, "StM-Let2 needs val for the bound value")
-        if p1.lhs != d.lhs.bound:
-            return _bad(path, "StM-Let2 first premiss evaluates the bound term")
-        if pb.lhs != subst(d.lhs.body, {d.lhs.var: p1.rhs}):
-            return _bad(path, "StM-Let2 body premiss must start at the substituted body")
-        if d.rhs != pb.rhs or d.trace != p1.trace + pb.trace:
-            return _bad(path, "StM-Let2 conclusion does not match its premisses")
-        return _first(
-            _check_mnf(p1, (path, 0)),
-            _check_val(vl, (path, 1)),
-            _check_mnf(pb, (path, 2)),
-        )
-    if r == "StM-CaseZ":
-        if (v := _premise_count(d, path, 1)):
-            return v
-        if not (isinstance(d.lhs, Case) and isinstance(d.lhs.scrutinee, Zero)):
-            return _bad(path, "StM-CaseZ applies to case over z")
-        pb, = d.premises
-        if pb.lhs != d.lhs.zero_branch or d.rhs != pb.rhs or d.trace != pb.trace:
-            return _bad(path, "StM-CaseZ continues with the zero branch")
-        return _check_mnf(pb, (path, 0))
-    if r == "StM-CaseS":
-        if (v := _premise_count(d, path, 2)):
-            return v
-        lhs = d.lhs
-        if not (isinstance(lhs, Case) and isinstance(lhs.scrutinee, Succ)):
-            return _bad(path, "StM-CaseS applies to case over a successor")
-        vl, pb = d.premises
-        w = lhs.scrutinee.body
-        if vl.rule != "Val" or vl.lhs != w or not is_value(w):
-            return _bad(path, "StM-CaseS needs val for the predecessor")
-        if pb.lhs != subst(lhs.succ_branch, {lhs.succ_var: w}):
-            return _bad(path, "StM-CaseS branch premiss must be substituted")
-        if d.rhs != pb.rhs or d.trace != pb.trace:
-            return _bad(path, "StM-CaseS conclusion does not match its premiss")
-        return _first(_check_val(vl, (path, 0)), _check_mnf(pb, (path, 1)))
-    if r == "StM-App":
-        if (v := _premise_count(d, path, 2)):
-            return v
-        lhs = d.lhs
-        if not (isinstance(lhs, App) and isinstance(lhs.fn, Lam)):
-            return _bad(path, "StM-App applies to a function applied to a value")
-        vl, pb = d.premises
-        if vl.rule != "Val" or vl.lhs != lhs.arg or not is_value(lhs.arg):
-            return _bad(path, "StM-App needs val for the argument")
-        lam = lhs.fn
-        if pb.lhs != subst(lam.body, {lam.self_var: lam, lam.param: lhs.arg}):
-            return _bad(path, "StM-App body premiss must be substituted")
-        if d.rhs != pb.rhs or d.trace != pb.trace:
-            return _bad(path, "StM-App conclusion does not match its premiss")
-        return _first(_check_val(vl, (path, 0)), _check_mnf(pb, (path, 1)))
-    if r == "StM-Eff":
-        if (v := _premise_count(d, path, 1)):
-            return v
-        if not isinstance(d.lhs, Eff):
-            return _bad(path, "StM-Eff applies to eff")
-        p, = d.premises
-        if p.lhs != d.lhs.body or d.rhs != p.rhs or d.trace != (d.lhs.label,) + p.trace:
-            return _bad(path, "StM-Eff must emit its label then continue")
-        return _check_mnf(p, (path, 0))
-    return _bad(path, f"unknown rule {r!r} for the mnf dialect")
+def _beta(lam: Lam, v: Expr) -> Expr:
+    return subst(lam.body, {lam.self_var: lam, lam.param: v})
+
+
+def _branch(case: Case, pred: Expr) -> Expr:
+    return subst(case.succ_branch, {case.succ_var: pred})
 
 
 def _spine_contexts(e: Expr):
     """Every (context, subterm) split of e along the evaluation spine."""
-    from .smallstep import AppArgC, AppFnC, CaseC, Hole, SuccC
-
     out = [(Hole(), e)]
     match e:
         case Succ(b):
@@ -473,195 +282,202 @@ def _spine_contexts(e: Expr):
     return out
 
 
-def _check_ec(d: Derivation, path) -> RuleViolation | None:
-    r = d.rule
-    if r == "Val":
-        return _check_val(d, path)
-    if r == "EC-Stop":
-        if d.premises or d.lhs != d.rhs or d.trace != ():
-            return _bad(path, "EC-Stop freezes the term with an empty trace")
-        return None
-    if r == "EC-Val":
-        if d.premises or d.lhs != d.rhs or d.trace != () or not is_value(d.lhs):
-            return _bad(path, "EC-Val concludes v = v for a value")
-        return None
-    if r == "EC-CaseZ":
-        if (v := _premise_count(d, path, 1)):
-            return v
-        lhs = d.lhs
-        if not (isinstance(lhs, Case) and isinstance(lhs.scrutinee, Zero)):
-            return _bad(path, "EC-CaseZ applies to case over z")
-        pb, = d.premises
-        if pb.lhs != lhs.zero_branch or d.rhs != pb.rhs or d.trace != pb.trace:
-            return _bad(path, "EC-CaseZ continues with the zero branch")
-        return _check_ec(pb, (path, 0))
-    if r == "EC-CaseS":
-        if (v := _premise_count(d, path, 2)):
-            return v
-        lhs = d.lhs
-        if not (isinstance(lhs, Case) and isinstance(lhs.scrutinee, Succ)):
-            return _bad(path, "EC-CaseS applies to case over a successor")
-        vl, pb = d.premises
-        w = lhs.scrutinee.body
-        if vl.rule != "Val" or vl.lhs != w or not is_value(w):
-            return _bad(path, "EC-CaseS needs val for the predecessor")
-        if pb.lhs != subst(lhs.succ_branch, {lhs.succ_var: w}):
-            return _bad(path, "EC-CaseS branch premiss must be substituted")
-        if d.rhs != pb.rhs or d.trace != pb.trace:
-            return _bad(path, "EC-CaseS conclusion does not match its premiss")
-        return _first(_check_val(vl, (path, 0)), _check_ec(pb, (path, 1)))
-    if r == "EC-App":
-        if (v := _premise_count(d, path, 2)):
-            return v
-        lhs = d.lhs
-        if not (isinstance(lhs, App) and isinstance(lhs.fn, Lam) and is_value(lhs.arg)):
-            return _bad(path, "EC-App applies to a function applied to a value")
-        vl, pb = d.premises
-        if vl.rule != "Val" or vl.lhs != lhs.arg:
-            return _bad(path, "EC-App needs val for the argument")
-        lam = lhs.fn
-        if pb.lhs != subst(lam.body, {lam.self_var: lam, lam.param: lhs.arg}):
-            return _bad(path, "EC-App body premiss must be substituted")
-        if d.rhs != pb.rhs or d.trace != pb.trace:
-            return _bad(path, "EC-App conclusion does not match its premiss")
-        return _first(_check_val(vl, (path, 0)), _check_ec(pb, (path, 1)))
-    if r == "EC-Eff":
-        if (v := _premise_count(d, path, 1)):
-            return v
-        if not isinstance(d.lhs, Eff):
-            return _bad(path, "EC-Eff applies to eff")
-        p, = d.premises
-        if p.lhs != d.lhs.body or d.rhs != p.rhs or d.trace != (d.lhs.label,) + p.trace:
-            return _bad(path, "EC-Eff must emit its label then continue")
-        return _check_ec(p, (path, 0))
-    if r == "EC-Seq":
-        if (v := _premise_count(d, path, 2)):
-            return v
-        p1, p2 = d.premises
-        found = any(
-            sub == p1.lhs and plug(ctx, p1.rhs) == p2.lhs
-            for ctx, sub in _spine_contexts(d.lhs)
-        )
-        if not found:
-            return _bad(path, "EC-Seq premisses do not fit any evaluation context")
-        if d.rhs != p2.rhs or d.trace != p1.trace + p2.trace:
-            return _bad(path, "EC-Seq conclusion does not match its premisses")
-        return _first(_check_ec(p1, (path, 0)), _check_ec(p2, (path, 1)))
-    return _bad(path, f"unknown rule {r!r} for the ec dialect")
+def _fits_context(d: Derivation) -> bool:
+    """EC-Seq: the first premiss runs a subterm on the evaluation spine of
+    the lhs, and the second continues from the term with its result
+    plugged back."""
+    p1, p2 = d.premises
+    return any(
+        sub == p1.lhs and plug(ctx, p1.rhs) == p2.lhs
+        for ctx, sub in _spine_contexts(d.lhs)
+    )
 
 
-def _ann_trace(d):
-    return d.trace if isinstance(d.trace, AnnTrace) else AnnTrace(d.trace, False)
+_VAL = Rule(is_value)            # the side condition "v is a value"
+_FREEZE = Rule()                 # St-Stop(0), StM-Stop, EC-Stop
+_VALUE = Rule(is_value)          # EC-Val, StA-Val
 
+# St-Stop(1) runs the first evaluation position of s, case or application
+_POSITION1 = {Succ: "body", Case: "scrutinee", App: "fn"}
+_STOP1 = Rule(
+    lambda e: type(e) in _POSITION1,
+    (_run(lambda lhs, ps: getattr(lhs, _POSITION1[type(lhs)])),),
+    rhs=lambda lhs, ps: replace(lhs, **{_POSITION1[type(lhs)]: ps[0].rhs}),
+)
+_STOP2 = Rule(
+    _kind(App),
+    (_run(_part("fn")), _val(lambda lhs, ps: ps[0].rhs), _run(_part("arg"))),
+    rhs=lambda lhs, ps: App(ps[0].rhs, ps[2].rhs),
+)
 
-def _check_ann(d: Derivation, path) -> RuleViolation | None:
-    r = d.rule
-    if r == "Val":
-        return _check_val(d, path)
-    t = d.trace
-    if not isinstance(t, AnnTrace):
-        return _bad(path, "annihilator nodes carry cut-off traces")
-    if r == "StA-Val":
-        if d.premises or d.lhs != d.rhs or not is_value(d.lhs) or t != ANN_EMPTY:
-            return _bad(path, "StA-Val concludes v = v with the empty trace")
-        return None
-    if r == "StA-Stop":
-        if (v := _premise_count(d, path, 1)):
-            return v
-        vl, = d.premises
-        if vl.rule != "Val" or vl.lhs != d.rhs:
-            return _bad(path, "StA-Stop needs val for its (arbitrary) result value")
-        if t != ANN_ZERO:
-            return _bad(path, "StA-Stop emits exactly the cut-off marker")
-        return _check_val(vl, (path, 0))
-    if r == "StA-Succ":
-        if (v := _premise_count(d, path, 1)):
-            return v
-        if not isinstance(d.lhs, Succ):
-            return _bad(path, "StA-Succ applies under s")
-        p, = d.premises
-        if p.lhs != d.lhs.body or d.rhs != Succ(p.rhs) or not is_value(p.rhs):
-            return _bad(path, "StA-Succ wraps its premiss value")
-        if t != _ann_trace(p):
-            return _bad(path, "StA-Succ trace must equal the premiss trace")
-        return _check_ann(p, (path, 0))
-    if r == "StA-CaseZ":
-        if (v := _premise_count(d, path, 2)):
-            return v
-        if not isinstance(d.lhs, Case):
-            return _bad(path, "StA-CaseZ applies to case")
-        ps, pb = d.premises
-        if ps.lhs != d.lhs.scrutinee or not isinstance(ps.rhs, Zero):
-            return _bad(path, "scrutinee premiss must conclude z")
-        if pb.lhs != d.lhs.zero_branch or d.rhs != pb.rhs:
-            return _bad(path, "StA-CaseZ continues with the zero branch")
-        if t != ann_concat(_ann_trace(ps), _ann_trace(pb)):
-            return _bad(path, "StA-CaseZ trace must absorb after a cut")
-        return _first(_check_ann(ps, (path, 0)), _check_ann(pb, (path, 1)))
-    if r == "StA-CaseS":
-        if (v := _premise_count(d, path, 3)):
-            return v
-        if not isinstance(d.lhs, Case):
-            return _bad(path, "StA-CaseS applies to case")
-        ps, vl, pb = d.premises
-        if vl.rule != "Val" or ps.rhs != Succ(vl.lhs) or not is_value(vl.lhs):
-            return _bad(path, "StA-CaseS needs val for the predecessor")
-        if ps.lhs != d.lhs.scrutinee:
-            return _bad(path, "scrutinee premiss must start at the scrutinee")
-        if pb.lhs != subst(d.lhs.succ_branch, {d.lhs.succ_var: vl.lhs}) or d.rhs != pb.rhs:
-            return _bad(path, "StA-CaseS branch premiss must be substituted")
-        if t != ann_concat(_ann_trace(ps), _ann_trace(pb)):
-            return _bad(path, "StA-CaseS trace must absorb after a cut")
-        return _first(
-            _check_ann(ps, (path, 0)),
-            _check_val(vl, (path, 1)),
-            _check_ann(pb, (path, 2)),
-        )
-    if r == "StA-App":
-        if (v := _premise_count(d, path, 4)):
-            return v
-        if not isinstance(d.lhs, App):
-            return _bad(path, "StA-App applies to applications")
-        p1, p2, vl, pb = d.premises
-        if p1.lhs != d.lhs.fn or p2.lhs != d.lhs.arg:
-            return _bad(path, "StA-App premisses must cover fn then arg")
-        if not isinstance(p1.rhs, Lam):
-            return _bad(path, "function position must have become a function")
-        if vl.rule != "Val" or vl.lhs != p2.rhs:
-            return _bad(path, "StA-App needs val for the argument value")
-        lam = p1.rhs
-        if pb.lhs != subst(lam.body, {lam.self_var: lam, lam.param: p2.rhs}):
-            return _bad(path, "StA-App body premiss must be substituted")
-        if d.rhs != pb.rhs:
-            return _bad(path, "StA-App concludes with the body result")
-        if t != ann_concat_all(_ann_trace(p1), _ann_trace(p2), _ann_trace(pb)):
-            return _bad(path, "StA-App trace must absorb after a cut")
-        return _first(
-            _check_ann(p1, (path, 0)),
-            _check_ann(p2, (path, 1)),
-            _check_val(vl, (path, 2)),
-            _check_ann(pb, (path, 3)),
-        )
-    if r == "StA-Eff":
-        if (v := _premise_count(d, path, 1)):
-            return v
-        if not isinstance(d.lhs, Eff):
-            return _bad(path, "StA-Eff applies to eff")
-        p, = d.premises
-        if p.lhs != d.lhs.body or d.rhs != p.rhs:
-            return _bad(path, "StA-Eff continues with the body")
-        if t != ann_concat(AnnTrace((d.lhs.label,), False), _ann_trace(p)):
-            return _bad(path, "StA-Eff must emit its label first")
-        return _check_ann(p, (path, 0))
-    return _bad(path, f"unknown rule {r!r} for the annihilator dialect")
+# the structural rules of the plain (StE) and annihilator (StA) dialects
+_CASEZ = Rule(
+    _kind(Case),
+    (_run(_part("scrutinee"), ends=_kind(Zero)), _run(_part("zero_branch"))),
+)
+_CASES = Rule(
+    _kind(Case),
+    (
+        _run(_part("scrutinee"), ends=lambda v: isinstance(v, Succ) and is_value(v)),
+        _val(lambda lhs, ps: ps[0].rhs.body),
+        _run(lambda lhs, ps: _branch(lhs, ps[0].rhs.body)),
+    ),
+)
+_APP = Rule(
+    _kind(App),
+    (
+        _run(_part("fn"), ends=_kind(Lam)),
+        _run(_part("arg")),
+        _val(lambda lhs, ps: ps[1].rhs),
+        _run(lambda lhs, ps: _beta(ps[0].rhs, ps[1].rhs)),
+    ),
+)
+_EFF = Rule(_kind(Eff), (_run(_part("body")),), emits=True)
 
+# the redex rules of the MNF (StM) and evaluation-context (EC) dialects
+_REDEX_CASEZ = Rule(
+    lambda e: isinstance(e, Case) and isinstance(e.scrutinee, Zero),
+    (_run(_part("zero_branch")),),
+)
+_REDEX_CASES = Rule(
+    lambda e: isinstance(e, Case) and isinstance(e.scrutinee, Succ) and is_value(e.scrutinee),
+    (
+        _val(lambda lhs, ps: lhs.scrutinee.body),
+        _run(lambda lhs, ps: _branch(lhs, lhs.scrutinee.body)),
+    ),
+)
+_REDEX_APP = Rule(
+    lambda e: isinstance(e, App) and isinstance(e.fn, Lam) and is_value(e.arg),
+    (_val(_part("arg")), _run(lambda lhs, ps: _beta(lhs.fn, lhs.arg))),
+)
 
-_CHECKERS = {
-    "plain": _check_plain,
-    "mnf": _check_mnf,
-    "ec": _check_ec,
-    "annihilator": _check_ann,
+_RULES = {
+    "plain": {
+        "Val": _VAL,
+        "St-Stop(0)": _FREEZE,
+        "St-Stop(1)": _STOP1,
+        "St-Stop(2)": _STOP2,
+        "StE-CaseZ": _CASEZ,
+        "StE-CaseS": _CASES,
+        "StE-App": _APP,
+        "StE-Eff": _EFF,
+    },
+    "mnf": {
+        "Val": _VAL,
+        "StM-Stop": _FREEZE,
+        "StM-Let1": Rule(
+            _kind(Let),
+            (_run(_part("bound")),),
+            rhs=lambda lhs, ps: Let(lhs.var, ps[0].rhs, lhs.body),
+        ),
+        "StM-Let2": Rule(
+            _kind(Let),
+            (
+                _run(_part("bound")),
+                _val(lambda lhs, ps: ps[0].rhs),
+                _run(lambda lhs, ps: subst(lhs.body, {lhs.var: ps[0].rhs})),
+            ),
+        ),
+        "StM-CaseZ": _REDEX_CASEZ,
+        "StM-CaseS": _REDEX_CASES,
+        "StM-App": _REDEX_APP,
+        "StM-Eff": _EFF,
+    },
+    "ec": {
+        "Val": _VAL,
+        "EC-Stop": _FREEZE,
+        "EC-Val": _VALUE,
+        "EC-CaseZ": _REDEX_CASEZ,
+        "EC-CaseS": _REDEX_CASES,
+        "EC-App": _REDEX_APP,
+        "EC-Eff": _EFF,
+        "EC-Seq": Rule(None, (_run(None), _run(None)), side=_fits_context),
+    },
+    "annihilator": {
+        "Val": _VAL,
+        "StA-Val": _VALUE,
+        # the lazy stop closes its position with any value, and cuts
+        "StA-Stop": Rule(None, (_val(None),), rhs=lambda lhs, ps: ps[0].lhs, cut=True),
+        "StA-Succ": Rule(
+            _kind(Succ),
+            (_run(_part("body"), ends=is_value),),
+            rhs=lambda lhs, ps: Succ(ps[0].rhs),
+        ),
+        "StA-CaseZ": _CASEZ,
+        "StA-CaseS": _CASES,
+        "StA-App": _APP,
+        "StA-Eff": _EFF,
+    },
 }
+
+
+def _ann_join(a: AnnTrace, b) -> AnnTrace:
+    b = b if isinstance(b, AnnTrace) else AnnTrace(b, False)
+    return b if a is ANN_EMPTY else ann_concat(a, b)
+
+
+# each dialect's trace monoid: its empty trace, and how a trace is extended
+_TRACES = {dialect: ((), operator.add) for dialect in ("plain", "mnf", "ec")}
+_TRACES["annihilator"] = (ANN_EMPTY, _ann_join)
+
+
+def check_derivation(d: Derivation, dialect: str = "plain"):
+    """Re-derive every node; None if valid, else the first RuleViolation
+    in preorder.  Dialects: plain, mnf, ec, annihilator."""
+    try:
+        rules, (empty, join) = _RULES[dialect], _TRACES[dialect]
+    except KeyError:
+        raise ValueError(f"unknown dialect {dialect!r}") from None
+    todo = [(d, ())]
+    while todo:
+        d, path = todo.pop()
+        rule = rules.get(d.rule)
+        if rule is None:
+            return _bad(path, f"unknown rule {d.rule!r} for the {dialect} dialect")
+        lhs, ps = d.lhs, d.premises
+        if len(ps) != len(rule.premises):
+            return _bad(path, f"{d.rule} wants {len(rule.premises)} premisses, got {len(ps)}")
+        if rule.applies is not None and not rule.applies(lhs):
+            return _bad(path, f"{d.rule} does not apply to this term")
+        trace = join(empty, (lhs.label,)) if rule.emits else empty
+        for i, want in enumerate(rule.premises):
+            p = ps[i]
+            if want.val:
+                if p.rule != "Val":
+                    return _bad(path, f"{d.rule} premiss {i} must be a Val side condition")
+            else:
+                try:
+                    trace = join(trace, p.trace)
+                except TypeError:  # e.g. a cut-off trace under a plain rule
+                    return _bad(path, f"{d.rule} premiss {i} carries another dialect's trace")
+            if want.at is not None and p.lhs != want.at(lhs, ps):
+                return _bad(path, f"{d.rule} premiss {i} starts at the wrong term")
+            if want.ends is not None and not want.ends(p.rhs):
+                return _bad(path, f"{d.rule} cannot continue from the result of premiss {i}")
+        if rule.side is not None and not rule.side(d):
+            return _bad(path, f"{d.rule} premisses do not fit any evaluation context")
+        if d.rhs != (rule.rhs(lhs, ps) if rule.rhs else ps[-1].rhs if ps else lhs):
+            return _bad(path, f"{d.rule} conclusion does not match its premisses")
+        if rule.cut:
+            trace = join(trace, ANN_ZERO)
+        if d.trace != trace and not (rule is _VAL and d.trace in ((), ANN_EMPTY)):
+            return _bad(path, f"{d.rule} emits the wrong trace")
+        i = len(ps)
+        while i:  # push the premisses so that the first is checked next
+            i -= 1
+            todo.append((ps[i], (path, i)))
+    return None
+
+
+def _bad(path, reason):
+    """A violation at path.  A path is () at the root and (parent path,
+    premiss index) below it, so descending costs one pair; only a
+    violation flattens it."""
+    flat = []
+    while path:
+        path, i = path
+        flat.append(i)
+    return RuleViolation(tuple(reversed(flat)), reason)
 
 
 ### strictness and the big-step correspondence

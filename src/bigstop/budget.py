@@ -7,13 +7,19 @@ the contraction, so a value sitting at budget zero is still an answer.
 """
 
 
+def check_budget(units: int) -> int:
+    """units, if it is a budget; a negative one raises ValueError.  Every
+    engine that takes a budget checks it here."""
+    if units < 0:
+        raise ValueError("budget must be non-negative")
+    return units
+
+
 class Budget:
     __slots__ = ("remaining",)
 
     def __init__(self, units: int):
-        if units < 0:
-            raise ValueError("budget must be non-negative")
-        self.remaining = units
+        self.remaining = check_budget(units)
 
     def spend(self) -> None:
         if self.remaining <= 0:

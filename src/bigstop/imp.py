@@ -11,7 +11,7 @@ program, reporting that it froze.
 import enum
 from dataclasses import dataclass
 
-from .budget import Budget
+from .budget import Budget, check_budget
 
 ### syntax
 
@@ -163,6 +163,7 @@ class ImpMultiResult:
 
 
 def imp_multi_step(cfg: ImpConfig, budget: int) -> ImpMultiResult:
+    check_budget(budget)
     steps = 0
     while True:
         if isinstance(cfg.stmt, Skip):

@@ -10,6 +10,7 @@ machine runs can be compared position-for-position with the tree engines.
 import enum
 from dataclasses import dataclass
 
+from .budget import check_budget
 from .syntax import (
     App, Case, Eff, Expr, Lam, Let, Succ, Var, Zero,
     expr_depth, expr_size, is_value, print_expr, subst,
@@ -126,6 +127,7 @@ class KRunResult:
 
 
 def k_run(state: MachineState, budget: int) -> KRunResult:
+    check_budget(budget)
     labels: list = []
     for steps in range(budget + 1):
         if halted(state):

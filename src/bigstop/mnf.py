@@ -10,7 +10,7 @@ same value up to erasing the lets back out.
 import itertools
 from dataclasses import dataclass
 
-from .budget import Budget
+from .budget import Budget, check_budget
 from .bigstop import (
     BigStopResult, Derivation, NotMNF, StuckError, val_leaf,
 )
@@ -180,6 +180,7 @@ def mnf_small_step(e: Expr):
 
 
 def mnf_multi_step(e: Expr, budget: int) -> MultiResult:
+    check_budget(budget)
     labels: list = []
     steps = 0
     while True:

@@ -9,6 +9,7 @@ substituted for the self binder, or an effect, which emits its label.
 import enum
 from dataclasses import dataclass
 
+from .budget import check_budget
 from .syntax import (
     App, Case, Eff, Expr, Lam, Let, Succ, Var, Zero, is_value, subst,
 )
@@ -150,6 +151,7 @@ class MultiResult:
 
 
 def multi_step(e: Expr, budget: int) -> MultiResult:
+    check_budget(budget)
     labels: list = []
     steps = 0
     while True:

@@ -3,6 +3,7 @@ and the two alternate dialects (annihilator traces, context-threading)."""
 
 import dataclasses
 import json
+import sys
 import tracemalloc
 
 import pytest
@@ -27,14 +28,18 @@ from bigstop import (
     derivation_to_json,
     derivation_to_json_str,
     ec_bigstop_eval,
+    enumerate_exprs,
     is_progressing,
     is_strict,
+    mnf_bigstop_eval,
     multi_step,
     parse_expr,
     print_expr,
     strict_to_bigstep,
+    to_mnf,
 )
 from bigstop.traces import Span
+from test_acceptance import _twenty_mutations
 
 
 def mut(d, **kw):
@@ -176,7 +181,18 @@ def test_checker_rejects_an_overwide_stop():
     # no constructor has three evaluation positions, so Stop(3) can never fire
     d = bigstop_eval(corpus_term("leroy-grall"), 1).derivation
     assert d.rule == "St-Stop(2)"
-    assert check_derivation(mut(d, rule="St-Stop(3)")) is not None
+    v = check_derivation(mut(d, rule="St-Stop(3)"))
+    assert v is not None
+    assert "unknown rule" in v.reason
+
+
+def test_a_premiss_with_a_cut_off_trace_is_a_violation_not_a_crash():
+    d = bigstop_eval(parse_expr("eff[a] z"), 1).derivation
+    foreign = annihilator_derivation(parse_expr("z"), 1)  # StA-Val, trace AnnTrace
+    assert foreign.lhs == d.premises[0].lhs
+    v = check_derivation(mut(d, premises=(foreign,)))
+    assert v is not None
+    assert v.path == ()
 
 
 def test_checker_localises_deep_faults():
@@ -394,15 +410,19 @@ def _replace_at(d, path, node):
     return mut(d, premises=tuple(ps))
 
 
-def _eff_paths(d):
-    """Paths of the StE-Eff nodes, in preorder."""
+def _nodes(d):
+    """(path, node) for every node, in preorder."""
     out, todo = [], [(d, ())]
     while todo:
         node, path = todo.pop()
-        if node.rule == "StE-Eff":
-            out.append(path)
+        out.append((path, node))
         todo += [(p, path + (i,)) for i, p in reversed(list(enumerate(node.premises)))]
     return out
+
+
+def _eff_paths(d):
+    """Paths of the StE-Eff nodes, in preorder."""
+    return [path for path, node in _nodes(d) if node.rule == "StE-Eff"]
 
 
 def test_results_keep_tuple_traces_and_nodes_hold_spans():
@@ -474,3 +494,60 @@ def test_eval_and_check_memory_grows_linearly_with_the_budget():
     # frame, makes the peak grow with the square of the budget (ratio 4)
     small, large = _peak_bytes(1000), _peak_bytes(2000)
     assert large <= 2.5 * small, (small, large)
+
+
+### one rule table, walked without recursion
+
+def test_the_twenty_forgeries_are_rejected_at_the_root():
+    # the paths the four hand-written checkers gave for acceptance test 04's
+    # forgeries: each breaks the node it was made at, the root
+    got = [check_derivation(d, dialect=dialect) for _, dialect, d in _twenty_mutations()]
+    assert [v.path for v in got] == [()] * 20
+
+
+BUILD = {
+    "plain": lambda e, b: bigstop_eval(e, b).derivation,
+    "mnf": lambda e, b: mnf_bigstop_eval(to_mnf(e), b).derivation,
+    "ec": lambda e, b: ec_bigstop_eval(e, b).derivation,
+    "annihilator": annihilator_derivation,
+}
+
+
+@pytest.mark.parametrize("dialect", sorted(BUILD))
+def test_dropping_any_premiss_is_rejected_at_its_node(dialect):
+    dropped = 0
+    for e in enumerate_exprs(5):
+        for budget in (1, 3, 6):
+            d = BUILD[dialect](e, budget)
+            assert check_derivation(d, dialect) is None
+            for path, node in _nodes(d):
+                for j in range(len(node.premises)):
+                    cut = mut(node, premises=node.premises[:j] + node.premises[j + 1:])
+                    v = check_derivation(_replace_at(d, path, cut), dialect)
+                    assert v is not None and v.path == path, (print_expr(e), budget, path, j)
+                    dropped += 1
+    assert dropped > 100
+
+
+def _depth(d):
+    depth, todo = 0, [(d, 1)]
+    while todo:
+        node, k = todo.pop()
+        depth = max(depth, k)
+        todo += [(p, k + 1) for p in node.premises]
+    return depth
+
+
+def test_derivations_deeper_than_the_recursion_limit_check():
+    plain = bigstop_eval(LOOP, 3000).derivation
+    mnf = mnf_bigstop_eval(to_mnf(LOOP), 3000).derivation
+    assert min(_depth(plain), _depth(mnf)) > 2000
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        plain_verdict = check_derivation(plain)
+        mnf_verdict = check_derivation(mnf, dialect="mnf")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert plain_verdict is None
+    assert mnf_verdict is None

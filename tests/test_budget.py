@@ -1,0 +1,35 @@
+"""The budget: every engine that takes one rejects a negative budget the
+same way, with the ValueError that Budget raises."""
+
+import pytest
+
+from bigstop import (
+    Budget,
+    compile,
+    config,
+    imp_multi_step,
+    k_run,
+    mnf_multi_step,
+    multi_step,
+    parse_expr,
+    parse_stmt,
+    to_mnf,
+)
+
+# terminating non-values: an engine that ignores a negative budget runs them
+# to the end and returns instead of raising
+TERM = parse_expr("(fun f(x) => x) z")
+STMT = parse_stmt("x := 1")
+
+
+@pytest.mark.parametrize("run", [
+    lambda b: Budget(b),
+    lambda b: multi_step(TERM, b),
+    lambda b: mnf_multi_step(to_mnf(TERM), b),
+    lambda b: k_run(compile(TERM), b),
+    lambda b: imp_multi_step(config(STMT), b),
+], ids=["Budget", "multi_step", "mnf_multi_step", "k_run", "imp_multi_step"])
+def test_a_negative_budget_raises(run):
+    with pytest.raises(ValueError, match="budget must be non-negative"):
+        run(-1)
+    run(0)  # zero is a budget
