@@ -8,8 +8,8 @@ Three console scripts share one dispatcher:
     imp run --sem freeze --budget 3 --init x=2 'while x do { x := x - 1 }'
     fuzz --suite stop-multi --max-size 5
 
-Exit codes: 0 success, 1 evaluation stuck or type error, 2 usage or parse
-error, 3 property-suite failure.
+Exit codes: 0 success, 1 evaluation stuck, open program or type error, 2
+usage or parse error, 3 property-suite failure.
 """
 
 import argparse
@@ -29,7 +29,7 @@ from .harness import GenConfig, run_property_suite, suite_names
 from .kmachine import KStatus, compile as k_compile, k_run, k_step, show_state, unwind
 from .mnf import NotMNF, mnf_bigstop_eval, to_mnf
 from .smallstep import RunStatus, multi_step, small_step, step_trace
-from .syntax import ParseError, is_value, parse_expr, print_expr
+from .syntax import ParseError, SubstOpenValue, is_value, parse_expr, print_expr
 from .traces import format_trace
 from .typecheck import TypeFailure, infer_type, print_type
 
@@ -241,6 +241,9 @@ def _pcf_run(ns, expr) -> int:
         return EVAL_ERROR
     except NotMNF as nm:
         _err(f"not in monadic normal form: {nm}")
+        return EVAL_ERROR
+    except SubstOpenValue as so:
+        _err(f"open program: {so}")
         return EVAL_ERROR
 
     if ns.derivation is not None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .budget import check_budget
 from .syntax import (
-    App, Case, Eff, Expr, Lam, Let, Succ, Var, Zero,
+    App, Case, Eff, Expr, Lam, Succ, Zero,
     expr_depth, expr_size, is_value, print_expr, subst,
 )
 from .traces import Trace, format_trace
@@ -70,46 +70,63 @@ def halted(s: MachineState) -> bool:
     return s.mode is Mode.RETURN and not s.stack
 
 
-def k_step(s: MachineState):
-    """One machine transition: (state, trace).  None when halted."""
-    if s.mode is Mode.EVAL:
-        match s.expr:
+_SUCC = SuccF()
+
+
+def _move(mode: Mode, stack: list, e: Expr):
+    """One transition on a list stack, updated in place: (mode, expr, label).
+
+    label is None when the transition emits nothing.  Returns None, with the
+    stack untouched, when the machine is stuck.
+    """
+    if mode is Mode.EVAL:
+        match e:
             case Zero() | Lam():
-                return MachineState(Mode.RETURN, s.stack, s.expr), ()
+                return Mode.RETURN, e, None
             case Succ(b):
-                return MachineState(Mode.EVAL, s.stack + (SuccF(),), b), ()
+                stack.append(_SUCC)
+                return Mode.EVAL, b, None
             case Case(zb, xv, sb, sc):
-                return MachineState(Mode.EVAL, s.stack + (CaseF(zb, xv, sb),), sc), ()
+                stack.append(CaseF(zb, xv, sb))
+                return Mode.EVAL, sc, None
             case App(f, a):
-                return MachineState(Mode.EVAL, s.stack + (FunF(a),), f), ()
+                stack.append(FunF(a))
+                return Mode.EVAL, f, None
             case Eff(l, b):
-                return MachineState(Mode.EVAL, s.stack, b), (l,)
-            case Var() | Let():
-                raise StuckState(s)
-        raise StuckState(s)
-    # returning s.expr (a value) to the innermost frame
-    if not s.stack:
+                return Mode.EVAL, b, l
         return None
-    v = s.expr
-    frame = s.stack[-1]
-    rest = s.stack[:-1]
-    match frame:
+    # returning e (a value) to the innermost frame
+    match stack[-1]:
         case SuccF():
-            return MachineState(Mode.RETURN, rest, Succ(v)), ()
+            stack.pop()
+            return Mode.RETURN, Succ(e), None
         case CaseF(zb, xv, sb):
-            if isinstance(v, Zero):
-                return MachineState(Mode.EVAL, rest, zb), ()
-            if isinstance(v, Succ):
-                return MachineState(Mode.EVAL, rest, subst(sb, {xv: v.body})), ()
-            raise StuckState(s)
+            if isinstance(e, Zero):
+                stack.pop()
+                return Mode.EVAL, zb, None
+            if isinstance(e, Succ):
+                stack.pop()
+                return Mode.EVAL, subst(sb, {xv: e.body}), None
         case FunF(a):
-            return MachineState(Mode.EVAL, rest + (ArgF(v),), a), ()
+            stack[-1] = ArgF(e)
+            return Mode.EVAL, a, None
         case ArgF(f):
             if isinstance(f, Lam):
-                body = subst(f.body, {f.self_var: f, f.param: v})
-                return MachineState(Mode.EVAL, rest, body), ()
-            raise StuckState(s)
-    raise StuckState(s)
+                stack.pop()
+                return Mode.EVAL, subst(f.body, {f.self_var: f, f.param: e}), None
+    return None
+
+
+def k_step(s: MachineState):
+    """One machine transition: (state, trace).  None when halted."""
+    if halted(s):
+        return None
+    stack = list(s.stack)
+    nxt = _move(s.mode, stack, s.expr)
+    if nxt is None:
+        raise StuckState(s)
+    mode, e, label = nxt
+    return MachineState(mode, tuple(stack), e), () if label is None else (label,)
 
 
 class KStatus(enum.Enum):
@@ -127,21 +144,62 @@ class KRunResult:
 
 
 def k_run(state: MachineState, budget: int) -> KRunResult:
+    """Run the machine for at most budget transitions.
+
+    The budget counts transitions, exactly as repeated k_step would.  A
+    numeral value s^j(v), v being z or a function, is evaluated by 2j+1
+    transitions that push j successor frames and pop them again; they are
+    counted one by one but taken in one move, so each transition costs O(1)
+    whatever the depth of the stack or the size of the numeral.
+    """
     check_budget(budget)
+    mode, stack, e = state.mode, list(state.stack), state.expr
     labels: list = []
-    for steps in range(budget + 1):
-        if halted(state):
-            return KRunResult(state, tuple(labels), steps, KStatus.FINAL)
+    steps = 0
+    status = KStatus.OUT_OF_BUDGET
+    while True:
+        if mode is Mode.RETURN and not stack:
+            status = KStatus.FINAL
+            break
         if steps == budget:
             break
-        try:
-            nxt = k_step(state)
-        except StuckState:
-            return KRunResult(state, tuple(labels), steps, KStatus.STUCK)
-        assert nxt is not None
-        state, tr = nxt
-        labels += tr
-    return KRunResult(state, tuple(labels), budget, KStatus.OUT_OF_BUDGET)
+        if mode is Mode.EVAL and isinstance(e, Succ):
+            # walk the s(...) spine: on a value it is 2j+1 moves back to an
+            # equal term, otherwise j pushes down to the non-value at its end
+            j, end = 0, e
+            while isinstance(end, Succ):
+                j, end = j + 1, end.body
+            value = isinstance(end, (Zero, Lam))
+            moves = 2 * j + 1 if value else j
+            left = budget - steps
+            if moves <= left:
+                steps += moves
+                if value:
+                    mode = Mode.RETURN
+                else:
+                    stack.extend([_SUCC] * j)
+                    e = end
+                continue
+            # the budget runs out inside the walk, while pushing frames or
+            # (past the first j+1 moves) while popping them back
+            if left <= j:
+                depth = left
+            else:
+                mode, depth = Mode.RETURN, moves - left
+            stack.extend([_SUCC] * depth)
+            for _ in range(depth):
+                e = e.body
+            steps = budget
+            break
+        nxt = _move(mode, stack, e)
+        if nxt is None:
+            status = KStatus.STUCK
+            break
+        mode, e, label = nxt
+        if label is not None:
+            labels.append(label)
+        steps += 1
+    return KRunResult(MachineState(mode, tuple(stack), e), tuple(labels), steps, status)
 
 
 def unwind(s: MachineState) -> Expr:

@@ -167,7 +167,7 @@ def subst(e: Expr, mapping: dict) -> Expr:
             w = w.body
         # a numeral is closed; a function is closed when the Lam is
         if not (isinstance(w, Zero) or (isinstance(w, Lam) and not free_vars(w))):
-            raise SubstOpenValue(f"substituting non-closed-value for {x}: {v!r}")
+            raise SubstOpenValue(f"substituting non-closed-value for {x}: {print_expr(v)}")
     return _subst(e, mapping)
 
 

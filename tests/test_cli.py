@@ -68,6 +68,14 @@ def test_stuck_terms_exit_nonzero(capsys):
     assert "stuck" in err
 
 
+@pytest.mark.parametrize("sem", cli._PCF_SEMS)
+def test_open_programs_exit_one_with_a_one_line_error(capsys, sem):
+    # the free x rides into a substitution inside the function value
+    code, out, err = run(capsys, "pcf", "run", "--sem", sem, "-e", "(fun f(y) => x) z")
+    assert (code, out) == (1, "")
+    assert err == "error: open program: substituting non-closed-value for f: fun f(y) => x\n"
+
+
 def test_annihilator_marks_the_cut(capsys):
     code, out, _ = run(
         capsys, "pcf", "run", "--sem", "annihilator", "--budget", "1",

@@ -1,18 +1,25 @@
 """Stack machine: transitions, read-back, invariants, and the differential
 checks against the tree engines."""
 
+import sys
+
 import pytest
 
 from bigstop import (
     App,
+    Expr,
+    KRunResult,
     KStatus,
     RunStatus,
     Zero,
     compile,
+    corpus,
     corpus_term,
+    enumerate_exprs,
     k_run,
     k_step,
     multi_step,
+    numeral,
     parse_expr,
     print_expr,
     show_state,
@@ -111,6 +118,62 @@ def test_divergence_is_out_of_budget():
     r = k_run(compile(corpus_term("omega")), 50)
     assert r.status is KStatus.OUT_OF_BUDGET
     assert r.steps == 50
+
+
+COUNTDOWN = parse_expr("fun f(x) => case x { z => z | s(m) => eff[t] f m }")
+
+
+def _single_steps(e, budget):
+    """What k_run must return at each budget 0..budget, by single k_steps."""
+    state, labels, out = compile(e), [], []
+    for steps in range(budget + 1):
+        if halted(state):
+            final = KRunResult(state, tuple(labels), steps, KStatus.FINAL)
+            return out + [final] * (budget + 1 - steps)
+        out.append(KRunResult(state, tuple(labels), steps, KStatus.OUT_OF_BUDGET))
+        try:
+            state, tr = k_step(state)
+        except StuckState:
+            stuck = KRunResult(state, tuple(labels), steps, KStatus.STUCK)
+            return out + [stuck] * (budget - steps)
+        labels += tr
+    return out
+
+
+def test_run_equals_single_steps_at_every_budget():
+    # k_run takes a numeral's walk in one move; at every budget, stuck and
+    # mid-numeral states included, it must land where single steps do
+    terms = list(enumerate_exprs(5))
+    terms += [t for _, t in corpus() if isinstance(t, Expr)]
+    terms.append(App(COUNTDOWN, numeral(7)))
+    for e in terms:
+        want = _single_steps(e, 40)
+        got = [k_run(compile(e), n) for n in range(41)]
+        assert got == want, print_expr(e)
+
+
+def _calls_in_run(n):
+    st = compile(App(COUNTDOWN, numeral(n)))
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        r = k_run(st, 10**9)
+    finally:
+        sys.setprofile(None)
+    assert r.status is KStatus.FINAL
+    return calls
+
+
+def test_countdown_run_work_grows_linearly_with_the_numeral():
+    # re-walking the numeral transition by transition makes the count grow
+    # with the square of the numeral (ratio 4)
+    small, large = _calls_in_run(100), _calls_in_run(200)
+    assert large <= 2.5 * small, (small, large)
 
 
 def test_bad_application_gets_stuck_mid_run():
