@@ -91,12 +91,11 @@ from .kmachine import (
     MachineState,
     StuckState,
     compile,  # noqa: A004 - loading a term into the machine is called compile
-    completeness_check,
+    correspondence_check,
     halted,
     k_run,
     k_step,
     show_state,
-    soundness_check,
     unwind,
     validate_state,
 )

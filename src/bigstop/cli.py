@@ -9,7 +9,8 @@ Three console scripts share one dispatcher:
     fuzz --suite stop-multi --max-size 5
 
 Exit codes: 0 success, 1 evaluation stuck, open program or type error, 2
-usage or parse error, 3 property-suite failure.
+usage or parse error or a --derivation file that cannot be written, 3
+property-suite failure.
 """
 
 import argparse
@@ -247,9 +248,13 @@ def _pcf_run(ns, expr) -> int:
         return EVAL_ERROR
 
     if ns.derivation is not None:
-        with open(ns.derivation, "w") as fh:
-            fh.write(derivation_to_json_str(derivation))
-            fh.write("\n")
+        try:
+            with open(ns.derivation, "w") as fh:
+                fh.write(derivation_to_json_str(derivation))
+                fh.write("\n")
+        except OSError as err:
+            _err(f"cannot write {ns.derivation}: {err.strerror or err}")
+            return USAGE_ERROR
     return OK
 
 

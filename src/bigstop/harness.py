@@ -3,10 +3,14 @@ the differential property suites.
 
 Every suite pits at least two independently written engines against each
 other; the suites never consult a single engine twice and call it agreement.
-Failures are shrunk by replacing subterms with z (or sub-statements with
-skip) while the failure persists.
+A suite is one table entry that gives its (term, budget) cases, the
+comparison that returns a mismatch, and a shrinker or None; one loop in
+run_property_suite counts the cases and shrinks and reports the first five
+that fail.  One greedy shrinker replaces subterms with z (or sub-statements
+with skip) while the failure persists.
 """
 
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -21,7 +25,7 @@ from .bigstop import (
     ec_bigstop_eval,
     is_progressing,
 )
-from .kmachine import KStatus, compile as k_compile, k_run
+from .kmachine import correspondence_check
 from .mnf import let_erase, mnf_multi_step, to_mnf
 from .smallstep import RunStatus, multi_step, small_step, step_trace
 from .syntax import (
@@ -384,43 +388,48 @@ def _with_child(e: Expr, i: int, c: Expr) -> Expr:
     raise TypeError(f"no children: {e!r}")
 
 
-def _positions(e: Expr, path=()):
-    yield path, e
-    for i, c in enumerate(_children(e)):
-        yield from _positions(c, path + (i,))
-
-
-def _replace(e: Expr, path, new: Expr) -> Expr:
-    if not path:
-        return new
-    kids = _children(e)
-    return _with_child(e, path[0], _replace(kids[path[0]], path[1:], new))
+def _shrink(t, still_fails, leaf, children, with_child):
+    """Greedy shrinking: the first subterm, in preorder, whose replacement by
+    leaf still fails is replaced, and the walk starts over on the smaller
+    term until no replacement fails.  Every candidate is re-checked; one
+    that raises counts as passing."""
+    improved = True
+    while improved:
+        improved = False
+        # each entry is a subterm and its zipper: (parent, index, zipper)
+        stack = [(t, None)]
+        while stack:
+            sub, up = stack.pop()
+            if sub != leaf:
+                cand, z = leaf, up
+                while z is not None:
+                    parent, i, z = z
+                    cand = with_child(parent, i, cand)
+                try:
+                    bad = still_fails(cand)
+                except Exception:
+                    bad = False
+                if bad:
+                    t = cand
+                    improved = True
+                    break
+            kids = children(sub)
+            stack.extend((kids[i], (sub, i, up)) for i in reversed(range(len(kids))))
+    return t
 
 
 def shrink_expr(e: Expr, still_fails) -> Expr:
     """Greedy subterm-to-z shrinking; every candidate is re-checked."""
-    improved = True
-    while improved:
-        improved = False
-        for path, sub in _positions(e):
-            if isinstance(sub, Zero):
-                continue
-            cand = _replace(e, path, Zero())
-            try:
-                bad = still_fails(cand)
-            except Exception:
-                bad = False
-            if bad:
-                e = cand
-                improved = True
-                break
-    return e
+    return _shrink(e, still_fails, Zero(), _children, _with_child)
 
 
 def _stmt_children(s):
+    # a sequence's second statement is tried before its first: the order
+    # decides which of several minimal failing programs greedy shrinking
+    # stops at, and reports depend on it
     match s:
         case imp.SeqS(a, b):
-            return (a, b)
+            return (b, a)
         case imp.If(_, b) | imp.While(_, b):
             return (b,)
     return ()
@@ -429,7 +438,7 @@ def _stmt_children(s):
 def _stmt_with_child(s, i, c):
     match s:
         case imp.SeqS(a, b):
-            return imp.SeqS(c, b) if i == 0 else imp.SeqS(a, c)
+            return imp.SeqS(a, c) if i == 0 else imp.SeqS(c, b)
         case imp.If(g, _):
             return imp.If(g, c)
         case imp.While(g, _):
@@ -438,36 +447,8 @@ def _stmt_with_child(s, i, c):
 
 
 def shrink_stmt(s, still_fails):
-    improved = True
-    while improved:
-        improved = False
-        stack = [((), s)]
-        poss = []
-        while stack:
-            path, cur = stack.pop()
-            poss.append((path, cur))
-            for i, c in enumerate(_stmt_children(cur)):
-                stack.append((path + (i,), c))
-        for path, sub in poss:
-            if isinstance(sub, imp.Skip):
-                continue
-            cand = _stmt_replace(s, path, imp.Skip())
-            try:
-                bad = still_fails(cand)
-            except Exception:
-                bad = False
-            if bad:
-                s = cand
-                improved = True
-                break
-    return s
-
-
-def _stmt_replace(s, path, new):
-    if not path:
-        return new
-    kids = _stmt_children(s)
-    return _stmt_with_child(s, path[0], _stmt_replace(kids[path[0]], path[1:], new))
+    """Greedy sub-statement-to-skip shrinking; every candidate is re-checked."""
+    return _shrink(s, still_fails, imp.Skip(), _stmt_children, _stmt_with_child)
 
 
 ### IMP program pools
@@ -570,6 +551,8 @@ def gen_imp_config(rng: random.Random, max_size: int = 12) -> imp.ImpConfig:
 
 
 def run_property_suite(name, cfg=None, trials=None, max_budget=10) -> PropertyReport:
+    """Run one suite: check every (term, budget) case, count them, and shrink
+    and report the first few that fail."""
     cfg = cfg or GenConfig()
     try:
         suite = _SUITES[name]
@@ -577,42 +560,63 @@ def run_property_suite(name, cfg=None, trials=None, max_budget=10) -> PropertyRe
         raise KeyError(
             f"unknown suite {name!r}; have {', '.join(sorted(_SUITES))}"
         ) from None
-    return suite(cfg, trials, max_budget)
+    cases, mismatch, shrink = suite(cfg, trials, max_budget)
+    failures = []
+    count = 0
+    for term, b in cases:
+        count += 1
+        bad = mismatch(term, b)
+        if bad and len(failures) < _MAX_REPORTED:
+            if shrink is not None:
+                term = shrink(term, lambda t: mismatch(t, b))
+                bad = mismatch(term, b)
+            failures.append(Failure(term, b, *bad))
+    return PropertyReport(name, count, tuple(failures), cfg.seed)
 
 
 _MAX_REPORTED = 5
 
 
-def _enum_size(cfg: GenConfig) -> int:
-    return min(cfg.max_size, 7)
+### case builders: (term, budget) pairs
 
 
-def _gen_stream(cfg: GenConfig, trials: int):
-    """trials closed well-typed terms; each trial gets its own seed so a
-    failure can name the seed that rebuilds it."""
+def _enum_pool(cfg: GenConfig):
+    return enumerate_exprs(min(cfg.max_size, 7), cfg.effect_labels)
+
+
+def _enum_cases(cfg: GenConfig, budgets):
+    for e in _enum_pool(cfg):
+        for b in budgets:
+            yield e, b
+
+
+def _gen_cases(cfg: GenConfig, trials: int, max_budget: int):
+    """trials closed well-typed terms at fuel max(max_budget, 64); each trial
+    gets its own seed so a failure can name the seed that rebuilds it."""
+    fuel = max(max_budget, 64)
     made = 0
     seed = cfg.seed
     while made < trials:
         sub = GenConfig(seed, cfg.max_size, cfg.effect_labels, cfg.target_type)
         seed += 1
         try:
-            yield gen_typed_expr(sub)
+            e = gen_typed_expr(sub)
         except GenerationExhausted:
             continue
         made += 1
+        yield e, fuel
 
 
-def _suite_stop_multi(cfg, trials, max_budget):
-    failures = []
-    count = 0
-    for e in enumerate_exprs(_enum_size(cfg), cfg.effect_labels):
+def _imp_cases(cfg: GenConfig, trials: int, max_budget: int):
+    rng = random.Random(cfg.seed)
+    pool = [imp.config(s, {"x": 2, "y": 0}) for s in enumerate_stmts(min(cfg.max_size, 6))]
+    pool += [gen_imp_config(rng) for _ in range(trials)]
+    for c in pool:
         for b in range(max_budget + 1):
-            count += 1
-            bad = _stop_multi_mismatch(e, b)
-            if bad and len(failures) < _MAX_REPORTED:
-                small = shrink_expr(e, lambda t: _stop_multi_mismatch(t, b))
-                failures.append(Failure(small, b, *_stop_multi_mismatch(small, b)))
-    return PropertyReport("stop-multi", count, tuple(failures), cfg.seed)
+            yield c, b
+
+
+### mismatches: None when the engines agree, else (expected, actual)
 
 
 def _stop_multi_mismatch(e, b):
@@ -626,20 +630,6 @@ def _stop_multi_mismatch(e, b):
         return None
     return (f"{print_expr(m.final)} | {format_trace(m.trace)}",
             f"{print_expr(s.stopped)} | {format_trace(s.trace)}")
-
-
-def _suite_stop_step_big(cfg, trials, max_budget):
-    trials = trials or 2000
-    fuel = max(max_budget, 64)
-    failures = []
-    n = 0
-    for e in _gen_stream(cfg, trials):
-        n += 1
-        bad = _three_way_mismatch(e, fuel)
-        if bad and len(failures) < _MAX_REPORTED:
-            small = shrink_expr(e, lambda t: _three_way_mismatch(t, fuel))
-            failures.append(Failure(small, fuel, *_three_way_mismatch(small, fuel)))
-    return PropertyReport("stop-step-big", n, tuple(failures), cfg.seed)
 
 
 def _three_way_mismatch(e, fuel):
@@ -662,19 +652,6 @@ def _three_way_mismatch(e, fuel):
     return None
 
 
-def _suite_progress_preservation(cfg, trials, max_budget):
-    trials = trials or 2000
-    fuel = max(max_budget, 64)
-    failures = []
-    n = 0
-    for e in _gen_stream(cfg, trials):
-        n += 1
-        bad = _progress_violation(e, fuel)
-        if bad and len(failures) < _MAX_REPORTED:
-            failures.append(Failure(e, fuel, *bad))
-    return PropertyReport("progress-preservation", n, tuple(failures), cfg.seed)
-
-
 def _progress_violation(e, fuel):
     ty0 = principal_type(e)
     for i, mid in enumerate(step_trace(e, fuel)):
@@ -692,32 +669,16 @@ def _progress_violation(e, fuel):
     return None
 
 
-def _suite_derivation_integrity(cfg, trials, max_budget):
-    """Re-runs the stop engines over both term pools and validates every
-    derivation they emit."""
-    trials = trials or 500
-    failures = []
-    n = 0
-    for e in enumerate_exprs(_enum_size(cfg), cfg.effect_labels):
-        for b in range(max_budget + 1):
-            n += 1
-            v = check_derivation(bigstop_eval(e, b).derivation)
-            if v is not None and len(failures) < _MAX_REPORTED:
-                failures.append(Failure(e, b, "a checkable derivation", str(v)))
-    fuel = max(max_budget, 64)
-    for e in _gen_stream(cfg, trials):
-        n += 1
-        v = check_derivation(bigstop_eval(e, fuel).derivation)
-        if v is not None and len(failures) < _MAX_REPORTED:
-            failures.append(Failure(e, fuel, "a checkable derivation", str(v)))
-    return PropertyReport("derivation-integrity", n, tuple(failures), cfg.seed)
+def _derivation_violation(e, b):
+    v = check_derivation(bigstop_eval(e, b).derivation)
+    return None if v is None else ("a checkable derivation", str(v))
 
 
 _CONVERGENCE_FUEL = 64
 
 
 def _terminating_pool(cfg):
-    for e in enumerate_exprs(_enum_size(cfg), cfg.effect_labels):
+    for e in _enum_pool(cfg):
         if multi_step(e, _CONVERGENCE_FUEL).status == RunStatus.REACHED_VALUE:
             yield e
     for _, t in corpus():
@@ -725,61 +686,19 @@ def _terminating_pool(cfg):
             yield t
 
 
-def _suite_kmachine_convergent(cfg, trials, max_budget):
-    failures = []
-    n = 0
-    for e in _terminating_pool(cfg):
-        n += 1
-        bad = _kmachine_mismatch(e)
-        if bad and len(failures) < _MAX_REPORTED:
-            small = shrink_expr(e, lambda t: _kmachine_mismatch(t))
-            failures.append(Failure(small, None, *_kmachine_mismatch(small)))
-    return PropertyReport("kmachine-convergent", n, tuple(failures), cfg.seed)
-
-
-def _kmachine_mismatch(e):
-    s = bigstop_eval(e, _CONVERGENCE_FUEL)
-    if not is_value(s.stopped):
-        return None  # only convergent terms are in scope here
-    r = k_run(k_compile(e), 4096)
-    want = f"{print_expr(s.stopped)} | {format_trace(s.trace)}"
-    if r.status != KStatus.FINAL:
-        return (want, f"machine: {r.status.value}")
-    if r.state.expr != s.stopped or r.trace != s.trace:
-        return (want, f"machine: {print_expr(r.state.expr)} | {format_trace(r.trace)}")
-    return None
-
-
-def _suite_kmachine_divergent(cfg, trials, max_budget):
-    prefix = 32
-    targets = [
+def _divergers():
+    return (
         corpus_term("omega"),
         corpus_term("leroy-grall"),
         App(corpus_term("alloc-unbounded"), Succ(Zero())),
-    ]
-    failures = []
-    for e in targets:
-        r = k_run(k_compile(e), 4096)
-        machine = r.trace[:prefix]
-        # drive the tree engine far enough to cover the same label count
-        tree = bigstop_eval(e, 2 + 2 * prefix).trace[:prefix]
-        if machine != tree and len(failures) < _MAX_REPORTED:
-            failures.append(
-                Failure(e, None, format_trace(tree), format_trace(machine))
-            )
-    return PropertyReport("kmachine-divergent", len(targets), tuple(failures), cfg.seed)
+    )
 
 
-def _suite_annihilator(cfg, trials, max_budget):
-    failures = []
-    n = 0
-    for e in enumerate_exprs(_enum_size(cfg), cfg.effect_labels):
-        n += 1
-        bad = _annihilator_mismatch(e, max_budget)
-        if bad and len(failures) < _MAX_REPORTED:
-            small = shrink_expr(e, lambda t: _annihilator_mismatch(t, max_budget))
-            failures.append(Failure(small, max_budget, *_annihilator_mismatch(small, max_budget)))
-    return PropertyReport("annihilator", n, tuple(failures), cfg.seed)
+def _kmachine_mismatch(e, b):
+    r = correspondence_check(e, b)
+    if r.ok:
+        return None
+    return (f"machine equal to the step relation at every contraction up to {b}", r.detail)
 
 
 def _annihilator_mismatch(e, max_budget):
@@ -797,19 +716,6 @@ def _annihilator_mismatch(e, max_budget):
     return (f"multi prefixes {fmt(rhs)}", f"annihilator traces {fmt(lhs)}")
 
 
-def _suite_ec(cfg, trials, max_budget):
-    failures = []
-    n = 0
-    for e in enumerate_exprs(_enum_size(cfg), cfg.effect_labels):
-        for b in range(max_budget + 1):
-            n += 1
-            bad = _ec_mismatch(e, b)
-            if bad and len(failures) < _MAX_REPORTED:
-                small = shrink_expr(e, lambda t: _ec_mismatch(t, b))
-                failures.append(Failure(small, b, *_ec_mismatch(small, b)))
-    return PropertyReport("ec", n, tuple(failures), cfg.seed)
-
-
 def _ec_mismatch(e, b):
     m = multi_step(e, b)
     s = ec_bigstop_eval(e, b)
@@ -817,19 +723,6 @@ def _ec_mismatch(e, b):
         return None
     return (f"{print_expr(m.final)} | {format_trace(m.trace)}",
             f"{print_expr(s.stopped)} | {format_trace(s.trace)}")
-
-
-def _suite_mnf(cfg, trials, max_budget):
-    trials = trials or 2000
-    fuel = max(max_budget, 64)
-    failures = []
-    n = 0
-    for e in _gen_stream(cfg, trials):
-        n += 1
-        bad = _mnf_mismatch(e, fuel)
-        if bad and len(failures) < _MAX_REPORTED:
-            failures.append(Failure(e, fuel, *bad))
-    return PropertyReport("mnf", n, tuple(failures), cfg.seed)
 
 
 def _mnf_mismatch(e, fuel):
@@ -859,25 +752,9 @@ def _mnf_mismatch(e, fuel):
     return None
 
 
-def _suite_imp_stop_multi(cfg, trials, max_budget):
-    trials = trials or 2000
-    failures = []
-    n = 0
-    rng = random.Random(cfg.seed)
-    pool = list(enumerate_stmts(min(cfg.max_size, 6)))
-    cfgs = [imp.config(s, {"x": 2, "y": 0}) for s in pool]
-    cfgs += [gen_imp_config(rng) for _ in range(trials)]
-    for c in cfgs:
-        for b in range(max_budget + 1):
-            n += 1
-            bad = _imp_stop_multi_mismatch(c, b)
-            if bad and len(failures) < _MAX_REPORTED:
-                small = shrink_stmt(
-                    c.stmt, lambda s: _imp_stop_multi_mismatch(imp.ImpConfig(s, c.state), b)
-                )
-                sc = imp.ImpConfig(small, c.state)
-                failures.append(Failure(sc, b, *_imp_stop_multi_mismatch(sc, b)))
-    return PropertyReport("imp-stop-multi", n, tuple(failures), cfg.seed)
+def _shrink_config(c, still_fails):
+    small = shrink_stmt(c.stmt, lambda s: still_fails(imp.ImpConfig(s, c.state)))
+    return imp.ImpConfig(small, c.state)
 
 
 def _imp_stop_multi_mismatch(c, b):
@@ -886,27 +763,6 @@ def _imp_stop_multi_mismatch(c, b):
     if s == m.config:
         return None
     return (imp.print_config(m.config), imp.print_config(s))
-
-
-def _suite_imp_freeze(cfg, trials, max_budget):
-    trials = trials or 2000
-    failures = []
-    n = 0
-    rng = random.Random(cfg.seed)
-    pool = list(enumerate_stmts(min(cfg.max_size, 6)))
-    cfgs = [imp.config(s, {"x": 2, "y": 0}) for s in pool]
-    cfgs += [gen_imp_config(rng) for _ in range(trials)]
-    for c in cfgs:
-        for b in range(max_budget + 1):
-            n += 1
-            bad = _imp_freeze_mismatch(c, b)
-            if bad and len(failures) < _MAX_REPORTED:
-                small = shrink_stmt(
-                    c.stmt, lambda s: _imp_freeze_mismatch(imp.ImpConfig(s, c.state), b)
-                )
-                sc = imp.ImpConfig(small, c.state)
-                failures.append(Failure(sc, b, *_imp_freeze_mismatch(sc, b)))
-    return PropertyReport("imp-freeze", n, tuple(failures), cfg.seed)
 
 
 def _imp_freeze_mismatch(c, b):
@@ -921,18 +777,32 @@ def _imp_freeze_mismatch(c, b):
     )
 
 
+# name -> (cfg, trials, max_budget) -> (cases, mismatch, shrinker or None);
+# trials counts generated terms or programs, not cases
 _SUITES = {
-    "stop-multi": _suite_stop_multi,
-    "stop-step-big": _suite_stop_step_big,
-    "progress-preservation": _suite_progress_preservation,
-    "derivation-integrity": _suite_derivation_integrity,
-    "kmachine-convergent": _suite_kmachine_convergent,
-    "kmachine-divergent": _suite_kmachine_divergent,
-    "annihilator": _suite_annihilator,
-    "ec": _suite_ec,
-    "mnf": _suite_mnf,
-    "imp-stop-multi": _suite_imp_stop_multi,
-    "imp-freeze": _suite_imp_freeze,
+    "stop-multi": lambda cfg, trials, mb: (
+        _enum_cases(cfg, range(mb + 1)), _stop_multi_mismatch, shrink_expr),
+    "stop-step-big": lambda cfg, trials, mb: (
+        _gen_cases(cfg, trials or 2000, mb), _three_way_mismatch, shrink_expr),
+    "progress-preservation": lambda cfg, trials, mb: (
+        _gen_cases(cfg, trials or 2000, mb), _progress_violation, None),
+    "derivation-integrity": lambda cfg, trials, mb: (
+        itertools.chain(_enum_cases(cfg, range(mb + 1)), _gen_cases(cfg, trials or 500, mb)),
+        _derivation_violation, None),
+    "kmachine-convergent": lambda cfg, trials, mb: (
+        ((e, _CONVERGENCE_FUEL) for e in _terminating_pool(cfg)), _kmachine_mismatch, shrink_expr),
+    "kmachine-divergent": lambda cfg, trials, mb: (
+        ((e, _CONVERGENCE_FUEL) for e in _divergers()), _kmachine_mismatch, None),
+    "annihilator": lambda cfg, trials, mb: (
+        _enum_cases(cfg, (mb,)), _annihilator_mismatch, shrink_expr),
+    "ec": lambda cfg, trials, mb: (
+        _enum_cases(cfg, range(mb + 1)), _ec_mismatch, shrink_expr),
+    "mnf": lambda cfg, trials, mb: (
+        _gen_cases(cfg, trials or 2000, mb), _mnf_mismatch, None),
+    "imp-stop-multi": lambda cfg, trials, mb: (
+        _imp_cases(cfg, trials or 2000, mb), _imp_stop_multi_mismatch, _shrink_config),
+    "imp-freeze": lambda cfg, trials, mb: (
+        _imp_cases(cfg, trials or 2000, mb), _imp_freeze_mismatch, _shrink_config),
 }
 
 

@@ -4,7 +4,9 @@ The machine threads a stack of pending frames instead of walking the term
 on every step: it is either evaluating some subterm or returning a value
 to the innermost frame.  Effects emit their label the moment the eff node
 is entered.  unwind() reads the whole configuration back into a term, so
-machine runs can be compared position-for-position with the tree engines.
+machine runs can be compared position-for-position with the tree engines:
+correspondence_check() holds the machine to the step relation exactly,
+contraction by contraction.
 """
 
 import enum
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from .budget import check_budget
 from .syntax import (
     App, Case, Eff, Expr, Lam, Succ, Zero,
-    expr_depth, expr_size, is_value, print_expr, subst,
+    is_value, print_expr, subst,
 )
 from .traces import Trace, format_trace
 
@@ -250,7 +252,7 @@ def show_state(s: MachineState) -> str:
     return f"{stack} {s.mode.value} {print_expr(s.expr)}"
 
 
-### differential checks against the tree engines
+### exact correspondence with the step relation
 
 
 @dataclass(frozen=True)
@@ -259,54 +261,70 @@ class Report:
     detail: str
 
 
-def _margins(e: Expr):
-    # per-contraction machine overhead is bounded by the nesting depth the
-    # machine has to descend through; these are empirical safety margins,
-    # generous for the bounded-growth terms the checks run on
-    return expr_depth(e) + 4, expr_size(e) + 8
+def correspondence_check(e: Expr, budget: int) -> Report:
+    """The machine after n contractions is small_step taken n times.
 
+    Contractions are the moves that enter an eff node and the returns into
+    a CaseF or an ArgF frame; every other move is free and leaves unwind()
+    unchanged.  The machine is driven once, with small_step in lockstep:
+    after each contraction n <= budget the unwound state must equal the
+    stepped term and the label it emitted the step's label, and the two
+    must halt or get stuck at the same n.  The end is compared once with
+    bigstop_eval(e, budget).  Linear in the budget; a failure names the
+    first contraction at which the two sides differ.
+    """
+    from .bigstop import StuckError, bigstop_eval
+    from .smallstep import small_step
 
-def soundness_check(e: Expr, budget: int) -> Report:
-    """Machine runs are reflected by the tree semantics."""
-    from .bigstop import bigstop_eval
-
-    mrun = k_run(compile(e), budget)
-    if mrun.status is KStatus.FINAL:
+    check_budget(budget)
+    mode, stack, cur = Mode.EVAL, [], e
+    term, labels = e, []
+    n, end = 0, "out of budget"
+    while n < budget:
+        step = small_step(term)
+        # free moves up to the next contraction, then the contraction
+        while True:
+            if mode is Mode.RETURN and not stack:
+                end = "halted"
+                break
+            if mode is Mode.EVAL:
+                contraction = isinstance(cur, Eff)
+            else:
+                contraction = isinstance(stack[-1], (CaseF, ArgF))
+            nxt = _move(mode, stack, cur)
+            if nxt is None:
+                end = "stuck"
+                break
+            mode, cur, label = nxt
+            if contraction:
+                break
+        here = unwind(MachineState(mode, tuple(stack), cur))
+        if end != "out of budget":
+            tree = "halted" if is_value(term) else "stuck" if step is None else "steps on"
+            if end != tree or here != term:
+                return Report(False, f"contraction {n}: machine {end} at {print_expr(here)}, "
+                                     f"step relation {tree} at {print_expr(term)}")
+            break
+        n += 1
+        emitted = () if label is None else (label,)
+        if step is None or here != step.expr or emitted != step.trace:
+            tree = (f"no step from {print_expr(term)}" if step is None
+                    else _shown(step.expr, (*labels, *step.trace)))
+            return Report(False, f"contraction {n}: machine at "
+                                 f"{_shown(here, (*labels, *emitted))}, step relation at {tree}")
+        term = step.expr
+        labels += emitted
+    try:
         r = bigstop_eval(e, budget)
-        if r.stopped == mrun.state.expr and r.trace == mrun.trace:
-            return Report(True, f"converged both ways in <= {budget} steps")
-        return Report(
-            False,
-            f"machine got {print_expr(mrun.state.expr)} | {format_trace(mrun.trace)}, "
-            f"tree got {print_expr(r.stopped)} | {format_trace(r.trace)}",
-        )
-    k, c = _margins(e)
-    for n in range(budget + 1):
-        want = k_run(compile(e), n).trace
-        have = bigstop_eval(e, k * n + c).trace
-        if want != have[: len(want)]:
-            return Report(False, f"machine trace at {n} steps is not reflected")
-    return Report(True, f"trace prefixes agree out to {budget} machine steps")
+        agree = end != "stuck" and r.stopped == term and r.trace == tuple(labels)
+        tree = _shown(r.stopped, r.trace)
+    except StuckError as err:
+        agree, tree = end == "stuck", str(err)
+    if not agree:
+        return Report(False, f"big-stop at budget {budget}: {tree}, "
+                             f"step relation at {_shown(term, labels)}")
+    return Report(True, f"agree at every contraction up to {n}, where both are {end}")
 
 
-def completeness_check(e: Expr, budget: int) -> Report:
-    """Tree runs are simulated by the machine."""
-    from .bigstop import bigstop_eval
-
-    k, c = _margins(e)
-    r = bigstop_eval(e, budget)
-    if is_value(r.stopped):
-        mrun = k_run(compile(e), k * budget + c)
-        if (
-            mrun.status is KStatus.FINAL
-            and mrun.state.expr == r.stopped
-            and mrun.trace == r.trace
-        ):
-            return Report(True, f"machine reproduced the value within {k}*n+{c} steps")
-        return Report(False, "machine failed to reproduce a converging run")
-    for n in range(budget + 1):
-        want = bigstop_eval(e, n).trace
-        have = k_run(compile(e), k * n + c).trace
-        if want != have[: len(want)]:
-            return Report(False, f"tree trace at budget {n} is not simulated")
-    return Report(True, f"trace prefixes agree out to budget {budget}")
+def _shown(e: Expr, labels) -> str:
+    return f"{print_expr(e)} | {format_trace(labels)}"

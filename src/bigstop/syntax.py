@@ -113,21 +113,6 @@ def expr_size(e: Expr) -> int:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def expr_depth(e: Expr) -> int:
-    match e:
-        case Var() | Zero():
-            return 1
-        case Succ(b) | Eff(_, b) | Lam(_, _, b):
-            return 1 + expr_depth(b)
-        case App(f, a):
-            return 1 + max(expr_depth(f), expr_depth(a))
-        case Case(zb, _, sb, sc):
-            return 1 + max(expr_depth(zb), expr_depth(sb), expr_depth(sc))
-        case Let(_, e1, b):
-            return 1 + max(expr_depth(e1), expr_depth(b))
-    raise TypeError(f"not an expression: {e!r}")
-
-
 def free_vars(e: Expr) -> frozenset:
     match e:
         case Var(x):

@@ -201,6 +201,18 @@ def test_derivation_flag_requires_a_deriving_semantics(capsys, tmp_path):
     assert "--derivation" in err
 
 
+def test_an_unwritable_derivation_file_exits_two_with_one_error_line(capsys, tmp_path):
+    dv = tmp_path / "missing" / "d.json"
+    code, out, err = run(
+        capsys, "pcf", "run", "--sem", "bigstop", "--derivation", str(dv), "-e", "z",
+    )
+    assert code == 2
+    assert out == "z | 1\n"
+    assert err.startswith("error: cannot write ")
+    assert err.count("\n") == 1
+    assert not dv.exists()
+
+
 ### imperative commands
 
 COUNTDOWN = ("--init", "x=2", "-e", "while x do { x := x - 1 }")

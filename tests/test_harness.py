@@ -228,3 +228,77 @@ def test_report_renders_both_ways():
     obj = rep.to_json()
     assert sorted(obj.keys()) == ["failures", "property", "seed", "trials"]
     assert obj["failures"] == []
+
+
+### the failure path: a wrong engine, capped, shrunk and reported
+
+def test_a_wrong_engine_fails_stop_multi_with_five_shrunk_counterexamples(monkeypatch):
+    import bigstop.harness as harness
+
+    real = harness.bigstop_eval
+
+    def drops_the_last_label_at_budget_2(e, b):
+        r = real(e, b)
+        if b == 2 and r.trace:
+            return dataclasses.replace(r, trace=r.trace[:-1])
+        return r
+
+    monkeypatch.setattr(harness, "bigstop_eval", drops_the_last_label_at_budget_2)
+    rep = run_property_suite("stop-multi", cfg=GenConfig(max_size=4), max_budget=3)
+    assert not rep.ok
+    assert rep.trials == 117 * 4
+    got = [(print_expr(f.term), f.budget, f.expected, f.actual) for f in rep.failures]
+    assert got == [
+        ("eff[a] z", 2, "z | a", "z | 1"),
+        ("eff[b] z", 2, "z | b", "z | 1"),
+        ("s(eff[a] z)", 2, "s(z) | a", "s(z) | 1"),
+        ("s(eff[b] z)", 2, "s(z) | b", "s(z) | 1"),
+        ("eff[a] z", 2, "z | a", "z | 1"),
+    ]
+    assert "result:   FAIL" in rep.to_text()
+    assert rep.to_json()["failures"][0] == {
+        "term": "eff[a] z", "budget": 2, "expected": "z | a", "actual": "z | 1",
+    }
+
+
+def test_a_wrong_engine_fails_imp_stop_multi_with_shrunk_statements(monkeypatch):
+    import bigstop.harness as harness
+    from bigstop import ImpConfig, state_get
+
+    real = harness.imp.imp_bigstop
+
+    def loses_the_third_step_when_y_is_3(c, b):
+        r = real(c, b)
+        if b == 3 and state_get(c.state, "y") == 3:
+            return ImpConfig(r.stmt, real(c, 2).state)
+        return r
+
+    monkeypatch.setattr(harness.imp, "imp_bigstop", loses_the_third_step_when_y_is_3)
+    rep = run_property_suite(
+        "imp-stop-multi", cfg=GenConfig(seed=1, max_size=4), trials=60, max_budget=3
+    )
+    assert rep.trials == 5168
+    assert rep.to_json()["failures"] == [
+        {
+            "term": "if y + 1 + 3 then { while y do { y := x ; skip ; skip } } | {x=2, y=3}",
+            "budget": 3,
+            "expected": "skip ; skip ; skip ; while y do { y := x ; skip ; skip } | {x=2, y=2}",
+            "actual": "skip ; skip ; skip ; while y do { y := x ; skip ; skip } | {x=2, y=3}",
+        },
+        {
+            "term": "while 2 - (3 - 2) do { if 3 + y * y then { x := 1 + y - (x - 2) ; skip } }"
+                    " ; skip | {x=1, y=3}",
+            "budget": 3,
+            "expected": "skip ; skip ; while 2 - (3 - 2) do { if 3 + y * y then"
+                        " { x := 1 + y - (x - 2) ; skip } } ; skip | {x=5, y=3}",
+            "actual": "skip ; skip ; while 2 - (3 - 2) do { if 3 + y * y then"
+                      " { x := 1 + y - (x - 2) ; skip } } ; skip | {x=1, y=3}",
+        },
+        {
+            "term": "if x then { if y - 1 + (x + y) then { y := y - y + (3 + y) ; skip }"
+                    " ; skip ; skip } | {x=3, y=3}",
+            "budget": 3,
+            "expected": "skip ; skip ; skip ; skip | {x=3, y=6}",
+            "actual": "skip ; skip ; skip ; skip | {x=3, y=3}",
+        },
+    ]

@@ -11,8 +11,10 @@ from bigstop import (
     KRunResult,
     KStatus,
     RunStatus,
+    Succ,
     Zero,
     compile,
+    correspondence_check,
     corpus,
     corpus_term,
     enumerate_exprs,
@@ -23,18 +25,19 @@ from bigstop import (
     parse_expr,
     print_expr,
     show_state,
+    subst,
     unwind,
     validate_state,
 )
+import bigstop.kmachine as kmachine
 from bigstop.kmachine import (
     ArgF,
+    CaseF,
     FunF,
     MachineState,
     Mode,
     StuckState,
-    completeness_check,
     halted,
-    soundness_check,
 )
 
 
@@ -245,13 +248,40 @@ def test_machine_and_tree_agree_on_values_and_traces(src):
 @pytest.mark.parametrize("src", CONVERGING)
 def test_soundness_and_completeness_reports(src):
     e = parse_expr(src)
-    assert soundness_check(e, 64).ok
-    assert completeness_check(e, 16).ok
+    assert correspondence_check(e, 64).ok
+    assert correspondence_check(e, 16).ok
 
 
-def test_reports_hold_on_divergers_via_trace_prefixes():
-    assert soundness_check(corpus_term("omega"), 24).ok
-    assert completeness_check(corpus_term("omega"), 8).ok
+def test_reports_hold_on_divergers_contraction_by_contraction():
+    assert correspondence_check(corpus_term("omega"), 24).ok
+    assert correspondence_check(corpus_term("omega"), 8).ok
     spinner = App(corpus_term("alloc-unbounded"), parse_expr("s(z)"))
-    assert soundness_check(spinner, 24).ok
-    assert completeness_check(spinner, 8).ok
+    assert correspondence_check(spinner, 24).ok
+    assert correspondence_check(spinner, 8).ok
+
+
+def test_stuck_runs_correspond():
+    r = correspondence_check(parse_expr("(fun f(x) => x z) z"), 10)
+    assert r.ok, r.detail
+    assert r.detail.endswith("both are stuck")
+
+
+def test_a_wrong_case_return_is_caught_at_its_contraction(monkeypatch):
+    # the machine hands s(v) instead of v to the successor branch: no label
+    # changes, only the term, and the term only from the second contraction
+    real = kmachine._move
+
+    def passes_the_whole_numeral(mode, stack, e):
+        if mode is Mode.RETURN and isinstance(stack[-1], CaseF) and isinstance(e, Succ):
+            f = stack.pop()
+            return Mode.EVAL, subst(f.succ_branch, {f.succ_var: e}), None
+        return real(mode, stack, e)
+
+    e = parse_expr("(fun f(x) => case x { z => f x | s(m) => f m }) s(s(z))")
+    assert correspondence_check(e, 40).ok
+    monkeypatch.setattr(kmachine, "_move", passes_the_whole_numeral)
+    assert correspondence_check(e, 1).ok
+    for budget in (2, 12, 40):
+        r = correspondence_check(e, budget)
+        assert not r.ok
+        assert r.detail.startswith("contraction 2: "), r.detail
