@@ -9,8 +9,10 @@ Three console scripts share one dispatcher:
     fuzz --suite stop-multi --max-size 5
 
 Exit codes: 0 success, 1 evaluation stuck, open program or type error, 2
-usage or parse error or a --derivation file that cannot be written, 3
-property-suite failure.
+usage or parse error (a program nested too deeply to parse included), a
+program file that cannot be read as UTF-8 text, or a --derivation file that
+cannot be written, 3 property-suite failure.  `python -m bigstop` takes the
+same arguments as the dispatcher: `python -m bigstop pcf run -e z`.
 """
 
 import argparse
@@ -41,10 +43,16 @@ def _err(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
 
 
+_TOO_DEEP = "parse: program nested too deeply"
+
+
 def _read_program(arg: str, force_literal: bool) -> str:
     if not force_literal and os.path.isfile(arg):
-        with open(arg) as fh:
-            return fh.read()
+        try:
+            with open(arg, encoding="utf-8") as fh:
+                return fh.read()
+        except (OSError, UnicodeDecodeError) as err:
+            raise _Usage(f"cannot read {arg}: {getattr(err, 'strerror', None) or err}")
     return arg
 
 
@@ -138,6 +146,9 @@ def _pcf(args) -> int:
         expr = parse_expr(_read_program(ns.program, ns.literal))
     except ParseError as pe:
         _err(f"parse: {pe}")
+        return USAGE_ERROR
+    except RecursionError:
+        _err(_TOO_DEEP)
         return USAGE_ERROR
 
     if ns.cmd == "typecheck":
@@ -281,6 +292,9 @@ def _imp(args) -> int:
     except (imp.ImpParseError, ValueError) as pe:
         _err(f"parse: {pe}")
         return USAGE_ERROR
+    except RecursionError:
+        _err(_TOO_DEEP)
+        return USAGE_ERROR
     cfg = imp.ImpConfig(stmt, state)
 
     if ns.sem == "small":
@@ -328,3 +342,7 @@ def _fuzz(args) -> int:
         return USAGE_ERROR
     print(report.to_json_str() if ns.json else report.to_text())
     return OK if report.ok else SUITE_FAILED
+
+
+if __name__ == "__main__":
+    sys.exit(main())

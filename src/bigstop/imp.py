@@ -9,6 +9,7 @@ program, reporting that it froze.
 """
 
 import enum
+import re
 from dataclasses import dataclass
 
 from .budget import Budget, check_budget
@@ -332,11 +333,13 @@ class ImpParseError(Exception):
     pass
 
 
-def _imp_tokens(src: str):
-    import re
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_KEYWORDS = {"skip", "if", "then", "while", "do"}
 
+
+def _imp_tokens(src: str):
     toks = []
-    spec = r"(:=|[();{}+\-*]|\d+|[A-Za-z_][A-Za-z0-9_]*|\S)"
+    spec = rf"(:=|[();{{}}+\-*]|\d+|{_NAME}|\S)"
     line = 1
     for raw in src.split("\n"):
         body = raw.split("--", 1)[0]
@@ -440,15 +443,23 @@ def parse_stmt(src: str) -> Stmt:
 
 
 def parse_init(text: str) -> tuple:
-    """Parse an initial store given as x=2,y=0."""
+    """Parse an initial store given as x=2,y=0.  Each name must be one a
+    program can refer to, and no name may be bound twice."""
     bindings = {}
     text = text.strip()
     if text:
         for part in text.split(","):
             if "=" not in part:
                 raise ImpParseError(f"bad binding {part!r}, want name=value")
-            name, value = part.split("=", 1)
-            bindings[name.strip()] = int(value.strip())
+            name, value = (side.strip() for side in part.split("=", 1))
+            if not re.fullmatch(_NAME, name) or name in _KEYWORDS:
+                raise ImpParseError(f"bad name {name!r} in binding {part!r}")
+            if name in bindings:
+                raise ImpParseError(f"{name!r} is bound twice")
+            try:
+                bindings[name] = int(value)
+            except ValueError:
+                raise ImpParseError(f"bad value {value!r} in binding {part!r}") from None
     return make_state(bindings)
 
 

@@ -11,6 +11,7 @@ which is what `is_mnf_value` captures.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .traces import BadLabel, check_label
 
@@ -20,7 +21,11 @@ BLANK = "_"
 
 
 class Expr:
-    pass
+    @cached_property
+    def closed(self) -> bool:
+        """No variable occurs free.  Terms are frozen, so each object walks
+        itself at most once and keeps the answer."""
+        return not free_vars(self)
 
 
 @dataclass(frozen=True)
@@ -142,8 +147,11 @@ def subst(e: Expr, mapping: dict) -> Expr:
     """Capture-free substitution of closed values for variables.
 
     Only closed values may be substituted (that is all evaluation ever
-    needs), which makes capture impossible.  Entries for the wildcard
-    binder are ignored: `_` never stands for anything.
+    needs), which makes capture impossible; anything else raises
+    SubstOpenValue.  The guard walks down a numeral's spine and asks a
+    function for its `closed` flag, which each Lam object computes once, so
+    substituting the same function again costs O(1).  Entries for the
+    wildcard binder are ignored: `_` never stands for anything.
     """
     mapping = {x: v for x, v in mapping.items() if x != BLANK}
     for x, v in mapping.items():
@@ -151,7 +159,7 @@ def subst(e: Expr, mapping: dict) -> Expr:
         while isinstance(w, Succ):
             w = w.body
         # a numeral is closed; a function is closed when the Lam is
-        if not (isinstance(w, Zero) or (isinstance(w, Lam) and not free_vars(w))):
+        if not (isinstance(w, Zero) or (isinstance(w, Lam) and w.closed)):
             raise SubstOpenValue(f"substituting non-closed-value for {x}: {print_expr(v)}")
     return _subst(e, mapping)
 

@@ -5,6 +5,14 @@ infer_type defaults every unconstrained metavariable to nat, so e.g. the
 identity function comes out at nat -> nat.  Preservation-style checks want
 the pre-defaulting types (stepping can make a term more general), which is
 what principal_type/types_unifiable expose.
+
+Unification is union-find over mutable metavariable cells (Cardelli, Basic
+Polymorphic Typechecking, 1987; Pierce, TAPL ch. 22): a cell is unbound or
+linked to the type it was unified with, and finding a cell's representative
+halves the path behind it.  The environment is a dict, copied at each
+binder.  A result is read back into immutable MetaT/NatT/ArrowT; every cell
+takes its ident from one global counter, so two calls never share a
+metavariable.
 """
 
 import itertools
@@ -61,43 +69,69 @@ def print_type(t: Type) -> str:
     raise TypeError(f"not a type: {t!r}")
 
 
-def _resolve(t: Type, sub: dict) -> Type:
-    while isinstance(t, MetaT) and t.ident in sub:
-        t = sub[t.ident]
+class _Cell(Type):
+    """A metavariable during inference: unbound while link is None."""
+
+    __slots__ = ("ident", "link")
+
+    def __init__(self, ident: int):
+        self.ident = ident
+        self.link = None
+
+
+_NAT = NatT()
+
+
+def _find(t: Type) -> Type:
+    while isinstance(t, _Cell) and t.link is not None:
+        up = t.link
+        if isinstance(up, _Cell) and up.link is not None:
+            t.link = up = up.link
+        t = up
     return t
 
 
-def _occurs(i: int, t: Type, sub: dict) -> bool:
-    t = _resolve(t, sub)
-    match t:
-        case MetaT(j):
-            return i == j
-        case ArrowT(d, c):
-            return _occurs(i, d, sub) or _occurs(i, c, sub)
-        case _:
-            return False
-
-
-def _unify(a: Type, b: Type, sub: dict) -> bool:
-    a, b = _resolve(a, sub), _resolve(b, sub)
-    if a == b:
-        return True
-    if isinstance(a, MetaT):
-        if _occurs(a.ident, b, sub):
-            return False
-        sub[a.ident] = b
-        return True
-    if isinstance(b, MetaT):
-        return _unify(b, a, sub)
-    if isinstance(a, ArrowT) and isinstance(b, ArrowT):
-        return _unify(a.domain, b.domain, sub) and _unify(a.codomain, b.codomain, sub)
-    return False
-
-
-def _zonk(t: Type, sub: dict) -> Type:
-    t = _resolve(t, sub)
+def _occurs(cell: _Cell, t: Type) -> bool:
+    t = _find(t)
     if isinstance(t, ArrowT):
-        return ArrowT(_zonk(t.domain, sub), _zonk(t.codomain, sub))
+        return _occurs(cell, t.domain) or _occurs(cell, t.codomain)
+    return t is cell
+
+
+def _unify(a: Type, b: Type) -> bool:
+    a, b = _find(a), _find(b)
+    if a is b:
+        return True
+    if isinstance(a, _Cell):
+        if _occurs(a, b):
+            return False
+        a.link = b
+        return True
+    if isinstance(b, _Cell):
+        return _unify(b, a)
+    if isinstance(a, ArrowT) and isinstance(b, ArrowT):
+        return _unify(a.domain, b.domain) and _unify(a.codomain, b.codomain)
+    return isinstance(a, NatT) and isinstance(b, NatT)
+
+
+def _thaw(t: Type, cells: dict) -> Type:
+    """t with each MetaT ident replaced by its one cell in cells."""
+    match t:
+        case MetaT(i):
+            if i not in cells:
+                cells[i] = _Cell(i)
+            return cells[i]
+        case ArrowT(d, c):
+            return ArrowT(_thaw(d, cells), _thaw(c, cells))
+    return t
+
+
+def _zonk(t: Type) -> Type:
+    t = _find(t)
+    if isinstance(t, _Cell):
+        return MetaT(t.ident)
+    if isinstance(t, ArrowT):
+        return ArrowT(_zonk(t.domain), _zonk(t.codomain))
     return t
 
 
@@ -111,68 +145,58 @@ def _default(t: Type) -> Type:
             return t
 
 
-def _infer(e: Expr, env: tuple, sub: dict) -> Type:
+def _infer(e: Expr, env: dict) -> Type:
     match e:
         case Var(x):
-            for name, t in reversed(env):
-                if name == x:
-                    return t
+            if x in env:
+                return env[x]
             raise TypeFailure(f"unbound variable {x}", e)
         case Zero():
-            return NatT()
+            return _NAT
         case Succ(b):
-            t = _infer(b, env, sub)
-            if not _unify(t, NatT(), sub):
+            if not _unify(_infer(b, env), _NAT):
                 raise TypeFailure("successor of a non-number", e)
-            return NatT()
+            return _NAT
         case Lam(f, x, b):
-            dom: Type = MetaT(next(_fresh_meta))
-            cod: Type = MetaT(next(_fresh_meta))
-            inner = env
+            dom = _Cell(next(_fresh_meta))
+            cod = _Cell(next(_fresh_meta))
+            fn = ArrowT(dom, cod)
+            inner = dict(env)
             if f != BLANK:
-                inner = inner + ((f, ArrowT(dom, cod)),)
+                inner[f] = fn
             if x != BLANK:
-                inner = inner + ((x, dom),)
-            t = _infer(b, inner, sub)
-            if not _unify(t, cod, sub):
+                inner[x] = dom
+            if not _unify(_infer(b, inner), cod):
                 raise TypeFailure("function body disagrees with its own uses", e)
-            return ArrowT(dom, cod)
+            return fn
         case App(fn, arg):
-            tf = _infer(fn, env, sub)
-            ta = _infer(arg, env, sub)
-            res: Type = MetaT(next(_fresh_meta))
-            if not _unify(tf, ArrowT(ta, res), sub):
+            tf = _infer(fn, env)
+            ta = _infer(arg, env)
+            res = _Cell(next(_fresh_meta))
+            if not _unify(tf, ArrowT(ta, res)):
                 raise TypeFailure("applying a non-function or wrong argument type", e)
             return res
         case Case(zb, xv, sb, sc):
-            if not _unify(_infer(sc, env, sub), NatT(), sub):
+            if not _unify(_infer(sc, env), _NAT):
                 raise TypeFailure("case scrutinee is not a number", e)
-            t1 = _infer(zb, env, sub)
-            inner = env if xv == BLANK else env + ((xv, NatT()),)
-            t2 = _infer(sb, inner, sub)
-            if not _unify(t1, t2, sub):
+            t1 = _infer(zb, env)
+            t2 = _infer(sb, env if xv == BLANK else {**env, xv: _NAT})
+            if not _unify(t1, t2):
                 raise TypeFailure("case branches have different types", e)
             return t1
         case Eff(_, b):
-            return _infer(b, env, sub)
+            return _infer(b, env)
         case Let(x, e1, b):
-            t1 = _infer(e1, env, sub)
-            inner = env if x == BLANK else env + ((x, t1),)
-            return _infer(b, inner, sub)
+            t1 = _infer(e1, env)
+            return _infer(b, env if x == BLANK else {**env, x: t1})
     raise TypeFailure(f"not an expression: {e!r}", e)
 
 
-def _as_env(env) -> tuple:
-    if isinstance(env, dict):
-        return tuple(env.items())
-    return tuple(env)
-
-
 def principal_type(e: Expr, env=()) -> Type:
-    """Most general type, metavariables left in place."""
-    sub: dict = {}
-    t = _infer(e, _as_env(env), sub)
-    return _zonk(t, sub)
+    """Most general type, metavariables left in place.  env maps names to
+    types, as a dict or as pairs (a later pair shadows an earlier one)."""
+    cells: dict = {}
+    return _zonk(_infer(e, {x: _thaw(t, cells) for x, t in dict(env).items()}))
 
 
 def infer_type(e: Expr, env=()) -> Type:
@@ -181,7 +205,8 @@ def infer_type(e: Expr, env=()) -> Type:
 
 
 def types_unifiable(a: Type, b: Type) -> bool:
-    return _unify(a, b, {})
+    cells: dict = {}
+    return _unify(_thaw(a, cells), _thaw(b, cells))
 
 
 def well_typed(e: Expr, env=()) -> bool:

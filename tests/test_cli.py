@@ -2,6 +2,9 @@
 typechecking, normal-form translation, and the suite runner."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -131,6 +134,37 @@ def test_programs_load_from_files(capsys, tmp_path):
     assert (code, out) == (0, "z | a\n")
 
 
+@pytest.mark.parametrize("cmd", [("pcf", "run"), ("pcf", "typecheck"), ("imp", "run")])
+def test_a_file_that_is_not_utf8_exits_two_with_one_error_line(capsys, tmp_path, cmd):
+    prog = tmp_path / "prog.txt"
+    prog.write_bytes(b"\xff\xfe z")
+    code, out, err = run(capsys, *cmd, str(prog))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {prog}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cmd,src", [
+    (("pcf", "run"), "s(" * 60_000 + "z" + ")" * 60_000),
+    (("pcf", "typecheck"), "(" * 60_000 + "z" + ")" * 60_000),
+    (("imp", "run"), "x := " + "(" * 60_000 + "1" + ")" * 60_000),
+], ids=["pcf-run", "pcf-typecheck", "imp-run"])
+def test_programs_nested_too_deeply_to_parse_exit_two(capsys, cmd, src):
+    code, out, err = run(capsys, *cmd, "-e", src)
+    assert (code, out, err) == (2, "", "error: parse: program nested too deeply\n")
+
+
+def test_python_dash_m_runs_the_dispatcher():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    for module in ("bigstop", "bigstop.cli"):
+        r = subprocess.run(
+            [sys.executable, "-m", module, "pcf", "run", "-e", "eff[a] s(z)"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (r.returncode, r.stdout) == (0, "s(z) | a\n"), (module, r.stderr)
+
+
 def test_parse_errors_are_usage_errors(capsys):
     code, _, err = run(capsys, "pcf", "run", "--sem", "small", "-e", "((((")
     assert code == 2
@@ -244,6 +278,13 @@ def test_imp_freeze_reports_both_outcomes(capsys):
     assert (code, out) == (0, "{x=1} | frozen\n")
     code, out, _ = run(capsys, "imp", "run", "--sem", "freeze", "--budget", "9", *COUNTDOWN)
     assert (code, out) == (0, "{x=0} | finished\n")
+
+
+@pytest.mark.parametrize("init", ["x y=2", "while=3", "=4", "x=1,x=2", "1x=1", "x-y=1"])
+def test_imp_init_names_a_program_cannot_use_are_usage_errors(capsys, init):
+    code, out, err = run(capsys, "imp", "run", "--init", init, "-e", "skip")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: parse: ")
 
 
 ### fuzz command

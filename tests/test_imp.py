@@ -101,6 +101,13 @@ def test_initial_store_syntax():
     assert parse_init("") == ()
 
 
+def test_initial_store_rejects_names_a_program_cannot_use():
+    assert parse_init(" _a1 = 3 , b=-1") == (("_a1", 3), ("b", -1))
+    for bad in ("x y=2", "while=3", "skip=1", "=4", "x=1,x=2", "é=1", "x=abc", "x="):
+        with pytest.raises(ImpParseError):
+            parse_init(bad)
+
+
 ### small step
 
 def test_only_skip_is_terminal():

@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from bigstop.bigstop import bigstop_eval
 from bigstop.syntax import (
     App,
     Case,
@@ -172,6 +175,48 @@ def test_subst_rejects_open_replacements():
 def test_subst_rejects_non_values():
     with pytest.raises(SubstOpenValue):
         subst(Var("x"), {"x": App(ID, Zero())})
+
+
+def test_subst_rejects_an_open_function_every_time():
+    # a term remembers its closedness, so asking first, or substituting
+    # twice, must not let an open function through later
+    open_fn = parse_expr("fun f(y) => x")
+    assert not open_fn.closed
+    for value in (open_fn, open_fn, Succ(Succ(open_fn))):
+        with pytest.raises(SubstOpenValue):
+            subst(Var("v"), {"v": value})
+    assert ID.closed
+    assert subst(Var("v"), {"v": ID}) == ID
+    assert subst(Var("v"), {"v": ID}) == ID
+
+
+def test_closedness_is_the_absence_of_free_variables():
+    for src in ("z", "fun f(x) => f x", "fun f(x) => y", "case x { z => z | s(n) => n }",
+                "let t = z in t", "let t = z in u", "fun _(x) => eff[a] x"):
+        e = parse_expr(src)
+        assert e.closed == (not free_vars(e)), src
+
+
+def _free_vars_calls_in_omega(budget):
+    omega = parse_expr("(fun f(x) => eff[t] f x) z")
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code is free_vars.__code__
+
+    sys.setprofile(count)
+    try:
+        r = bigstop_eval(omega, budget)
+    finally:
+        sys.setprofile(None)
+    assert len(r.trace) == budget // 2
+    return calls
+
+
+def test_closedness_of_a_function_is_walked_once_not_per_beta_step():
+    # omega substitutes the same function value on every beta step
+    assert _free_vars_calls_in_omega(1_000) == _free_vars_calls_in_omega(2_000)
 
 
 ### alpha equivalence
