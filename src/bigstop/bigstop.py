@@ -184,12 +184,19 @@ def _stop(e: Expr, b: Budget, log: list) -> Derivation:
     raise StuckError(e)
 
 
+def _nodes(d: Derivation):
+    """Every node of d, with an explicit stack, so any depth walks."""
+    todo = [d]
+    while todo:
+        d = todo.pop()
+        yield d
+        todo += d.premises
+
+
 def is_progressing(d: Derivation) -> bool:
     """True iff some node performs work, i.e. is neither a stop nor a
     value side condition."""
-    if d.rule != "Val" and stop_k(d.rule) is None:
-        return True
-    return any(is_progressing(p) for p in d.premises)
+    return any(n.rule != "Val" and stop_k(n.rule) is None for n in _nodes(d))
 
 
 ### checking derivations
@@ -498,9 +505,7 @@ def is_strict(d: Derivation) -> bool:
     through big-step form: on checker-valid trees a stop node with a value
     right-hand side can only be St-Stop(0) or a Succ congruence.
     """
-    if stop_k(d.rule) is not None and not is_value(d.rhs):
-        return False
-    return all(is_strict(p) for p in d.premises)
+    return all(stop_k(n.rule) is None or is_value(n.rhs) for n in _nodes(d))
 
 
 _TO_BIGSTEP = {
@@ -635,7 +640,13 @@ def compose(d1: Derivation, d2: Derivation) -> Derivation:
 _IDENTITY = Lam("_", "x", Var("x"))
 
 
-def _placeholder(demand: str) -> Expr:
+def _placeholder(demand: str | Expr) -> Expr:
+    """A cut position's value; an unresolved demand is the run's own term."""
+    if isinstance(demand, Expr):
+        try:
+            demand = "fn" if isinstance(infer_type(demand), ArrowT) else "nat"
+        except TypeFailure:
+            demand = "nat"
     return _IDENTITY if demand == "fn" else Zero()
 
 
@@ -644,14 +655,12 @@ def annihilator_derivation(e: Expr, budget: int, demand: str | None = None) -> D
 
     When the budget dies mid-run the lazy stop rule closes every pending
     position with a placeholder value and the trace ends in the cut-off
-    marker, absorbing everything that would have followed.
+    marker, absorbing everything that would have followed.  A cut at a tail
+    position (case branch, application or effect body) meets `demand`, by
+    default fn if e's type is an arrow, else nat; that type is inferred only
+    when such a cut happens, so at most once a run.
     """
-    if demand is None:
-        try:
-            demand = "fn" if isinstance(infer_type(e), ArrowT) else "nat"
-        except TypeFailure:
-            demand = "nat"
-    return _ann(e, Budget(budget), demand, [])
+    return _ann(e, Budget(budget), e if demand is None else demand, [])
 
 
 def annihilator_eval(e: Expr, budget: int):
@@ -660,7 +669,7 @@ def annihilator_eval(e: Expr, budget: int):
     return d.rhs, AnnTrace(tuple(d.trace.prefix), d.trace.annihilated)
 
 
-def _ann(e: Expr, b: Budget, demand: str, log: list) -> Derivation:
+def _ann(e: Expr, b: Budget, demand: str | Expr, log: list) -> Derivation:
     if is_value(e):
         return Derivation("StA-Val", e, e, ANN_EMPTY, ())
     if b.remaining == 0:

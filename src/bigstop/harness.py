@@ -654,8 +654,11 @@ def _three_way_mismatch(e, fuel):
 
 def _progress_violation(e, fuel):
     ty0 = principal_type(e)
-    for i, mid in enumerate(step_trace(e, fuel)):
-        if not is_value(mid) and small_step(mid) is None:
+    trajectory = step_trace(e, fuel)
+    last = len(trajectory) - 1
+    for i, mid in enumerate(trajectory):
+        # step_trace has stepped every point but the last
+        if i == last and not is_value(mid) and small_step(mid) is None:
             return ("a step from every non-value intermediate",
                     f"no step at index {i}: {print_expr(mid)}")
         if not types_unifiable(ty0, principal_type(mid)):

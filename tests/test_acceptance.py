@@ -120,8 +120,11 @@ def test_02_all_three_engines_agree_on_generated_terms(generated):
 def test_03_progress_and_preservation_on_generated_terms(generated):
     for e in generated:
         ty0 = principal_type(e)
-        for i, mid in enumerate(step_trace(e, 64)):
-            if not is_value(mid):
+        trajectory = step_trace(e, 64)
+        last = len(trajectory) - 1
+        for i, mid in enumerate(trajectory):
+            # step_trace has stepped every point but the last
+            if i == last and not is_value(mid):
                 assert small_step(mid) is not None, f"{print_expr(mid)} at {i}"
             assert types_unifiable(ty0, principal_type(mid)), (
                 f"{print_expr(e)} lost its type at step {i}"

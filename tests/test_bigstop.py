@@ -8,12 +8,16 @@ import tracemalloc
 
 import pytest
 
+import bigstop.bigstop
 from bigstop import (
     AnnTrace,
+    ArrowT,
     ComposeMismatch,
     Lam,
     NotStrict,
     StuckError,
+    Succ,
+    TypeFailure,
     Var,
     Zero,
     annihilator_derivation,
@@ -29,6 +33,7 @@ from bigstop import (
     derivation_to_json_str,
     ec_bigstop_eval,
     enumerate_exprs,
+    infer_type,
     is_progressing,
     is_strict,
     mnf_bigstop_eval,
@@ -319,6 +324,45 @@ def test_annihilator_derivation_checks():
     assert check_derivation(d, dialect="annihilator") is None
 
 
+def _demand_of(e):
+    try:
+        return "fn" if isinstance(infer_type(e), ArrowT) else "nat"
+    except TypeFailure:
+        return "nat"
+
+
+def test_the_default_demand_is_the_inferred_one():
+    for e in enumerate_exprs(5):
+        d = _demand_of(e)
+        for budget in range(11):
+            assert annihilator_derivation(e, budget) == annihilator_derivation(
+                e, budget, demand=d), (print_expr(e), budget)
+
+
+@pytest.fixture
+def inferences(monkeypatch):
+    calls = []
+
+    def counted(e):
+        calls.append(e)
+        return infer_type(e)
+
+    monkeypatch.setattr(bigstop.bigstop, "infer_type", counted)
+    return calls
+
+
+def test_runs_that_reach_a_value_infer_no_type(inferences):
+    annihilator_derivation(parse_expr("z"), 0)
+    annihilator_derivation(parse_expr("eff[a] eff[b] z"), 2)
+    assert inferences == []
+
+
+def test_a_cut_at_the_top_demand_infers_once(inferences):
+    out, _ = annihilator_eval(parse_expr("(fun f(x) => x) (fun g(y) => y)"), 0)
+    assert out == Lam("_", "x", Var("x"))
+    assert len(inferences) == 1
+
+
 ### context-threading dialect
 
 def test_ec_budget_zero_stops_even_on_values():
@@ -542,12 +586,20 @@ def test_derivations_deeper_than_the_recursion_limit_check():
     plain = bigstop_eval(LOOP, 3000).derivation
     mnf = mnf_bigstop_eval(to_mnf(LOOP), 3000).derivation
     assert min(_depth(plain), _depth(mnf)) > 2000
+    chain = parse_expr("(fun f(x) => x) z")
+    for _ in range(3000):
+        chain = Succ(chain)
+    stop1 = bigstop_eval(chain, 1).derivation  # 3,000 St-Stop(1) over one beta
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
         plain_verdict = check_derivation(plain)
         mnf_verdict = check_derivation(mnf, dialect="mnf")
+        plain_strict = is_strict(plain)
+        progressing = is_progressing(stop1)
     finally:
         sys.setrecursionlimit(limit)
     assert plain_verdict is None
     assert mnf_verdict is None
+    assert plain_strict is False  # cut off inside the loop
+    assert progressing is True
