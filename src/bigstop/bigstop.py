@@ -673,8 +673,7 @@ def _ann(e: Expr, b: Budget, demand: str | Expr, log: list) -> Derivation:
     if is_value(e):
         return Derivation("StA-Val", e, e, ANN_EMPTY, ())
     if b.remaining == 0:
-        v = _placeholder(demand)
-        return Derivation("StA-Stop", e, v, ANN_ZERO, (val_leaf(v),))
+        return _cut(e, demand)
     match e:
         case Succ(body):
             p = _ann(body, b, "nat", log)
@@ -683,16 +682,12 @@ def _ann(e: Expr, b: Budget, demand: str | Expr, log: list) -> Derivation:
             ps = _ann(sc, b, "nat", log)
             v = ps.rhs
             if isinstance(v, Zero):
-                if b.remaining:
-                    b.spend()
-                pb = _ann(zb, b, demand, log)
+                pb = _contract(zb, b, demand, log)
                 return Derivation(
                     "StA-CaseZ", e, pb.rhs, ann_concat(ps.trace, pb.trace), (ps, pb)
                 )
             if isinstance(v, Succ):
-                if b.remaining:
-                    b.spend()
-                pb = _ann(subst(sb, {xv: v.body}), b, demand, log)
+                pb = _contract(subst(sb, {xv: v.body}), b, demand, log)
                 return Derivation(
                     "StA-CaseS", e, pb.rhs, ann_concat(ps.trace, pb.trace),
                     (ps, val_leaf(v.body), pb),
@@ -704,9 +699,7 @@ def _ann(e: Expr, b: Budget, demand: str | Expr, log: list) -> Derivation:
             f = p1.rhs
             if not isinstance(f, Lam):
                 raise StuckError(App(f, p2.rhs))
-            if b.remaining:
-                b.spend()
-            pb = _ann(subst(f.body, {f.self_var: f, f.param: p2.rhs}), b, demand, log)
+            pb = _contract(subst(f.body, {f.self_var: f, f.param: p2.rhs}), b, demand, log)
             return Derivation(
                 "StA-App", e, pb.rhs,
                 ann_concat_all(p1.trace, p2.trace, pb.trace),
@@ -720,6 +713,20 @@ def _ann(e: Expr, b: Budget, demand: str | Expr, log: list) -> Derivation:
         case Var() | Let():
             raise StuckError(e)
     raise StuckError(e)
+
+
+def _cut(e: Expr, demand: str | Expr) -> Derivation:
+    v = _placeholder(demand)
+    return Derivation("StA-Stop", e, v, ANN_ZERO, (val_leaf(v),))
+
+
+def _contract(e: Expr, b: Budget, demand: str | Expr, log: list) -> Derivation:
+    """Pay for a contraction and run the branch or body e it leads to; with
+    no budget left to pay, e is cut, even when it is a value."""
+    if b.remaining == 0:
+        return _cut(e, demand)
+    b.spend()
+    return _ann(e, b, demand, log)
 
 
 ### the evaluation-context dialect

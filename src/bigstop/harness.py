@@ -34,7 +34,6 @@ from .syntax import (
     Eff,
     Expr,
     Lam,
-    Let,
     Succ,
     Var,
     Zero,
@@ -42,6 +41,8 @@ from .syntax import (
     expr_size,
     is_value,
     print_expr,
+    rebuild,
+    scoped_children,
 )
 from .traces import format_trace
 from .typecheck import ArrowT, NatT, principal_type, types_unifiable, well_typed
@@ -356,39 +357,7 @@ def _show(t) -> str:
 ### shrinking
 
 
-def _children(e: Expr):
-    match e:
-        case Succ(b) | Lam(_, _, b) | Eff(_, b):
-            return (b,)
-        case App(f, a):
-            return (f, a)
-        case Case(zb, _, sb, sc):
-            return (zb, sb, sc)
-        case Let(_, b1, b2):
-            return (b1, b2)
-    return ()
-
-
-def _with_child(e: Expr, i: int, c: Expr) -> Expr:
-    match e:
-        case Succ(_):
-            return Succ(c)
-        case Lam(f, x, _):
-            return Lam(f, x, c)
-        case Eff(lab, _):
-            return Eff(lab, c)
-        case App(fn, a):
-            return App(c, a) if i == 0 else App(fn, c)
-        case Case(zb, xv, sb, sc):
-            parts = [zb, sb, sc]
-            parts[i] = c
-            return Case(parts[0], xv, parts[1], parts[2])
-        case Let(x, b1, b2):
-            return Let(x, c, b2) if i == 0 else Let(x, b1, c)
-    raise TypeError(f"no children: {e!r}")
-
-
-def _shrink(t, still_fails, leaf, children, with_child):
+def _shrink(t, still_fails, leaf, children, rebuild):
     """Greedy shrinking: the first subterm, in preorder, whose replacement by
     leaf still fails is replaced, and the walk starts over on the smaller
     term until no replacement fails.  Every candidate is re-checked; one
@@ -404,7 +373,9 @@ def _shrink(t, still_fails, leaf, children, with_child):
                 cand, z = leaf, up
                 while z is not None:
                     parent, i, z = z
-                    cand = with_child(parent, i, cand)
+                    kids = list(children(parent))
+                    kids[i] = cand
+                    cand = rebuild(parent, kids)
                 try:
                     bad = still_fails(cand)
                 except Exception:
@@ -420,7 +391,7 @@ def _shrink(t, still_fails, leaf, children, with_child):
 
 def shrink_expr(e: Expr, still_fails) -> Expr:
     """Greedy subterm-to-z shrinking; every candidate is re-checked."""
-    return _shrink(e, still_fails, Zero(), _children, _with_child)
+    return _shrink(e, still_fails, Zero(), lambda e: [k for k, _ in scoped_children(e)], rebuild)
 
 
 def _stmt_children(s):
@@ -435,20 +406,21 @@ def _stmt_children(s):
     return ()
 
 
-def _stmt_with_child(s, i, c):
+def _stmt_rebuild(s, kids):
     match s:
-        case imp.SeqS(a, b):
-            return imp.SeqS(a, c) if i == 0 else imp.SeqS(c, b)
+        case imp.SeqS():
+            b, a = kids  # in _stmt_children's order
+            return imp.SeqS(a, b)
         case imp.If(g, _):
-            return imp.If(g, c)
+            return imp.If(g, *kids)
         case imp.While(g, _):
-            return imp.While(g, c)
+            return imp.While(g, *kids)
     raise TypeError(f"no children: {s!r}")
 
 
 def shrink_stmt(s, still_fails):
     """Greedy sub-statement-to-skip shrinking; every candidate is re-checked."""
-    return _shrink(s, still_fails, imp.Skip(), _stmt_children, _stmt_with_child)
+    return _shrink(s, still_fails, imp.Skip(), _stmt_children, _stmt_rebuild)
 
 
 ### IMP program pools

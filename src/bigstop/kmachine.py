@@ -75,6 +75,7 @@ def halted(s: MachineState) -> bool:
 _SUCC = SuccF()
 
 
+# hand-written frames, not read off the syntax table: engines stay independent
 def _move(mode: Mode, stack: list, e: Expr):
     """One transition on a list stack, updated in place: (mode, expr, label).
 

@@ -16,7 +16,7 @@ from .bigstop import (
 )
 from .syntax import (
     App, BLANK, Case, Eff, Expr, Lam, Let, Succ, Var, Zero,
-    all_names, check_mnf, free_vars, is_value, subst,
+    all_names, check_mnf, free_vars, is_value, rebuild, scoped_children, subst,
 )
 from .smallstep import MultiResult, RunStatus, StepResult
 from .traces import emit
@@ -37,6 +37,7 @@ def to_mnf(e: Expr) -> Expr:
                 used.add(name)
                 return name
 
+    # hand-written, not read off the syntax table: each constructor is sequenced its own way
     def norm(e: Expr) -> Expr:
         match e:
             case Var() | Zero():
@@ -71,22 +72,9 @@ def to_mnf(e: Expr) -> Expr:
 
 def let_erase(e: Expr) -> Expr:
     """Inline every let back out; left inverse of to_mnf."""
-    match e:
-        case Var() | Zero():
-            return e
-        case Succ(b):
-            return Succ(let_erase(b))
-        case Eff(l, b):
-            return Eff(l, let_erase(b))
-        case Lam(f, x, b):
-            return Lam(f, x, let_erase(b))
-        case App(f, a):
-            return App(let_erase(f), let_erase(a))
-        case Case(zb, xv, sb, sc):
-            return Case(let_erase(zb), xv, let_erase(sb), let_erase(sc))
-        case Let(x, e1, b):
-            return _inline(let_erase(b), x, let_erase(e1))
-    raise TypeError(f"not an expression: {e!r}")
+    if isinstance(e, Let):
+        return _inline(let_erase(e.body), e.var, let_erase(e.bound))
+    return rebuild(e, [let_erase(kid) for kid, _ in scoped_children(e)])
 
 
 def _inline(e: Expr, name: str, repl: Expr) -> Expr:
@@ -108,19 +96,11 @@ def _inline(e: Expr, name: str, repl: Expr) -> Expr:
         match e:
             case Var(x):
                 return repl if x == name else e
-            case Zero():
-                return e
-            case Succ(b):
-                return Succ(go(b))
-            case Eff(l, b):
-                return Eff(l, go(b))
-            case App(f, a):
-                return App(go(f), go(a))
             case Lam(f, x, b):
                 if name in (f, x):
                     return e
                 if f in fv or x in fv:
-                    taken = all_names(b) | free_vars(b)
+                    taken = all_names(b)
                     f2 = freshen(f, taken) if f in fv and f != BLANK else f
                     b = b if f2 == f else _rename(b, f, f2)
                     x2 = freshen(x, taken | {f2}) if x in fv and x != BLANK else x
@@ -132,7 +112,7 @@ def _inline(e: Expr, name: str, repl: Expr) -> Expr:
                 if name == xv:
                     return Case(zb2, xv, sb, sc2)
                 if xv in fv and xv != BLANK:
-                    xv2 = freshen(xv, all_names(sb) | free_vars(sb))
+                    xv2 = freshen(xv, all_names(sb))
                     sb = _rename(sb, xv, xv2)
                     xv = xv2
                 return Case(zb2, xv, go(sb), sc2)
@@ -141,11 +121,12 @@ def _inline(e: Expr, name: str, repl: Expr) -> Expr:
                 if name == x:
                     return Let(x, e12, b)
                 if x in fv and x != BLANK:
-                    x2 = freshen(x, all_names(b) | free_vars(b))
+                    x2 = freshen(x, all_names(b))
                     b = _rename(b, x, x2)
                     x = x2
                 return Let(x, e12, go(b))
-        raise TypeError(f"not an expression: {e!r}")
+        # a node that binds nothing: substitute in each subterm
+        return rebuild(e, [go(kid) for kid, _ in scoped_children(e)])
 
     return go(e)
 

@@ -52,6 +52,7 @@ class AppArgC(EvalContext):
     arg: EvalContext
 
 
+# hand-written, like decompose, not read off the syntax table: engines stay independent
 def plug(ctx: EvalContext, e: Expr) -> Expr:
     match ctx:
         case Hole():

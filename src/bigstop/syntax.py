@@ -81,6 +81,42 @@ class Let(Expr):
     body: Expr
 
 
+# The one table of subterms and binders.  For each constructor: its
+# immediate subterms in field order, each paired with the binder names (as
+# written, `_` included) that the node scopes over it, and how to put the
+# node back together from new subterms.
+_SHAPES = {
+    Var: (lambda e: (), lambda e, kids: e),
+    Zero: (lambda e: (), lambda e, kids: e),
+    Succ: (lambda e: ((e.body, ()),), lambda e, kids: Succ(*kids)),
+    Eff: (lambda e: ((e.body, ()),), lambda e, kids: Eff(e.label, *kids)),
+    Lam: (
+        lambda e: ((e.body, (e.self_var, e.param)),),
+        lambda e, kids: Lam(e.self_var, e.param, *kids),
+    ),
+    App: (lambda e: ((e.fn, ()), (e.arg, ())), lambda e, kids: App(*kids)),
+    Case: (
+        lambda e: ((e.zero_branch, ()), (e.succ_branch, (e.succ_var,)), (e.scrutinee, ())),
+        lambda e, kids: Case(kids[0], e.succ_var, kids[1], kids[2]),
+    ),
+    Let: (lambda e: ((e.bound, ()), (e.body, (e.var,))), lambda e, kids: Let(e.var, *kids)),
+}
+
+
+def scoped_children(e: Expr) -> tuple:
+    """Each immediate subterm of e in field order, with the names e binds in
+    it: a function binds its self name and parameter in its body, a case
+    its variable in the successor branch only, a let its variable in its
+    body only."""
+    return _SHAPES[type(e)][0](e)
+
+
+def rebuild(e: Expr, kids) -> Expr:
+    """e with its immediate subterms, in field order, replaced by kids."""
+    return _SHAPES[type(e)][1](e, kids)
+
+
+# hand-written, not read off the table: what makes a value is per constructor
 def is_value(e: Expr) -> bool:
     while isinstance(e, Succ):
         e = e.body
@@ -104,39 +140,25 @@ def numeral_value(e: Expr):
 
 
 def expr_size(e: Expr) -> int:
-    match e:
-        case Var() | Zero():
-            return 1
-        case Succ(b) | Eff(_, b) | Lam(_, _, b):
-            return 1 + expr_size(b)
-        case App(f, a):
-            return 1 + expr_size(f) + expr_size(a)
-        case Case(zb, _, sb, sc):
-            return 1 + expr_size(zb) + expr_size(sb) + expr_size(sc)
-        case Let(_, e1, b):
-            return 1 + expr_size(e1) + expr_size(b)
-    raise TypeError(f"not an expression: {e!r}")
+    size, todo = 0, [e]
+    while todo:
+        size += 1
+        for kid, _ in scoped_children(todo.pop()):
+            todo.append(kid)
+    return size
 
 
 def free_vars(e: Expr) -> frozenset:
-    match e:
-        case Var(x):
-            return frozenset() if x == BLANK else frozenset({x})
-        case Zero():
-            return frozenset()
-        case Succ(b) | Eff(_, b):
-            return free_vars(b)
-        case Lam(f, x, b):
-            return free_vars(b) - {n for n in (f, x) if n != BLANK}
-        case App(f, a):
-            return free_vars(f) | free_vars(a)
-        case Case(zb, xv, sb, sc):
-            sb_free = free_vars(sb) - ({xv} if xv != BLANK else set())
-            return free_vars(zb) | sb_free | free_vars(sc)
-        case Let(x, e1, b):
-            b_free = free_vars(b) - ({x} if x != BLANK else set())
-            return free_vars(e1) | b_free
-    raise TypeError(f"not an expression: {e!r}")
+    out: set = set()
+    todo = [(e, frozenset())]
+    while todo:
+        e, bound = todo.pop()
+        if isinstance(e, Var) and e.name not in bound:
+            out.add(e.name)
+        for kid, names in scoped_children(e):
+            todo.append((kid, bound.union(names) if names else bound))
+    out.discard(BLANK)
+    return frozenset(out)
 
 
 class SubstOpenValue(Exception):
@@ -164,6 +186,7 @@ def subst(e: Expr, mapping: dict) -> Expr:
     return _subst(e, mapping)
 
 
+# hand-written, not read off the table: it has the top self time on gen-pool
 def _subst(e: Expr, m: dict) -> Expr:
     if not m:
         return e
@@ -192,33 +215,14 @@ def _subst(e: Expr, m: dict) -> Expr:
 
 def all_names(e: Expr) -> set:
     """Every variable or binder name occurring anywhere in e."""
-    out: set = set()
-
-    def walk(e: Expr) -> None:
-        match e:
-            case Var(x):
-                out.add(x)
-            case Zero():
-                pass
-            case Succ(b) | Eff(_, b):
-                walk(b)
-            case Lam(f, x, b):
-                out.update((f, x))
-                walk(b)
-            case App(f, a):
-                walk(f)
-                walk(a)
-            case Case(zb, xv, sb, sc):
-                out.add(xv)
-                walk(zb)
-                walk(sb)
-                walk(sc)
-            case Let(x, e1, b):
-                out.add(x)
-                walk(e1)
-                walk(b)
-
-    walk(e)
+    out, todo = set(), [e]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, Var):
+            out.add(e.name)
+        for kid, names in scoped_children(e):
+            out.update(names)
+            todo.append(kid)
     out.discard(BLANK)
     return out
 
@@ -230,57 +234,38 @@ def alpha_eq(a: Expr, b: Expr) -> bool:
     a term that actually references the other side's binder cannot be
     alpha-equal to one whose binder is `_`.
     """
-
-    def go(a, b, env_a, env_b, depth):
-        match a, b:
-            case Var(x), Var(y):
-                return env_a.get(x, ("free", x)) == env_b.get(y, ("free", y))
-            case Zero(), Zero():
-                return True
-            case Succ(ba), Succ(bb):
-                return go(ba, bb, env_a, env_b, depth)
-            case Eff(la, ba), Eff(lb, bb):
-                return la == lb and go(ba, bb, env_a, env_b, depth)
-            case Lam(fa, xa, ba), Lam(fb, xb, bb):
-                ea, eb, depth = _bind2(env_a, env_b, (fa, fb), (xa, xb), depth)
-                return go(ba, bb, ea, eb, depth)
-            case App(fa, aa), App(fb, ab):
-                return go(fa, fb, env_a, env_b, depth) and go(aa, ab, env_a, env_b, depth)
-            case Case(za, xa, sa, ca), Case(zb, xb, sb, cb):
-                if not go(za, zb, env_a, env_b, depth):
-                    return False
-                if not go(ca, cb, env_a, env_b, depth):
-                    return False
-                ea, eb, depth = _bind2(env_a, env_b, (xa, xb), None, depth)
-                return go(sa, sb, ea, eb, depth)
-            case Let(xa, ea1, ba), Let(xb, eb1, bb):
-                if not go(ea1, eb1, env_a, env_b, depth):
-                    return False
-                ea, eb, depth = _bind2(env_a, env_b, (xa, xb), None, depth)
-                return go(ba, bb, ea, eb, depth)
-        return False
-
-    return go(a, b, {}, {}, 0)
-
-
-def _bind2(env_a, env_b, pair1, pair2, depth):
-    env_a, env_b = dict(env_a), dict(env_b)
-    for pair in (pair1, pair2):
-        if pair is None:
-            continue
-        na, nb = pair
-        if na != BLANK:
-            env_a[na] = ("bound", depth)
-        if nb != BLANK:
-            env_b[nb] = ("bound", depth)
-        # a blank on one side leaves that name resolving as free, which is
-        # exactly what makes Lam(f,..) vs Lam(_,..) differ when f is used
-        depth += 1
-    return env_a, env_b, depth
+    # each side maps a bound name to the number of the binder pair that
+    # bound it; a free name stands for itself
+    todo = [(a, b, {}, {})]
+    pairs = 0
+    while todo:
+        a, b, env_a, env_b = todo.pop()
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, Var):
+            if env_a.get(a.name, a.name) != env_b.get(b.name, b.name):
+                return False
+        elif isinstance(a, Eff) and a.label != b.label:
+            return False
+        for (kid_a, names_a), (kid_b, names_b) in zip(scoped_children(a), scoped_children(b)):
+            ea, eb = env_a, env_b
+            if names_a:
+                ea, eb = dict(env_a), dict(env_b)
+                for x, y in zip(names_a, names_b):
+                    pairs += 1
+                    # a blank on one side leaves that name resolving as
+                    # before, so Lam(f, ..) and Lam(_, ..) differ when f is used
+                    if x != BLANK:
+                        ea[x] = pairs
+                    if y != BLANK:
+                        eb[y] = pairs
+            todo.append((kid_a, kid_b, ea, eb))
+    return True
 
 
 ### monadic normal form grammar
 
+# hand-written, not read off the table: the MNF grammar is per constructor
 def is_mnf_value(e: Expr) -> bool:
     """Value according to the MNF grammar (variables count as values)."""
     match e:
@@ -501,6 +486,7 @@ def parse_expr(src: str) -> Expr:
     return e
 
 
+# hand-written, like the parser: the concrete syntax is per constructor
 def print_expr(e: Expr) -> str:
     match e:
         case Var(x):

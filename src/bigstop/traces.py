@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 Trace = tuple[str, ...]
 
-EMPTY: Trace = ()
-
 ANNIHILATOR = "0"  # reserved; never a legal label
 
 
@@ -25,10 +23,6 @@ def check_label(label: str) -> str:
     if label == ANNIHILATOR or label == "" or "·" in label:
         raise BadLabel(f"illegal effect label {label!r}")
     return label
-
-
-def concat(a: Trace, b: Trace) -> Trace:
-    return a + b
 
 
 class Span:
@@ -136,10 +130,6 @@ class AnnTrace:
 
 ANN_EMPTY = AnnTrace((), False)
 ANN_ZERO = AnnTrace((), True)
-
-
-def ann_of(t: Trace) -> AnnTrace:
-    return AnnTrace(t, False)
 
 
 def ann_concat(a: AnnTrace, b: AnnTrace) -> AnnTrace:

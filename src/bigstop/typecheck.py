@@ -145,6 +145,7 @@ def _default(t: Type) -> Type:
             return t
 
 
+# hand-written, not read off the syntax table: each constructor has its own typing rule
 def _infer(e: Expr, env: dict) -> Type:
     match e:
         case Var(x):

@@ -3,7 +3,6 @@ and the two alternate dialects (annihilator traces, context-threading)."""
 
 import dataclasses
 import json
-import sys
 import tracemalloc
 
 import pytest
@@ -15,6 +14,7 @@ from bigstop import (
     ComposeMismatch,
     Lam,
     NotStrict,
+    RunStatus,
     StuckError,
     Succ,
     TypeFailure,
@@ -363,6 +363,26 @@ def test_a_cut_at_the_top_demand_infers_once(inferences):
     assert len(inferences) == 1
 
 
+def test_annihilator_cuts_exactly_the_runs_the_budget_cuts():
+    # the budget pays for one contraction, so the beta step's body is cut
+    # although it is a value
+    out, tr = annihilator_eval(parse_expr("(eff[a] fun a(b) => z) z"), 1)
+    assert (out, str(tr)) == (Zero(), "a·0")
+    for e in enumerate_exprs(6):
+        for budget in range(11):
+            m = multi_step(e, budget)
+            if m.status is RunStatus.STUCK:
+                with pytest.raises(StuckError):
+                    annihilator_eval(e, budget)
+                continue
+            out, tr = annihilator_eval(e, budget)
+            where = (print_expr(e), budget)
+            assert tr.annihilated == (m.status is not RunStatus.REACHED_VALUE), where
+            assert tr.prefix == m.trace, where
+            if not tr.annihilated:
+                assert out == m.final, where
+
+
 ### context-threading dialect
 
 def test_ec_budget_zero_stops_even_on_values():
@@ -582,7 +602,7 @@ def _depth(d):
     return depth
 
 
-def test_derivations_deeper_than_the_recursion_limit_check():
+def test_derivations_deeper_than_the_recursion_limit_check(at_recursion_limit_1000):
     plain = bigstop_eval(LOOP, 3000).derivation
     mnf = mnf_bigstop_eval(to_mnf(LOOP), 3000).derivation
     assert min(_depth(plain), _depth(mnf)) > 2000
@@ -590,16 +610,13 @@ def test_derivations_deeper_than_the_recursion_limit_check():
     for _ in range(3000):
         chain = Succ(chain)
     stop1 = bigstop_eval(chain, 1).derivation  # 3,000 St-Stop(1) over one beta
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        plain_verdict = check_derivation(plain)
-        mnf_verdict = check_derivation(mnf, dialect="mnf")
-        plain_strict = is_strict(plain)
-        progressing = is_progressing(stop1)
-    finally:
-        sys.setrecursionlimit(limit)
-    assert plain_verdict is None
-    assert mnf_verdict is None
-    assert plain_strict is False  # cut off inside the loop
-    assert progressing is True
+    got = at_recursion_limit_1000(
+        plain_verdict=lambda: check_derivation(plain),
+        mnf_verdict=lambda: check_derivation(mnf, dialect="mnf"),
+        plain_strict=lambda: is_strict(plain),
+        progressing=lambda: is_progressing(stop1),
+    )
+    assert got["plain_verdict"] is None
+    assert got["mnf_verdict"] is None
+    assert got["plain_strict"] is False  # cut off inside the loop
+    assert got["progressing"] is True

@@ -14,6 +14,7 @@ from bigstop.syntax import (
     SubstOpenValue,
     Var,
     Zero,
+    all_names,
     alpha_eq,
     check_mnf,
     expr_size,
@@ -153,6 +154,15 @@ def test_free_vars():
     assert free_vars(ID) == frozenset()
 
 
+def test_binders_scope_over_their_body_only():
+    # a let's variable is not bound in what it is bound to
+    assert free_vars(parse_expr("let x = x in x")) == {"x"}
+    # a case variable is bound in the successor branch only
+    assert free_vars(parse_expr("case x { z => z | s(x) => x }")) == {"x"}
+    assert free_vars(parse_expr("case z { z => x | s(x) => x }")) == {"x"}
+    assert free_vars(parse_expr("case z { z => z | s(x) => x }")) == frozenset()
+
+
 def test_subst_replaces_free_occurrences():
     e = parse_expr("f x")
     assert subst(e, {"f": ID, "x": Zero()}) == App(ID, Zero())
@@ -241,6 +251,72 @@ def test_alpha_eq_case_binder():
     a = parse_expr("case z { z => z | s(n) => n }")
     b = parse_expr("case z { z => z | s(m) => m }")
     assert alpha_eq(a, b)
+
+
+def test_alpha_eq_let_binder():
+    assert alpha_eq(parse_expr("let x = x in x"), parse_expr("let y = x in y"))
+    assert not alpha_eq(parse_expr("let x = x in x"), parse_expr("let y = y in y"))
+    assert not alpha_eq(parse_expr("let x = z in x"), parse_expr("let y = z in x"))
+
+
+def test_alpha_eq_compares_effect_labels():
+    assert alpha_eq(parse_expr("eff[a] z"), parse_expr("eff[a] z"))
+    assert not alpha_eq(parse_expr("eff[a] z"), parse_expr("eff[b] z"))
+
+
+def test_alpha_eq_wildcard_on_one_side_only():
+    # the other side uses the name its binder binds; the wildcard's side
+    # leaves the same name free
+    for blank, named in (("fun _(x) => f", "fun f(x) => f"),
+                         ("let _ = z in t", "let t = z in t"),
+                         ("case z { z => z | s(_) => n }", "case z { z => z | s(n) => n }")):
+        assert not alpha_eq(parse_expr(blank), parse_expr(named)), blank
+        assert not alpha_eq(parse_expr(named), parse_expr(blank)), named
+
+
+### every structural walker is independent of depth
+
+
+def _nest(depth, f="f", x="x", leaf=None):
+    # Lam, Case and Let in turn, each binding x over the next; y is free
+    e = Var(x) if leaf is None else leaf
+    for i in range(depth):
+        e = (Lam(f, x, e), Case(Zero(), x, e, Var("y")), Let(x, Zero(), e))[i % 3]
+    return e
+
+
+def test_walkers_handle_terms_deeper_than_the_recursion_limit(at_recursion_limit_1000):
+    deep = 10_000
+    num, nest = numeral(deep), _nest(deep)
+    got = at_recursion_limit_1000(
+        num_size=lambda: expr_size(num),
+        num_free=lambda: free_vars(num),
+        num_closed=lambda: numeral(deep).closed,
+        num_names=lambda: all_names(num),
+        num_alpha=lambda: alpha_eq(num, numeral(deep)),
+        num_alpha_not=lambda: alpha_eq(num, numeral(deep - 1)),
+        nest_size=lambda: expr_size(nest),
+        nest_free=lambda: free_vars(nest),
+        nest_closed=lambda: _nest(deep).closed,
+        nest_names=lambda: all_names(nest),
+        nest_alpha=lambda: alpha_eq(nest, _nest(deep, "g", "w")),
+        nest_alpha_not=lambda: alpha_eq(nest, _nest(deep, leaf=Var("y"))),
+    )
+    assert got == {
+        "num_size": deep + 1,
+        "num_free": frozenset(),
+        "num_closed": True,
+        "num_names": set(),
+        "num_alpha": True,
+        "num_alpha_not": False,
+        # a leaf, then 3,334 Lam nodes, 3,333 Case nodes of three and 3,333 Let nodes of two
+        "nest_size": 1 + 3_334 + 3 * 3_333 + 2 * 3_333,
+        "nest_free": {"y"},
+        "nest_closed": False,
+        "nest_names": {"f", "x", "y"},
+        "nest_alpha": True,
+        "nest_alpha_not": False,
+    }
 
 
 ### the let-free fragment checker

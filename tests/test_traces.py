@@ -8,9 +8,7 @@ from bigstop.traces import (
     Span,
     ann_concat,
     ann_concat_all,
-    ann_of,
     check_label,
-    concat,
     emit,
     format_trace,
     parse_trace,
@@ -19,11 +17,6 @@ from bigstop.traces import (
 
 def test_empty_trace_prints_as_identity():
     assert format_trace(()) == "1"
-
-
-def test_concat_in_order():
-    assert concat(("a",), ("b", "c")) == ("a", "b", "c")
-    assert concat((), ("x",)) == ("x",)
 
 
 def test_format_and_parse_round_trip():
@@ -51,24 +44,25 @@ def test_annihilated_trace_prints_trailing_zero():
 def test_zero_absorbs_everything_after_it():
     # abc0def = abc0
     abc0 = AnnTrace(("a", "b", "c"), True)
-    dEf = ann_of(("d", "e", "f"))
+    dEf = AnnTrace(("d", "e", "f"), False)
     assert ann_concat(abc0, dEf) == abc0
     assert ann_concat(abc0, ANN_ZERO) == abc0
 
 
 def test_concat_without_zero_just_appends():
-    got = ann_concat(ann_of(("a",)), ann_of(("b",)))
+    got = ann_concat(AnnTrace(("a",), False), AnnTrace(("b",), False))
     assert got == AnnTrace(("a", "b"), False)
 
 
 def test_concat_ending_in_zero_annihilates():
-    got = ann_concat(ann_of(("a",)), ANN_ZERO)
+    got = ann_concat(AnnTrace(("a",), False), ANN_ZERO)
     assert got == AnnTrace(("a",), True)
 
 
 def test_concat_all_folds_left():
     got = ann_concat_all(
-        ann_of(("a",)), ann_of(("b",)), AnnTrace(("c",), True), ann_of(("d",))
+        AnnTrace(("a",), False), AnnTrace(("b",), False),
+        AnnTrace(("c",), True), AnnTrace(("d",), False),
     )
     assert got == AnnTrace(("a", "b", "c"), True)
 
@@ -138,5 +132,5 @@ def test_annihilator_traces_over_spans():
     cut = AnnTrace(Span(LOG, 0, 2), True)
     assert cut == AnnTrace(("a", "b"), True)
     assert str(cut) == "a·b·0"
-    got = ann_concat(ann_of(Span(LOG, 0, 1)), AnnTrace(Span(LOG, 1, 2), True))
+    got = ann_concat(AnnTrace(Span(LOG, 0, 1), False), AnnTrace(Span(LOG, 1, 2), True))
     assert isinstance(got.prefix, Span) and got == AnnTrace(("a", "b"), True)
