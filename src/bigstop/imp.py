@@ -102,53 +102,70 @@ def state_get(state: tuple, name: str) -> int:
 
 
 def state_set(state: tuple, name: str, value: int) -> tuple:
-    d = dict(state)
-    d[name] = value
-    return tuple(sorted(d.items()))
+    """state with name bound to value.  state must be a canonical store,
+    sorted by name with each name once, as make_state builds it; one scan
+    finds where the pair goes, so the result is canonical too."""
+    for i, (n, _) in enumerate(state):
+        if n >= name:
+            rest = state[i + 1 :] if n == name else state[i:]
+            return state[:i] + ((name, value),) + rest
+    return state + ((name, value),)
 
 
 def config(stmt: Stmt, bindings=()) -> ImpConfig:
     return ImpConfig(stmt, make_state(bindings))
 
 
+# The engines below dispatch on `type(node) is C`, the most frequent class
+# first, rather than `match`: a positional class pattern such as
+# `case While(a, b):` costs several times an exact-class test per hit.
+
+
 def aeval(state: tuple, a: AExpr) -> int:
-    match a:
-        case Lit(v):
-            return v
-        case Ref(x):
-            return state_get(state, x)
-        case Add(l, r):
-            return aeval(state, l) + aeval(state, r)
-        case Sub(l, r):
-            return aeval(state, l) - aeval(state, r)
-        case Mul(l, r):
-            return aeval(state, l) * aeval(state, r)
+    t = type(a)
+    if t is Ref:
+        return state_get(state, a.name)
+    if t is Lit:
+        return a.value
+    if t is Sub:
+        return aeval(state, a.left) - aeval(state, a.right)
+    if t is Mul:
+        return aeval(state, a.left) * aeval(state, a.right)
+    if t is Add:
+        return aeval(state, a.left) + aeval(state, a.right)
     raise TypeError(f"not an arithmetic expression: {a!r}")
+
+
+_SKIP = Skip()  # statements compare by value, so one instance serves every engine
 
 
 ### small-step
 
 
+def _step(s: Stmt, st: tuple):
+    """One step of the statement s, which is not skip, from the store st,
+    as a (statement, store) pair."""
+    t = type(s)
+    if t is SeqS:
+        s1 = s.first
+        if type(s1) is Skip:
+            return s.second, st
+        s1, st = _step(s1, st)
+        return SeqS(s1, s.second), st
+    if t is If:
+        return (s.body if aeval(st, s.guard) != 0 else _SKIP), st
+    if t is Assign:
+        return _SKIP, state_set(st, s.name, aeval(st, s.expr))
+    if t is While:
+        return (SeqS(s.body, s) if aeval(st, s.guard) != 0 else _SKIP), st
+    raise TypeError(f"not a statement: {s!r}")
+
+
 def imp_small_step(cfg: ImpConfig):
     """One step, or None when the statement is skip."""
-    s, st = cfg.stmt, cfg.state
-    match s:
-        case Skip():
-            return None
-        case Assign(x, a):
-            return ImpConfig(Skip(), state_set(st, x, aeval(st, a)))
-        case SeqS(s1, s2):
-            if isinstance(s1, Skip):
-                return ImpConfig(s2, st)
-            sub = imp_small_step(ImpConfig(s1, st))
-            return ImpConfig(SeqS(sub.stmt, s2), sub.state)
-        case If(a, body):
-            return ImpConfig(body if aeval(st, a) != 0 else Skip(), st)
-        case While(a, body):
-            if aeval(st, a) != 0:
-                return ImpConfig(SeqS(body, s), st)
-            return ImpConfig(Skip(), st)
-    raise TypeError(f"not a statement: {s!r}")
+    if type(cfg.stmt) is Skip:
+        return None
+    return ImpConfig(*_step(cfg.stmt, cfg.state))
 
 
 class ImpStatus(enum.Enum):
@@ -165,17 +182,21 @@ class ImpMultiResult:
 
 def imp_multi_step(cfg: ImpConfig, budget: int) -> ImpMultiResult:
     check_budget(budget)
+    s, st = cfg.stmt, cfg.state
     steps = 0
-    while True:
-        if isinstance(cfg.stmt, Skip):
-            return ImpMultiResult(cfg, steps, ImpStatus.REACHED_SKIP)
+    while type(s) is not Skip:
         if steps == budget:
-            return ImpMultiResult(cfg, steps, ImpStatus.OUT_OF_BUDGET)
-        cfg = imp_small_step(cfg)
+            return ImpMultiResult(ImpConfig(s, st), steps, ImpStatus.OUT_OF_BUDGET)
+        s, st = _step(s, st)
         steps += 1
+    return ImpMultiResult(ImpConfig(s, st), steps, ImpStatus.REACHED_SKIP)
 
 
 ### big-step with fuel
+#
+# In the three engines below a sequence's second statement and a loop's
+# next turn are tail positions, taken as turns of the engine's own loop:
+# the call depth follows how deeply the statements nest, not the budget.
 
 
 @dataclass(frozen=True)
@@ -207,27 +228,30 @@ def _spend(b: Budget) -> None:
 
 
 def _beval(s: Stmt, st: tuple, b: Budget) -> tuple:
-    match s:
-        case Skip():
-            return st
-        case Assign(x, a):
-            _spend(b)
-            return state_set(st, x, aeval(st, a))
-        case SeqS(s1, s2):
-            st1 = _beval(s1, st, b)
+    while True:
+        t = type(s)
+        if t is SeqS:
+            st = _beval(s.first, st, b)
             _spend(b)  # the skip ; s2 -> s2 step
-            return _beval(s2, st1, b)
-        case If(a, body):
+            s = s.second
+        elif t is If:
             _spend(b)
-            return _beval(body, st, b) if aeval(st, a) != 0 else st
-        case While(a, body):
-            _spend(b)  # unrolling or finishing the loop
-            if aeval(st, a) == 0:
+            if aeval(st, s.guard) == 0:
                 return st
-            st1 = _beval(body, st, b)
+            s = s.body
+        elif t is Assign:
+            _spend(b)
+            return state_set(st, s.name, aeval(st, s.expr))
+        elif t is While:
+            _spend(b)  # unrolling or finishing the loop
+            if aeval(st, s.guard) == 0:
+                return st
+            st = _beval(s.body, st, b)
             _spend(b)  # the skip ; while step after the unrolled body
-            return _beval(s, st1, b)
-    raise TypeError(f"not a statement: {s!r}")
+        elif t is Skip:
+            return st
+        else:
+            raise TypeError(f"not a statement: {s!r}")
 
 
 ### big-stop
@@ -241,36 +265,35 @@ def imp_bigstop(cfg: ImpConfig, budget: int) -> ImpConfig:
 
 
 def _bstop(s: Stmt, st: tuple, b: Budget):
-    if isinstance(s, Skip):
-        return s, st
-    if b.remaining == 0:
-        return s, st
-    match s:
-        case Assign(x, a):
+    while True:
+        t = type(s)
+        if t is Skip or b.remaining == 0:
+            return s, st
+        if t is SeqS:
+            s1, st = _bstop(s.first, st, b)
+            if type(s1) is not Skip or b.remaining == 0:
+                return SeqS(s1, s.second), st
             b.spend()
-            return Skip(), state_set(st, x, aeval(st, a))
-        case SeqS(s1, s2):
-            s1p, st1 = _bstop(s1, st, b)
-            if not isinstance(s1p, Skip) or b.remaining == 0:
-                return SeqS(s1p, s2), st1
+            s = s.second
+        elif t is If:
             b.spend()
-            return _bstop(s2, st1, b)
-        case If(a, body):
+            if aeval(st, s.guard) == 0:
+                return _SKIP, st
+            s = s.body
+        elif t is Assign:
             b.spend()
-            if aeval(st, a) != 0:
-                return _bstop(body, st, b)
-            return Skip(), st
-        case While(a, body):
+            return _SKIP, state_set(st, s.name, aeval(st, s.expr))
+        elif t is While:
             b.spend()
-            if aeval(st, a) == 0:
-                return Skip(), st
+            if aeval(st, s.guard) == 0:
+                return _SKIP, st
             # one unrolling: now behaves exactly like body ; while
-            s1p, st1 = _bstop(body, st, b)
-            if not isinstance(s1p, Skip) or b.remaining == 0:
-                return SeqS(s1p, s), st1
+            s1, st = _bstop(s.body, st, b)
+            if type(s1) is not Skip or b.remaining == 0:
+                return SeqS(s1, s), st
             b.spend()
-            return _bstop(s, st1, b)
-    raise TypeError(f"not a statement: {s!r}")
+        else:
+            raise TypeError(f"not a statement: {s!r}")
 
 
 ### freeze variant
@@ -295,35 +318,36 @@ def imp_bigstop_freeze(cfg: ImpConfig, budget: int) -> FreezeResult:
 
 
 def _fstop(s: Stmt, st: tuple, b: Budget):
-    if isinstance(s, Skip):
-        return st, False
-    if b.remaining == 0:
-        return st, True
-    match s:
-        case Assign(x, a):
-            b.spend()
-            return state_set(st, x, aeval(st, a)), False
-        case SeqS(s1, s2):
-            st1, frozen = _fstop(s1, st, b)
-            if frozen or b.remaining == 0:
-                return st1, True
-            b.spend()
-            return _fstop(s2, st1, b)
-        case If(a, body):
-            b.spend()
-            if aeval(st, a) != 0:
-                return _fstop(body, st, b)
+    while True:
+        t = type(s)
+        if t is Skip:
             return st, False
-        case While(a, body):
-            b.spend()
-            if aeval(st, a) == 0:
-                return st, False
-            st1, frozen = _fstop(body, st, b)
+        if b.remaining == 0:
+            return st, True
+        if t is SeqS:
+            st, frozen = _fstop(s.first, st, b)
             if frozen or b.remaining == 0:
-                return st1, True
+                return st, True
             b.spend()
-            return _fstop(s, st1, b)
-    raise TypeError(f"not a statement: {s!r}")
+            s = s.second
+        elif t is If:
+            b.spend()
+            if aeval(st, s.guard) == 0:
+                return st, False
+            s = s.body
+        elif t is Assign:
+            b.spend()
+            return state_set(st, s.name, aeval(st, s.expr)), False
+        elif t is While:
+            b.spend()
+            if aeval(st, s.guard) == 0:
+                return st, False
+            st, frozen = _fstop(s.body, st, b)
+            if frozen or b.remaining == 0:
+                return st, True
+            b.spend()
+        else:
+            raise TypeError(f"not a statement: {s!r}")
 
 
 ### concrete syntax

@@ -15,6 +15,8 @@ from bigstop import (
     FuelExhausted,
     GenConfig,
     GenerationExhausted,
+    ImpDone,
+    ImpFuelExhausted,
     ImpStatus,
     KStatus,
     RunStatus,
@@ -37,6 +39,7 @@ from bigstop import (
     enumerate_exprs,
     enumerate_stmts,
     gen_typed_expr,
+    imp_bigstep,
     imp_bigstop,
     imp_bigstop_freeze,
     imp_multi_step,
@@ -311,6 +314,8 @@ def test_08_imperative_budget_runs_match_their_step_relation():
             f = imp_bigstop_freeze(c, b)
             assert f.state == m.config.state
             assert f.frozen == (m.status is ImpStatus.OUT_OF_BUDGET)
+            done = m.status is ImpStatus.REACHED_SKIP
+            assert imp_bigstep(c, b) == (ImpDone(m.config.state) if done else ImpFuelExhausted())
 
 
 def test_09_translation_dialects_preserve_behaviour(enumeration, generated):

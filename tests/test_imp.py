@@ -5,6 +5,7 @@ import pytest
 from bigstop import (
     Add,
     Assign,
+    FreezeResult,
     ImpDone,
     ImpFuelExhausted,
     ImpParseError,
@@ -55,6 +56,24 @@ def test_updates_are_functional():
     st2 = state_set(st, "x", 9)
     assert state_get(st, "x") == 3
     assert state_get(st2, "x") == 9
+
+
+BDF = make_state({"b": 1, "d": 2, "f": 3})
+
+
+@pytest.mark.parametrize(
+    "st, name",
+    [
+        ((), "m"),     # empty store
+        (BDF, "d"),    # replace
+        (BDF, "a"),    # insert before every name
+        (BDF, "c"),    # insert between two names
+        (BDF, "e"),
+        (BDF, "g"),    # insert after every name
+    ],
+)
+def test_state_set_keeps_the_store_canonical(st, name):
+    assert state_set(st, name, 7) == make_state({**dict(st), name: 7})
 
 
 ### arithmetic
@@ -215,3 +234,24 @@ def test_freeze_state_always_matches_multi():
         m = imp_multi_step(c, budget)
         assert f.state == m.config.state
         assert f.frozen == (m.status is ImpStatus.OUT_OF_BUDGET)
+
+
+### long runs
+
+def test_long_loops_run_at_the_default_recursion_limit(at_recursion_limit_1000):
+    # the loop turns 33,333 times within the budget; no engine may recurse
+    # once per turn
+    c = config(parse_stmt("x := 1 ; while x do { y := y + 1 }"), ())
+    budget = 100_000
+    got = at_recursion_limit_1000(
+        multi=lambda: imp_multi_step(c, budget),
+        bigstop=lambda: imp_bigstop(c, budget),
+        freeze=lambda: imp_bigstop_freeze(c, budget),
+        bigstep=lambda: imp_bigstep(c, budget),
+    )
+    m = got["multi"]
+    assert m.status is ImpStatus.OUT_OF_BUDGET
+    assert print_config(m.config) == "skip ; while x do { y := y + 1 } | {x=1, y=33333}"
+    assert got["bigstop"] == m.config
+    assert got["freeze"] == FreezeResult(m.config.state, True)
+    assert got["bigstep"] == ImpFuelExhausted()
