@@ -9,7 +9,7 @@ which is what sequences the effects.
 from dataclasses import dataclass
 
 from .budget import Budget
-from .syntax import App, Case, Eff, Expr, Lam, Let, Succ, Var, Zero, is_value, subst
+from .syntax import App, Case, Eff, Expr, Lam, Succ, Zero, is_value, subst
 from .traces import Trace
 
 
@@ -63,28 +63,26 @@ def _eval(e: Expr, b: Budget, labels: list) -> Expr:
     """The value of e; every label emitted on the way is appended to labels."""
     if is_value(e):
         return e
-    match e:
-        case Succ(body):
-            return Succ(_eval(body, b, labels))
-        case Case(zb, xv, sb, sc):
-            v = _eval(sc, b, labels)
-            _spend(b)
-            if isinstance(v, Zero):
-                return _eval(zb, b, labels)
-            if isinstance(v, Succ):
-                return _eval(subst(sb, {xv: v.body}), b, labels)
-            raise _StuckEval(Case(zb, xv, sb, v))
-        case App(fn, arg):
-            f = _eval(fn, b, labels)
-            v = _eval(arg, b, labels)
-            _spend(b)
-            if not isinstance(f, Lam):
-                raise _StuckEval(App(f, v))
-            return _eval(subst(f.body, {f.self_var: f, f.param: v}), b, labels)
-        case Eff(l, body):
-            _spend(b)
-            labels.append(l)
-            return _eval(body, b, labels)
-        case Var() | Let():
-            raise _StuckEval(e)
-    raise _StuckEval(e)
+    c = type(e)
+    if c is App:
+        f = _eval(e.fn, b, labels)
+        v = _eval(e.arg, b, labels)
+        _spend(b)
+        if type(f) is not Lam:
+            raise _StuckEval(App(f, v))
+        return _eval(subst(f.body, {f.self_var: f, f.param: v}), b, labels)
+    if c is Succ:
+        return Succ(_eval(e.body, b, labels))
+    if c is Eff:
+        _spend(b)
+        labels.append(e.label)
+        return _eval(e.body, b, labels)
+    if c is Case:
+        v = _eval(e.scrutinee, b, labels)
+        _spend(b)
+        if type(v) is Zero:
+            return _eval(e.zero_branch, b, labels)
+        if type(v) is Succ:
+            return _eval(subst(e.succ_branch, {e.succ_var: v.body}), b, labels)
+        raise _StuckEval(Case(e.zero_branch, e.succ_var, e.succ_branch, v))
+    raise _StuckEval(e)  # a variable or a let has no rule

@@ -19,13 +19,13 @@ checking a trace copies no labels.
 import json
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .budget import Budget
 from .smallstep import AppArgC, AppFnC, CaseC, Hole, SuccC, decompose, plug
 from .syntax import (
     App, Case, Eff, Expr, Lam, Let, Succ, Var, Zero,
-    is_value, is_mnf_value, parse_expr, print_expr, subst,
+    is_value, parse_expr, print_expr, subst,
 )
 from .traces import (
     ANN_EMPTY, ANN_ZERO, ANNIHILATOR, AnnTrace, Trace, ann_concat, ann_concat_all, emit,
@@ -81,15 +81,15 @@ def mk_stop0(e: Expr) -> Derivation:
 
 
 def mk_stop1(lhs: Expr, p: Derivation) -> Derivation:
-    match lhs:
-        case Succ(_):
-            rhs: Expr = Succ(p.rhs)
-        case Case(zb, xv, sb, _):
-            rhs = Case(zb, xv, sb, p.rhs)
-        case App(_, arg):
-            rhs = App(p.rhs, arg)
-        case _:
-            raise ValueError(f"St-Stop(1) does not apply to {print_expr(lhs)}")
+    c = type(lhs)
+    if c is App:
+        rhs: Expr = App(p.rhs, lhs.arg)
+    elif c is Succ:
+        rhs = Succ(p.rhs)
+    elif c is Case:
+        rhs = Case(lhs.zero_branch, lhs.succ_var, lhs.succ_branch, p.rhs)
+    else:
+        raise ValueError(f"St-Stop(1) does not apply to {print_expr(lhs)}")
     return Derivation("St-Stop(1)", lhs, rhs, p.trace, (p,))
 
 
@@ -146,42 +146,40 @@ def bigstop_eval(e: Expr, budget: int) -> BigStopResult:
 def _stop(e: Expr, b: Budget, log: list) -> Derivation:
     if is_value(e) or b.remaining == 0:
         return mk_stop0(e)
-    match e:
-        case Succ(body):
-            return mk_stop1(e, _stop(body, b, log))
-        case Case(zb, xv, sb, sc):
-            ps = _stop(sc, b, log)
-            v = ps.rhs
-            if not is_value(v) or b.remaining == 0:
-                return mk_stop1(e, ps)
-            if isinstance(v, Zero):
-                b.spend()
-                return mk_casez(e, ps, _stop(zb, b, log))
-            if isinstance(v, Succ):
-                b.spend()
-                return mk_cases(e, ps, _stop(subst(sb, {xv: v.body}), b, log))
-            raise StuckError(Case(zb, xv, sb, v))
-        case App(fn, arg):
-            p1 = _stop(fn, b, log)
-            f = p1.rhs
-            if not is_value(f):
-                return mk_stop1(e, p1)
-            p2 = _stop(arg, b, log)
-            v = p2.rhs
-            if not is_value(v) or b.remaining == 0:
-                return mk_stop2(e, p1, p2)
-            if not isinstance(f, Lam):
-                raise StuckError(App(f, v))
+    c = type(e)
+    if c is App:
+        p1 = _stop(e.fn, b, log)
+        f = p1.rhs
+        if not is_value(f):
+            return mk_stop1(e, p1)
+        p2 = _stop(e.arg, b, log)
+        v = p2.rhs
+        if not is_value(v) or b.remaining == 0:
+            return mk_stop2(e, p1, p2)
+        if type(f) is not Lam:
+            raise StuckError(App(f, v))
+        b.spend()
+        body = subst(f.body, {f.self_var: f, f.param: v})
+        return mk_appnode(e, p1, p2, _stop(body, b, log))
+    if c is Succ:
+        return mk_stop1(e, _stop(e.body, b, log))
+    if c is Eff:
+        b.spend()
+        head = emit(log, e.label)
+        return mk_eff(e, _stop(e.body, b, log), head)
+    if c is Case:
+        ps = _stop(e.scrutinee, b, log)
+        v = ps.rhs
+        if not is_value(v) or b.remaining == 0:
+            return mk_stop1(e, ps)
+        if type(v) is Zero:
             b.spend()
-            body = subst(f.body, {f.self_var: f, f.param: v})
-            return mk_appnode(e, p1, p2, _stop(body, b, log))
-        case Eff(label, body):
+            return mk_casez(e, ps, _stop(e.zero_branch, b, log))
+        if type(v) is Succ:
             b.spend()
-            head = emit(log, label)
-            return mk_eff(e, _stop(body, b, log), head)
-        case Var() | Let():
-            raise StuckError(e)
-    raise StuckError(e)
+            return mk_cases(e, ps, _stop(subst(e.succ_branch, {e.succ_var: v.body}), b, log))
+        raise StuckError(Case(e.zero_branch, e.succ_var, e.succ_branch, v))
+    raise StuckError(e)  # a variable or a let has no rule
 
 
 def _nodes(d: Derivation):
@@ -277,15 +275,17 @@ def _branch(case: Case, pred: Expr) -> Expr:
 def _spine_contexts(e: Expr):
     """Every (context, subterm) split of e along the evaluation spine."""
     out = [(Hole(), e)]
-    match e:
-        case Succ(b):
-            out += [(SuccC(c), s) for c, s in _spine_contexts(b)]
-        case Case(zb, xv, sb, sc):
-            out += [(CaseC(zb, xv, sb, c), s) for c, s in _spine_contexts(sc)]
-        case App(f, a):
-            out += [(AppFnC(c, a), s) for c, s in _spine_contexts(f)]
-            if is_value(f):
-                out += [(AppArgC(f, c), s) for c, s in _spine_contexts(a)]
+    c = type(e)
+    if c is App:
+        f, a = e.fn, e.arg
+        out += [(AppFnC(k, a), s) for k, s in _spine_contexts(f)]
+        if is_value(f):
+            out += [(AppArgC(f, k), s) for k, s in _spine_contexts(a)]
+    elif c is Succ:
+        out += [(SuccC(k), s) for k, s in _spine_contexts(e.body)]
+    elif c is Case:
+        zb, xv, sb = e.zero_branch, e.succ_var, e.succ_branch
+        out += [(CaseC(zb, xv, sb, k), s) for k, s in _spine_contexts(e.scrutinee)]
     return out
 
 
@@ -304,12 +304,17 @@ _VAL = Rule(is_value)            # the side condition "v is a value"
 _FREEZE = Rule()                 # St-Stop(0), StM-Stop, EC-Stop
 _VALUE = Rule(is_value)          # EC-Val, StA-Val
 
-# St-Stop(1) runs the first evaluation position of s, case or application
-_POSITION1 = {Succ: "body", Case: "scrutinee", App: "fn"}
+# St-Stop(1) runs the first evaluation position of s, case or application:
+# how to read that position, and how to rebuild the term with it replaced
+_POSITION1 = {
+    Succ: (lambda e: e.body, lambda e, v: Succ(v)),
+    Case: (lambda e: e.scrutinee, lambda e, v: Case(e.zero_branch, e.succ_var, e.succ_branch, v)),
+    App: (lambda e: e.fn, lambda e, v: App(v, e.arg)),
+}
 _STOP1 = Rule(
     lambda e: type(e) in _POSITION1,
-    (_run(lambda lhs, ps: getattr(lhs, _POSITION1[type(lhs)])),),
-    rhs=lambda lhs, ps: replace(lhs, **{_POSITION1[type(lhs)]: ps[0].rhs}),
+    (_run(lambda lhs, ps: _POSITION1[type(lhs)][0](lhs)),),
+    rhs=lambda lhs, ps: _POSITION1[type(lhs)][1](lhs, ps[0].rhs),
 )
 _STOP2 = Rule(
     _kind(App),
@@ -477,14 +482,18 @@ def check_derivation(d: Derivation, dialect: str = "plain"):
 
 
 def _bad(path, reason):
-    """A violation at path.  A path is () at the root and (parent path,
-    premiss index) below it, so descending costs one pair; only a
-    violation flattens it."""
+    return RuleViolation(_flat(path), reason)
+
+
+def _flat(path) -> tuple:
+    """A path as premiss indices from the root.  A path is () at the root
+    and (parent path, premiss index) below it, so descending costs one
+    pair; only a violation flattens it."""
     flat = []
     while path:
         path, i = path
         flat.append(i)
-    return RuleViolation(tuple(reversed(flat)), reason)
+    return tuple(reversed(flat))
 
 
 ### strictness and the big-step correspondence
@@ -518,46 +527,71 @@ _TO_BIGSTEP = {
 _FROM_BIGSTEP = {v: k for k, v in _TO_BIGSTEP.items()}
 
 
-def strict_to_bigstep(d: Derivation, _path=()) -> Derivation:
+def _rebuild(d: Derivation, visit) -> Derivation:
+    """d rebuilt bottom-up with an explicit stack, so any depth converts.
+
+    visit(node, path) gives the node's new form: a Derivation, or a pair
+    (premisses, build) where build makes it from their new forms.  Nodes
+    are visited in preorder, so visit raises at the first bad node in
+    preorder.  Paths are linked, as in the checker."""
+    done: list = []
+    todo: list = [(d, (), None)]
+    while todo:
+        node, path, build = todo.pop()
+        if build is not None:  # node counts the rebuilt premisses atop done
+            cut = len(done) - node
+            done[cut:] = [build(tuple(done[cut:]))]
+            continue
+        new = visit(node, path)
+        if isinstance(new, Derivation):
+            done.append(new)
+            continue
+        prems, build = new
+        todo.append((len(prems), None, build))
+        todo += [(prems[i], (path, i), None) for i in reversed(range(len(prems)))]
+    return done[0]
+
+
+def strict_to_bigstep(d: Derivation) -> Derivation:
     """Rewrite a strict derivation into big-step form (BE-* rules).
 
     Raises NotStrict at the first stop node that did not reach a value.
     """
-    k = stop_k(d.rule)
-    if k is not None:
-        if not is_value(d.rhs):
-            raise NotStrict(_path)
-        if k == 0:
-            return Derivation("BE-Val", d.lhs, d.rhs, d.trace, ())
-        if k == 1 and isinstance(d.lhs, Succ):
-            p = strict_to_bigstep(d.premises[0], _path + (0,))
-            return Derivation("BE-Succ", d.lhs, d.rhs, d.trace, (p,))
-        raise NotStrict(_path)
-    if d.rule == "Val":
-        return d
-    try:
-        rule = _TO_BIGSTEP[d.rule]
-    except KeyError:
-        raise NotStrict(_path) from None
-    prems = tuple(
-        strict_to_bigstep(p, _path + (i,)) for i, p in enumerate(d.premises)
-    )
-    return Derivation(rule, d.lhs, d.rhs, d.trace, prems)
+    def visit(d: Derivation, path):
+        k = stop_k(d.rule)
+        if k is not None:
+            if not is_value(d.rhs):
+                raise NotStrict(_flat(path))
+            if k == 0:
+                return Derivation("BE-Val", d.lhs, d.rhs, d.trace, ())
+            if k == 1 and isinstance(d.lhs, Succ):
+                return (d.premises[0],), lambda ps: Derivation("BE-Succ", d.lhs, d.rhs, d.trace, ps)
+            raise NotStrict(_flat(path))
+        if d.rule == "Val":
+            return d
+        rule = _TO_BIGSTEP.get(d.rule)
+        if rule is None:
+            raise NotStrict(_flat(path))
+        return d.premises, lambda ps: Derivation(rule, d.lhs, d.rhs, d.trace, ps)
+
+    return _rebuild(d, visit)
 
 
 def bigstep_to_strict(d: Derivation) -> Derivation:
     """Inverse of strict_to_bigstep."""
-    if d.rule == "BE-Val":
-        return mk_stop0(d.lhs)
-    if d.rule == "Val":
-        return d
-    if d.rule == "BE-Succ":
-        return mk_stop1(d.lhs, bigstep_to_strict(d.premises[0]))
-    rule = _FROM_BIGSTEP.get(d.rule)
-    if rule is None:
-        raise ValueError(f"not a big-step rule: {d.rule!r}")
-    prems = tuple(bigstep_to_strict(p) for p in d.premises)
-    return Derivation(rule, d.lhs, d.rhs, d.trace, prems)
+    def visit(d: Derivation, path):
+        if d.rule == "BE-Val":
+            return mk_stop0(d.lhs)
+        if d.rule == "Val":
+            return d
+        if d.rule == "BE-Succ":
+            return (d.premises[0],), lambda ps: mk_stop1(d.lhs, ps[0])
+        rule = _FROM_BIGSTEP.get(d.rule)
+        if rule is None:
+            raise ValueError(f"not a big-step rule: {d.rule!r}")
+        return d.premises, lambda ps: Derivation(rule, d.lhs, d.rhs, d.trace, ps)
+
+    return _rebuild(d, visit)
 
 
 def check_bigstep(d: Derivation):
@@ -674,45 +708,43 @@ def _ann(e: Expr, b: Budget, demand: str | Expr, log: list) -> Derivation:
         return Derivation("StA-Val", e, e, ANN_EMPTY, ())
     if b.remaining == 0:
         return _cut(e, demand)
-    match e:
-        case Succ(body):
-            p = _ann(body, b, "nat", log)
-            return Derivation("StA-Succ", e, Succ(p.rhs), p.trace, (p,))
-        case Case(zb, xv, sb, sc):
-            ps = _ann(sc, b, "nat", log)
-            v = ps.rhs
-            if isinstance(v, Zero):
-                pb = _contract(zb, b, demand, log)
-                return Derivation(
-                    "StA-CaseZ", e, pb.rhs, ann_concat(ps.trace, pb.trace), (ps, pb)
-                )
-            if isinstance(v, Succ):
-                pb = _contract(subst(sb, {xv: v.body}), b, demand, log)
-                return Derivation(
-                    "StA-CaseS", e, pb.rhs, ann_concat(ps.trace, pb.trace),
-                    (ps, val_leaf(v.body), pb),
-                )
-            raise StuckError(Case(zb, xv, sb, v))
-        case App(fn, arg):
-            p1 = _ann(fn, b, "fn", log)
-            p2 = _ann(arg, b, "nat", log)
-            f = p1.rhs
-            if not isinstance(f, Lam):
-                raise StuckError(App(f, p2.rhs))
-            pb = _contract(subst(f.body, {f.self_var: f, f.param: p2.rhs}), b, demand, log)
+    c = type(e)
+    if c is App:
+        p1 = _ann(e.fn, b, "fn", log)
+        p2 = _ann(e.arg, b, "nat", log)
+        f = p1.rhs
+        if type(f) is not Lam:
+            raise StuckError(App(f, p2.rhs))
+        pb = _contract(subst(f.body, {f.self_var: f, f.param: p2.rhs}), b, demand, log)
+        return Derivation(
+            "StA-App", e, pb.rhs,
+            ann_concat_all(p1.trace, p2.trace, pb.trace),
+            (p1, p2, val_leaf(p2.rhs), pb),
+        )
+    if c is Succ:
+        p = _ann(e.body, b, "nat", log)
+        return Derivation("StA-Succ", e, Succ(p.rhs), p.trace, (p,))
+    if c is Eff:
+        b.spend()
+        head = AnnTrace(emit(log, e.label), False)
+        p = _ann(e.body, b, demand, log)
+        return Derivation("StA-Eff", e, p.rhs, ann_concat(head, p.trace), (p,))
+    if c is Case:
+        ps = _ann(e.scrutinee, b, "nat", log)
+        v = ps.rhs
+        if type(v) is Zero:
+            pb = _contract(e.zero_branch, b, demand, log)
             return Derivation(
-                "StA-App", e, pb.rhs,
-                ann_concat_all(p1.trace, p2.trace, pb.trace),
-                (p1, p2, val_leaf(p2.rhs), pb),
+                "StA-CaseZ", e, pb.rhs, ann_concat(ps.trace, pb.trace), (ps, pb)
             )
-        case Eff(l, body):
-            b.spend()
-            head = AnnTrace(emit(log, l), False)
-            p = _ann(body, b, demand, log)
-            return Derivation("StA-Eff", e, p.rhs, ann_concat(head, p.trace), (p,))
-        case Var() | Let():
-            raise StuckError(e)
-    raise StuckError(e)
+        if type(v) is Succ:
+            pb = _contract(subst(e.succ_branch, {e.succ_var: v.body}), b, demand, log)
+            return Derivation(
+                "StA-CaseS", e, pb.rhs, ann_concat(ps.trace, pb.trace),
+                (ps, val_leaf(v.body), pb),
+            )
+        raise StuckError(Case(e.zero_branch, e.succ_var, e.succ_branch, v))
+    raise StuckError(e)  # a variable or a let has no rule
 
 
 def _cut(e: Expr, demand: str | Expr) -> Derivation:
@@ -755,21 +787,27 @@ def _ec_redex(r: Expr, b: Budget, log: list) -> Derivation:
     def halt(x: Expr) -> Derivation:
         return Derivation("EC-Stop", x, x, (), ())
 
-    match r:
-        case Case(zb, _, _, Zero()):
+    c = type(r)
+    if c is App:
+        f, v = r.fn, r.arg
+        if type(f) is Lam and is_value(v):
             b.spend()
-            return Derivation("EC-CaseZ", r, zb, (), (halt(zb),))
-        case Case(_, xv, sb, Succ(v)) if is_value(v):
-            b.spend()
-            out = subst(sb, {xv: v})
-            return Derivation("EC-CaseS", r, out, (), (val_leaf(v), halt(out)))
-        case App(Lam(f, x, body) as lam, v) if is_value(v):
-            b.spend()
-            out = subst(body, {f: lam, x: v})
+            out = subst(f.body, {f.self_var: f, f.param: v})
             return Derivation("EC-App", r, out, (), (val_leaf(v), halt(out)))
-        case Eff(l, body):
+    elif c is Eff:
+        b.spend()
+        return Derivation("EC-Eff", r, r.body, emit(log, r.label), (halt(r.body),))
+    elif c is Case:
+        sc = r.scrutinee
+        if type(sc) is Zero:
             b.spend()
-            return Derivation("EC-Eff", r, body, emit(log, l), (halt(body),))
+            zb = r.zero_branch
+            return Derivation("EC-CaseZ", r, zb, (), (halt(zb),))
+        if type(sc) is Succ and is_value(sc.body):
+            b.spend()
+            v = sc.body
+            out = subst(r.succ_branch, {r.succ_var: v})
+            return Derivation("EC-CaseS", r, out, (), (val_leaf(v), halt(out)))
     raise StuckError(r)
 
 

@@ -116,9 +116,8 @@ def config(stmt: Stmt, bindings=()) -> ImpConfig:
     return ImpConfig(stmt, make_state(bindings))
 
 
-# The engines below dispatch on `type(node) is C`, the most frequent class
-# first, rather than `match`: a positional class pattern such as
-# `case While(a, b):` costs several times an exact-class test per hit.
+# The engines below dispatch on exact classes, the most frequent first, by
+# the convention stated above syntax.is_value.
 
 
 def aeval(state: tuple, a: AExpr) -> int:

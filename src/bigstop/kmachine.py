@@ -83,40 +83,42 @@ def _move(mode: Mode, stack: list, e: Expr):
     stack untouched, when the machine is stuck.
     """
     if mode is Mode.EVAL:
-        match e:
-            case Zero() | Lam():
-                return Mode.RETURN, e, None
-            case Succ(b):
-                stack.append(_SUCC)
-                return Mode.EVAL, b, None
-            case Case(zb, xv, sb, sc):
-                stack.append(CaseF(zb, xv, sb))
-                return Mode.EVAL, sc, None
-            case App(f, a):
-                stack.append(FunF(a))
-                return Mode.EVAL, f, None
-            case Eff(l, b):
-                return Mode.EVAL, b, l
+        c = type(e)
+        if c is App:
+            stack.append(FunF(e.arg))
+            return Mode.EVAL, e.fn, None
+        if c is Zero or c is Lam:
+            return Mode.RETURN, e, None
+        if c is Succ:
+            stack.append(_SUCC)
+            return Mode.EVAL, e.body, None
+        if c is Eff:
+            return Mode.EVAL, e.body, e.label
+        if c is Case:
+            stack.append(CaseF(e.zero_branch, e.succ_var, e.succ_branch))
+            return Mode.EVAL, e.scrutinee, None
         return None
     # returning e (a value) to the innermost frame
-    match stack[-1]:
-        case SuccF():
+    top = stack[-1]
+    c = type(top)
+    if c is FunF:
+        stack[-1] = ArgF(e)
+        return Mode.EVAL, top.arg, None
+    if c is ArgF:
+        f = top.fn_value
+        if type(f) is Lam:
             stack.pop()
-            return Mode.RETURN, Succ(e), None
-        case CaseF(zb, xv, sb):
-            if isinstance(e, Zero):
-                stack.pop()
-                return Mode.EVAL, zb, None
-            if isinstance(e, Succ):
-                stack.pop()
-                return Mode.EVAL, subst(sb, {xv: e.body}), None
-        case FunF(a):
-            stack[-1] = ArgF(e)
-            return Mode.EVAL, a, None
-        case ArgF(f):
-            if isinstance(f, Lam):
-                stack.pop()
-                return Mode.EVAL, subst(f.body, {f.self_var: f, f.param: e}), None
+            return Mode.EVAL, subst(f.body, {f.self_var: f, f.param: e}), None
+    elif c is SuccF:
+        stack.pop()
+        return Mode.RETURN, Succ(e), None
+    elif c is CaseF:
+        if type(e) is Zero:
+            stack.pop()
+            return Mode.EVAL, top.zero_branch, None
+        if type(e) is Succ:
+            stack.pop()
+            return Mode.EVAL, subst(top.succ_branch, {top.succ_var: e.body}), None
     return None
 
 

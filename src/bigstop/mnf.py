@@ -8,7 +8,6 @@ same value up to erasing the lets back out.
 """
 
 import itertools
-from dataclasses import dataclass
 
 from .budget import Budget, check_budget
 from .bigstop import (
@@ -39,33 +38,34 @@ def to_mnf(e: Expr) -> Expr:
 
     # hand-written, not read off the syntax table: each constructor is sequenced its own way
     def norm(e: Expr) -> Expr:
-        match e:
-            case Var() | Zero():
-                return e
-            case Lam(f, x, b):
-                return Lam(f, x, norm(b))
-            case Succ(b):
-                return bind(b, lambda v: Succ(v))
-            case Case(zb, xv, sb, sc):
-                return bind(sc, lambda v: Case(norm(zb), xv, norm(sb), v))
-            case App(f, a):
-                return bind(f, lambda vf: bind(a, lambda va: App(vf, va)))
-            case Eff(l, b):
-                return Eff(l, norm(b))
-            case Let(x, e1, b):
-                return Let(x, norm(e1), norm(b))
+        c = type(e)
+        if c is Var or c is Zero:
+            return e
+        if c is App:
+            return bind(e.fn, lambda vf: bind(e.arg, lambda va: App(vf, va)))
+        if c is Succ:
+            return bind(e.body, Succ)
+        if c is Lam:
+            return Lam(e.self_var, e.param, norm(e.body))
+        if c is Eff:
+            return Eff(e.label, norm(e.body))
+        if c is Case:
+            return bind(e.scrutinee, lambda v: Case(norm(e.zero_branch), e.succ_var, norm(e.succ_branch), v))
+        if c is Let:
+            return Let(e.var, norm(e.bound), norm(e.body))
         raise TypeError(f"not an expression: {e!r}")
 
     def bind(e: Expr, k) -> Expr:
         # normalize e into something legal in a value position
-        match e:
-            case Var() | Zero() | Lam():
-                return k(norm(e) if isinstance(e, Lam) else e)
-            case Succ(b):
-                return bind(b, lambda v: k(Succ(v)))
-            case _:
-                t = fresh()
-                return Let(t, norm(e), k(Var(t)))
+        c = type(e)
+        if c is Var or c is Zero:
+            return k(e)
+        if c is Lam:
+            return k(norm(e))
+        if c is Succ:
+            return bind(e.body, lambda v: k(Succ(v)))
+        t = fresh()
+        return Let(t, norm(e), k(Var(t)))
 
     return norm(e)
 
@@ -140,24 +140,28 @@ def _rename(e: Expr, old: str, new: str) -> Expr:
 
 def mnf_small_step(e: Expr):
     """One MNF step, or None for values and stuck terms."""
-    match e:
-        case Let(x, e1, b):
-            if is_value(e1):
-                return StepResult(subst(b, {x: e1}), ())
-            r = mnf_small_step(e1)
-            if r is None:
-                return None
-            return StepResult(Let(x, r.expr, b), r.trace)
-        case Case(zb, _, _, Zero()):
-            return StepResult(zb, ())
-        case Case(_, xv, sb, Succ(v)) if is_value(v):
-            return StepResult(subst(sb, {xv: v}), ())
-        case App(Lam(f, x, body) as lam, v) if is_value(v):
-            return StepResult(subst(body, {f: lam, x: v}), ())
-        case Eff(l, b):
-            return StepResult(b, (l,))
-        case _:
+    c = type(e)
+    if c is Let:
+        e1 = e.bound
+        if is_value(e1):
+            return StepResult(subst(e.body, {e.var: e1}), ())
+        r = mnf_small_step(e1)
+        if r is None:
             return None
+        return StepResult(Let(e.var, r.expr, e.body), r.trace)
+    if c is App:
+        f, v = e.fn, e.arg
+        if type(f) is Lam and is_value(v):
+            return StepResult(subst(f.body, {f.self_var: f, f.param: v}), ())
+    elif c is Eff:
+        return StepResult(e.body, (e.label,))
+    elif c is Case:
+        sc = e.scrutinee
+        if type(sc) is Zero:
+            return StepResult(e.zero_branch, ())
+        if type(sc) is Succ and is_value(sc.body):
+            return StepResult(subst(e.succ_branch, {e.succ_var: sc.body}), ())
+    return None
 
 
 def mnf_multi_step(e: Expr, budget: int) -> MultiResult:
@@ -188,47 +192,49 @@ def mnf_bigstop_eval(e: Expr, budget: int) -> BigStopResult:
 def _mstop(e: Expr, b: Budget, log: list) -> Derivation:
     if is_value(e) or b.remaining == 0:
         return Derivation("StM-Stop", e, e, (), ())
-    match e:
-        case Let(x, e1, body):
-            p1 = _mstop(e1, b, log)
-            v1 = p1.rhs
-            if not is_value(v1) or b.remaining == 0:
-                return Derivation(
-                    "StM-Let1", e, Let(x, v1, body), p1.trace, (p1,)
-                )
-            b.spend()
-            pb = _mstop(subst(body, {x: v1}), b, log)
+    c = type(e)
+    if c is Let:
+        x, body = e.var, e.body
+        p1 = _mstop(e.bound, b, log)
+        v1 = p1.rhs
+        if not is_value(v1) or b.remaining == 0:
             return Derivation(
-                "StM-Let2", e, pb.rhs, p1.trace + pb.trace,
-                (p1, val_leaf(v1), pb),
+                "StM-Let1", e, Let(x, v1, body), p1.trace, (p1,)
             )
-        case Case(zb, xv, sb, sc):
-            if isinstance(sc, Zero):
-                b.spend()
-                pb = _mstop(zb, b, log)
-                return Derivation("StM-CaseZ", e, pb.rhs, pb.trace, (pb,))
-            if isinstance(sc, Succ) and is_value(sc):
-                b.spend()
-                w = sc.body
-                pb = _mstop(subst(sb, {xv: w}), b, log)
-                return Derivation(
-                    "StM-CaseS", e, pb.rhs, pb.trace, (val_leaf(w), pb)
-                )
+        b.spend()
+        pb = _mstop(subst(body, {x: v1}), b, log)
+        return Derivation(
+            "StM-Let2", e, pb.rhs, p1.trace + pb.trace,
+            (p1, val_leaf(v1), pb),
+        )
+    if c is App:
+        f, a = e.fn, e.arg
+        if not (is_value(f) and is_value(a)):
+            raise NotMNF(f"application of non-values: {e!r}")
+        if type(f) is not Lam:
             raise StuckError(e)
-        case App(f, a):
-            if not (is_value(f) and is_value(a)):
-                raise NotMNF(f"application of non-values: {e!r}")
-            if not isinstance(f, Lam):
-                raise StuckError(e)
+        b.spend()
+        pb = _mstop(subst(f.body, {f.self_var: f, f.param: a}), b, log)
+        return Derivation("StM-App", e, pb.rhs, pb.trace, (val_leaf(a), pb))
+    if c is Eff:
+        b.spend()
+        head = emit(log, e.label)
+        p = _mstop(e.body, b, log)
+        return Derivation("StM-Eff", e, p.rhs, head + p.trace, (p,))
+    if c is Case:
+        sc = e.scrutinee
+        if type(sc) is Zero:
             b.spend()
-            pb = _mstop(subst(f.body, {f.self_var: f, f.param: a}), b, log)
-            return Derivation("StM-App", e, pb.rhs, pb.trace, (val_leaf(a), pb))
-        case Eff(l, body):
+            pb = _mstop(e.zero_branch, b, log)
+            return Derivation("StM-CaseZ", e, pb.rhs, pb.trace, (pb,))
+        if type(sc) is Succ and is_value(sc):
             b.spend()
-            head = emit(log, l)
-            p = _mstop(body, b, log)
-            return Derivation("StM-Eff", e, p.rhs, head + p.trace, (p,))
-        case Succ():
-            raise NotMNF(f"successor of a non-value: {e!r}")
-        case _:
-            raise StuckError(e)
+            w = sc.body
+            pb = _mstop(subst(e.succ_branch, {e.succ_var: w}), b, log)
+            return Derivation(
+                "StM-CaseS", e, pb.rhs, pb.trace, (val_leaf(w), pb)
+            )
+        raise StuckError(e)
+    if c is Succ:
+        raise NotMNF(f"successor of a non-value: {e!r}")
+    raise StuckError(e)

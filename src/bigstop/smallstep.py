@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .budget import check_budget
 from .syntax import (
-    App, Case, Eff, Expr, Lam, Let, Succ, Var, Zero, is_value, subst,
+    App, Case, Eff, Expr, Lam, Succ, Zero, is_value, subst,
 )
 from .traces import Trace
 
@@ -54,17 +54,17 @@ class AppArgC(EvalContext):
 
 # hand-written, like decompose, not read off the syntax table: engines stay independent
 def plug(ctx: EvalContext, e: Expr) -> Expr:
-    match ctx:
-        case Hole():
-            return e
-        case SuccC(c):
-            return Succ(plug(c, e))
-        case CaseC(zb, xv, sb, c):
-            return Case(zb, xv, sb, plug(c, e))
-        case AppFnC(c, arg):
-            return App(plug(c, e), arg)
-        case AppArgC(v, c):
-            return App(v, plug(c, e))
+    c = type(ctx)
+    if c is Hole:
+        return e
+    if c is AppFnC:
+        return App(plug(ctx.fn, e), ctx.arg)
+    if c is AppArgC:
+        return App(ctx.fn_value, plug(ctx.arg, e))
+    if c is SuccC:
+        return Succ(plug(ctx.body, e))
+    if c is CaseC:
+        return Case(ctx.zero_branch, ctx.succ_var, ctx.succ_branch, plug(ctx.scrutinee, e))
     raise TypeError(f"not a context: {ctx!r}")
 
 
@@ -77,42 +77,45 @@ def decompose(e: Expr):
     """
     if is_value(e):
         return None
-    match e:
-        case Succ(b):
-            ctx, r = decompose(b)  # b is a non-value or e would be one
-            return SuccC(ctx), r
-        case Case(zb, xv, sb, sc):
-            if is_value(sc):
-                return Hole(), e
-            ctx, r = decompose(sc)
-            return CaseC(zb, xv, sb, ctx), r
-        case App(f, a):
-            if not is_value(f):
-                ctx, r = decompose(f)
-                return AppFnC(ctx, a), r
-            if not is_value(a):
-                ctx, r = decompose(a)
-                return AppArgC(f, ctx), r
+    c = type(e)
+    if c is App:
+        f, a = e.fn, e.arg
+        if not is_value(f):
+            ctx, r = decompose(f)
+            return AppFnC(ctx, a), r
+        if not is_value(a):
+            ctx, r = decompose(a)
+            return AppArgC(f, ctx), r
+        return Hole(), e
+    if c is Succ:
+        ctx, r = decompose(e.body)  # the body is a non-value or e would be one
+        return SuccC(ctx), r
+    if c is Case:
+        if is_value(e.scrutinee):
             return Hole(), e
-        case _:
-            # Eff is itself the redex; Var and Let have no rule and will
-            # fail to contract
-            return Hole(), e
+        ctx, r = decompose(e.scrutinee)
+        return CaseC(e.zero_branch, e.succ_var, e.succ_branch, ctx), r
+    # Eff is itself the redex; Var and Let have no rule and will fail to
+    # contract
+    return Hole(), e
 
 
 def contract(r: Expr):
     """One contraction of a redex: (result, trace) or None if stuck."""
-    match r:
-        case Case(zb, _, _, Zero()):
-            return zb, ()
-        case Case(_, xv, sb, Succ(v)) if is_value(v):
-            return subst(sb, {xv: v}), ()
-        case App(Lam(f, x, b) as lam, v) if is_value(v):
-            return subst(b, {f: lam, x: v}), ()
-        case Eff(l, b):
-            return b, (l,)
-        case _:
-            return None
+    c = type(r)
+    if c is App:
+        f, v = r.fn, r.arg
+        if type(f) is Lam and is_value(v):
+            return subst(f.body, {f.self_var: f, f.param: v}), ()
+    elif c is Eff:
+        return r.body, (r.label,)
+    elif c is Case:
+        sc = r.scrutinee
+        if type(sc) is Zero:
+            return r.zero_branch, ()
+        if type(sc) is Succ and is_value(sc.body):
+            return subst(r.succ_branch, {r.succ_var: sc.body}), ()
+    return None
 
 
 ### stepping

@@ -116,11 +116,21 @@ def rebuild(e: Expr, kids) -> Expr:
     return _SHAPES[type(e)][1](e, kids)
 
 
+# The engines, the type checker and the derivation checker's helpers choose
+# a rule with `c = type(e)` and then `if c is C:` tests, the most frequent
+# class first, and read fields by name.  A positional class pattern such as
+# `case App(f, a):` costs several times as much per hit (on CPython 3.11,
+# about 0.70 against 0.12 µs), and the rule is chosen at every node of every
+# run.  Each module writes its own dispatch, so the engines stay
+# independent; cold paths (printing, the CLI, the harness) keep `match`.
+
+
 # hand-written, not read off the table: what makes a value is per constructor
 def is_value(e: Expr) -> bool:
-    while isinstance(e, Succ):
+    while type(e) is Succ:
         e = e.body
-    return isinstance(e, (Zero, Lam))
+    c = type(e)
+    return c is Zero or c is Lam
 
 
 def numeral(n: int) -> Expr:
@@ -178,38 +188,40 @@ def subst(e: Expr, mapping: dict) -> Expr:
     mapping = {x: v for x, v in mapping.items() if x != BLANK}
     for x, v in mapping.items():
         w = v
-        while isinstance(w, Succ):
+        while type(w) is Succ:
             w = w.body
         # a numeral is closed; a function is closed when the Lam is
-        if not (isinstance(w, Zero) or (isinstance(w, Lam) and w.closed)):
+        if not (type(w) is Zero or (type(w) is Lam and w.closed)):
             raise SubstOpenValue(f"substituting non-closed-value for {x}: {print_expr(v)}")
     return _subst(e, mapping)
 
 
-# hand-written, not read off the table: it has the top self time on gen-pool
+# hand-written, not read off the table: it runs at every contraction (third in
+# self time on gen-pool), and the table's lookup and calls cost more per node
 def _subst(e: Expr, m: dict) -> Expr:
     if not m:
         return e
-    match e:
-        case Var(x):
-            return m.get(x, e)
-        case Zero():
-            return e
-        case Succ(b):
-            return Succ(_subst(b, m))
-        case Eff(l, b):
-            return Eff(l, _subst(b, m))
-        case Lam(f, x, b):
-            inner = {k: v for k, v in m.items() if k != f and k != x}
-            return Lam(f, x, _subst(b, inner))
-        case App(f, a):
-            return App(_subst(f, m), _subst(a, m))
-        case Case(zb, xv, sb, sc):
-            inner = {k: v for k, v in m.items() if k != xv}
-            return Case(_subst(zb, m), xv, _subst(sb, inner), _subst(sc, m))
-        case Let(x, e1, b):
-            inner = {k: v for k, v in m.items() if k != x}
-            return Let(x, _subst(e1, m), _subst(b, inner))
+    c = type(e)
+    if c is Var:
+        return m.get(e.name, e)
+    if c is App:
+        return App(_subst(e.fn, m), _subst(e.arg, m))
+    if c is Succ:
+        return Succ(_subst(e.body, m))
+    if c is Lam:
+        f, x = e.self_var, e.param
+        return Lam(f, x, _subst(e.body, {k: v for k, v in m.items() if k != f and k != x}))
+    if c is Zero:
+        return e
+    if c is Eff:
+        return Eff(e.label, _subst(e.body, m))
+    if c is Case:
+        xv = e.succ_var
+        inner = {k: v for k, v in m.items() if k != xv}
+        return Case(_subst(e.zero_branch, m), xv, _subst(e.succ_branch, inner), _subst(e.scrutinee, m))
+    if c is Let:
+        x = e.var
+        return Let(x, _subst(e.bound, m), _subst(e.body, {k: v for k, v in m.items() if k != x}))
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -268,32 +280,29 @@ def alpha_eq(a: Expr, b: Expr) -> bool:
 # hand-written, not read off the table: the MNF grammar is per constructor
 def is_mnf_value(e: Expr) -> bool:
     """Value according to the MNF grammar (variables count as values)."""
-    match e:
-        case Var() | Zero():
-            return True
-        case Succ(b):
-            return is_mnf_value(b)
-        case Lam(_, _, b):
-            return check_mnf(b)
-        case _:
-            return False
+    c = type(e)
+    if c is Var or c is Zero:
+        return True
+    if c is Succ:
+        return is_mnf_value(e.body)
+    if c is Lam:
+        return check_mnf(e.body)
+    return False
 
 
 def check_mnf(e: Expr) -> bool:
     """True iff e is in monadic normal form: every evaluation position that
     the small-step rules would have to descend into is already a value."""
-    match e:
-        case Var() | Zero() | Succ() | Lam():
-            return is_mnf_value(e)
-        case Case(zb, _, sb, sc):
-            return is_mnf_value(sc) and check_mnf(zb) and check_mnf(sb)
-        case App(f, a):
-            return is_mnf_value(f) and is_mnf_value(a)
-        case Eff(_, b):
-            return check_mnf(b)
-        case Let(_, e1, b):
-            return check_mnf(e1) and check_mnf(b)
-    return False
+    c = type(e)
+    if c is Let:
+        return check_mnf(e.bound) and check_mnf(e.body)
+    if c is App:
+        return is_mnf_value(e.fn) and is_mnf_value(e.arg)
+    if c is Eff:
+        return check_mnf(e.body)
+    if c is Case:
+        return is_mnf_value(e.scrutinee) and check_mnf(e.zero_branch) and check_mnf(e.succ_branch)
+    return is_mnf_value(e)  # the value forms; anything else is not a term
 
 
 ### concrete syntax

@@ -147,49 +147,52 @@ def _default(t: Type) -> Type:
 
 # hand-written, not read off the syntax table: each constructor has its own typing rule
 def _infer(e: Expr, env: dict) -> Type:
-    match e:
-        case Var(x):
-            if x in env:
-                return env[x]
-            raise TypeFailure(f"unbound variable {x}", e)
-        case Zero():
-            return _NAT
-        case Succ(b):
-            if not _unify(_infer(b, env), _NAT):
-                raise TypeFailure("successor of a non-number", e)
-            return _NAT
-        case Lam(f, x, b):
-            dom = _Cell(next(_fresh_meta))
-            cod = _Cell(next(_fresh_meta))
-            fn = ArrowT(dom, cod)
-            inner = dict(env)
-            if f != BLANK:
-                inner[f] = fn
-            if x != BLANK:
-                inner[x] = dom
-            if not _unify(_infer(b, inner), cod):
-                raise TypeFailure("function body disagrees with its own uses", e)
-            return fn
-        case App(fn, arg):
-            tf = _infer(fn, env)
-            ta = _infer(arg, env)
-            res = _Cell(next(_fresh_meta))
-            if not _unify(tf, ArrowT(ta, res)):
-                raise TypeFailure("applying a non-function or wrong argument type", e)
-            return res
-        case Case(zb, xv, sb, sc):
-            if not _unify(_infer(sc, env), _NAT):
-                raise TypeFailure("case scrutinee is not a number", e)
-            t1 = _infer(zb, env)
-            t2 = _infer(sb, env if xv == BLANK else {**env, xv: _NAT})
-            if not _unify(t1, t2):
-                raise TypeFailure("case branches have different types", e)
-            return t1
-        case Eff(_, b):
-            return _infer(b, env)
-        case Let(x, e1, b):
-            t1 = _infer(e1, env)
-            return _infer(b, env if x == BLANK else {**env, x: t1})
+    c = type(e)
+    if c is Var:
+        if e.name in env:
+            return env[e.name]
+        raise TypeFailure(f"unbound variable {e.name}", e)
+    if c is App:
+        tf = _infer(e.fn, env)
+        ta = _infer(e.arg, env)
+        res = _Cell(next(_fresh_meta))
+        if not _unify(tf, ArrowT(ta, res)):
+            raise TypeFailure("applying a non-function or wrong argument type", e)
+        return res
+    if c is Succ:
+        if not _unify(_infer(e.body, env), _NAT):
+            raise TypeFailure("successor of a non-number", e)
+        return _NAT
+    if c is Lam:
+        f, x = e.self_var, e.param
+        dom = _Cell(next(_fresh_meta))
+        cod = _Cell(next(_fresh_meta))
+        fn = ArrowT(dom, cod)
+        inner = dict(env)
+        if f != BLANK:
+            inner[f] = fn
+        if x != BLANK:
+            inner[x] = dom
+        if not _unify(_infer(e.body, inner), cod):
+            raise TypeFailure("function body disagrees with its own uses", e)
+        return fn
+    if c is Zero:
+        return _NAT
+    if c is Eff:
+        return _infer(e.body, env)
+    if c is Case:
+        xv = e.succ_var
+        if not _unify(_infer(e.scrutinee, env), _NAT):
+            raise TypeFailure("case scrutinee is not a number", e)
+        t1 = _infer(e.zero_branch, env)
+        t2 = _infer(e.succ_branch, env if xv == BLANK else {**env, xv: _NAT})
+        if not _unify(t1, t2):
+            raise TypeFailure("case branches have different types", e)
+        return t1
+    if c is Let:
+        x = e.var
+        t1 = _infer(e.bound, env)
+        return _infer(e.body, env if x == BLANK else {**env, x: t1})
     raise TypeFailure(f"not an expression: {e!r}", e)
 
 

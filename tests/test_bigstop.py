@@ -2,6 +2,7 @@
 and the two alternate dialects (annihilator traces, context-threading)."""
 
 import dataclasses
+import gc
 import json
 import tracemalloc
 
@@ -10,11 +11,14 @@ import pytest
 import bigstop.bigstop
 from bigstop import (
     AnnTrace,
+    App,
     ArrowT,
     ComposeMismatch,
+    KStatus,
     Lam,
     NotStrict,
     RunStatus,
+    Stuck,
     StuckError,
     Succ,
     TypeFailure,
@@ -22,10 +26,12 @@ from bigstop import (
     Zero,
     annihilator_derivation,
     annihilator_eval,
+    big_step,
     bigstep_to_strict,
     bigstop_eval,
     check_bigstep,
     check_derivation,
+    compile as k_compile,
     compose,
     corpus_term,
     derivation_from_json,
@@ -36,8 +42,11 @@ from bigstop import (
     infer_type,
     is_progressing,
     is_strict,
+    k_run,
     mnf_bigstop_eval,
+    mnf_multi_step,
     multi_step,
+    numeral,
     parse_expr,
     print_expr,
     strict_to_bigstep,
@@ -92,6 +101,41 @@ def test_effects_land_in_the_trace_in_order():
 def test_stuck_application_raises():
     with pytest.raises(StuckError):
         bigstop_eval(parse_expr("z z"), 4)
+
+
+def _raised(run):
+    def outcome(e, budget):
+        try:
+            run(e, budget)
+        except StuckError:
+            return StuckError
+        return None
+    return outcome
+
+
+# each engine at budget 5, and what it gives for a stuck term; the MNF
+# engines run the term's MNF image
+STUCK_OUTCOME = {
+    "multi_step": (lambda e, b: multi_step(e, b).status, RunStatus.STUCK),
+    "mnf_multi_step": (lambda e, b: mnf_multi_step(to_mnf(e), b).status, RunStatus.STUCK),
+    "big_step": (lambda e, b: type(big_step(e, b)), Stuck),
+    "k_run": (lambda e, b: k_run(k_compile(e), b).status, KStatus.STUCK),
+    "bigstop_eval": (_raised(bigstop_eval), StuckError),
+    "ec_bigstop_eval": (_raised(ec_bigstop_eval), StuckError),
+    "annihilator_eval": (_raised(annihilator_eval), StuckError),
+    "mnf_bigstop_eval": (_raised(lambda e, b: mnf_bigstop_eval(to_mnf(e), b)), StuckError),
+}
+STUCK_TERMS = ("x", "z z", "case (fun f(y) => y) { z => z | s(m) => m }", "let x = z in x")
+
+
+@pytest.mark.parametrize("engine, src", [
+    (engine, src) for engine in STUCK_OUTCOME for src in STUCK_TERMS
+    # a let is the MNF dialect's own form: its image runs to z
+    if not (engine.startswith("mnf") and src.startswith("let"))
+])
+def test_every_engine_reports_a_stuck_term(engine, src):
+    run, want = STUCK_OUTCOME[engine]
+    assert run(parse_expr(src), 5) is want
 
 
 def test_matches_the_step_relation_on_a_mixed_program():
@@ -545,6 +589,10 @@ def test_json_string_form_is_one_line_and_round_trips():
 
 
 def _peak_bytes(budget):
+    # a collection empties the free lists that can hand out objects without
+    # a traced allocation; one that lands inside only one of the two
+    # measured windows would inflate that window's peak alone
+    gc.collect()
     tracemalloc.start()
     try:
         assert check_derivation(bigstop_eval(LOOP, budget).derivation) is None
@@ -602,10 +650,34 @@ def _depth(d):
     return depth
 
 
+def _same(a, b):
+    """a == b for derivations and terms, with an explicit stack: `==`
+    recurses in C once per level, which overflows on Python 3.12 for a
+    derivation a few thousand nodes deep."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, tuple):
+            if len(a) != len(b):
+                return False
+            todo += zip(a, b)
+        elif dataclasses.is_dataclass(a):
+            todo += [(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)]
+        elif a != b:
+            return False
+    return True
+
+
 def test_derivations_deeper_than_the_recursion_limit_check(at_recursion_limit_1000):
     plain = bigstop_eval(LOOP, 3000).derivation
     mnf = mnf_bigstop_eval(to_mnf(LOOP), 3000).derivation
-    assert min(_depth(plain), _depth(mnf)) > 2000
+    countdown = App(parse_expr("fun f(x) => case x { z => z | s(m) => eff[t] f m }"), numeral(1000))
+    strict = bigstop_eval(countdown, 10**6).derivation
+    assert min(_depth(plain), _depth(mnf), _depth(strict)) > 2000
     chain = parse_expr("(fun f(x) => x) z")
     for _ in range(3000):
         chain = Succ(chain)
@@ -615,8 +687,10 @@ def test_derivations_deeper_than_the_recursion_limit_check(at_recursion_limit_10
         mnf_verdict=lambda: check_derivation(mnf, dialect="mnf"),
         plain_strict=lambda: is_strict(plain),
         progressing=lambda: is_progressing(stop1),
+        round_trip=lambda: bigstep_to_strict(strict_to_bigstep(strict)),
     )
     assert got["plain_verdict"] is None
     assert got["mnf_verdict"] is None
     assert got["plain_strict"] is False  # cut off inside the loop
     assert got["progressing"] is True
+    assert got["round_trip"] is not strict and _same(got["round_trip"], strict)
