@@ -37,7 +37,7 @@ from .bigstop import (
     is_strict,
     strict_to_bigstep,
 )
-from .budget import Budget
+from .budget import Budget, BudgetExhausted
 from .harness import (
     Failure,
     GenConfig,

@@ -8,7 +8,7 @@ which is what sequences the effects.
 
 from dataclasses import dataclass
 
-from .budget import Budget
+from .budget import Budget, BudgetExhausted
 from .syntax import App, Case, Eff, Expr, Lam, Succ, Zero, is_value, subst
 from .traces import Trace
 
@@ -32,10 +32,6 @@ class Stuck:
 BigStepOutcome = Value | FuelExhausted | Stuck
 
 
-class _OutOfFuel(Exception):
-    pass
-
-
 class _StuckEval(Exception):
     def __init__(self, at: Expr):
         self.at = at
@@ -46,17 +42,11 @@ def big_step(e: Expr, fuel: int) -> BigStepOutcome:
     labels: list = []
     try:
         v = _eval(e, b, labels)
-    except _OutOfFuel:
+    except BudgetExhausted:
         return FuelExhausted()
     except _StuckEval as s:
         return Stuck(s.at)
     return Value(v, tuple(labels))
-
-
-def _spend(b: Budget) -> None:
-    if b.remaining == 0:
-        raise _OutOfFuel()
-    b.spend()
 
 
 def _eval(e: Expr, b: Budget, labels: list) -> Expr:
@@ -67,19 +57,19 @@ def _eval(e: Expr, b: Budget, labels: list) -> Expr:
     if c is App:
         f = _eval(e.fn, b, labels)
         v = _eval(e.arg, b, labels)
-        _spend(b)
+        b.spend()
         if type(f) is not Lam:
             raise _StuckEval(App(f, v))
         return _eval(subst(f.body, {f.self_var: f, f.param: v}), b, labels)
     if c is Succ:
         return Succ(_eval(e.body, b, labels))
     if c is Eff:
-        _spend(b)
+        b.spend()
         labels.append(e.label)
         return _eval(e.body, b, labels)
     if c is Case:
         v = _eval(e.scrutinee, b, labels)
-        _spend(b)
+        b.spend()
         if type(v) is Zero:
             return _eval(e.zero_branch, b, labels)
         if type(v) is Succ:

@@ -22,7 +22,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .budget import Budget
-from .smallstep import AppArgC, AppFnC, CaseC, Hole, SuccC, decompose, plug
+from .smallstep import decompose, plug
 from .syntax import (
     App, Case, Eff, Expr, Lam, Let, Succ, Var, Zero,
     is_value, parse_expr, print_expr, subst,
@@ -191,10 +191,15 @@ def _nodes(d: Derivation):
         todo += d.premises
 
 
+_IDLE = frozenset({
+    "Val", *_STOP_K, "EC-Stop", "EC-Val", "EC-Seq", "StM-Stop", "StM-Let1", "StA-Stop", "StA-Val", "StA-Succ",
+})
+
+
 def is_progressing(d: Derivation) -> bool:
-    """True iff some node performs work, i.e. is neither a stop nor a
-    value side condition."""
-    return any(n.rule != "Val" and stop_k(n.rule) is None for n in _nodes(d))
+    """True iff some node performs work: one that is neither the Val side
+    condition nor a stop, value or congruence rule of its dialect."""
+    return any(n.rule not in _IDLE for n in _nodes(d))
 
 
 ### checking derivations
@@ -203,7 +208,7 @@ def is_progressing(d: Derivation) -> bool:
 # checks every node against its entry.  A rule is written once: the
 # structural rules that the plain and annihilator dialects share have one
 # entry each, so do the redex rules of the MNF and evaluation-context
-# dialects.  The table uses subst and plug but none of the evaluator's
+# dialects.  The table uses subst but none of the evaluator's
 # node builders, so the checker stays independent of the evaluator.
 
 
@@ -272,32 +277,31 @@ def _branch(case: Case, pred: Expr) -> Expr:
     return subst(case.succ_branch, {case.succ_var: pred})
 
 
-def _spine_contexts(e: Expr):
-    """Every (context, subterm) split of e along the evaluation spine."""
-    out = [(Hole(), e)]
-    c = type(e)
-    if c is App:
-        f, a = e.fn, e.arg
-        out += [(AppFnC(k, a), s) for k, s in _spine_contexts(f)]
-        if is_value(f):
-            out += [(AppArgC(f, k), s) for k, s in _spine_contexts(a)]
-    elif c is Succ:
-        out += [(SuccC(k), s) for k, s in _spine_contexts(e.body)]
-    elif c is Case:
-        zb, xv, sb = e.zero_branch, e.succ_var, e.succ_branch
-        out += [(CaseC(zb, xv, sb, k), s) for k, s in _spine_contexts(e.scrutinee)]
-    return out
-
-
 def _fits_context(d: Derivation) -> bool:
     """EC-Seq: the first premiss runs a subterm on the evaluation spine of
     the lhs, and the second continues from the term with its result
-    plugged back."""
+    plugged back.  Both terms are walked down the spine together and agree
+    off it; the hole is where they hold that premiss's start and result."""
     p1, p2 = d.premises
-    return any(
-        sub == p1.lhs and plug(ctx, p1.rhs) == p2.lhs
-        for ctx, sub in _spine_contexts(d.lhs)
-    )
+    todo = [(d.lhs, p2.lhs)]
+    while todo:
+        e, t = todo.pop()
+        if e == p1.lhs and t == p1.rhs:
+            return True
+        c = type(e)
+        if type(t) is not c:
+            continue
+        if c is App:
+            if e.arg == t.arg:
+                todo.append((e.fn, t.fn))
+            if e.fn == t.fn and is_value(e.fn):
+                todo.append((e.arg, t.arg))
+        elif c is Succ:
+            todo.append((e.body, t.body))
+        elif c is Case:
+            if (e.zero_branch, e.succ_var, e.succ_branch) == (t.zero_branch, t.succ_var, t.succ_branch):
+                todo.append((e.scrutinee, t.scrutinee))
+    return False
 
 
 _VAL = Rule(is_value)            # the side condition "v is a value"
@@ -773,14 +777,18 @@ def ec_bigstop_eval(e: Expr, budget: int) -> BigStopResult:
 
 
 def _ec(e: Expr, b: Budget, log: list) -> Derivation:
-    if b.remaining == 0:
-        return Derivation("EC-Stop", e, e, (), ())
-    if is_value(e):
-        return Derivation("EC-Val", e, e, (), ())
-    ctx, r = decompose(e)
-    step = _ec_redex(r, b, log)
-    rest = _ec(plug(ctx, step.rhs), b, log)
-    return Derivation("EC-Seq", e, rest.rhs, step.trace + rest.trace, (step, rest))
+    """A loop over the contractions, then their links folded into the EC-Seq
+    chain from its end."""
+    links = []
+    while b.remaining and (split := decompose(e)) is not None:
+        ctx, r = split
+        step = _ec_redex(r, b, log)
+        links.append((e, step))
+        e = plug(ctx, step.rhs)
+    d = Derivation("EC-Val" if b.remaining else "EC-Stop", e, e, (), ())
+    for e, step in reversed(links):
+        d = Derivation("EC-Seq", e, d.rhs, step.trace + d.trace, (step, d))
+    return d
 
 
 def _ec_redex(r: Expr, b: Budget, log: list) -> Derivation:

@@ -15,6 +15,10 @@ def check_budget(units: int) -> int:
     return units
 
 
+class BudgetExhausted(RuntimeError):
+    """spend() on an empty budget; the big-step engines catch it as no fuel."""
+
+
 class Budget:
     __slots__ = ("remaining",)
 
@@ -23,7 +27,7 @@ class Budget:
 
     def spend(self) -> None:
         if self.remaining <= 0:
-            raise RuntimeError("spend() on an empty budget; check remaining first")
+            raise BudgetExhausted("spend() on an empty budget")
         self.remaining -= 1
 
     def __repr__(self):

@@ -12,7 +12,7 @@ import enum
 import re
 from dataclasses import dataclass
 
-from .budget import Budget, check_budget
+from .budget import Budget, BudgetExhausted, check_budget
 
 ### syntax
 
@@ -208,22 +208,12 @@ class ImpFuelExhausted:
     pass
 
 
-class _OutOfFuel(Exception):
-    pass
-
-
 def imp_bigstep(cfg: ImpConfig, fuel: int):
     b = Budget(fuel)
     try:
         return ImpDone(_beval(cfg.stmt, cfg.state, b))
-    except _OutOfFuel:
+    except BudgetExhausted:
         return ImpFuelExhausted()
-
-
-def _spend(b: Budget) -> None:
-    if b.remaining == 0:
-        raise _OutOfFuel()
-    b.spend()
 
 
 def _beval(s: Stmt, st: tuple, b: Budget) -> tuple:
@@ -231,22 +221,22 @@ def _beval(s: Stmt, st: tuple, b: Budget) -> tuple:
         t = type(s)
         if t is SeqS:
             st = _beval(s.first, st, b)
-            _spend(b)  # the skip ; s2 -> s2 step
+            b.spend()  # the skip ; s2 -> s2 step
             s = s.second
         elif t is If:
-            _spend(b)
+            b.spend()
             if aeval(st, s.guard) == 0:
                 return st
             s = s.body
         elif t is Assign:
-            _spend(b)
+            b.spend()
             return state_set(st, s.name, aeval(st, s.expr))
         elif t is While:
-            _spend(b)  # unrolling or finishing the loop
+            b.spend()  # unrolling or finishing the loop
             if aeval(st, s.guard) == 0:
                 return st
             st = _beval(s.body, st, b)
-            _spend(b)  # the skip ; while step after the unrolled body
+            b.spend()  # the skip ; while step after the unrolled body
         elif t is Skip:
             return st
         else:

@@ -77,23 +77,29 @@ def decompose(e: Expr):
     """
     if is_value(e):
         return None
+    return _split(e)
+
+
+def _split(e: Expr):
+    """decompose for a non-value e.  A successor's body is then one too, so
+    a chain of them is descended without asking is_value again."""
     c = type(e)
     if c is App:
         f, a = e.fn, e.arg
         if not is_value(f):
-            ctx, r = decompose(f)
+            ctx, r = _split(f)
             return AppFnC(ctx, a), r
         if not is_value(a):
-            ctx, r = decompose(a)
+            ctx, r = _split(a)
             return AppArgC(f, ctx), r
         return Hole(), e
     if c is Succ:
-        ctx, r = decompose(e.body)  # the body is a non-value or e would be one
+        ctx, r = _split(e.body)
         return SuccC(ctx), r
     if c is Case:
         if is_value(e.scrutinee):
             return Hole(), e
-        ctx, r = decompose(e.scrutinee)
+        ctx, r = _split(e.scrutinee)
         return CaseC(e.zero_branch, e.succ_var, e.succ_branch, ctx), r
     # Eff is itself the redex; Var and Let have no rule and will fail to
     # contract
@@ -173,6 +179,7 @@ def multi_step(e: Expr, budget: int) -> MultiResult:
 
 def step_trace(e: Expr, budget: int):
     """The trajectory [e0, e1, ...] out to the budget, a value, or stuckness."""
+    check_budget(budget)
     out = [e]
     for _ in range(budget):
         r = small_step(e)

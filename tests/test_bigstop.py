@@ -4,6 +4,7 @@ and the two alternate dialects (annihilator traces, context-threading)."""
 import dataclasses
 import gc
 import json
+import sys
 import tracemalloc
 
 import pytest
@@ -13,7 +14,9 @@ from bigstop import (
     AnnTrace,
     App,
     ArrowT,
+    Case,
     ComposeMismatch,
+    Derivation,
     KStatus,
     Lam,
     NotStrict,
@@ -42,16 +45,20 @@ from bigstop import (
     infer_type,
     is_progressing,
     is_strict,
+    is_value,
     k_run,
     mnf_bigstop_eval,
     mnf_multi_step,
     multi_step,
     numeral,
     parse_expr,
+    plug,
     print_expr,
     strict_to_bigstep,
     to_mnf,
 )
+from bigstop.smallstep import AppArgC, AppFnC, CaseC, Hole, SuccC
+from bigstop.syntax import rebuild, scoped_children
 from bigstop.traces import Span
 from test_acceptance import _twenty_mutations
 
@@ -477,6 +484,168 @@ def test_ec_checker_rejects_forgeries():
     assert check_derivation(mut(d, rhs=Zero()), dialect="ec") is not None
 
 
+def _spine_splits(e):
+    """Every (context, subterm) split of e along the evaluation spine.  The
+    EC-Seq check searched this list before it walked both terms together;
+    it stays here as the reference for that walk."""
+    out = [(Hole(), e)]
+    c = type(e)
+    if c is App:
+        out += [(AppFnC(k, e.arg), s) for k, s in _spine_splits(e.fn)]
+        if is_value(e.fn):
+            out += [(AppArgC(e.fn, k), s) for k, s in _spine_splits(e.arg)]
+    elif c is Succ:
+        out += [(SuccC(k), s) for k, s in _spine_splits(e.body)]
+    elif c is Case:
+        zb, xv, sb = e.zero_branch, e.succ_var, e.succ_branch
+        out += [(CaseC(zb, xv, sb, k), s) for k, s in _spine_splits(e.scrutinee)]
+    return out
+
+
+def _fits_by_search(d):
+    p1, p2 = d.premises
+    return any(
+        sub == p1.lhs and plug(ctx, p1.rhs) == p2.lhs for ctx, sub in _spine_splits(d.lhs)
+    )
+
+
+def _subterms(e):
+    out, todo = [], [e]
+    while todo:
+        e = todo.pop()
+        out.append(e)
+        todo += [kid for kid, _ in scoped_children(e)]
+    return out
+
+
+def _ec_seq(lhs, start, result, restart):
+    """An EC-Seq node over lhs whose first premiss runs start to result and
+    whose second starts at restart."""
+    return Derivation("EC-Seq", lhs, restart, (), (
+        Derivation("EC-Stop", start, result, (), ()),
+        Derivation("EC-Stop", restart, restart, (), ()),
+    ))
+
+
+def test_the_ec_seq_walk_agrees_with_the_split_search_on_evaluator_nodes():
+    fits = bigstop.bigstop._fits_context
+    nodes = mutants = 0
+    for e in enumerate_exprs(5):
+        for budget in range(7):
+            try:
+                d = ec_bigstop_eval(e, budget).derivation
+            except StuckError:
+                continue
+            for _, node in _nodes(d):
+                if node.rule != "EC-Seq":
+                    continue
+                nodes += 1
+                assert fits(node), print_expr(node.lhs)
+                p1, p2 = node.premises
+                # premiss 1's result, then premiss 2's start, replaced by a
+                # subterm of any of the node's terms
+                subs = [x for t in (node.lhs, p1.lhs, p1.rhs, p2.lhs) for x in _subterms(t)]
+                forgeries = [(mut(p1, rhs=x), p2) for x in subs] + [(p1, mut(p2, lhs=x)) for x in subs]
+                for premises in forgeries:
+                    forged = mut(node, premises=premises)
+                    assert fits(forged) == _fits_by_search(forged), print_expr(node.lhs)
+                mutants += len(forgeries)
+    assert nodes > 3000 and mutants > 90_000
+
+
+# spines that run into values (a numeral or a function in function position,
+# a case over a numeral, a numeral applied) or stop short of an argument
+# (one behind a function that is not yet a value)
+SPINES = (
+    "s(s(z)) ((fun f(x) => x) z)",
+    "s(z) s(z)",
+    "(fun f(x) => x) (s(z) ((fun g(y) => y) z))",
+    "s(case s(s(z)) { z => z | s(n) => n })",
+    "case (fun f(x) => x) s(z) { z => z | s(n) => s(n) }",
+    "(fun f(x) => f) z (s(s(z)))",
+)
+
+
+def _paths(e):
+    """The path, as child indices, to every subterm of e."""
+    out, todo = [], [(e, ())]
+    while todo:
+        e, path = todo.pop()
+        out.append(path)
+        todo += [(kid, path + (i,)) for i, (kid, _) in enumerate(scoped_children(e))]
+    return out
+
+
+def _put(e, path, x):
+    """e with its subterm at path replaced by x."""
+    if not path:
+        return x
+    kids = [kid for kid, _ in scoped_children(e)]
+    kids[path[0]] = _put(kids[path[0]], path[1:], x)
+    return rebuild(e, kids)
+
+
+def test_the_ec_seq_walk_agrees_with_the_split_search_on_hand_built_splits():
+    fits = bigstop.bigstop._fits_context
+    mark = Var("w")  # occurs in no lhs
+    verdicts = []
+    for src in SPINES:
+        lhs = parse_expr(src)
+        starts = [sub for _, sub in _spine_splits(lhs)] + [Zero()]
+        for result in _subterms(lhs) + [Zero()]:
+            # premiss 2 starts from the lhs with the result put at any place,
+            # on the spine or off it, and then maybe one more place changed
+            restarts = []
+            for path in _paths(lhs):
+                once = _put(lhs, path, result)
+                restarts += [once] + [_put(once, p, mark) for p in _paths(once)]
+            for start in starts:
+                for restart in restarts:
+                    node = _ec_seq(lhs, start, result, restart)
+                    verdicts.append(fits(node))
+                    assert verdicts[-1] == _fits_by_search(node), (src, start, result, restart)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+GROW = parse_expr("(fun f(x) => s(f x)) z")  # one more s(.) around the redex per contraction
+
+
+def _calls(run, code=None):
+    """The Python calls run() makes, or only those that run this code."""
+    n = 0
+
+    def count(frame, event, arg):
+        nonlocal n
+        if event == "call" and (code is None or frame.f_code is code):
+            n += 1
+
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return n
+
+
+def test_multi_step_asks_is_value_a_bounded_number_of_times_per_step():
+    # asking again at every s(.) of the context made each step's calls grow
+    # with the depth: 20,901 then 81,801 calls
+    small, large = (
+        _calls(lambda: multi_step(GROW, b), is_value.__code__) for b in (200, 400)
+    )
+    assert large <= 2.5 * small, (small, large)
+
+
+def test_the_ec_checker_walks_each_spine_once():
+    # listing every split of every EC-Seq node's lhs took about the cube of
+    # the budget (6.9 times the calls); one walk per node takes its square
+    small, large = (
+        _calls(lambda d=ec_bigstop_eval(GROW, b).derivation: check_derivation(d, "ec"))
+        for b in (100, 200)
+    )
+    assert large <= 4.5 * small, (small, large)
+
+
 ### serialisation
 
 def test_json_round_trip_plain():
@@ -641,6 +810,37 @@ def test_dropping_any_premiss_is_rejected_at_its_node(dialect):
     assert dropped > 100
 
 
+REDEX = parse_expr("(fun f(x) => x) z")
+
+
+@pytest.mark.parametrize("dialect", sorted(BUILD))
+def test_only_a_contraction_is_progress_in_every_dialect(dialect):
+    assert not is_progressing(BUILD[dialect](REDEX, 0))
+    assert is_progressing(BUILD[dialect](REDEX, 1))
+
+
+def _leaf(rule, t, trace=()):
+    return Derivation(rule, t, t, trace, ())
+
+
+LET = parse_expr("let x = (fun f(x) => x) z in x")
+# valid congruence nodes whose premisses contract nothing
+IDLE_CONGRUENCES = {
+    "ec": Derivation("EC-Seq", REDEX, REDEX, (), (_leaf("EC-Stop", REDEX), _leaf("EC-Stop", REDEX))),
+    "mnf": Derivation("StM-Let1", LET, LET, (), (_leaf("StM-Stop", REDEX),)),
+    "annihilator": Derivation(
+        "StA-Succ", Succ(Zero()), Succ(Zero()), AnnTrace(), (_leaf("StA-Val", Zero(), AnnTrace()),),
+    ),
+}
+
+
+@pytest.mark.parametrize("dialect", sorted(IDLE_CONGRUENCES))
+def test_a_congruence_over_idle_premisses_is_not_progress(dialect):
+    d = IDLE_CONGRUENCES[dialect]
+    assert check_derivation(d, dialect) is None
+    assert not is_progressing(d)
+
+
 def _depth(d):
     depth, todo = 0, [(d, 1)]
     while todo:
@@ -688,8 +888,10 @@ def test_derivations_deeper_than_the_recursion_limit_check(at_recursion_limit_10
         plain_strict=lambda: is_strict(plain),
         progressing=lambda: is_progressing(stop1),
         round_trip=lambda: bigstep_to_strict(strict_to_bigstep(strict)),
+        ec_verdict=lambda: check_derivation(ec_bigstop_eval(LOOP, 5000).derivation, "ec"),
     )
     assert got["plain_verdict"] is None
+    assert got["ec_verdict"] is None
     assert got["mnf_verdict"] is None
     assert got["plain_strict"] is False  # cut off inside the loop
     assert got["progressing"] is True

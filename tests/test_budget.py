@@ -5,6 +5,7 @@ import pytest
 
 from bigstop import (
     Budget,
+    BudgetExhausted,
     compile,
     config,
     imp_multi_step,
@@ -13,6 +14,7 @@ from bigstop import (
     multi_step,
     parse_expr,
     parse_stmt,
+    step_trace,
     to_mnf,
 )
 
@@ -25,11 +27,19 @@ STMT = parse_stmt("x := 1")
 @pytest.mark.parametrize("run", [
     lambda b: Budget(b),
     lambda b: multi_step(TERM, b),
+    lambda b: step_trace(TERM, b),
     lambda b: mnf_multi_step(to_mnf(TERM), b),
     lambda b: k_run(compile(TERM), b),
     lambda b: imp_multi_step(config(STMT), b),
-], ids=["Budget", "multi_step", "mnf_multi_step", "k_run", "imp_multi_step"])
+], ids=["Budget", "multi_step", "step_trace", "mnf_multi_step", "k_run", "imp_multi_step"])
 def test_a_negative_budget_raises(run):
     with pytest.raises(ValueError, match="budget must be non-negative"):
         run(-1)
     run(0)  # zero is a budget
+
+
+def test_spending_an_empty_budget_raises_budget_exhausted():
+    b = Budget(1)
+    b.spend()
+    with pytest.raises(BudgetExhausted):
+        b.spend()
