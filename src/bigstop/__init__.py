@@ -19,6 +19,7 @@ from .bigstop import (
     BigStopResult,
     ComposeMismatch,
     Derivation,
+    DerivationFormatError,
     NotStrict,
     RuleViolation,
     StuckError,

@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 from .budget import Budget
 from .smallstep import decompose, plug
 from .syntax import (
-    App, Case, Eff, Expr, Lam, Let, Succ, Var, Zero,
+    App, Case, Eff, Expr, Lam, Let, ParseError, Succ, Var, Zero,
     is_value, parse_expr, print_expr, subst,
 )
 from .traces import (
-    ANN_EMPTY, ANN_ZERO, ANNIHILATOR, AnnTrace, Trace, ann_concat, ann_concat_all, emit,
+    ANN_EMPTY, ANN_ZERO, AnnTrace, Span, Trace, ann_concat, ann_concat_all, emit,
 )
 from .typecheck import ArrowT, TypeFailure, infer_type
 
@@ -820,41 +820,130 @@ def _ec_redex(r: Expr, b: Budget, log: list) -> Derivation:
 
 
 ### JSON round-trip
+#
+# A file holds each shared thing once: a table of the distinct terms as
+# source text, the labels every trace points into, and one row per node in
+# preorder.  A row is [rule, lhs, rhs, start, end, n]: lhs and rhs index the
+# terms, the trace is labels[start:end], and the node's n premisses are the
+# subtrees whose rows follow it.  An annihilator trace puts its cut flag
+# before n.  The labels hold each label log the tree's spans share once, so
+# a run's file grows with the run, not with the square of it.
+
+FORMAT = 2
+
+
+class DerivationFormatError(ValueError):
+    """Input that derivation_to_json did not write: bad JSON, a missing or
+    unknown format, or tables and rows that do not fit together."""
 
 
 def derivation_to_json(d: Derivation) -> dict:
-    if isinstance(d.trace, AnnTrace):
-        labels = list(d.trace.prefix) + ([ANNIHILATOR] if d.trace.annihilated else [])
-    else:
-        labels = list(d.trace)
-    return {
-        "rule": d.rule,
-        "from": print_expr(d.lhs),
-        "to": print_expr(d.rhs),
-        "trace": labels,
-        "premises": [derivation_to_json(p) for p in d.premises],
-    }
+    """d as a dict in the format above, ready for json.dump."""
+    terms: list = []
+    by_id: dict = {}  # the tree keeps every term alive, so ids stay unique
+    by_text: dict = {}
+    labels: list = []
+    offsets: dict = {}  # id of a span's log -> where labels holds it
 
+    def term(e: Expr) -> int:
+        i = by_id.get(id(e))
+        if i is None:
+            text = print_expr(e)
+            i = by_text.get(text)
+            if i is None:
+                i = by_text[text] = len(terms)
+                terms.append(text)
+            by_id[id(e)] = i
+        return i
 
-def derivation_from_json(obj) -> Derivation:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    labels = obj["trace"]
-    if obj["rule"].startswith("StA-"):
-        if labels and labels[-1] == ANNIHILATOR:
-            trace: object = AnnTrace(tuple(labels[:-1]), True)
+    def bounds(t) -> tuple:
+        if type(t) is Span:
+            at = offsets.get(id(t.log))
+            if at is None:
+                at = offsets[id(t.log)] = len(labels)
+                labels.extend(t.log)
+            return at + t.start, at + t.end
+        if not t:
+            return 0, 0
+        start = len(labels)
+        labels.extend(t)  # a trace that is no span (a forged or composed one)
+        return start, len(labels)
+
+    rows = []
+    todo = [d]
+    while todo:
+        n = todo.pop()
+        t = n.trace
+        if type(t) is AnnTrace:
+            rows.append([n.rule, term(n.lhs), term(n.rhs), *bounds(t.prefix), t.annihilated, len(n.premises)])
         else:
-            trace = AnnTrace(tuple(labels), False)
-    else:
-        trace = tuple(labels)
-    return Derivation(
-        obj["rule"],
-        parse_expr(obj["from"]),
-        parse_expr(obj["to"]),
-        trace,
-        tuple(derivation_from_json(p) for p in obj["premises"]),
-    )
+            rows.append([n.rule, term(n.lhs), term(n.rhs), *bounds(t), len(n.premises)])
+        todo += reversed(n.premises)
+    return {"format": FORMAT, "terms": terms, "labels": labels, "nodes": rows}
 
 
 def derivation_to_json_str(d: Derivation) -> str:
-    return json.dumps(derivation_to_json(d))
+    return json.dumps(derivation_to_json(d), separators=(",", ":"))
+
+
+def derivation_from_json(obj) -> Derivation:
+    """The derivation that derivation_to_json wrote as obj (or as its JSON
+    text).  Raises DerivationFormatError on any other input."""
+    try:
+        if isinstance(obj, str):
+            obj = json.loads(obj)
+        return _decode(obj)
+    except DerivationFormatError:
+        raise
+    except RecursionError:
+        raise DerivationFormatError("nested too deeply to decode") from None
+    except (ValueError, TypeError, KeyError) as err:
+        raise DerivationFormatError(f"malformed derivation file: {err!r}") from None
+
+
+def _decode(obj) -> Derivation:
+    if type(obj) is not dict or obj.get("format") != FORMAT:
+        raise DerivationFormatError(f"not a format {FORMAT} derivation file")
+    texts, labels, rows = obj["terms"], obj["labels"], obj["nodes"]
+    if not (type(texts) is type(labels) is type(rows) is list):
+        raise DerivationFormatError("terms, labels and nodes must be lists")
+    if not all(type(x) is str for x in texts) or not all(type(x) is str for x in labels):
+        raise DerivationFormatError("terms and labels must be strings")
+    terms = []
+    for i, text in enumerate(texts):
+        try:
+            terms.append(parse_expr(text))
+        except ParseError as err:
+            raise DerivationFormatError(f"term {i} does not parse: {err}") from None
+    n_terms, n_labels = len(terms), len(labels)
+    # rows in reverse: a node's premisses are built before it and wait on
+    # the stack, its first premiss on top
+    done: list = []
+    for k in range(len(rows) - 1, -1, -1):
+        row = rows[k]
+        if type(row) is not list or len(row) not in (6, 7):
+            raise DerivationFormatError(f"node {k}: a row has 6 or 7 entries")
+        rule, lhs, rhs, start, end, n = row[0], row[1], row[2], row[3], row[4], row[-1]
+        if type(rule) is not str or {type(lhs), type(rhs), type(start), type(end), type(n)} != {int}:
+            raise DerivationFormatError(f"node {k}: a rule name and five integers expected")
+        if not (0 <= lhs < n_terms and 0 <= rhs < n_terms):
+            raise DerivationFormatError(f"node {k}: term index out of range")
+        if not (0 <= start and end <= n_labels):
+            raise DerivationFormatError(f"node {k}: trace bounds out of range")
+        if start > end:
+            raise DerivationFormatError(f"node {k}: trace starts after it ends")
+        if not 0 <= n <= len(done):
+            raise DerivationFormatError(f"node {k}: premisses run past the last row")
+        trace = Span(labels, start, end) if start < end else ()
+        if len(row) == 7:
+            if type(row[5]) is not bool:
+                raise DerivationFormatError(f"node {k}: the cut flag is not a boolean")
+            trace = AnnTrace(trace, row[5])
+        premises = ()
+        if n:
+            premises = tuple(reversed(done[-n:]))
+            del done[-n:]
+        done.append(Derivation(rule, terms[lhs], terms[rhs], trace, premises))
+    if len(done) != 1:
+        raise DerivationFormatError(f"the rows make {len(done)} trees, not one")
+    return done[0]

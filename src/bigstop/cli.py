@@ -5,14 +5,17 @@ Three console scripts share one dispatcher:
     pcf run --sem bigstop --budget 4 'eff[a] s(z)'
     pcf typecheck 'fun f(x) => x'
     pcf mnf '(fun f(x) => x) (s z)'      -- oops: application is juxtaposition
+    pcf check --dialect plain d.json     -- a file that pcf run --derivation wrote
     imp run --sem freeze --budget 3 --init x=2 'while x do { x := x - 1 }'
     fuzz --suite stop-multi --max-size 5
 
-Exit codes: 0 success, 1 evaluation stuck, open program or type error, 2
-usage or parse error (a program nested too deeply to parse included), a
-program file that cannot be read as UTF-8 text, or a --derivation file that
-cannot be written, 3 property-suite failure.  `python -m bigstop` takes the
-same arguments as the dispatcher: `python -m bigstop pcf run -e z`.
+Exit codes: 0 success, 1 evaluation stuck, open program, type error or a
+derivation that `pcf check` rejects, 2 usage or parse error (a program
+nested too deeply to parse included), a program file that cannot be read as
+UTF-8 text, a --derivation file that cannot be written, or a `pcf check`
+file that cannot be read or is not a derivation file, 3 property-suite
+failure.  `python -m bigstop` takes the same arguments as the dispatcher:
+`python -m bigstop pcf run -e z`.
 """
 
 import argparse
@@ -22,9 +25,12 @@ import sys
 from . import imp
 from .bigstep import FuelExhausted, Stuck, Value, big_step
 from .bigstop import (
+    DerivationFormatError,
     StuckError,
     annihilator_derivation,
     bigstop_eval,
+    check_derivation,
+    derivation_from_json,
     derivation_to_json_str,
     ec_bigstop_eval,
 )
@@ -46,13 +52,17 @@ def _err(msg: str) -> None:
 _TOO_DEEP = "parse: program nested too deeply"
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise _Usage(f"cannot read {path}: {getattr(err, 'strerror', None) or err}")
+
+
 def _read_program(arg: str, force_literal: bool) -> str:
     if not force_literal and os.path.isfile(arg):
-        try:
-            with open(arg, encoding="utf-8") as fh:
-                return fh.read()
-        except (OSError, UnicodeDecodeError) as err:
-            raise _Usage(f"cannot read {arg}: {getattr(err, 'strerror', None) or err}")
+        return _read_text(arg)
     return arg
 
 
@@ -141,7 +151,13 @@ def _pcf(args) -> int:
     mn.add_argument("-e", action="store_true", dest="literal")
     mn.add_argument("program")
 
+    ck = sub.add_parser("check")
+    ck.add_argument("--dialect", choices=_DIALECTS, default="plain")
+    ck.add_argument("file")
+
     ns = p.parse_args(args)
+    if ns.cmd == "check":
+        return _pcf_check(ns.file, ns.dialect)
     try:
         expr = parse_expr(_read_program(ns.program, ns.literal))
     except ParseError as pe:
@@ -167,6 +183,21 @@ def _pcf(args) -> int:
 
 
 _DERIVING_SEMS = ("bigstop", "annihilator", "mnf", "ec")
+_DIALECTS = ("plain", "mnf", "ec", "annihilator")
+
+
+def _pcf_check(path: str, dialect: str) -> int:
+    text = _read_text(path)
+    try:
+        d = derivation_from_json(text)
+    except DerivationFormatError as err:
+        raise _Usage(f"{path}: {err}")
+    violation = check_derivation(d, dialect)
+    if violation is not None:
+        print(violation, file=sys.stderr)
+        return EVAL_ERROR
+    print(f"valid {dialect} derivation")
+    return OK
 
 
 def _pcf_run(ns, expr) -> int:

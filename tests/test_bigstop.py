@@ -17,6 +17,7 @@ from bigstop import (
     Case,
     ComposeMismatch,
     Derivation,
+    DerivationFormatError,
     KStatus,
     Lam,
     NotStrict,
@@ -651,21 +652,146 @@ def test_the_ec_checker_walks_each_spine_once():
 def test_json_round_trip_plain():
     d = bigstop_eval(parse_expr("eff[a] z"), 4).derivation
     obj = derivation_to_json(d)
-    assert sorted(obj.keys()) == ["from", "premises", "rule", "to", "trace"]
+    assert sorted(obj.keys()) == ["format", "labels", "nodes", "terms"]
+    assert obj["format"] == 2
+    assert obj["terms"] == ["eff[a] z", "z"]
+    assert obj["labels"] == ["a"]
+    # rule, lhs, rhs, trace start and end, premiss count; in preorder
+    assert obj["nodes"] == [["StE-Eff", 0, 1, 0, 1, 1], ["St-Stop(0)", 1, 1, 0, 0, 0]]
     assert derivation_from_json(obj) == d
 
 
 def test_json_round_trip_annihilated():
     d = annihilator_derivation(parse_expr("eff[a] eff[b] z"), 1, demand="nat")
     obj = json.loads(derivation_to_json_str(d))
-    assert obj["trace"] == ["a", "0"]      # absorbing marker rides along
+    assert sorted(obj.keys()) == ["format", "labels", "nodes", "terms"]
+    assert obj["labels"] == ["a"]
+    rule, _, _, start, end, cut, n = obj["nodes"][0]
+    assert (rule, obj["labels"][start:end], cut, n) == ("StA-Eff", ["a"], True, 1)
     assert derivation_from_json(obj) == d
 
 
 def test_json_string_form_is_actual_json():
     d = bigstop_eval(parse_expr("(fun f(x) => x) z"), 1).derivation
     parsed = json.loads(derivation_to_json_str(d))
-    assert parsed["rule"] == d.rule
+    assert parsed["nodes"][0][0] == d.rule
+
+
+def _round_trip(d):
+    return derivation_from_json(derivation_to_json_str(d))
+
+
+def test_every_forgery_round_trips_to_itself_and_its_verdict():
+    for name, dialect, d in _twenty_mutations():
+        for _, node in _nodes(d):
+            back = _round_trip(node)
+            assert back == node, name
+            assert check_derivation(back, dialect) == check_derivation(node, dialect), name
+
+
+def test_traces_that_are_no_span_of_the_run_round_trip():
+    e = parse_expr("(fun f(x) => eff[t] eff[u] f x) z")
+    d1 = bigstop_eval(e, 3).derivation
+    composed = compose(d1, bigstop_eval(d1.rhs, 4).derivation)  # spans of two logs
+    assert composed == bigstop_eval(e, 7).derivation
+    other_log = mut(d1, trace=Span(["x", *d1.trace.log], 1, 1 + len(d1.trace)))
+    forged = mut(d1, trace=("0", "t"))
+    cross = mut(d1, trace=AnnTrace(d1.trace, False))  # another dialect's trace
+    for d in (composed, other_log, forged, cross):
+        back = _round_trip(d)
+        assert back == d
+        assert check_derivation(back) == check_derivation(d)
+    assert type(_round_trip(cross).trace) is AnnTrace
+    assert check_derivation(forged) is not None and check_derivation(cross) is not None
+
+
+def test_a_file_holds_each_label_once_and_each_term_text_once():
+    obj = derivation_to_json(bigstop_eval(LOOP, 200).derivation)
+    assert obj["labels"] == ["t"] * 100
+    assert len(obj["terms"]) == len(set(obj["terms"]))
+
+
+def test_file_size_grows_linearly_with_the_budget():
+    # each node writing its whole trace made the file 3.59 times as large
+    size = {b: len(derivation_to_json_str(bigstop_eval(LOOP, b).derivation)) for b in (800, 1600)}
+    assert size[1600] <= 2.2 * size[800], size
+
+
+def test_derivation_files_deeper_than_the_recursion_limit_round_trip(at_recursion_limit_1000):
+    d = bigstop_eval(LOOP, 3000).derivation
+    assert _depth(d) > 2000
+
+    def round_trip():
+        back = derivation_from_json(derivation_to_json_str(d))
+        return back, check_derivation(back)
+
+    back, verdict = at_recursion_limit_1000(round_trip=round_trip)["round_trip"]
+    assert verdict is None
+    assert back is not d and _same(back, d)
+
+
+def _edit(path, value):
+    """A change to GOOD_FILE: set the entry at path (None: delete it)."""
+    def change(obj):
+        *up, last = path
+        for key in up:
+            obj = obj[key]
+        if value is None:
+            del obj[last]
+        else:
+            obj[last] = value
+    return change
+
+
+# eff[a] z at budget 4: terms ["eff[a] z", "z"], labels ["a"], and rows
+# ["StE-Eff", 0, 1, 0, 1, 1], ["St-Stop(0)", 1, 1, 0, 0, 0]
+GOOD_FILE = derivation_to_json(bigstop_eval(parse_expr("eff[a] z"), 4).derivation)
+FORMAT_ERRORS = {  # case: (the change, what the error says)
+    "missing format": (_edit(["format"], None), "format"),
+    "unknown format": (_edit(["format"], 1), "format"),
+    "term index out of range": (_edit(["nodes", 1, 1], 2), "term index out of range"),
+    "negative term index": (_edit(["nodes", 0, 2], -1), "term index out of range"),
+    "trace end out of range": (_edit(["nodes", 0, 4], 2), "bounds out of range"),
+    "negative trace start": (_edit(["nodes", 0, 3], -1), "bounds out of range"),
+    "trace starts after it ends": (_edit(["nodes", 1, 3], 1), "starts after it ends"),
+    "premisses run past the last row": (_edit(["nodes", 1, 5], 1), "past the last row"),
+    "rows left over": (_edit(["nodes", 0, 5], 0), "2 trees"),
+    "no rows": (_edit(["nodes"], []), "0 trees"),
+    "term text does not parse": (_edit(["terms", 1], "s("), "term 1 does not parse"),
+    "index that is not an integer": (_edit(["nodes", 0, 1], 0.0), "integers"),
+    "row of the wrong length": (_edit(["nodes", 1], ["Val", 1, 1, 0]), "entries"),
+    "missing table": (_edit(["labels"], None), "malformed"),
+    "term that is no string": (_edit(["terms", 0], 0), "strings"),
+    "cut flag that is not a boolean": (_edit(["nodes", 0], ["StA-Eff", 0, 1, 0, 1, 1, 1]), "cut flag"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORMAT_ERRORS))
+def test_every_malformed_file_raises_one_error(case):
+    assert derivation_from_json(GOOD_FILE) is not None
+    change, says = FORMAT_ERRORS[case]
+    obj = json.loads(json.dumps(GOOD_FILE))
+    change(obj)
+    for form in (obj, json.dumps(obj)):
+        with pytest.raises(DerivationFormatError, match=says):
+            derivation_from_json(form)
+
+
+@pytest.mark.parametrize("junk", ["", "[1, 2", "[]", "null", '{"format": 2}'])
+def test_input_that_is_no_file_raises_the_same_error(junk):
+    with pytest.raises(DerivationFormatError):
+        derivation_from_json(junk)
+    assert issubclass(DerivationFormatError, ValueError)
+
+
+def test_json_nested_past_the_recursion_limit_raises_the_same_error(at_recursion_limit_1000):
+    def decode():
+        try:
+            derivation_from_json("[" * 5000 + "]" * 5000)
+        except DerivationFormatError as err:
+            return str(err)
+
+    assert "nested too deeply" in at_recursion_limit_1000(decode=decode)["decode"]
 
 
 ### span traces
@@ -808,6 +934,16 @@ def test_dropping_any_premiss_is_rejected_at_its_node(dialect):
                     assert v is not None and v.path == path, (print_expr(e), budget, path, j)
                     dropped += 1
     assert dropped > 100
+
+
+@pytest.mark.parametrize("dialect", sorted(BUILD))
+def test_evaluator_derivations_round_trip(dialect):
+    for e in enumerate_exprs(4):
+        for budget in (0, 1, 3, 6):
+            d = BUILD[dialect](e, budget)
+            back = _round_trip(d)
+            assert back == d, (print_expr(e), budget)
+            assert check_derivation(back, dialect) is None, (print_expr(e), budget)
 
 
 REDEX = parse_expr("(fun f(x) => x) z")

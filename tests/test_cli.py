@@ -9,7 +9,8 @@ import sys
 import pytest
 
 import bigstop.cli as cli
-from bigstop import Failure, PropertyReport, Zero
+from bigstop import Failure, PropertyReport, Zero, check_derivation, derivation_to_json_str
+from test_acceptance import _twenty_mutations
 
 
 def run(capsys, *argv):
@@ -213,8 +214,10 @@ def test_derivation_file_holds_valid_json(capsys, tmp_path):
     )
     assert (code, out) == (0, "z | a\n")
     obj = json.loads(dv.read_text())
-    assert obj["rule"] == "StE-Eff"
-    assert sorted(obj.keys()) == ["from", "premises", "rule", "to", "trace"]
+    assert sorted(obj.keys()) == ["format", "labels", "nodes", "terms"]
+    assert obj["format"] == 2
+    assert obj["nodes"][0] == ["StE-Eff", 0, 1, 0, 1, 1]
+    assert (obj["terms"], obj["labels"]) == (["eff[a] z", "z"], ["a"])
 
 
 def test_annihilated_derivations_serialise_the_marker(capsys, tmp_path):
@@ -223,7 +226,10 @@ def test_annihilated_derivations_serialise_the_marker(capsys, tmp_path):
         capsys, "pcf", "run", "--sem", "annihilator", "--budget", "1",
         "--derivation", str(dv), "-e", "eff[a] ((fun f(x) => f x) z)",
     )
-    assert json.loads(dv.read_text())["trace"] == ["a", "0"]
+    obj = json.loads(dv.read_text())
+    assert obj["labels"] == ["a"]
+    rule, _, _, start, end, cut, n = obj["nodes"][0]
+    assert (rule, obj["labels"][start:end], cut, n) == ("StA-Eff", ["a"], True, 1)
 
 
 def test_derivation_flag_requires_a_deriving_semantics(capsys, tmp_path):
@@ -245,6 +251,54 @@ def test_an_unwritable_derivation_file_exits_two_with_one_error_line(capsys, tmp
     assert err.startswith("error: cannot write ")
     assert err.count("\n") == 1
     assert not dv.exists()
+
+
+### checking derivation files
+
+@pytest.mark.parametrize("sem, dialect", [
+    ("bigstop", "plain"), ("mnf", "mnf"), ("ec", "ec"), ("annihilator", "annihilator"),
+])
+def test_check_accepts_what_run_writes(capsys, tmp_path, sem, dialect):
+    dv = tmp_path / "d.json"
+    code, _, _ = run(
+        capsys, "pcf", "run", "--sem", sem, "--budget", "40",
+        "--derivation", str(dv), "-e", "(fun f(x) => eff[t] f x) z",
+    )
+    assert code == 0
+    code, _, err = run(capsys, "pcf", "check", "--dialect", dialect, str(dv))
+    assert (code, err) == (0, "")
+
+
+def test_check_defaults_to_the_plain_dialect(capsys, tmp_path):
+    dv = tmp_path / "d.json"
+    run(capsys, "pcf", "run", "--sem", "ec", "--budget", "2", "--derivation", str(dv), "-e", "s(z)")
+    code, _, err = run(capsys, "pcf", "check", str(dv))
+    assert (code, err) == (1, "at root: unknown rule 'EC-Val' for the plain dialect\n")
+
+
+def test_check_rejects_each_forgery_where_the_checker_does(capsys, tmp_path):
+    dv = tmp_path / "d.json"
+    for name, dialect, d in _twenty_mutations():
+        dv.write_text(derivation_to_json_str(d))
+        code, _, err = run(capsys, "pcf", "check", "--dialect", dialect, str(dv))
+        v = check_derivation(d, dialect)
+        assert (code, err) == (1, f"{v}\n"), name
+        assert err.startswith("at root: "), name
+
+
+@pytest.mark.parametrize("content", [b"{}", b"", b"\xff\xfe", b'{"format": 2, "terms": [], "labels": [], "nodes": []}'])
+def test_check_on_a_file_that_is_no_derivation_exits_two(capsys, tmp_path, content):
+    dv = tmp_path / "d.json"
+    dv.write_bytes(content)
+    code, out, err = run(capsys, "pcf", "check", str(dv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_check_on_a_missing_file_exits_two(capsys, tmp_path):
+    code, _, err = run(capsys, "pcf", "check", str(tmp_path / "nope.json"))
+    assert code == 2
+    assert err.startswith("error: cannot read ")
 
 
 ### imperative commands
