@@ -6,25 +6,24 @@ with the same value and trace.  Premisses are evaluated left to right,
 which is what sequences the effects.
 """
 
-from dataclasses import dataclass
-
 from .budget import Budget, BudgetExhausted
+from .record import record
 from .syntax import App, Case, Eff, Expr, Lam, Succ, Zero, is_value, subst
 from .traces import Trace
 
 
-@dataclass(frozen=True)
+@record
 class Value:
     value: Expr
     trace: Trace
 
 
-@dataclass(frozen=True)
+@record
 class FuelExhausted:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Stuck:
     at: Expr
 

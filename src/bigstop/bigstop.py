@@ -18,10 +18,12 @@ checking a trace copies no labels.
 
 import json
 import operator
+import re
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .budget import Budget
+from .record import record
 from .smallstep import decompose, plug
 from .syntax import (
     App, Case, Eff, Expr, Lam, Let, ParseError, Succ, Var, Zero,
@@ -45,16 +47,16 @@ class NotMNF(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Derivation:
     rule: str
     lhs: Expr
     rhs: Expr
     trace: object  # Trace or Span for most dialects, AnnTrace for StA-*
-    premises: tuple = field(default_factory=tuple)
+    premises: tuple = ()
 
 
-@dataclass(frozen=True)
+@record
 class BigStopResult:
     stopped: Expr
     trace: Trace
@@ -212,7 +214,7 @@ def is_progressing(d: Derivation) -> bool:
 # node builders, so the checker stays independent of the evaluator.
 
 
-@dataclass(frozen=True)
+@record
 class RuleViolation:
     path: tuple
     reason: str
@@ -222,7 +224,7 @@ class RuleViolation:
         return f"at {where}: {self.reason}"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Premiss:
     """One premiss of a rule: a Val side condition, or a run in the rule's
     own dialect.  at(lhs, premises) is the term it must start at (for a
@@ -235,7 +237,7 @@ class Premiss:
     ends: Callable | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Rule:
     """One inference rule: the lhs terms it applies to (None: any), its
     premisses in order, and the conclusion's rhs as rhs(lhs, premises)
@@ -831,6 +833,21 @@ def _ec_redex(r: Expr, b: Budget, log: list) -> Derivation:
 
 FORMAT = 2
 
+# A format 2 file nests three deep: the file, its three lists, a row.  The C
+# JSON decoder recurses once per level and can overflow the C stack before
+# it meets the recursion limit, so deeper text is refused before it runs.
+_DEPTH = 3
+_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?', re.S)  # unterminated: to the end
+_NOT_BRACKET = bytes(c for c in range(256) if c not in b"[]{}")
+_STEP = {ord("["): 1, ord("{"): 1, ord("]"): -1, ord("}"): -1}
+
+
+def _nested_too_deeply(text: str) -> bool:
+    """Whether the brackets outside strings nest deeper than _DEPTH."""
+    outside = _STRING.sub("", text).encode()
+    steps = map(_STEP.__getitem__, outside.translate(None, _NOT_BRACKET))
+    return max(accumulate(steps), default=0) > _DEPTH
+
 
 class DerivationFormatError(ValueError):
     """Input that derivation_to_json did not write: bad JSON, a missing or
@@ -891,6 +908,8 @@ def derivation_from_json(obj) -> Derivation:
     text).  Raises DerivationFormatError on any other input."""
     try:
         if isinstance(obj, str):
+            if _nested_too_deeply(obj):
+                raise DerivationFormatError(f"nested too deeply for format {FORMAT}")
             obj = json.loads(obj)
         return _decode(obj)
     except DerivationFormatError:

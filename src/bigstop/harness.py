@@ -27,6 +27,7 @@ from .bigstop import (
 )
 from .kmachine import correspondence_check
 from .mnf import let_erase, mnf_multi_step, to_mnf
+from .record import record
 from .smallstep import RunStatus, multi_step, small_step, step_trace
 from .syntax import (
     App,
@@ -292,7 +293,7 @@ def corpus_term(name: str):
 ### failure reports
 
 
-@dataclass(frozen=True)
+@record
 class Failure:
     term: object  # Expr, Stmt, or ImpConfig
     budget: object  # int or None
@@ -300,7 +301,7 @@ class Failure:
     actual: str
 
 
-@dataclass(frozen=True)
+@record
 class PropertyReport:
     property: str
     trials: int

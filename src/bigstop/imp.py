@@ -10,79 +10,79 @@ program, reporting that it froze.
 
 import enum
 import re
-from dataclasses import dataclass
 
 from .budget import Budget, BudgetExhausted, check_budget
+from .record import record
 
 ### syntax
 
 
 class AExpr:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class Lit(AExpr):
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class Ref(AExpr):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Add(AExpr):
     left: AExpr
     right: AExpr
 
 
-@dataclass(frozen=True)
+@record
 class Sub(AExpr):
     left: AExpr
     right: AExpr
 
 
-@dataclass(frozen=True)
+@record
 class Mul(AExpr):
     left: AExpr
     right: AExpr
 
 
 class Stmt:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class Skip(Stmt):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Assign(Stmt):
     name: str
     expr: AExpr
 
 
-@dataclass(frozen=True)
+@record
 class SeqS(Stmt):
     first: Stmt
     second: Stmt
 
 
-@dataclass(frozen=True)
+@record
 class If(Stmt):
     guard: AExpr
     body: Stmt
 
 
-@dataclass(frozen=True)
+@record
 class While(Stmt):
     guard: AExpr
     body: Stmt
 
 
-@dataclass(frozen=True)
+@record
 class ImpConfig:
     stmt: Stmt
     state: tuple  # sorted (name, value) pairs
@@ -172,7 +172,7 @@ class ImpStatus(enum.Enum):
     OUT_OF_BUDGET = "OutOfBudget"
 
 
-@dataclass(frozen=True)
+@record
 class ImpMultiResult:
     config: ImpConfig
     steps: int
@@ -198,12 +198,12 @@ def imp_multi_step(cfg: ImpConfig, budget: int) -> ImpMultiResult:
 # the call depth follows how deeply the statements nest, not the budget.
 
 
-@dataclass(frozen=True)
+@record
 class ImpDone:
     state: tuple
 
 
-@dataclass(frozen=True)
+@record
 class ImpFuelExhausted:
     pass
 
@@ -288,7 +288,7 @@ def _bstop(s: Stmt, st: tuple, b: Budget):
 ### freeze variant
 
 
-@dataclass(frozen=True)
+@record
 class FreezeResult:
     state: tuple
     frozen: bool

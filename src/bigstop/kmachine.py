@@ -10,9 +10,9 @@ contraction by contraction.
 """
 
 import enum
-from dataclasses import dataclass
 
 from .budget import check_budget
+from .record import record
 from .syntax import (
     App, Case, Eff, Expr, Lam, Succ, Zero,
     is_value, print_expr, subst,
@@ -20,24 +20,24 @@ from .syntax import (
 from .traces import Trace, format_trace
 
 
-@dataclass(frozen=True)
+@record
 class SuccF:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class CaseF:
     zero_branch: Expr
     succ_var: str
     succ_branch: Expr
 
 
-@dataclass(frozen=True)
+@record
 class FunF:
     arg: Expr  # not yet evaluated
 
 
-@dataclass(frozen=True)
+@record
 class ArgF:
     fn_value: Expr  # must be a value
 
@@ -51,7 +51,7 @@ class Mode(enum.Enum):
     RETURN = "◁"
 
 
-@dataclass(frozen=True)
+@record
 class MachineState:
     mode: Mode
     stack: Stack
@@ -140,7 +140,7 @@ class KStatus(enum.Enum):
     STUCK = "Stuck"
 
 
-@dataclass(frozen=True)
+@record
 class KRunResult:
     state: MachineState
     trace: Trace
@@ -258,7 +258,7 @@ def show_state(s: MachineState) -> str:
 ### exact correspondence with the step relation
 
 
-@dataclass(frozen=True)
+@record
 class Report:
     ok: bool
     detail: str

@@ -7,9 +7,9 @@ substituted for the self binder, or an effect, which emits its label.
 """
 
 import enum
-from dataclasses import dataclass
 
 from .budget import check_budget
+from .record import record
 from .syntax import (
     App, Case, Eff, Expr, Lam, Succ, Zero, is_value, subst,
 )
@@ -19,20 +19,20 @@ from .traces import Trace
 
 
 class EvalContext:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class Hole(EvalContext):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class SuccC(EvalContext):
     body: EvalContext
 
 
-@dataclass(frozen=True)
+@record
 class CaseC(EvalContext):
     zero_branch: Expr
     succ_var: str
@@ -40,13 +40,13 @@ class CaseC(EvalContext):
     scrutinee: EvalContext
 
 
-@dataclass(frozen=True)
+@record
 class AppFnC(EvalContext):
     fn: EvalContext
     arg: Expr
 
 
-@dataclass(frozen=True)
+@record
 class AppArgC(EvalContext):
     fn_value: Expr  # must be a value
     arg: EvalContext
@@ -127,7 +127,7 @@ def contract(r: Expr):
 ### stepping
 
 
-@dataclass(frozen=True)
+@record
 class StepResult:
     expr: Expr
     trace: Trace
@@ -152,7 +152,7 @@ class RunStatus(enum.Enum):
     STUCK = "Stuck"
 
 
-@dataclass(frozen=True)
+@record
 class MultiResult:
     final: Expr
     trace: Trace

@@ -10,9 +10,7 @@ values here; the MNF *grammar* additionally counts variables as values,
 which is what `is_mnf_value` captures.
 """
 
-from dataclasses import dataclass
-from functools import cached_property
-
+from .record import record
 from .traces import BadLabel, check_label
 
 ### abstract syntax
@@ -21,14 +19,24 @@ BLANK = "_"
 
 
 class Expr:
-    @cached_property
+    __slots__ = ("_closed",)
+
+    @property
     def closed(self) -> bool:
         """No variable occurs free.  Terms are frozen, so each object walks
-        itself at most once and keeps the answer."""
-        return not free_vars(self)
+        itself at most once and keeps the answer in its `_closed` slot."""
+        try:
+            return self._closed
+        except AttributeError:
+            closed = not free_vars(self)
+            _set_closed(self, closed)
+            return closed
 
 
-@dataclass(frozen=True)
+_set_closed = Expr._closed.__set__
+
+
+@record
 class Var(Expr):
     name: str
 
@@ -36,18 +44,18 @@ class Var(Expr):
         return f"Var({self.name!r})"
 
 
-@dataclass(frozen=True)
+@record
 class Zero(Expr):
     def __repr__(self):
         return "Zero()"
 
 
-@dataclass(frozen=True)
+@record
 class Succ(Expr):
     body: Expr
 
 
-@dataclass(frozen=True)
+@record
 class Case(Expr):
     zero_branch: Expr
     succ_var: str
@@ -55,26 +63,26 @@ class Case(Expr):
     scrutinee: Expr
 
 
-@dataclass(frozen=True)
+@record
 class Lam(Expr):
     self_var: str
     param: str
     body: Expr
 
 
-@dataclass(frozen=True)
+@record
 class App(Expr):
     fn: Expr
     arg: Expr
 
 
-@dataclass(frozen=True)
+@record
 class Eff(Expr):
     label: str
     body: Expr
 
 
-@dataclass(frozen=True)
+@record
 class Let(Expr):
     var: str
     bound: Expr
@@ -319,7 +327,7 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
+@record
 class _Tok:
     kind: str  # 'punct' | 'ident' | 'eof'
     text: str

@@ -8,7 +8,7 @@ that, once set, absorbs everything appended afterwards; it prints with a
 trailing "0".  The label "0" itself is reserved and can never be emitted.
 """
 
-from dataclasses import dataclass
+from .record import record
 
 Trace = tuple[str, ...]
 
@@ -110,7 +110,7 @@ def parse_trace(text: str) -> Trace:
     return tuple(check_label(p) for p in text.split("·"))
 
 
-@dataclass(frozen=True)
+@record
 class AnnTrace:
     """A trace that may have been cut off ("annihilated").
 

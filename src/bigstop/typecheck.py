@@ -16,30 +16,30 @@ metavariable.
 """
 
 import itertools
-from dataclasses import dataclass
 
+from .record import record
 from .syntax import (
     App, BLANK, Case, Eff, Expr, Lam, Let, Succ, Var, Zero,
 )
 
 
 class Type:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record
 class NatT(Type):
     def __repr__(self):
         return "NatT()"
 
 
-@dataclass(frozen=True)
+@record
 class ArrowT(Type):
     domain: Type
     codomain: Type
 
 
-@dataclass(frozen=True)
+@record
 class MetaT(Type):
     ident: int
 

@@ -794,6 +794,24 @@ def test_json_nested_past_the_recursion_limit_raises_the_same_error(at_recursion
     assert "nested too deeply" in at_recursion_limit_1000(decode=decode)["decode"]
 
 
+@pytest.mark.parametrize("text, deep", [
+    ("[[[]]]", False),
+    ("[[[[]]]]", True),
+    ("{[{[]}]}", True),
+    ('["eff[a] [[[[ {{{{"]', False),  # term text holds brackets
+    ('["\\"[[[[", "[[[["]', False),  # an escaped quote stays inside its string
+    ('["\\\\"[[[[]]]]]', True),  # an escaped backslash does not
+    ('"[[[[', False),  # an unterminated string runs to the end
+    ("[1, 2", False),
+    ("]]]][[[", False),
+    ("[" * 5_000, True),  # 99,000 would crash the decoder: see test_cli
+])
+def test_json_deeper_than_the_format_is_refused_before_decoding(text, deep):
+    assert bigstop.bigstop._nested_too_deeply(text) is deep
+    with pytest.raises(DerivationFormatError, match="nested too deeply" if deep else None):
+        derivation_from_json(text)
+
+
 ### span traces
 
 LOOP = parse_expr("(fun f(x) => eff[t] f x) z")  # omega that emits t per turn

@@ -295,6 +295,20 @@ def test_check_on_a_file_that_is_no_derivation_exits_two(capsys, tmp_path, conte
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_check_on_json_nested_past_the_c_stack_exits_two(tmp_path):
+    # the JSON decoder would recurse 99,000 deep: in a child process, so a
+    # crash fails the test instead of ending the run
+    dv = tmp_path / "deep.json"
+    dv.write_text("[" * 99_000)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    r = subprocess.run(
+        [sys.executable, "-m", "bigstop", "pcf", "check", str(dv)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+
 def test_check_on_a_missing_file_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "pcf", "check", str(tmp_path / "nope.json"))
     assert code == 2
