@@ -26,7 +26,7 @@ from .budget import Budget
 from .record import record
 from .smallstep import decompose, plug
 from .syntax import (
-    App, Case, Eff, Expr, Lam, Let, ParseError, Succ, Var, Zero,
+    App, Case, Eff, Expr, Lam, Let, ParseError, Succ, SubstOpenValue, Var, Zero,
     is_value, parse_expr, print_expr, subst,
 )
 from .traces import (
@@ -75,8 +75,8 @@ def val_leaf(v: Expr) -> Derivation:
     return Derivation("Val", v, v, (), ())
 
 
-### node builders (shared by the evaluator, compose, and the converters so
-### that all three produce literally identical trees)
+### node builders (shared by the evaluator and compose, so that both produce
+### literally identical trees)
 
 def mk_stop0(e: Expr) -> Derivation:
     return Derivation("St-Stop(0)", e, e, (), ())
@@ -210,8 +210,10 @@ def is_progressing(d: Derivation) -> bool:
 # checks every node against its entry.  A rule is written once: the
 # structural rules that the plain and annihilator dialects share have one
 # entry each, so do the redex rules of the MNF and evaluation-context
-# dialects.  The table uses subst but none of the evaluator's
-# node builders, so the checker stays independent of the evaluator.
+# dialects, and the big-step table (BE-*) is made of the same entries.  A
+# value side condition is stated once, by the Val premiss that asserts it.
+# The tables use subst but none of the evaluator's node builders, so the
+# checker stays independent of the evaluator.
 
 
 @record
@@ -308,7 +310,7 @@ def _fits_context(d: Derivation) -> bool:
 
 _VAL = Rule(is_value)            # the side condition "v is a value"
 _FREEZE = Rule()                 # St-Stop(0), StM-Stop, EC-Stop
-_VALUE = Rule(is_value)          # EC-Val, StA-Val
+_VALUE = Rule(is_value)          # EC-Val, StA-Val, BE-Val
 
 # St-Stop(1) runs the first evaluation position of s, case or application:
 # how to read that position, and how to rebuild the term with it replaced
@@ -328,7 +330,9 @@ _STOP2 = Rule(
     rhs=lambda lhs, ps: App(ps[0].rhs, ps[2].rhs),
 )
 
-# the structural rules of the plain (StE) and annihilator (StA) dialects
+# the structural rules of the plain (StE), annihilator (StA) and big-step
+# (BE) dialects
+_SUCC = Rule(_kind(Succ), (_run(_part("body")),), rhs=lambda lhs, ps: Succ(ps[0].rhs))
 _CASEZ = Rule(
     _kind(Case),
     (_run(_part("scrutinee"), ends=_kind(Zero)), _run(_part("zero_branch"))),
@@ -336,7 +340,7 @@ _CASEZ = Rule(
 _CASES = Rule(
     _kind(Case),
     (
-        _run(_part("scrutinee"), ends=lambda v: isinstance(v, Succ) and is_value(v)),
+        _run(_part("scrutinee"), ends=_kind(Succ)),
         _val(lambda lhs, ps: ps[0].rhs.body),
         _run(lambda lhs, ps: _branch(lhs, ps[0].rhs.body)),
     ),
@@ -358,14 +362,14 @@ _REDEX_CASEZ = Rule(
     (_run(_part("zero_branch")),),
 )
 _REDEX_CASES = Rule(
-    lambda e: isinstance(e, Case) and isinstance(e.scrutinee, Succ) and is_value(e.scrutinee),
+    lambda e: isinstance(e, Case) and isinstance(e.scrutinee, Succ),
     (
         _val(lambda lhs, ps: lhs.scrutinee.body),
         _run(lambda lhs, ps: _branch(lhs, lhs.scrutinee.body)),
     ),
 )
 _REDEX_APP = Rule(
-    lambda e: isinstance(e, App) and isinstance(e.fn, Lam) and is_value(e.arg),
+    lambda e: isinstance(e, App) and isinstance(e.fn, Lam),
     (_val(_part("arg")), _run(lambda lhs, ps: _beta(lhs.fn, lhs.arg))),
 )
 
@@ -416,16 +420,24 @@ _RULES = {
         "StA-Val": _VALUE,
         # the lazy stop closes its position with any value, and cuts
         "StA-Stop": Rule(None, (_val(None),), rhs=lambda lhs, ps: ps[0].lhs, cut=True),
-        "StA-Succ": Rule(
-            _kind(Succ),
-            (_run(_part("body"), ends=is_value),),
-            rhs=lambda lhs, ps: Succ(ps[0].rhs),
-        ),
+        "StA-Succ": _SUCC,
         "StA-CaseZ": _CASEZ,
         "StA-CaseS": _CASES,
         "StA-App": _APP,
         "StA-Eff": _EFF,
     },
+}
+DIALECTS = tuple(_RULES)
+
+# the ordinary big-step rules, which the strict derivations convert to
+_BIGSTEP = {
+    "Val": _VAL,
+    "BE-Val": _VALUE,
+    "BE-Succ": _SUCC,
+    "BE-CaseZ": _CASEZ,
+    "BE-CaseS": _CASES,
+    "BE-App": _APP,
+    "BE-Eff": _EFF,
 }
 
 
@@ -443,9 +455,18 @@ def check_derivation(d: Derivation, dialect: str = "plain"):
     """Re-derive every node; None if valid, else the first RuleViolation
     in preorder.  Dialects: plain, mnf, ec, annihilator."""
     try:
-        rules, (empty, join) = _RULES[dialect], _TRACES[dialect]
+        rules = _RULES[dialect]
     except KeyError:
         raise ValueError(f"unknown dialect {dialect!r}") from None
+    return _check(d, dialect, rules, *_TRACES[dialect])
+
+
+def _check(d: Derivation, dialect: str, rules: dict, empty, join):
+    """The one walker: every node of d against its entry in rules, with the
+    trace monoid (empty, join).  A start that substitutes no closed value
+    is left to the Val premiss that asserts one, which is checked in its
+    turn; an open function is reported only if nothing else is wrong."""
+    unclosed = None
     todo = [(d, ())]
     while todo:
         d, path = todo.pop()
@@ -468,8 +489,14 @@ def check_derivation(d: Derivation, dialect: str = "plain"):
                     trace = join(trace, p.trace)
                 except TypeError:  # e.g. a cut-off trace under a plain rule
                     return _bad(path, f"{d.rule} premiss {i} carries another dialect's trace")
-            if want.at is not None and p.lhs != want.at(lhs, ps):
-                return _bad(path, f"{d.rule} premiss {i} starts at the wrong term")
+            if want.at is not None:
+                try:
+                    wrong = p.lhs != want.at(lhs, ps)
+                except SubstOpenValue:
+                    wrong = False
+                    unclosed = unclosed or _bad(path, f"{d.rule} premiss {i} substitutes no closed value")
+                if wrong:
+                    return _bad(path, f"{d.rule} premiss {i} starts at the wrong term")
             if want.ends is not None and not want.ends(p.rhs):
                 return _bad(path, f"{d.rule} cannot continue from the result of premiss {i}")
         if rule.side is not None and not rule.side(d):
@@ -484,7 +511,7 @@ def check_derivation(d: Derivation, dialect: str = "plain"):
         while i:  # push the premisses so that the first is checked next
             i -= 1
             todo.append((ps[i], (path, i)))
-    return None
+    return unclosed
 
 
 def _bad(path, reason):
@@ -524,6 +551,9 @@ def is_strict(d: Derivation) -> bool:
 
 
 _TO_BIGSTEP = {
+    "Val": "Val",
+    "St-Stop(0)": "BE-Val",
+    "St-Stop(1)": "BE-Succ",
     "StE-CaseZ": "BE-CaseZ",
     "StE-CaseS": "BE-CaseS",
     "StE-App": "BE-App",
@@ -533,76 +563,54 @@ _TO_BIGSTEP = {
 _FROM_BIGSTEP = {v: k for k, v in _TO_BIGSTEP.items()}
 
 
-def _rebuild(d: Derivation, visit) -> Derivation:
-    """d rebuilt bottom-up with an explicit stack, so any depth converts.
-
-    visit(node, path) gives the node's new form: a Derivation, or a pair
-    (premisses, build) where build makes it from their new forms.  Nodes
-    are visited in preorder, so visit raises at the first bad node in
-    preorder.  Paths are linked, as in the checker."""
-    done: list = []
-    todo: list = [(d, (), None)]
+def _renamed(d: Derivation, name) -> Derivation:
+    """d with each rule renamed to name(node, path), keeping every node's
+    lhs, rhs and trace.  Names are asked in preorder, so name raises at the
+    first bad node in preorder; paths are linked, as in the checker.  The
+    tree is then built from its last row back, as derivation_from_json
+    builds it, so any depth converts."""
+    rows = []
+    todo = [(d, ())]
     while todo:
-        node, path, build = todo.pop()
-        if build is not None:  # node counts the rebuilt premisses atop done
-            cut = len(done) - node
-            done[cut:] = [build(tuple(done[cut:]))]
-            continue
-        new = visit(node, path)
-        if isinstance(new, Derivation):
-            done.append(new)
-            continue
-        prems, build = new
-        todo.append((len(prems), None, build))
-        todo += [(prems[i], (path, i), None) for i in reversed(range(len(prems)))]
+        n, path = todo.pop()
+        rows.append((n, name(n, path)))
+        ps = n.premises
+        todo += [(ps[i], (path, i)) for i in reversed(range(len(ps)))]
+    done: list = []  # built premisses, the first on top
+    for n, rule in reversed(rows):
+        cut = len(done) - len(n.premises)
+        done[cut:] = [Derivation(rule, n.lhs, n.rhs, n.trace, tuple(reversed(done[cut:])))]
     return done[0]
 
 
 def strict_to_bigstep(d: Derivation) -> Derivation:
-    """Rewrite a strict derivation into big-step form (BE-* rules).
-
-    Raises NotStrict at the first stop node that did not reach a value.
-    """
-    def visit(d: Derivation, path):
-        k = stop_k(d.rule)
-        if k is not None:
-            if not is_value(d.rhs):
-                raise NotStrict(_flat(path))
-            if k == 0:
-                return Derivation("BE-Val", d.lhs, d.rhs, d.trace, ())
-            if k == 1 and isinstance(d.lhs, Succ):
-                return (d.premises[0],), lambda ps: Derivation("BE-Succ", d.lhs, d.rhs, d.trace, ps)
+    """Rename a strict derivation's rules to the big-step ones (BE-*).
+    Raises NotStrict at the first node in preorder that has no big-step
+    name or is a stop node short of a value."""
+    def name(n: Derivation, path) -> str:
+        rule = _TO_BIGSTEP.get(n.rule)
+        if rule is None or stop_k(n.rule) is not None and not is_value(n.rhs):
             raise NotStrict(_flat(path))
-        if d.rule == "Val":
-            return d
-        rule = _TO_BIGSTEP.get(d.rule)
-        if rule is None:
-            raise NotStrict(_flat(path))
-        return d.premises, lambda ps: Derivation(rule, d.lhs, d.rhs, d.trace, ps)
+        return rule
 
-    return _rebuild(d, visit)
+    return _renamed(d, name)
 
 
 def bigstep_to_strict(d: Derivation) -> Derivation:
     """Inverse of strict_to_bigstep."""
-    def visit(d: Derivation, path):
-        if d.rule == "BE-Val":
-            return mk_stop0(d.lhs)
-        if d.rule == "Val":
-            return d
-        if d.rule == "BE-Succ":
-            return (d.premises[0],), lambda ps: mk_stop1(d.lhs, ps[0])
-        rule = _FROM_BIGSTEP.get(d.rule)
+    def name(n: Derivation, path) -> str:
+        rule = _FROM_BIGSTEP.get(n.rule)
         if rule is None:
-            raise ValueError(f"not a big-step rule: {d.rule!r}")
-        return d.premises, lambda ps: Derivation(rule, d.lhs, d.rhs, d.trace, ps)
+            raise ValueError(f"not a big-step rule: {n.rule!r}")
+        return rule
 
-    return _rebuild(d, visit)
+    return _renamed(d, name)
 
 
 def check_bigstep(d: Derivation):
-    """Validity of a BE-* derivation, via the strict correspondence."""
-    return check_derivation(bigstep_to_strict(d), "plain")
+    """Replay a BE-* derivation against the big-step rules; None if valid,
+    else the first RuleViolation in preorder."""
+    return _check(d, "big-step", _BIGSTEP, *_TRACES["plain"])
 
 
 ### composing derivations (constructive transitivity)

@@ -25,6 +25,7 @@ import sys
 from . import imp
 from .bigstep import FuelExhausted, Stuck, Value, big_step
 from .bigstop import (
+    DIALECTS,
     DerivationFormatError,
     StuckError,
     annihilator_derivation,
@@ -152,7 +153,7 @@ def _pcf(args) -> int:
     mn.add_argument("program")
 
     ck = sub.add_parser("check")
-    ck.add_argument("--dialect", choices=_DIALECTS, default="plain")
+    ck.add_argument("--dialect", choices=DIALECTS, default="plain")
     ck.add_argument("file")
 
     ns = p.parse_args(args)
@@ -183,7 +184,6 @@ def _pcf(args) -> int:
 
 
 _DERIVING_SEMS = ("bigstop", "annihilator", "mnf", "ec")
-_DIALECTS = ("plain", "mnf", "ec", "annihilator")
 
 
 def _pcf_check(path: str, dialect: str) -> int:

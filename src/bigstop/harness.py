@@ -482,37 +482,26 @@ def gen_stmt(rng: random.Random, max_size: int = 12):
         r = rng.random()
         if r < 0.4:
             i = rng.randint(1, size - 1)
-            return imp.SeqS(stmt(i), stmt(size - i))
+            return _seq(stmt(i), stmt(size - i))
         if r < 0.7:
             return imp.If(aexp(), stmt(size - 1))
         return imp.While(aexp(), stmt(size - 1))
 
-    return _reseq(stmt(rng.randint(1, max_size)))
+    return stmt(rng.randint(1, max_size))
 
 
-def _seq_atoms(s):
-    if isinstance(s, imp.SeqS):
-        yield from _seq_atoms(s.first)
-        yield from _seq_atoms(s.second)
-    else:
-        yield s
-
-
-def _reseq(s):
-    # the concrete syntax has no statement grouping, so only left-nested
-    # sequences survive a print/parse round trip; canonicalise to that
-    match s:
-        case imp.SeqS():
-            parts = [_reseq(p) for p in _seq_atoms(s)]
-            out = parts[0]
-            for p in parts[1:]:
-                out = imp.SeqS(out, p)
-            return out
-        case imp.If(g, b):
-            return imp.If(g, _reseq(b))
-        case imp.While(g, b):
-            return imp.While(g, _reseq(b))
-    return s
+def _seq(a, b):
+    """a ; b nested to the left, as the parser nests it: the concrete syntax
+    has no statement grouping, so only such sequences survive a print/parse
+    round trip.  b's left spine is appended onto a."""
+    rest = []
+    while type(b) is imp.SeqS:
+        rest.append(b.second)
+        b = b.first
+    a = imp.SeqS(a, b)
+    for s in reversed(rest):
+        a = imp.SeqS(a, s)
+    return a
 
 
 def gen_imp_config(rng: random.Random, max_size: int = 12) -> imp.ImpConfig:

@@ -18,6 +18,8 @@ from bigstop import (
     ComposeMismatch,
     Derivation,
     DerivationFormatError,
+    GenConfig,
+    GenerationExhausted,
     KStatus,
     Lam,
     NotStrict,
@@ -43,6 +45,7 @@ from bigstop import (
     derivation_to_json_str,
     ec_bigstop_eval,
     enumerate_exprs,
+    gen_typed_expr,
     infer_type,
     is_progressing,
     is_strict,
@@ -60,7 +63,7 @@ from bigstop import (
 )
 from bigstop.smallstep import AppArgC, AppFnC, CaseC, Hole, SuccC
 from bigstop.syntax import rebuild, scoped_children
-from bigstop.traces import Span
+from bigstop.traces import ANN_EMPTY, Span
 from test_acceptance import _twenty_mutations
 
 
@@ -310,6 +313,117 @@ def test_round_trip_on_a_sweep():
         d = bigstop_eval(e, budget).derivation
         assert is_strict(d)
         assert bigstep_to_strict(strict_to_bigstep(d)) == d
+
+
+def _forged_bigstep():
+    z, one, redex = Zero(), Succ(Zero()), parse_expr("(fun f(x) => x) z")
+    z_val = Derivation("BE-Val", z, z, (), ())
+    return {
+        "BE-Val with a forged conclusion and trace": (
+            Derivation("BE-Val", z, one, ("a",), ()),
+            "BE-Val conclusion does not match its premisses"),
+        "BE-Val on a redex": (
+            Derivation("BE-Val", redex, redex, (), ()),
+            "BE-Val does not apply to this term"),
+        "BE-Succ with a forged conclusion and trace": (
+            Derivation("BE-Succ", one, Succ(one), ("b",), (z_val,)),
+            "BE-Succ conclusion does not match its premisses"),
+        "BE-Succ with no premiss": (
+            Derivation("BE-Succ", one, one, (), ()),
+            "BE-Succ wants 1 premisses, got 0"),
+        "BE-Eff with a wrong trace": (
+            Derivation("BE-Eff", parse_expr("eff[a] z"), z, ("b",), (z_val,)),
+            "BE-Eff emits the wrong trace"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_forged_bigstep()))
+def test_check_bigstep_rejects_a_forgery_at_the_root(case):
+    d, reason = _forged_bigstep()[case]
+    v = check_bigstep(d)
+    assert (v.path, v.reason) == ((), reason)
+
+
+def test_converged_runs_convert_check_and_convert_back():
+    # the converters only rename, so the big-step tree is the strict one
+    # under other rule names, and the big-step rules must accept it
+    generated, seed = [], 0
+    while len(generated) < 2000:  # the gen pool: GenConfig seeds 0, 1, ...
+        try:
+            generated.append(gen_typed_expr(GenConfig(seed=seed, max_size=25)))
+        except GenerationExhausted:
+            pass
+        seed += 1
+    converged = 0
+    for e in [*enumerate_exprs(6), *generated]:
+        try:
+            d = bigstop_eval(e, 64).derivation
+        except StuckError:
+            continue
+        if not is_value(d.rhs):
+            continue
+        converged += 1
+        bs = strict_to_bigstep(d)
+        assert check_bigstep(bs) is None, print_expr(e)
+        assert bigstep_to_strict(bs) == d, print_expr(e)
+    assert converged > 4000
+
+
+def test_a_value_test_is_reported_at_the_val_premiss_that_states_it():
+    lam, redex = parse_expr("fun f(x) => x"), parse_expr("(fun g(y) => y) z")
+    app = App(lam, redex)  # its argument is no value, so no redex rule fires
+    for dialect, rule, stop in (("ec", "EC-App", "EC-Stop"), ("mnf", "StM-App", "StM-Stop")):
+        forged = Derivation(rule, app, redex, (), (
+            Derivation("Val", redex, redex, (), ()),
+            Derivation(stop, redex, redex, (), ()),
+        ))
+        v = check_derivation(forged, dialect)
+        assert (v.path, v.reason) == ((0,), "Val does not apply to this term"), dialect
+    # the run after the Val premiss would substitute the redex: no crash,
+    # and a big-step run cannot end in a redex in the first place
+    for check, rule, stop, where in (
+        (check_derivation, "StE-App", "St-Stop(0)", ((2,), "Val does not apply to this term")),
+        (check_bigstep, "BE-App", "BE-Val", ((1,), "BE-Val does not apply to this term")),
+    ):
+        forged = Derivation(rule, app, redex, (), (
+            Derivation(stop, lam, lam, (), ()),
+            Derivation(stop, redex, redex, (), ()),
+            Derivation("Val", redex, redex, (), ()),
+            Derivation(stop, redex, redex, (), ()),
+        ))
+        v = check(forged)
+        assert (v.path, v.reason) == where, rule
+    # a successor of a redex is no value either, for StE-CaseS's branch
+    case = parse_expr("case s((fun g(y) => y) z) { z => z | s(n) => n }")
+    forged = Derivation("StE-CaseS", case, redex, (), (
+        Derivation("St-Stop(0)", case.scrutinee, case.scrutinee, (), ()),
+        Derivation("Val", redex, redex, (), ()),
+        Derivation("St-Stop(0)", redex, redex, (), ()),
+    ))
+    v = check_derivation(forged)
+    assert (v.path, v.reason) == ((1,), "Val does not apply to this term")
+    # StA-Succ states no value test: the premiss that ends in a redex is at fault
+    forged = Derivation("StA-Succ", Succ(redex), Succ(redex), ANN_EMPTY, (
+        Derivation("StA-Val", redex, redex, ANN_EMPTY, ()),
+    ))
+    v = check_derivation(forged, "annihilator")
+    assert (v.path, v.reason) == ((0,), "StA-Val does not apply to this term")
+
+
+def test_a_start_that_substitutes_an_open_function_is_a_violation():
+    # no run of a closed term gets here, but a forged tree may
+    z, y, lam = Zero(), Var("y"), parse_expr("fun f(x) => y")
+    forged = Derivation("StE-App", App(lam, z), y, (), (
+        Derivation("St-Stop(0)", lam, lam, (), ()),
+        Derivation("St-Stop(0)", z, z, (), ()),
+        Derivation("Val", z, z, (), ()),
+        Derivation("St-Stop(0)", y, y, (), ()),
+    ))
+    v = check_derivation(forged)
+    assert (v.path, v.reason) == ((), "StE-App premiss 3 substitutes no closed value")
+    # anything else wrong is reported first
+    v = check_derivation(mut(forged, premises=forged.premises[:3] + (mut(forged.premises[3], rule="?"),)))
+    assert (v.path, v.reason) == ((3,), "unknown rule '?' for the plain dialect")
 
 
 ### composition is exact, not just sound
@@ -635,6 +749,27 @@ def test_multi_step_asks_is_value_a_bounded_number_of_times_per_step():
         _calls(lambda: multi_step(GROW, b), is_value.__code__) for b in (200, 400)
     )
     assert large <= 2.5 * small, (small, large)
+
+
+def test_the_annihilator_checker_asks_is_value_of_no_successor():
+    # StA-Succ tested its premiss's result for a value again, though every
+    # valid annihilator run ends in one: 398 of 1,600 calls at budget 400
+    # went down a deep numeral
+    d = annihilator_derivation(GROW, 400)
+    on_succ = 0
+
+    def count(frame, event, arg):
+        nonlocal on_succ
+        if event == "call" and frame.f_code is is_value.__code__:
+            on_succ += type(frame.f_locals["e"]) is Succ
+
+    sys.setprofile(count)
+    try:
+        verdict = check_derivation(d, "annihilator")
+    finally:
+        sys.setprofile(None)
+    assert verdict is None
+    assert on_succ == 0
 
 
 def test_the_ec_checker_walks_each_spine_once():
