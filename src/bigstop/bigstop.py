@@ -43,10 +43,6 @@ class StuckError(Exception):
         self.at = at
 
 
-class NotMNF(Exception):
-    pass
-
-
 @record
 class Derivation:
     rule: str

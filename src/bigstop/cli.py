@@ -9,12 +9,13 @@ Three console scripts share one dispatcher:
     imp run --sem freeze --budget 3 --init x=2 'while x do { x := x - 1 }'
     fuzz --suite stop-multi --max-size 5
 
-Exit codes: 0 success, 1 evaluation stuck, open program, type error or a
-derivation that `pcf check` rejects, 2 usage or parse error (a program
-nested too deeply to parse included), a program file that cannot be read as
-UTF-8 text, a --derivation file that cannot be written, or a `pcf check`
-file that cannot be read or is not a derivation file, 3 property-suite
-failure.  `python -m bigstop` takes the same arguments as the dispatcher:
+Exit codes: 0 success, 1 evaluation stuck, open program, type error, a run
+too deep for the interpreter's recursion limit, or a derivation that
+`pcf check` rejects, 2 usage or parse error (a program nested too deeply to
+parse included), a program file that cannot be read as UTF-8 text, a
+--derivation file that cannot be written, or a `pcf check` file that cannot
+be read or is not a derivation file, 3 property-suite failure.
+`python -m bigstop` takes the same arguments as the dispatcher:
 `python -m bigstop pcf run -e z`.
 """
 
@@ -40,7 +41,7 @@ from .kmachine import KStatus, compile as k_compile, k_run, k_step, show_state, 
 from .mnf import NotMNF, mnf_bigstop_eval, to_mnf
 from .smallstep import RunStatus, multi_step, small_step, step_trace
 from .syntax import ParseError, SubstOpenValue, is_value, parse_expr, print_expr
-from .traces import format_trace
+from .traces import AnnTrace, format_trace
 from .typecheck import TypeFailure, infer_type, print_type
 
 OK, EVAL_ERROR, USAGE_ERROR, SUITE_FAILED = 0, 1, 2, 3
@@ -48,9 +49,6 @@ OK, EVAL_ERROR, USAGE_ERROR, SUITE_FAILED = 0, 1, 2, 3
 
 def _err(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
-
-
-_TOO_DEEP = "parse: program nested too deeply"
 
 
 def _read_text(path: str) -> str:
@@ -61,10 +59,13 @@ def _read_text(path: str) -> str:
         raise _Usage(f"cannot read {path}: {getattr(err, 'strerror', None) or err}")
 
 
-def _read_program(arg: str, force_literal: bool) -> str:
-    if not force_literal and os.path.isfile(arg):
-        return _read_text(arg)
-    return arg
+def _load(parse, ns):
+    """The program ns names (a file, unless -e), parsed."""
+    text = ns.program if ns.literal or not os.path.isfile(ns.program) else _read_text(ns.program)
+    try:
+        return parse(text)
+    except RecursionError:
+        raise _Usage("parse: program nested too deeply") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,24 +93,33 @@ def _at_least(least: int):
     return parse
 
 
+# every failure a command raises: its type -> (exit code, head of its error line)
+_FAILURES = {
+    _Usage: (USAGE_ERROR, ""),
+    ParseError: (USAGE_ERROR, "parse: "),
+    imp.ImpParseError: (USAGE_ERROR, "parse: "),
+    DerivationFormatError: (USAGE_ERROR, ""),
+    TypeFailure: (EVAL_ERROR, "type: "),
+    StuckError: (EVAL_ERROR, ""),
+    NotMNF: (EVAL_ERROR, ""),
+    SubstOpenValue: (EVAL_ERROR, "open program: "),
+    RecursionError: (EVAL_ERROR, "run too deep for the interpreter: "),
+}
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if not argv:
-        _err("usage: {pcf|imp|fuzz} ...")
-        return USAGE_ERROR
-    head, rest = argv[0], argv[1:]
     try:
-        if head == "pcf":
-            return _pcf(rest)
-        if head == "imp":
-            return _imp(rest)
-        if head == "fuzz":
-            return _fuzz(rest)
-    except _Usage as u:
-        _err(str(u))
-        return USAGE_ERROR
-    _err(f"unknown command {head!r}; expected pcf, imp, or fuzz")
-    return USAGE_ERROR
+        if not argv:
+            raise _Usage("usage: {pcf|imp|fuzz} ...")
+        command = _COMMANDS.get(argv[0])
+        if command is None:
+            raise _Usage(f"unknown command {argv[0]!r}; expected pcf, imp, or fuzz")
+        return command(argv[1:])
+    except tuple(_FAILURES) as failure:
+        code, head = next(_FAILURES[k] for k in type(failure).__mro__ if k in _FAILURES)
+        _err(f"{head}{failure}")
+        return code
 
 
 def pcf_entry():
@@ -127,7 +137,15 @@ def fuzz_entry():
 ### pcf
 
 
-_PCF_SEMS = ("small", "multi", "big", "bigstop", "annihilator", "mnf", "ec", "kmachine")
+# the semantics that build a derivation: --sem -> (term, budget) -> derivation
+_DERIVING = {
+    "bigstop": lambda e, b: bigstop_eval(e, b).derivation,
+    "annihilator": annihilator_derivation,
+    "mnf": lambda e, b: mnf_bigstop_eval(to_mnf(e), b).derivation,
+    "ec": lambda e, b: ec_bigstop_eval(e, b).derivation,
+}
+
+_PCF_SEMS = ("small", "multi", "big", *_DERIVING, "kmachine")
 
 
 def _pcf(args) -> int:
@@ -159,40 +177,18 @@ def _pcf(args) -> int:
     ns = p.parse_args(args)
     if ns.cmd == "check":
         return _pcf_check(ns.file, ns.dialect)
-    try:
-        expr = parse_expr(_read_program(ns.program, ns.literal))
-    except ParseError as pe:
-        _err(f"parse: {pe}")
-        return USAGE_ERROR
-    except RecursionError:
-        _err(_TOO_DEEP)
-        return USAGE_ERROR
-
+    expr = _load(parse_expr, ns)
     if ns.cmd == "typecheck":
-        try:
-            print(print_type(infer_type(expr)))
-        except TypeFailure as tf:
-            _err(f"type: {tf}")
-            return EVAL_ERROR
-        return OK
-
-    if ns.cmd == "mnf":
+        print(print_type(infer_type(expr)))
+    elif ns.cmd == "mnf":
         print(print_expr(to_mnf(expr)))
-        return OK
-
-    return _pcf_run(ns, expr)
-
-
-_DERIVING_SEMS = ("bigstop", "annihilator", "mnf", "ec")
+    else:
+        return _pcf_run(ns, expr)
+    return OK
 
 
 def _pcf_check(path: str, dialect: str) -> int:
-    text = _read_text(path)
-    try:
-        d = derivation_from_json(text)
-    except DerivationFormatError as err:
-        raise _Usage(f"{path}: {err}")
-    violation = check_derivation(d, dialect)
+    violation = check_derivation(derivation_from_json(_read_text(path)), dialect)
     if violation is not None:
         print(violation, file=sys.stderr)
         return EVAL_ERROR
@@ -202,101 +198,65 @@ def _pcf_check(path: str, dialect: str) -> int:
 
 def _pcf_run(ns, expr) -> int:
     budget = ns.budget
-    fuel = ns.fuel if ns.fuel is not None else budget
-    if ns.derivation is not None and ns.sem not in _DERIVING_SEMS:
-        _err("--derivation needs --sem bigstop, annihilator, mnf, or ec")
-        return USAGE_ERROR
-    derivation = None
-    try:
-        if ns.sem == "small":
-            step = small_step(expr)
-            if step is None:
-                if is_value(expr):
-                    print(f"{print_expr(expr)} | 1")
-                    return OK
-                _err(f"stuck: {print_expr(expr)}")
-                return EVAL_ERROR
-            print(f"{print_expr(step.expr)} | {format_trace(step.trace)}")
-            return OK
-
-        if ns.sem == "multi":
-            if ns.trace:
-                for mid in step_trace(expr, budget):
-                    print(print_expr(mid))
-            r = multi_step(expr, budget)
-            print(f"{print_expr(r.final)} | {format_trace(r.trace)}")
-            if r.status == RunStatus.STUCK:
-                _err(f"stuck: {print_expr(r.final)}")
-                return EVAL_ERROR
-            return OK
-
-        if ns.sem == "big":
-            out = big_step(expr, fuel)
-            match out:
-                case Value(v, tr):
-                    print(f"{print_expr(v)} | {format_trace(tr)}")
-                    return OK
-                case FuelExhausted():
-                    _err(f"no value within fuel {fuel}")
-                    return EVAL_ERROR
-                case Stuck(at):
-                    _err(f"stuck: {print_expr(at)}")
-                    return EVAL_ERROR
-
-        if ns.sem == "bigstop":
-            r = bigstop_eval(expr, budget)
-            derivation = r.derivation
-            print(f"{print_expr(r.stopped)} | {format_trace(r.trace)}")
-
-        elif ns.sem == "annihilator":
-            d = annihilator_derivation(expr, budget)
-            derivation = d
-            print(f"{print_expr(d.rhs)} | {d.trace}")
-
-        elif ns.sem == "mnf":
-            m = to_mnf(expr)
-            r = mnf_bigstop_eval(m, budget)
-            derivation = r.derivation
-            print(f"{print_expr(r.stopped)} | {format_trace(r.trace)}")
-
-        elif ns.sem == "ec":
-            r = ec_bigstop_eval(expr, budget)
-            derivation = r.derivation
-            print(f"{print_expr(r.stopped)} | {format_trace(r.trace)}")
-
-        elif ns.sem == "kmachine":
-            st = k_compile(expr)
-            r = k_run(st, budget)
-            if ns.trace:
-                cur, emitted = st, 0
-                print(show_state(cur))
-                while emitted < r.steps:
-                    cur, _ = k_step(cur)
-                    emitted += 1
-                    print(show_state(cur))
-            if r.status == KStatus.STUCK:
-                _err(f"stuck machine state: {show_state(r.state)}")
-                return EVAL_ERROR
-            print(f"{print_expr(unwind(r.state))} | {format_trace(r.trace)}")
-            return OK
-    except StuckError as se:
-        _err(f"stuck: {se}")
-        return EVAL_ERROR
-    except NotMNF as nm:
-        _err(f"not in monadic normal form: {nm}")
-        return EVAL_ERROR
-    except SubstOpenValue as so:
-        _err(f"open program: {so}")
-        return EVAL_ERROR
-
+    if ns.sem in _DERIVING:
+        d = _DERIVING[ns.sem](expr, budget)
+        t = d.trace
+        print(f"{print_expr(d.rhs)} | {t if type(t) is AnnTrace else format_trace(t)}")
+        if ns.derivation is not None:
+            try:
+                with open(ns.derivation, "w") as fh:
+                    print(derivation_to_json_str(d), file=fh)
+            except OSError as err:
+                raise _Usage(f"cannot write {ns.derivation}: {err.strerror or err}")
+        return OK
     if ns.derivation is not None:
-        try:
-            with open(ns.derivation, "w") as fh:
-                fh.write(derivation_to_json_str(derivation))
-                fh.write("\n")
-        except OSError as err:
-            _err(f"cannot write {ns.derivation}: {err.strerror or err}")
-            return USAGE_ERROR
+        raise _Usage(f"--derivation needs one of --sem {', '.join(_DERIVING)}")
+
+    if ns.sem == "small":
+        step = small_step(expr)
+        if step is not None:
+            print(f"{print_expr(step.expr)} | {format_trace(step.trace)}")
+        elif is_value(expr):
+            print(f"{print_expr(expr)} | 1")
+        else:
+            raise StuckError(expr)
+        return OK
+
+    if ns.sem == "multi":
+        if ns.trace:
+            for mid in step_trace(expr, budget):
+                print(print_expr(mid))
+        r = multi_step(expr, budget)
+        print(f"{print_expr(r.final)} | {format_trace(r.trace)}")
+        if r.status == RunStatus.STUCK:
+            raise StuckError(r.final)
+        return OK
+
+    if ns.sem == "big":
+        fuel = budget if ns.fuel is None else ns.fuel
+        match big_step(expr, fuel):
+            case Value(v, tr):
+                print(f"{print_expr(v)} | {format_trace(tr)}")
+            case Stuck(at):
+                raise StuckError(at)
+            case FuelExhausted():
+                _err(f"no value within fuel {fuel}")
+                return EVAL_ERROR
+        return OK
+
+    # kmachine
+    st = k_compile(expr)
+    r = k_run(st, budget)
+    if ns.trace:
+        cur = st
+        print(show_state(cur))
+        for _ in range(r.steps):
+            cur = k_step(cur)[0]
+            print(show_state(cur))
+    if r.status == KStatus.STUCK:
+        _err(f"stuck machine state: {show_state(r.state)}")
+        return EVAL_ERROR
+    print(f"{print_expr(unwind(r.state))} | {format_trace(r.trace)}")
     return OK
 
 
@@ -316,17 +276,7 @@ def _imp(args) -> int:
     run.add_argument("-e", action="store_true", dest="literal")
     run.add_argument("program")
     ns = p.parse_args(args)
-
-    try:
-        stmt = imp.parse_stmt(_read_program(ns.program, ns.literal))
-        state = imp.parse_init(ns.init)
-    except (imp.ImpParseError, ValueError) as pe:
-        _err(f"parse: {pe}")
-        return USAGE_ERROR
-    except RecursionError:
-        _err(_TOO_DEEP)
-        return USAGE_ERROR
-    cfg = imp.ImpConfig(stmt, state)
+    cfg = imp.ImpConfig(_load(imp.parse_stmt, ns), imp.parse_init(ns.init))
 
     if ns.sem == "small":
         nxt = imp.imp_small_step(cfg)
@@ -364,15 +314,16 @@ def _fuzz(args) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     ns = p.parse_args(args)
+    if ns.suite not in suite_names():
+        raise _Usage(f"unknown suite {ns.suite!r}; have: {', '.join(suite_names())}")
 
     cfg = GenConfig(seed=ns.seed, max_size=ns.max_size)
-    try:
-        report = run_property_suite(ns.suite, cfg, ns.trials, ns.max_budget)
-    except KeyError:
-        _err(f"unknown suite {ns.suite!r}; have: {', '.join(suite_names())}")
-        return USAGE_ERROR
+    report = run_property_suite(ns.suite, cfg, ns.trials, ns.max_budget)
     print(report.to_json_str() if ns.json else report.to_text())
     return OK if report.ok else SUITE_FAILED
+
+
+_COMMANDS = {"pcf": _pcf, "imp": _imp, "fuzz": _fuzz}
 
 
 if __name__ == "__main__":

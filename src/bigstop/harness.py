@@ -581,17 +581,22 @@ def _imp_cases(cfg: GenConfig, trials: int, max_budget: int):
 ### mismatches: None when the engines agree, else (expected, actual)
 
 
-def _stop_multi_mismatch(e, b):
-    m = multi_step(e, b)
-    try:
-        s = bigstop_eval(e, b)
-    except StuckError as err:
-        return (f"{print_expr(m.final)} | {format_trace(m.trace)}",
-                f"stuck: {err}")
-    if s.stopped == m.final and s.trace == m.trace:
-        return None
-    return (f"{print_expr(m.final)} | {format_trace(m.trace)}",
-            f"{print_expr(s.stopped)} | {format_trace(s.trace)}")
+def _multi_mismatch(engine):
+    """The mismatch of engine(e, b) with multi_step(e, b): where each stops
+    and what it emitted, or the engine's StuckError."""
+
+    def mismatch(e, b):
+        m = multi_step(e, b)
+        try:
+            s = engine(e, b)
+            if s.stopped == m.final and s.trace == m.trace:
+                return None
+            got = f"{print_expr(s.stopped)} | {format_trace(s.trace)}"
+        except StuckError as err:
+            got = f"stuck: {err}"
+        return (f"{print_expr(m.final)} | {format_trace(m.trace)}", got)
+
+    return mismatch
 
 
 def _three_way_mismatch(e, fuel):
@@ -681,15 +686,6 @@ def _annihilator_mismatch(e, max_budget):
     return (f"multi prefixes {fmt(rhs)}", f"annihilator traces {fmt(lhs)}")
 
 
-def _ec_mismatch(e, b):
-    m = multi_step(e, b)
-    s = ec_bigstop_eval(e, b)
-    if s.stopped == m.final and s.trace == m.trace:
-        return None
-    return (f"{print_expr(m.final)} | {format_trace(m.trace)}",
-            f"{print_expr(s.stopped)} | {format_trace(s.trace)}")
-
-
 def _mnf_mismatch(e, fuel):
     m = to_mnf(e)
     if not alpha_eq(let_erase(m), e):
@@ -746,7 +742,7 @@ def _imp_freeze_mismatch(c, b):
 # trials counts generated terms or programs, not cases
 _SUITES = {
     "stop-multi": lambda cfg, trials, mb: (
-        _enum_cases(cfg, range(mb + 1)), _stop_multi_mismatch, shrink_expr),
+        _enum_cases(cfg, range(mb + 1)), _multi_mismatch(bigstop_eval), shrink_expr),
     "stop-step-big": lambda cfg, trials, mb: (
         _gen_cases(cfg, trials or 2000, mb), _three_way_mismatch, shrink_expr),
     "progress-preservation": lambda cfg, trials, mb: (
@@ -761,7 +757,7 @@ _SUITES = {
     "annihilator": lambda cfg, trials, mb: (
         _enum_cases(cfg, (mb,)), _annihilator_mismatch, shrink_expr),
     "ec": lambda cfg, trials, mb: (
-        _enum_cases(cfg, range(mb + 1)), _ec_mismatch, shrink_expr),
+        _enum_cases(cfg, range(mb + 1)), _multi_mismatch(ec_bigstop_eval), shrink_expr),
     "mnf": lambda cfg, trials, mb: (
         _gen_cases(cfg, trials or 2000, mb), _mnf_mismatch, None),
     "imp-stop-multi": lambda cfg, trials, mb: (

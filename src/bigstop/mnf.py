@@ -11,11 +11,11 @@ import itertools
 
 from .budget import Budget, check_budget
 from .bigstop import (
-    BigStopResult, Derivation, NotMNF, StuckError, val_leaf,
+    BigStopResult, Derivation, StuckError, val_leaf,
 )
 from .syntax import (
     App, BLANK, Case, Eff, Expr, Lam, Let, Succ, Var, Zero,
-    all_names, check_mnf, free_vars, is_value, rebuild, scoped_children, subst,
+    all_names, check_mnf, free_vars, is_value, print_expr, rebuild, scoped_children, subst,
 )
 from .smallstep import MultiResult, RunStatus, StepResult
 from .traces import emit
@@ -181,10 +181,14 @@ def mnf_multi_step(e: Expr, budget: int) -> MultiResult:
         steps += 1
 
 
+class NotMNF(Exception):
+    pass
+
+
 def mnf_bigstop_eval(e: Expr, budget: int) -> BigStopResult:
     """Budgeted evaluation of an MNF term with an StM-* derivation."""
     if not check_mnf(e):
-        raise NotMNF(f"not in monadic normal form: {e!r}")
+        raise NotMNF(f"not in monadic normal form: {print_expr(e)}")
     d = _mstop(e, Budget(budget), [])
     return BigStopResult(d.rhs, tuple(d.trace), d)
 
@@ -209,8 +213,6 @@ def _mstop(e: Expr, b: Budget, log: list) -> Derivation:
         )
     if c is App:
         f, a = e.fn, e.arg
-        if not (is_value(f) and is_value(a)):
-            raise NotMNF(f"application of non-values: {e!r}")
         if type(f) is not Lam:
             raise StuckError(e)
         b.spend()
@@ -234,7 +236,4 @@ def _mstop(e: Expr, b: Budget, log: list) -> Derivation:
             return Derivation(
                 "StM-CaseS", e, pb.rhs, pb.trace, (val_leaf(w), pb)
             )
-        raise StuckError(e)
-    if c is Succ:
-        raise NotMNF(f"successor of a non-value: {e!r}")
     raise StuckError(e)

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import bigstop.cli as cli
+import bigstop.harness as harness
 from bigstop import Failure, PropertyReport, Zero, check_derivation, derivation_to_json_str
 from test_acceptance import _twenty_mutations
 
@@ -78,6 +79,32 @@ def test_open_programs_exit_one_with_a_one_line_error(capsys, sem):
     code, out, err = run(capsys, "pcf", "run", "--sem", sem, "-e", "(fun f(y) => x) z")
     assert (code, out) == (1, "")
     assert err == "error: open program: substituting non-closed-value for f: fun f(y) => x\n"
+
+
+@pytest.mark.parametrize("sem", ["mnf", "bigstop"])
+def test_open_terms_are_stuck_with_one_stuck_prefix(capsys, sem):
+    code, out, err = run(capsys, "pcf", "run", "--sem", sem, "-e", "x z")
+    stuck_at = {"mnf": "x z", "bigstop": "x"}[sem]
+    assert (code, out, err) == (1, "", f"error: stuck at {stuck_at}\n")
+
+
+@pytest.mark.parametrize("sem, code", [
+    ("bigstop", 1), ("annihilator", 1), ("mnf", 1), ("big", 1),
+    ("small", 0), ("multi", 0), ("ec", 0), ("kmachine", 0),
+])
+def test_a_run_too_deep_for_the_interpreter_exits_one_with_one_error_line(
+    capsys, at_recursion_limit_1000, sem, code
+):
+    # omega at 5,000 contractions: the recursive evaluators overflow the
+    # default limit, the loops finish
+    argv = ("pcf", "run", "--sem", sem, "--budget", "5000", "-e", "(fun f(x) => f x) z")
+    got, out, err = at_recursion_limit_1000(run=lambda: run(capsys, *argv))["run"]
+    assert got == code
+    if code:
+        assert out == ""
+        assert err.startswith("error: run too deep") and err.count("\n") == 1
+    else:
+        assert err == ""
 
 
 def test_annihilator_marks_the_cut(capsys):
@@ -391,6 +418,17 @@ def test_fuzz_unknown_suite(capsys):
     code, _, err = run(capsys, "fuzz", "--suite", "nope")
     assert code == 2
     assert "unknown suite" in err
+
+
+def test_fuzz_lets_a_key_error_inside_a_suite_propagate(monkeypatch):
+    def suite(cfg, trials, max_budget):
+        def mismatch(e, b):
+            raise KeyError("inside the check")
+        return [(Zero(), 0)], mismatch, None
+
+    monkeypatch.setitem(harness._SUITES, "stop-multi", suite)
+    with pytest.raises(KeyError, match="inside the check"):
+        cli.main(["fuzz", "--suite", "stop-multi"])
 
 
 def test_fuzz_failures_exit_three(capsys, monkeypatch):

@@ -1,6 +1,8 @@
 """Monadic normal form: the translation, its erasure inverse, and the
 dedicated engines."""
 
+import re
+
 import pytest
 
 from bigstop import (
@@ -8,6 +10,7 @@ from bigstop import (
     Let,
     NotMNF,
     RunStatus,
+    StuckError,
     Var,
     alpha_eq,
     check_derivation,
@@ -22,6 +25,7 @@ from bigstop import (
     print_expr,
     to_mnf,
 )
+from bigstop.syntax import SubstOpenValue
 
 
 ### translation goldens
@@ -129,8 +133,18 @@ def test_multi_reports_stuck():
 ### budgeted evaluator
 
 def test_bigstop_rejects_raw_terms():
-    with pytest.raises(NotMNF):
-        mnf_bigstop_eval(parse_expr("((fun f(x) => x) (fun g(y) => y)) z"), 3)
+    src = "(fun f(x) => x) (fun g(y) => y) z"
+    with pytest.raises(NotMNF, match=f"^not in monadic normal form: {re.escape(src)}$"):
+        mnf_bigstop_eval(parse_expr(src), 3)
+
+
+def test_bigstop_reports_open_terms_as_stuck_or_open():
+    # the grammar is checked once, up front; an open term is stuck like anywhere else
+    for src in ("x z", "s(x)"):
+        with pytest.raises(StuckError, match=f"stuck at {re.escape(src)}$"):
+            mnf_bigstop_eval(parse_expr(src), 3)
+    with pytest.raises(SubstOpenValue):
+        mnf_bigstop_eval(parse_expr("(fun f(y) => x) z"), 3)
 
 
 def test_bigstop_let_shapes():
