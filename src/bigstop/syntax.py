@@ -63,8 +63,13 @@ class Case(Expr):
     scrutinee: Expr
 
 
+class _Function(Expr):
+    # typecheck's principal type scheme of a closed function, kept by the object
+    __slots__ = ("_scheme",)
+
+
 @record
-class Lam(Expr):
+class Lam(_Function):
     self_var: str
     param: str
     body: Expr

@@ -13,6 +13,17 @@ halves the path behind it.  The environment is a dict, copied at each
 binder.  A result is read back into immutable MetaT/NatT/ArrowT; every cell
 takes its ident from one global counter, so two calls never share a
 metavariable.
+
+A closed function is typed once.  When a Lam infers without error under an
+empty environment it must be closed (a free name would have failed as
+unbound), so its type is its own principal type whatever surrounds it; the
+Lam keeps that type as a scheme, numbered ?0, ?1, ... by first occurrence
+and shared with every other Lam of the same scheme.  A later inference of
+the same object, under any environment, gives each meta of the scheme a
+fresh cell with a fresh ident instead of walking the body.  Evaluation
+never steps under a binder, so the function values of a run are typed
+under an empty environment and their objects recur from step to step.  A
+Lam that fails, or that is typed only under outside names, keeps nothing.
 """
 
 import itertools
@@ -83,9 +94,9 @@ _NAT = NatT()
 
 
 def _find(t: Type) -> Type:
-    while isinstance(t, _Cell) and t.link is not None:
+    while type(t) is _Cell and t.link is not None:
         up = t.link
-        if isinstance(up, _Cell) and up.link is not None:
+        if type(up) is _Cell and up.link is not None:
             t.link = up = up.link
         t = up
     return t
@@ -93,7 +104,7 @@ def _find(t: Type) -> Type:
 
 def _occurs(cell: _Cell, t: Type) -> bool:
     t = _find(t)
-    if isinstance(t, ArrowT):
+    if type(t) is ArrowT:
         return _occurs(cell, t.domain) or _occurs(cell, t.codomain)
     return t is cell
 
@@ -102,37 +113,53 @@ def _unify(a: Type, b: Type) -> bool:
     a, b = _find(a), _find(b)
     if a is b:
         return True
-    if isinstance(a, _Cell):
+    ca, cb = type(a), type(b)
+    if ca is _Cell:
         if _occurs(a, b):
             return False
         a.link = b
         return True
-    if isinstance(b, _Cell):
+    if cb is _Cell:
         return _unify(b, a)
-    if isinstance(a, ArrowT) and isinstance(b, ArrowT):
-        return _unify(a.domain, b.domain) and _unify(a.codomain, b.codomain)
-    return isinstance(a, NatT) and isinstance(b, NatT)
+    if ca is ArrowT:
+        return cb is ArrowT and _unify(a.domain, b.domain) and _unify(a.codomain, b.codomain)
+    return ca is NatT and cb is NatT
 
 
-def _thaw(t: Type, cells: dict) -> Type:
-    """t with each MetaT ident replaced by its one cell in cells."""
-    match t:
-        case MetaT(i):
-            if i not in cells:
-                cells[i] = _Cell(i)
-            return cells[i]
-        case ArrowT(d, c):
-            return ArrowT(_thaw(d, cells), _thaw(c, cells))
+def _thaw(t: Type, cells: dict, fresh: bool = False) -> Type:
+    """t with each MetaT ident replaced by its one cell in cells.  The cell
+    keeps the meta's ident, or with fresh takes a new one from _fresh_meta."""
+    c = type(t)
+    if c is MetaT:
+        cell = cells.get(t.ident)
+        if cell is None:
+            cell = cells[t.ident] = _Cell(next(_fresh_meta) if fresh else t.ident)
+        return cell
+    if c is ArrowT:
+        return ArrowT(_thaw(t.domain, cells, fresh), _thaw(t.codomain, cells, fresh))
     return t
 
 
-def _zonk(t: Type) -> Type:
+def _zonk(t: Type, names=None) -> Type:
+    """t read back into immutable types.  An unbound cell becomes the MetaT
+    of its own ident, or, given a dict names, of its number by first
+    occurrence (?0, ?1, ...)."""
     t = _find(t)
-    if isinstance(t, _Cell):
-        return MetaT(t.ident)
-    if isinstance(t, ArrowT):
-        return ArrowT(_zonk(t.domain), _zonk(t.codomain))
+    c = type(t)
+    if c is _Cell:
+        if names is None:
+            return MetaT(t.ident)
+        if t not in names:
+            names[t] = MetaT(len(names))
+        return names[t]
+    if c is ArrowT:
+        return ArrowT(_zonk(t.domain, names), _zonk(t.codomain, names))
     return t
+
+
+# one object per distinct scheme, so a pool of terms holds few of them
+_schemes: dict = {}
+_set_scheme = Lam._scheme.__set__
 
 
 def _default(t: Type) -> Type:
@@ -164,6 +191,9 @@ def _infer(e: Expr, env: dict) -> Type:
             raise TypeFailure("successor of a non-number", e)
         return _NAT
     if c is Lam:
+        scheme = getattr(e, "_scheme", None)
+        if scheme is not None:
+            return _thaw(scheme, {}, True)
         f, x = e.self_var, e.param
         dom = _Cell(next(_fresh_meta))
         cod = _Cell(next(_fresh_meta))
@@ -175,6 +205,10 @@ def _infer(e: Expr, env: dict) -> Type:
             inner[x] = dom
         if not _unify(_infer(e.body, inner), cod):
             raise TypeFailure("function body disagrees with its own uses", e)
+        if not env:
+            # typed without error and without an outside name: e is closed
+            scheme = _zonk(fn, {})
+            _set_scheme(e, _schemes.setdefault(scheme, scheme))
         return fn
     if c is Zero:
         return _NAT

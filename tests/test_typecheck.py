@@ -2,6 +2,8 @@ import re
 
 import pytest
 
+from bigstop.harness import GenConfig, GenerationExhausted, enumerate_exprs, gen_typed_expr
+from bigstop.smallstep import step_trace
 from bigstop.syntax import App, Var, Zero, parse_expr, print_expr
 from bigstop.typecheck import (
     ArrowT,
@@ -188,3 +190,97 @@ def test_environments_may_be_dicts_or_pairs_and_later_pairs_shadow():
     assert infer_type(parse_expr("k z"), {"k": k}) == NAT
     assert infer_type(parse_expr("k z"), (("k", NAT), ("k", k))) == NAT
     assert principal_type(Var("x"), {"x": MetaT(7)}) == MetaT(7)
+
+
+### the principal scheme a closed function keeps
+
+@pytest.mark.parametrize("src,want", PRINCIPAL)
+def test_pins_hold_when_the_same_object_is_inferred_again(src, want):
+    e = parse_expr(src)
+    assert _renamed(principal_type(e)) == want
+    assert _renamed(principal_type(e)) == want
+
+
+def test_each_use_of_a_kept_scheme_takes_its_own_metas():
+    ident = parse_expr("fun f(x) => x")
+    # the first call walks the body and keeps the scheme; the others use it
+    a, b, c = principal_type(ident), principal_type(ident), principal_type(ident)
+    assert _metas(a) and _metas(b) and _metas(c)
+    assert not _metas(a) & _metas(b) and not _metas(b) & _metas(c)
+    # one object at two types in one term: a shared instance would fail
+    # the occurs check
+    assert principal_type(App(App(ident, ident), Zero())) == NAT
+
+
+@pytest.mark.parametrize("src,msg,at", FAILURES)
+def test_a_failure_is_the_same_on_the_second_call(src, msg, at):
+    e = parse_expr(src)
+    seen = []
+    for _ in range(2):
+        with pytest.raises(TypeFailure) as info:
+            principal_type(e)
+        assert str(info.value) == msg
+        assert print_expr(info.value.at) == at
+        seen.append(info.value.at)
+    assert seen[0] is seen[1]
+
+
+def test_a_function_typed_under_an_environment_keeps_nothing():
+    e = parse_expr("fun f(x) => k x")
+    assert infer_type(e, {"k": ArrowT(NAT, NAT)}) == ArrowT(NAT, NAT)
+    with pytest.raises(TypeFailure, match="unbound variable k"):
+        principal_type(e)
+
+
+def test_a_closed_function_under_a_binder_still_types():
+    outer = parse_expr("fun f(x) => (fun g(y) => y) x")
+    inner = outer.body.fn
+    assert _renamed(principal_type(inner)) == "?0 -> ?0"
+    for _ in range(2):
+        assert _renamed(principal_type(outer)) == "?0 -> ?0"
+    shadowed = parse_expr("fun y(x) => case x { z => fun g(y) => y | s(n) => y n }")
+    for _ in range(2):
+        assert _renamed(principal_type(shadowed.body.zero_branch)) == "?0 -> ?0"
+        assert _renamed(principal_type(shadowed)) == "nat -> ?0 -> ?0"
+
+
+def _shape(t, metas):
+    # t as nested pairs, its metas numbered by first occurrence: _renamed's
+    # printing costs more at the 100,000 types the trajectory test compares
+    if type(t) is ArrowT:
+        return (_shape(t.domain, metas), _shape(t.codomain, metas))
+    if type(t) is MetaT:
+        return metas.setdefault(t.ident, len(metas))
+    return "nat"
+
+
+def _default_gen_pool(n=2000):
+    # the terms the harness's generated suites draw by default
+    seed = 0
+    while n:
+        try:
+            yield gen_typed_expr(GenConfig(seed=seed))
+            n -= 1
+        except GenerationExhausted:
+            pass
+        seed += 1
+
+
+def test_kept_schemes_type_every_trajectory_point_as_a_fresh_parse_does():
+    # Each point's reparse is the same point of the reparsed start term's
+    # trajectory, whose objects are fresh.  Typed under an environment, they
+    # keep no scheme, so every point there is typed by a full walk; the
+    # environment's name occurs in no closed term.
+    walk_all = {"unused": NAT}
+    points = 0
+    for terms in (enumerate_exprs(6), _default_gen_pool()):
+        for e in terms:
+            kept = step_trace(e, 64)
+            fresh = step_trace(parse_expr(print_expr(e)), 64)
+            assert len(kept) == len(fresh)
+            for i, (a, b) in enumerate(zip(kept, fresh)):
+                got = _shape(principal_type(a), {})
+                assert got == _shape(principal_type(b, walk_all), {}), (print_expr(e), i)
+            assert print_expr(kept[-1]) == print_expr(fresh[-1])
+            points += len(kept)
+    assert points > 50_000
