@@ -13,7 +13,9 @@ the first k positions of the head constructor and leaves the rest alone.
 
 The evaluators log every label a run emits in one list, and a node's trace
 is the span of that log its subtree emitted (traces.Span), so building and
-checking a trace copies no labels.
+checking a trace copies no labels.  Every dialect's trace is such a label
+sequence; an annihilator run that is cut off ends its trace in the reserved
+label "0".
 """
 
 import json
@@ -29,9 +31,7 @@ from .syntax import (
     App, Case, Eff, Expr, Lam, Let, ParseError, Succ, SubstOpenValue, Var, Zero,
     is_value, parse_expr, print_expr, subst,
 )
-from .traces import (
-    ANN_EMPTY, ANN_ZERO, AnnTrace, Span, Trace, ann_concat, ann_concat_all, emit,
-)
+from .traces import ANNIHILATOR, AnnTrace, Span, Trace, ann_join, emit
 from .typecheck import ArrowT, TypeFailure, infer_type
 
 
@@ -48,7 +48,7 @@ class Derivation:
     rule: str
     lhs: Expr
     rhs: Expr
-    trace: object  # Trace or Span for most dialects, AnnTrace for StA-*
+    trace: object  # a Trace, or a Span of the run's label log
     premises: tuple = ()
 
 
@@ -437,14 +437,8 @@ _BIGSTEP = {
 }
 
 
-def _ann_join(a: AnnTrace, b) -> AnnTrace:
-    b = b if isinstance(b, AnnTrace) else AnnTrace(b, False)
-    return b if a is ANN_EMPTY else ann_concat(a, b)
-
-
-# each dialect's trace monoid: its empty trace, and how a trace is extended
-_TRACES = {dialect: ((), operator.add) for dialect in ("plain", "mnf", "ec")}
-_TRACES["annihilator"] = (ANN_EMPTY, _ann_join)
+# how each dialect joins two traces; the annihilator's cut absorbs the rest
+_TRACES = {"plain": operator.add, "mnf": operator.add, "ec": operator.add, "annihilator": ann_join}
 
 
 def check_derivation(d: Derivation, dialect: str = "plain"):
@@ -454,12 +448,12 @@ def check_derivation(d: Derivation, dialect: str = "plain"):
         rules = _RULES[dialect]
     except KeyError:
         raise ValueError(f"unknown dialect {dialect!r}") from None
-    return _check(d, dialect, rules, *_TRACES[dialect])
+    return _check(d, dialect, rules, _TRACES[dialect])
 
 
-def _check(d: Derivation, dialect: str, rules: dict, empty, join):
+def _check(d: Derivation, dialect: str, rules: dict, join):
     """The one walker: every node of d against its entry in rules, with the
-    trace monoid (empty, join).  A start that substitutes no closed value
+    dialect's join of traces.  A start that substitutes no closed value
     is left to the Val premiss that asserts one, which is checked in its
     turn; an open function is reported only if nothing else is wrong."""
     unclosed = None
@@ -474,7 +468,7 @@ def _check(d: Derivation, dialect: str, rules: dict, empty, join):
             return _bad(path, f"{d.rule} wants {len(rule.premises)} premisses, got {len(ps)}")
         if rule.applies is not None and not rule.applies(lhs):
             return _bad(path, f"{d.rule} does not apply to this term")
-        trace = join(empty, (lhs.label,)) if rule.emits else empty
+        trace = (lhs.label,) if rule.emits else ()
         for i, want in enumerate(rule.premises):
             p = ps[i]
             if want.val:
@@ -483,8 +477,8 @@ def _check(d: Derivation, dialect: str, rules: dict, empty, join):
             else:
                 try:
                     trace = join(trace, p.trace)
-                except TypeError:  # e.g. a cut-off trace under a plain rule
-                    return _bad(path, f"{d.rule} premiss {i} carries another dialect's trace")
+                except TypeError:
+                    return _bad(path, f"{d.rule} premiss {i} holds something that is not a trace")
             if want.at is not None:
                 try:
                     wrong = p.lhs != want.at(lhs, ps)
@@ -500,8 +494,8 @@ def _check(d: Derivation, dialect: str, rules: dict, empty, join):
         if d.rhs != (rule.rhs(lhs, ps) if rule.rhs else ps[-1].rhs if ps else lhs):
             return _bad(path, f"{d.rule} conclusion does not match its premisses")
         if rule.cut:
-            trace = join(trace, ANN_ZERO)
-        if d.trace != trace and not (rule is _VAL and d.trace in ((), ANN_EMPTY)):
+            trace = join(trace, (ANNIHILATOR,))
+        if d.trace != trace:
             return _bad(path, f"{d.rule} emits the wrong trace")
         i = len(ps)
         while i:  # push the premisses so that the first is checked next
@@ -606,7 +600,7 @@ def bigstep_to_strict(d: Derivation) -> Derivation:
 def check_bigstep(d: Derivation):
     """Replay a BE-* derivation against the big-step rules; None if valid,
     else the first RuleViolation in preorder."""
-    return _check(d, "big-step", _BIGSTEP, *_TRACES["plain"])
+    return _check(d, "big-step", _BIGSTEP, operator.add)
 
 
 ### composing derivations (constructive transitivity)
@@ -694,30 +688,32 @@ def _placeholder(demand: str | Expr) -> Expr:
     return _IDENTITY if demand == "fn" else Zero()
 
 
-def annihilator_derivation(e: Expr, budget: int, demand: str | None = None) -> Derivation:
+def annihilator_derivation(e: Expr, budget: int) -> Derivation:
     """Build the StA-* derivation for e at the given budget.
 
     When the budget dies mid-run the lazy stop rule closes every pending
     position with a placeholder value and the trace ends in the cut-off
-    marker, absorbing everything that would have followed.  A cut at a tail
-    position (case branch, application or effect body) meets `demand`, by
-    default fn if e's type is an arrow, else nat; that type is inferred only
-    when such a cut happens, so at most once a run.
+    marker 0, absorbing everything that would have followed.  A cut at a
+    tail position (case branch, application or effect body) meets the
+    demand of e itself: fn if e's type is an arrow, else nat; that type is
+    inferred only when such a cut happens, so at most once a run.
     """
-    return _ann(e, Budget(budget), e if demand is None else demand, [])
+    return _ann(e, Budget(budget), e, [])
 
 
 def annihilator_eval(e: Expr, budget: int):
     """(value, cut-off trace) for e under the annihilator semantics."""
     d = annihilator_derivation(e, budget)
-    return d.rhs, AnnTrace(tuple(d.trace.prefix), d.trace.annihilated)
+    t = tuple(d.trace)
+    cut = t[-1:] == (ANNIHILATOR,)
+    return d.rhs, AnnTrace(t[:-1] if cut else t, cut)
 
 
 def _ann(e: Expr, b: Budget, demand: str | Expr, log: list) -> Derivation:
     if is_value(e):
-        return Derivation("StA-Val", e, e, ANN_EMPTY, ())
+        return Derivation("StA-Val", e, e, (), ())
     if b.remaining == 0:
-        return _cut(e, demand)
+        return _cut(e, demand, log)
     c = type(e)
     if c is App:
         p1 = _ann(e.fn, b, "fn", log)
@@ -728,7 +724,7 @@ def _ann(e: Expr, b: Budget, demand: str | Expr, log: list) -> Derivation:
         pb = _contract(subst(f.body, {f.self_var: f, f.param: p2.rhs}), b, demand, log)
         return Derivation(
             "StA-App", e, pb.rhs,
-            ann_concat_all(p1.trace, p2.trace, pb.trace),
+            ann_join(ann_join(p1.trace, p2.trace), pb.trace),
             (p1, p2, val_leaf(p2.rhs), pb),
         )
     if c is Succ:
@@ -736,37 +732,37 @@ def _ann(e: Expr, b: Budget, demand: str | Expr, log: list) -> Derivation:
         return Derivation("StA-Succ", e, Succ(p.rhs), p.trace, (p,))
     if c is Eff:
         b.spend()
-        head = AnnTrace(emit(log, e.label), False)
+        head = emit(log, e.label)
         p = _ann(e.body, b, demand, log)
-        return Derivation("StA-Eff", e, p.rhs, ann_concat(head, p.trace), (p,))
+        return Derivation("StA-Eff", e, p.rhs, ann_join(head, p.trace), (p,))
     if c is Case:
         ps = _ann(e.scrutinee, b, "nat", log)
         v = ps.rhs
         if type(v) is Zero:
             pb = _contract(e.zero_branch, b, demand, log)
             return Derivation(
-                "StA-CaseZ", e, pb.rhs, ann_concat(ps.trace, pb.trace), (ps, pb)
+                "StA-CaseZ", e, pb.rhs, ann_join(ps.trace, pb.trace), (ps, pb)
             )
         if type(v) is Succ:
             pb = _contract(subst(e.succ_branch, {e.succ_var: v.body}), b, demand, log)
             return Derivation(
-                "StA-CaseS", e, pb.rhs, ann_concat(ps.trace, pb.trace),
+                "StA-CaseS", e, pb.rhs, ann_join(ps.trace, pb.trace),
                 (ps, val_leaf(v.body), pb),
             )
         raise StuckError(Case(e.zero_branch, e.succ_var, e.succ_branch, v))
     raise StuckError(e)  # a variable or a let has no rule
 
 
-def _cut(e: Expr, demand: str | Expr) -> Derivation:
+def _cut(e: Expr, demand: str | Expr, log: list) -> Derivation:
     v = _placeholder(demand)
-    return Derivation("StA-Stop", e, v, ANN_ZERO, (val_leaf(v),))
+    return Derivation("StA-Stop", e, v, emit(log, ANNIHILATOR), (val_leaf(v),))
 
 
 def _contract(e: Expr, b: Budget, demand: str | Expr, log: list) -> Derivation:
     """Pay for a contraction and run the branch or body e it leads to; with
     no budget left to pay, e is cut, even when it is a value."""
     if b.remaining == 0:
-        return _cut(e, demand)
+        return _cut(e, demand, log)
     b.spend()
     return _ann(e, b, demand, log)
 
@@ -831,13 +827,14 @@ def _ec_redex(r: Expr, b: Budget, log: list) -> Derivation:
 # source text, the labels every trace points into, and one row per node in
 # preorder.  A row is [rule, lhs, rhs, start, end, n]: lhs and rhs index the
 # terms, the trace is labels[start:end], and the node's n premisses are the
-# subtrees whose rows follow it.  An annihilator trace puts its cut flag
-# before n.  The labels hold each label log the tree's spans share once, so
-# a run's file grows with the run, not with the square of it.
+# subtrees whose rows follow it.  An annihilator run's cut is the label 0 at
+# the end of a trace, like any other label.  The labels hold each label log
+# the tree's spans share once, so a run's file grows with the run, not with
+# the square of it.  Files of earlier formats are refused.
 
-FORMAT = 2
+FORMAT = 3
 
-# A format 2 file nests three deep: the file, its three lists, a row.  The C
+# A format 3 file nests three deep: the file, its three lists, a row.  The C
 # JSON decoder recurses once per level and can overflow the C stack before
 # it meets the recursion limit, so deeper text is refused before it runs.
 _DEPTH = 3
@@ -894,11 +891,7 @@ def derivation_to_json(d: Derivation) -> dict:
     todo = [d]
     while todo:
         n = todo.pop()
-        t = n.trace
-        if type(t) is AnnTrace:
-            rows.append([n.rule, term(n.lhs), term(n.rhs), *bounds(t.prefix), t.annihilated, len(n.premises)])
-        else:
-            rows.append([n.rule, term(n.lhs), term(n.rhs), *bounds(t), len(n.premises)])
+        rows.append([n.rule, term(n.lhs), term(n.rhs), *bounds(n.trace), len(n.premises)])
         todo += reversed(n.premises)
     return {"format": FORMAT, "terms": terms, "labels": labels, "nodes": rows}
 
@@ -944,9 +937,9 @@ def _decode(obj) -> Derivation:
     done: list = []
     for k in range(len(rows) - 1, -1, -1):
         row = rows[k]
-        if type(row) is not list or len(row) not in (6, 7):
-            raise DerivationFormatError(f"node {k}: a row has 6 or 7 entries")
-        rule, lhs, rhs, start, end, n = row[0], row[1], row[2], row[3], row[4], row[-1]
+        if type(row) is not list or len(row) != 6:
+            raise DerivationFormatError(f"node {k}: a row has 6 entries")
+        rule, lhs, rhs, start, end, n = row
         if type(rule) is not str or {type(lhs), type(rhs), type(start), type(end), type(n)} != {int}:
             raise DerivationFormatError(f"node {k}: a rule name and five integers expected")
         if not (0 <= lhs < n_terms and 0 <= rhs < n_terms):
@@ -958,10 +951,6 @@ def _decode(obj) -> Derivation:
         if not 0 <= n <= len(done):
             raise DerivationFormatError(f"node {k}: premisses run past the last row")
         trace = Span(labels, start, end) if start < end else ()
-        if len(row) == 7:
-            if type(row[5]) is not bool:
-                raise DerivationFormatError(f"node {k}: the cut flag is not a boolean")
-            trace = AnnTrace(trace, row[5])
         premises = ()
         if n:
             premises = tuple(reversed(done[-n:]))

@@ -41,7 +41,7 @@ from .kmachine import KStatus, compile as k_compile, k_run, k_step, show_state, 
 from .mnf import NotMNF, mnf_bigstop_eval, to_mnf
 from .smallstep import RunStatus, multi_step, small_step, step_trace
 from .syntax import ParseError, SubstOpenValue, is_value, parse_expr, print_expr
-from .traces import AnnTrace, format_trace
+from .traces import format_trace
 from .typecheck import TypeFailure, infer_type, print_type
 
 OK, EVAL_ERROR, USAGE_ERROR, SUITE_FAILED = 0, 1, 2, 3
@@ -155,7 +155,6 @@ def _pcf(args) -> int:
     run = sub.add_parser("run")
     run.add_argument("--sem", choices=_PCF_SEMS, default="bigstop")
     run.add_argument("--budget", type=_at_least(0), default=256)
-    run.add_argument("--fuel", type=_at_least(0), default=None)
     run.add_argument("--trace", action="store_true", help="print the trajectory")
     run.add_argument("--derivation", metavar="FILE", default=None)
     run.add_argument("-e", action="store_true", dest="literal",
@@ -200,8 +199,7 @@ def _pcf_run(ns, expr) -> int:
     budget = ns.budget
     if ns.sem in _DERIVING:
         d = _DERIVING[ns.sem](expr, budget)
-        t = d.trace
-        print(f"{print_expr(d.rhs)} | {t if type(t) is AnnTrace else format_trace(t)}")
+        print(f"{print_expr(d.rhs)} | {format_trace(d.trace)}")
         if ns.derivation is not None:
             try:
                 with open(ns.derivation, "w") as fh:
@@ -233,14 +231,13 @@ def _pcf_run(ns, expr) -> int:
         return OK
 
     if ns.sem == "big":
-        fuel = budget if ns.fuel is None else ns.fuel
-        match big_step(expr, fuel):
+        match big_step(expr, budget):
             case Value(v, tr):
                 print(f"{print_expr(v)} | {format_trace(tr)}")
             case Stuck(at):
                 raise StuckError(at)
             case FuelExhausted():
-                _err(f"no value within fuel {fuel}")
+                _err(f"no value within fuel {budget}")
                 return EVAL_ERROR
         return OK
 

@@ -10,6 +10,8 @@ values here; the MNF *grammar* additionally counts variables as values,
 which is what `is_mnf_value` captures.
 """
 
+import re
+
 from .record import record
 from .traces import BadLabel, check_label
 
@@ -322,8 +324,6 @@ def check_mnf(e: Expr) -> bool:
 
 KEYWORDS = {"z", "s", "case", "fun", "eff", "let", "in"}
 
-_PUNCT = ("=>", "(", ")", "{", "}", "[", "]", "|", "=")
-
 
 class ParseError(Exception):
     def __init__(self, msg: str, line: int, col: int):
@@ -340,42 +340,24 @@ class _Tok:
     col: int
 
 
+# blanks, a comment, a line break, punctuation, an identifier, anything else
+_TOKEN = re.compile(r"[ \t\r]+|(?P<comment>--.*)|(?P<nl>\n)|(?P<punct>=>|[(){}\[\]|=])|(?P<ident>[\w']+)|(?P<bad>.)")
+
+
 def _tokenize(src: str):
     toks = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if src.startswith("--", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        for p in _PUNCT:
-            if src.startswith(p, i):
-                toks.append(_Tok("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            if c.isalnum() or c == "_" or c == "'":
-                j = i
-                while j < n and (src[j].isalnum() or src[j] in "_'"):
-                    j += 1
-                toks.append(_Tok("ident", src[i:j], line, col))
-                col += j - i
-                i = j
-            else:
-                raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(_Tok("eof", "", line, col))
+    line, bol, m = 1, 0, None  # bol: where the current line begins
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        if kind == "punct" or kind == "ident":
+            toks.append(_Tok(kind, m.group(), line, m.start() - bol + 1))
+        elif kind == "nl":
+            line, bol = line + 1, m.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line, m.start() - bol + 1)
+    # input ends at its end, or where a comment that closes it begins
+    end = m.start() if m is not None and m.lastgroup == "comment" else len(src)
+    toks.append(_Tok("eof", "", line, end - bol + 1))
     return toks
 
 

@@ -3,9 +3,11 @@
 A trace is the finite word of effect labels a run has emitted so far,
 represented as a tuple of strings, or inside a derivation as a Span of the
 run's label log.  The empty trace is the monoid identity, always the tuple
-(), and prints as "1".  The annihilator variant pairs a prefix with a flag
-that, once set, absorbs everything appended afterwards; it prints with a
-trailing "0".  The label "0" itself is reserved and can never be emitted.
+(), and prints as "1".  The annihilator variant adds a zero: a run that is
+cut off ends its trace in the reserved label "0", which no program can
+emit, and ann_join lets such a trace absorb everything appended after it
+(a·0·b = a·0).  Only annihilator_eval's answer splits the zero off again,
+into an AnnTrace.
 """
 
 from .record import record
@@ -54,7 +56,12 @@ class Span:
         return iter(self.log[self.start:self.end])
 
     def __getitem__(self, i):
-        return self._tuple()[i]
+        if type(i) is not int:
+            return self._tuple()[i]
+        n = self.end - self.start
+        if not -n <= i < n:
+            raise IndexError("span index out of range")
+        return self.log[self.start + i % n]  # one label, read from the log
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Span):
@@ -110,36 +117,18 @@ def parse_trace(text: str) -> Trace:
     return tuple(check_label(p) for p in text.split("·"))
 
 
+def ann_join(a, b):
+    """The annihilator's join: a trace cut off by the zero absorbs b."""
+    return a if a and a[-1] == ANNIHILATOR else a + b
+
+
 @record
 class AnnTrace:
-    """A trace that may have been cut off ("annihilated").
-
-    Appending to an annihilated trace is a no-op: a·0·b = a·0.
-    """
+    """annihilator_eval's trace: the labels before any cut, and whether the
+    run was cut off ("annihilated")."""
 
     prefix: Trace = ()
     annihilated: bool = False
 
     def __str__(self) -> str:
-        if self.annihilated:
-            if not self.prefix:
-                return "0"
-            return "·".join(self.prefix) + "·0"
-        return format_trace(self.prefix)
-
-
-ANN_EMPTY = AnnTrace((), False)
-ANN_ZERO = AnnTrace((), True)
-
-
-def ann_concat(a: AnnTrace, b: AnnTrace) -> AnnTrace:
-    if a.annihilated:
-        return a
-    return AnnTrace(a.prefix + b.prefix, b.annihilated)
-
-
-def ann_concat_all(*parts: AnnTrace) -> AnnTrace:
-    out = ANN_EMPTY
-    for p in parts:
-        out = ann_concat(out, p)
-    return out
+        return format_trace(self.prefix + (ANNIHILATOR,) if self.annihilated else self.prefix)

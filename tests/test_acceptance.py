@@ -9,7 +9,6 @@ import time
 import pytest
 
 from bigstop import (
-    AnnTrace,
     App,
     Derivation,
     FuelExhausted,
@@ -62,7 +61,7 @@ from bigstop import (
 )
 from bigstop import alpha_eq, expr_size
 from bigstop.harness import gen_imp_config
-from bigstop.traces import ann_concat
+from bigstop.traces import Span, ann_join, format_trace
 import random
 
 BUDGETS = range(11)
@@ -198,9 +197,9 @@ def _twenty_mutations():
         ("context chain breaks the trace composition", "ec",
          mut(ecd, trace=("ghost",))),
         ("cut marker dropped after an annihilated premiss", "annihilator",
-         mut(annd, trace=AnnTrace(("a",), False))),
+         mut(annd, trace=("a",))),
         ("labels retained past the cut", "annihilator",
-         mut(annd, trace=AnnTrace(("a", "b"), True))),
+         mut(annd, trace=("a", "b", "0"))),
     ]
 
 
@@ -257,11 +256,13 @@ def test_06_annihilator_runs_reach_exactly_the_step_trajectories(enumeration):
         cut = {annihilator_eval(e, b)[1].prefix for b in BUDGETS}
         walked = {multi_step(e, b).trace for b in BUDGETS}
         assert cut == walked, print_expr(e)
-    # absorption: everything after the cut marker collapses into it
-    before = AnnTrace(("a", "b", "c"), True)
-    after = AnnTrace(("d", "e", "f"), False)
-    assert ann_concat(before, after) == before
-    assert str(ann_concat(before, after)) == "a·b·c·0"
+    # absorption: everything after the cut marker collapses into it, on
+    # tuples and on spans of a run's log
+    before, after = ("a", "b", "c", "0"), ("d", "e", "f")
+    assert ann_join(before, after) == before
+    assert format_trace(ann_join(before, after)) == "a·b·c·0"
+    log = [*before, *after]
+    assert ann_join(Span(log, 0, 4), Span(log, 4, 7)) == before
 
 
 def test_07_reference_programs_hit_their_pinned_answers():

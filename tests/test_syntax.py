@@ -102,6 +102,20 @@ def test_parse_error_carries_position():
         raise AssertionError("expected a parse error")
 
 
+@pytest.mark.parametrize("src, line, col, says", [
+    ("z -- a comment\n  # z", 2, 3, "unexpected character '#'"),   # after a comment
+    ("s(\tz ?)", 1, 6, "unexpected character '?'"),                 # a tab is one column
+    ("fun f(x) =>", 1, 12, "expected an expression"),               # end of input
+    ("fun f(x) =>  ", 1, 14, "expected an expression"),             # past the blanks
+    ("fun f(x) => -- no body", 1, 13, "expected an expression"),    # at the comment
+    ("s(z\n-- open\n", 3, 1, "end of input"),
+])
+def test_parse_error_pins_line_and_column(src, line, col, says):
+    with pytest.raises(ParseError, match=says) as err:
+        parse_expr(src)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
 @pytest.mark.parametrize(
     "src",
     [

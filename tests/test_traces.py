@@ -1,13 +1,12 @@
+from functools import reduce
+
 import pytest
 
 from bigstop.traces import (
-    ANN_EMPTY,
-    ANN_ZERO,
     AnnTrace,
     BadLabel,
     Span,
-    ann_concat,
-    ann_concat_all,
+    ann_join,
     check_label,
     emit,
     format_trace,
@@ -38,33 +37,31 @@ def test_annihilated_trace_prints_trailing_zero():
     assert str(AnnTrace(("a", "b"), True)) == "a·b·0"
     assert str(AnnTrace((), True)) == "0"
     assert str(AnnTrace(("a",), False)) == "a"
-    assert str(ANN_EMPTY) == "1"
+    assert str(AnnTrace()) == "1"
 
 
 def test_zero_absorbs_everything_after_it():
     # abc0def = abc0
-    abc0 = AnnTrace(("a", "b", "c"), True)
-    dEf = AnnTrace(("d", "e", "f"), False)
-    assert ann_concat(abc0, dEf) == abc0
-    assert ann_concat(abc0, ANN_ZERO) == abc0
+    abc0 = ("a", "b", "c", "0")
+    assert ann_join(abc0, ("d", "e", "f")) == abc0
+    assert ann_join(abc0, ("0",)) == abc0
+    assert format_trace(ann_join(abc0, ("d",))) == "a·b·c·0"
 
 
 def test_concat_without_zero_just_appends():
-    got = ann_concat(AnnTrace(("a",), False), AnnTrace(("b",), False))
-    assert got == AnnTrace(("a", "b"), False)
+    assert ann_join(("a",), ("b",)) == ("a", "b")
+    assert ann_join((), ("b",)) == ("b",)
+    assert ann_join(("a",), ()) == ("a",)
 
 
 def test_concat_ending_in_zero_annihilates():
-    got = ann_concat(AnnTrace(("a",), False), ANN_ZERO)
-    assert got == AnnTrace(("a",), True)
+    assert ann_join(("a",), ("0",)) == ("a", "0")
+    assert ann_join((), ("0",)) == ("0",)
 
 
 def test_concat_all_folds_left():
-    got = ann_concat_all(
-        AnnTrace(("a",), False), AnnTrace(("b",), False),
-        AnnTrace(("c",), True), AnnTrace(("d",), False),
-    )
-    assert got == AnnTrace(("a", "b", "c"), True)
+    got = reduce(ann_join, [("a",), ("b",), ("c", "0"), ("d",)], ())
+    assert got == ("a", "b", "c", "0")
 
 
 ### spans of a run's label log
@@ -81,6 +78,11 @@ def test_span_equals_and_hashes_like_its_labels():
     assert hash(sp) == hash(("b", "c", "a"))
     assert {sp: 1}[("b", "c", "a")] == 1
     assert len(sp) == 3 and list(sp) == ["b", "c", "a"] and sp[-1] == "a"
+    assert [sp[i] for i in range(-3, 3)] == ["b", "c", "a", "b", "c", "a"]
+    assert sp[1:] == ("c", "a") and type(sp[1:]) is tuple
+    for i in (3, -4):
+        with pytest.raises(IndexError):
+            sp[i]
     assert format_trace(sp) == "b·c·a"
 
 
@@ -128,9 +130,19 @@ def test_emit_logs_the_label():
     assert isinstance(first + second, Span)
 
 
+class _NoSlicing(list):
+    """A log that refuses to be copied."""
+
+    def __getitem__(self, i):
+        assert type(i) is int, "the log was sliced"
+        return super().__getitem__(i)
+
+
 def test_annihilator_traces_over_spans():
-    cut = AnnTrace(Span(LOG, 0, 2), True)
-    assert cut == AnnTrace(("a", "b"), True)
-    assert str(cut) == "a·b·0"
-    got = ann_concat(AnnTrace(Span(LOG, 0, 1), False), AnnTrace(Span(LOG, 1, 2), True))
-    assert isinstance(got.prefix, Span) and got == AnnTrace(("a", "b"), True)
+    log = _NoSlicing(["a", "b", "0", "c"])
+    got = ann_join(Span(log, 0, 1), Span(log, 1, 3))   # ends in the cut
+    assert isinstance(got, Span) and (got.start, got.end) == (0, 3)
+    cut = Span(log, 0, 3)
+    assert ann_join(cut, Span(log, 3, 4)) is cut         # the cut absorbs c
+    assert ann_join(cut, ("d",)) is cut
+    assert str(AnnTrace(("a", "b"), True)) == "a·b·0"
