@@ -130,12 +130,11 @@ from .syntax import (
     is_mnf_value,
     is_value,
     numeral,
-    numeral_value,
     parse_expr,
     print_expr,
     subst,
 )
-from .traces import format_trace, parse_trace
+from .traces import format_trace
 from .typecheck import (
     ArrowT,
     NatT,

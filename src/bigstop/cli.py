@@ -197,6 +197,8 @@ def _pcf_check(path: str, dialect: str) -> int:
 
 def _pcf_run(ns, expr) -> int:
     budget = ns.budget
+    if ns.trace and ns.sem not in ("multi", "kmachine"):
+        raise _Usage("--trace needs --sem multi or kmachine")
     if ns.sem in _DERIVING:
         d = _DERIVING[ns.sem](expr, budget)
         print(f"{print_expr(d.rhs)} | {format_trace(d.trace)}")

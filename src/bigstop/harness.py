@@ -55,8 +55,6 @@ from .typecheck import ArrowT, NatT, principal_type, types_unifiable, well_typed
 class GenConfig:
     seed: int = 0
     max_size: int = 25  # upper bound on AST nodes
-    effect_labels: tuple = ("a", "b")
-    target_type: object = None  # None picks a goal type per term
 
     def __post_init__(self):
         if self.max_size < 1:
@@ -77,33 +75,33 @@ _NAT1 = ArrowT(_NAT, _NAT)
 # argument types tried when inventing an application
 _DOM_POOL = (_NAT, _NAT, _NAT, _NAT1)
 
+# the effect labels generated and enumerated terms emit
+_LABELS = ("a", "b")
+
 
 def gen_typed_expr(cfg: GenConfig) -> Expr:
     """A closed, well-typed expression built by running the typing rules
     backwards from a goal type."""
     rng = random.Random(cfg.seed)
-    labels = tuple(cfg.effect_labels)
     for _ in range(64):
-        goal = cfg.target_type
-        if goal is None:
-            goal = _NAT if rng.random() < 0.8 else _NAT1
+        goal = _NAT if rng.random() < 0.8 else _NAT1
         try:
-            e = _gen(rng, goal, (), cfg.max_size, labels, 0)
+            e = _gen(rng, goal, (), cfg.max_size, 0)
         except _GenFail:
             continue
         if well_typed(e):
             return e
     raise GenerationExhausted(
-        f"no term of the requested type within {cfg.max_size} nodes"
+        f"no well-typed term within {cfg.max_size} nodes"
     )
 
 
-def _gen(rng, goal, env, size, labels, depth) -> Expr:
+def _gen(rng, goal, env, size, depth) -> Expr:
     if size < 1 or depth > 60:
         raise _GenFail()
     # effect nodes show up with probability 0.2 wherever there is room
-    if labels and size >= 2 and rng.random() < 0.2:
-        return Eff(rng.choice(labels), _gen(rng, goal, env, size - 1, labels, depth + 1))
+    if size >= 2 and rng.random() < 0.2:
+        return Eff(rng.choice(_LABELS), _gen(rng, goal, env, size - 1, depth + 1))
 
     opts = []
     hits = [n for n, t in env if t == goal]
@@ -126,24 +124,24 @@ def _gen(rng, goal, env, size, labels, depth) -> Expr:
     rng.shuffle(opts)
     for pick in opts:
         try:
-            return _gen_one(rng, pick, goal, env, size, labels, depth)
+            return _gen_one(rng, pick, goal, env, size, depth)
         except _GenFail:
             continue
     raise _GenFail()
 
 
-def _gen_one(rng, pick, goal, env, size, labels, depth) -> Expr:
+def _gen_one(rng, pick, goal, env, size, depth) -> Expr:
     d = depth + 1
     if pick == "var":
         return Var(rng.choice([n for n, t in env if t == goal]))
     if pick == "zero":
         return Zero()
     if pick == "succ":
-        return Succ(_gen(rng, _NAT, env, size - 1, labels, d))
+        return Succ(_gen(rng, _NAT, env, size - 1, d))
     if pick == "lam":
         f, x = _fresh(env), None
         x = _fresh(env, skip=f)
-        body = _gen(rng, goal.codomain, env + ((f, goal), (x, goal.domain)), size - 1, labels, d)
+        body = _gen(rng, goal.codomain, env + ((f, goal), (x, goal.domain)), size - 1, d)
         return Lam(f, x, body)
     if pick == "spin":
         f, x = _fresh(env), None
@@ -153,8 +151,8 @@ def _gen_one(rng, pick, goal, env, size, labels, depth) -> Expr:
     if pick == "app":
         dom = rng.choice(_DOM_POOL)
         fsize = rng.randint(1, size - 2)
-        fn = _gen(rng, ArrowT(dom, goal), env, fsize, labels, d)
-        arg = _gen(rng, dom, env, size - 1 - fsize, labels, d)
+        fn = _gen(rng, ArrowT(dom, goal), env, fsize, d)
+        arg = _gen(rng, dom, env, size - 1 - fsize, d)
         return App(fn, arg)
     if pick == "case":
         budget = size - 1
@@ -162,9 +160,9 @@ def _gen_one(rng, pick, goal, env, size, labels, depth) -> Expr:
         ss = rng.randint(1, budget - 1 - zs)
         cs = budget - zs - ss
         xv = _fresh(env)
-        sc = _gen(rng, _NAT, env, cs, labels, d)
-        zb = _gen(rng, goal, env, zs, labels, d)
-        sb = _gen(rng, goal, env + ((xv, _NAT),), ss, labels, d)
+        sc = _gen(rng, _NAT, env, cs, d)
+        zb = _gen(rng, goal, env, zs, d)
+        sb = _gen(rng, goal, env + ((xv, _NAT),), ss, d)
         return Case(zb, xv, sb, sc)
     raise _GenFail()
 
@@ -186,20 +184,19 @@ _LAM_PARAM = "b"
 _CASE_BINDERS = ("a", "b")
 
 
-def enumerate_exprs(max_size: int, labels=("a", "b")):
+def enumerate_exprs(max_size: int):
     """Every closed well-typed term with at most max_size AST nodes, binders
-    drawn from a two-symbol alphabet, effect labels capped at two.
+    drawn from a two-symbol alphabet, effect labels from _LABELS.
 
     The stream is the brute-force oracle the differential suites lean on, so
     it must stay honest: syntactic uniqueness is re-checked by hashing.
     """
     if max_size > 8:
         raise ValueError("enumeration beyond size 8 is combinatorially hopeless")
-    labels = tuple(labels)[:2]
     memo = {}
     seen = set()
     for size in range(1, max_size + 1):
-        for e in _enum(size, frozenset(), labels, memo):
+        for e in _enum(size, frozenset(), memo):
             if e in seen:
                 raise AssertionError(f"enumerator repeated a term: {print_expr(e)}")
             seen.add(e)
@@ -207,7 +204,7 @@ def enumerate_exprs(max_size: int, labels=("a", "b")):
                 yield e
 
 
-def _enum(size, env, labels, memo):
+def _enum(size, env, memo):
     key = (size, env)
     got = memo.get(key)
     if got is not None:
@@ -218,17 +215,17 @@ def _enum(size, env, labels, memo):
         for x in sorted(env):
             out.append(Var(x))
     else:
-        inner = _enum(size - 1, env, labels, memo)
+        inner = _enum(size - 1, env, memo)
         for b in inner:
             out.append(Succ(b))
-        for lab in labels:
+        for lab in _LABELS:
             for b in inner:
                 out.append(Eff(lab, b))
-        for b in _enum(size - 1, env | {_LAM_SELF, _LAM_PARAM}, labels, memo):
+        for b in _enum(size - 1, env | {_LAM_SELF, _LAM_PARAM}, memo):
             out.append(Lam(_LAM_SELF, _LAM_PARAM, b))
         for i in range(1, size - 1):
-            for fn in _enum(i, env, labels, memo):
-                for arg in _enum(size - 1 - i, env, labels, memo):
+            for fn in _enum(i, env, memo):
+                for arg in _enum(size - 1 - i, env, memo):
                     out.append(App(fn, arg))
         if size >= 4:
             for zs in range(1, size - 3 + 1):
@@ -236,9 +233,9 @@ def _enum(size, env, labels, memo):
                     cs = size - 1 - zs - ss
                     for xv in _CASE_BINDERS:
                         env_s = env | {xv}
-                        for sc in _enum(cs, env, labels, memo):
-                            for zb in _enum(zs, env, labels, memo):
-                                for sb in _enum(ss, env_s, labels, memo):
+                        for sc in _enum(cs, env, memo):
+                            for zb in _enum(zs, env, memo):
+                                for sb in _enum(ss, env_s, memo):
                                     out.append(Case(zb, xv, sb, sc))
     memo[key] = out
     return out
@@ -462,7 +459,7 @@ def enumerate_stmts(max_size: int):
         yield from level(size)
 
 
-def gen_stmt(rng: random.Random, max_size: int = 12):
+def gen_stmt(rng: random.Random):
     """A random statement with a richer arithmetic pool than the enumerator."""
 
     def aexp(depth=0):
@@ -487,7 +484,7 @@ def gen_stmt(rng: random.Random, max_size: int = 12):
             return imp.If(aexp(), stmt(size - 1))
         return imp.While(aexp(), stmt(size - 1))
 
-    return stmt(rng.randint(1, max_size))
+    return stmt(rng.randint(1, 12))
 
 
 def _seq(a, b):
@@ -504,9 +501,9 @@ def _seq(a, b):
     return a
 
 
-def gen_imp_config(rng: random.Random, max_size: int = 12) -> imp.ImpConfig:
+def gen_imp_config(rng: random.Random) -> imp.ImpConfig:
     st = {"x": rng.randint(0, 3), "y": rng.randint(0, 3)}
-    return imp.config(gen_stmt(rng, max_size), st)
+    return imp.config(gen_stmt(rng), st)
 
 
 ### the suites
@@ -543,7 +540,7 @@ _MAX_REPORTED = 5
 
 
 def _enum_pool(cfg: GenConfig):
-    return enumerate_exprs(min(cfg.max_size, 7), cfg.effect_labels)
+    return enumerate_exprs(min(cfg.max_size, 7))
 
 
 def _enum_cases(cfg: GenConfig, budgets):
@@ -559,7 +556,7 @@ def _gen_cases(cfg: GenConfig, trials: int, max_budget: int):
     made = 0
     seed = cfg.seed
     while made < trials:
-        sub = GenConfig(seed, cfg.max_size, cfg.effect_labels, cfg.target_type)
+        sub = GenConfig(seed, cfg.max_size)
         seed += 1
         try:
             e = gen_typed_expr(sub)

@@ -351,14 +351,15 @@ _KEYWORDS = {"skip", "if", "then", "while", "do"}
 
 
 def _imp_tokens(src: str):
+    """(text, line, column) for each token, then (None, line, column) where
+    the input ends: at its end, or where a comment that closes it begins."""
     toks = []
     spec = rf"(:=|[();{{}}+\-*]|\d+|{_NAME}|\S)"
-    line = 1
-    for raw in src.split("\n"):
+    for line, raw in enumerate(src.split("\n"), 1):
         body = raw.split("--", 1)[0]
         for m in re.finditer(spec, body):
             toks.append((m.group(0), line, m.start() + 1))
-        line += 1
+    toks.append((None, line, len(body) + 1))
     return toks
 
 
@@ -368,19 +369,22 @@ class _ImpParser:
         self.pos = 0
 
     def peek(self):
-        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
+        return self.toks[self.pos][0]
 
     def next(self):
         t = self.peek()
-        if t is None:
-            raise ImpParseError("unexpected end of input")
         self.pos += 1
         return t
 
+    def fail(self, want: str):
+        text, line, col = self.toks[self.pos]
+        found = "end of input" if text is None else repr(text)
+        raise ImpParseError(f"{line}:{col}: expected {want}, found {found}")
+
     def expect(self, text):
-        t = self.next()
-        if t != text:
-            raise ImpParseError(f"expected {text!r}, found {t!r}")
+        if self.peek() != text:
+            self.fail(repr(text))
+        self.pos += 1
 
     def stmt(self) -> Stmt:
         s = self.simple()
@@ -414,7 +418,7 @@ class _ImpParser:
             name = self.next()
             self.expect(":=")
             return Assign(name, self.aexpr())
-        raise ImpParseError(f"expected a statement, found {t!r}")
+        self.fail("a statement")
 
     def aexpr(self) -> AExpr:
         e = self.term()
@@ -440,18 +444,16 @@ class _ImpParser:
             return e
         if t is not None and t.isdigit():
             return Lit(int(self.next()))
-        if t is not None and (t[0].isalpha() or t[0] == "_"):
-            if t in ("then", "do"):
-                raise ImpParseError(f"expected an expression, found {t!r}")
+        if t is not None and (t[0].isalpha() or t[0] == "_") and t not in ("then", "do"):
             return Ref(self.next())
-        raise ImpParseError(f"expected an expression, found {t!r}")
+        self.fail("an expression")
 
 
 def parse_stmt(src: str) -> Stmt:
     p = _ImpParser(src)
     s = p.stmt()
     if p.peek() is not None:
-        raise ImpParseError(f"trailing input starting at {p.peek()!r}")
+        p.fail("end of input")
     return s
 
 

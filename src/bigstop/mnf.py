@@ -9,7 +9,7 @@ same value up to erasing the lets back out.
 
 import itertools
 
-from .budget import Budget, check_budget
+from .budget import Budget
 from .bigstop import (
     BigStopResult, Derivation, StuckError, val_leaf,
 )
@@ -17,7 +17,7 @@ from .syntax import (
     App, BLANK, Case, Eff, Expr, Lam, Let, Succ, Var, Zero,
     all_names, check_mnf, free_vars, is_value, print_expr, rebuild, scoped_children, subst,
 )
-from .smallstep import MultiResult, RunStatus, StepResult
+from .smallstep import MultiResult, StepResult, _run
 from .traces import emit
 
 
@@ -139,46 +139,34 @@ def _rename(e: Expr, old: str, new: str) -> Expr:
 
 
 def mnf_small_step(e: Expr):
-    """One MNF step, or None for values and stuck terms."""
+    """One MNF step, or None for values and stuck terms.  The step is taken
+    inside every let whose bound is no value, and those lets are rebuilt
+    around its result."""
+    lets = []
+    while type(e) is Let and not is_value(e.bound):
+        lets.append(e)
+        e = e.bound
     c = type(e)
     if c is Let:
-        e1 = e.bound
-        if is_value(e1):
-            return StepResult(subst(e.body, {e.var: e1}), ())
-        r = mnf_small_step(e1)
-        if r is None:
-            return None
-        return StepResult(Let(e.var, r.expr, e.body), r.trace)
-    if c is App:
-        f, v = e.fn, e.arg
-        if type(f) is Lam and is_value(v):
-            return StepResult(subst(f.body, {f.self_var: f, f.param: v}), ())
+        e, tr = subst(e.body, {e.var: e.bound}), ()
+    elif c is App and type(e.fn) is Lam and is_value(e.arg):
+        f = e.fn
+        e, tr = subst(f.body, {f.self_var: f, f.param: e.arg}), ()
     elif c is Eff:
-        return StepResult(e.body, (e.label,))
-    elif c is Case:
-        sc = e.scrutinee
-        if type(sc) is Zero:
-            return StepResult(e.zero_branch, ())
-        if type(sc) is Succ and is_value(sc.body):
-            return StepResult(subst(e.succ_branch, {e.succ_var: sc.body}), ())
-    return None
+        e, tr = e.body, (e.label,)
+    elif c is Case and type(e.scrutinee) is Zero:
+        e, tr = e.zero_branch, ()
+    elif c is Case and type(e.scrutinee) is Succ and is_value(e.scrutinee.body):
+        e, tr = subst(e.succ_branch, {e.succ_var: e.scrutinee.body}), ()
+    else:
+        return None
+    for let in reversed(lets):
+        e = Let(let.var, e, let.body)
+    return StepResult(e, tr)
 
 
 def mnf_multi_step(e: Expr, budget: int) -> MultiResult:
-    check_budget(budget)
-    labels: list = []
-    steps = 0
-    while True:
-        if is_value(e):
-            return MultiResult(e, tuple(labels), steps, RunStatus.REACHED_VALUE)
-        if steps == budget:
-            return MultiResult(e, tuple(labels), steps, RunStatus.OUT_OF_BUDGET)
-        r = mnf_small_step(e)
-        if r is None:
-            return MultiResult(e, tuple(labels), steps, RunStatus.STUCK)
-        e = r.expr
-        labels += r.trace
-        steps += 1
+    return _run(mnf_small_step, e, budget)
 
 
 class NotMNF(Exception):

@@ -10,62 +10,30 @@ import enum
 
 from .budget import check_budget
 from .record import record
-from .syntax import (
-    App, Case, Eff, Expr, Lam, Succ, Zero, is_value, subst,
-)
+from .syntax import App, Case, Eff, Expr, Lam, Succ, Zero, is_value, subst
 from .traces import Trace
 
 ### evaluation contexts
+# A context is the tuple of terms around the hole, outermost first.  Each
+# holds the hole at its evaluation position: a successor's body, a case's
+# scrutinee, or an application's function while that is no value, else its
+# argument.  Hand-written, not read off the syntax table: engines stay
+# independent.
 
 
-class EvalContext:
-    __slots__ = ()
-
-
-@record
-class Hole(EvalContext):
-    pass
-
-
-@record
-class SuccC(EvalContext):
-    body: EvalContext
-
-
-@record
-class CaseC(EvalContext):
-    zero_branch: Expr
-    succ_var: str
-    succ_branch: Expr
-    scrutinee: EvalContext
-
-
-@record
-class AppFnC(EvalContext):
-    fn: EvalContext
-    arg: Expr
-
-
-@record
-class AppArgC(EvalContext):
-    fn_value: Expr  # must be a value
-    arg: EvalContext
-
-
-# hand-written, like decompose, not read off the syntax table: engines stay independent
-def plug(ctx: EvalContext, e: Expr) -> Expr:
-    c = type(ctx)
-    if c is Hole:
-        return e
-    if c is AppFnC:
-        return App(plug(ctx.fn, e), ctx.arg)
-    if c is AppArgC:
-        return App(ctx.fn_value, plug(ctx.arg, e))
-    if c is SuccC:
-        return Succ(plug(ctx.body, e))
-    if c is CaseC:
-        return Case(ctx.zero_branch, ctx.succ_var, ctx.succ_branch, plug(ctx.scrutinee, e))
-    raise TypeError(f"not a context: {ctx!r}")
+def plug(ctx: tuple, e: Expr) -> Expr:
+    for p in reversed(ctx):
+        c = type(p)
+        if c is Succ:
+            e = Succ(e)
+        elif c is Case:
+            e = Case(p.zero_branch, p.succ_var, p.succ_branch, e)
+        elif c is App:
+            # decompose only goes into a function that is no value
+            e = App(p.fn, e) if is_value(p.fn) else App(e, p.arg)
+        else:
+            raise TypeError(f"not a context: {ctx!r}")
+    return e
 
 
 def decompose(e: Expr):
@@ -74,36 +42,30 @@ def decompose(e: Expr):
     The redex candidate is whatever sits at the evaluation position - a
     case over a value, an application of two values, an effect, or a stray
     variable/let (which contract() will refuse, i.e. the term is stuck).
+    Every term on the way down is a non-value, so a successor's body is
+    descended without asking is_value again.
     """
     if is_value(e):
         return None
-    return _split(e)
-
-
-def _split(e: Expr):
-    """decompose for a non-value e.  A successor's body is then one too, so
-    a chain of them is descended without asking is_value again."""
-    c = type(e)
-    if c is App:
-        f, a = e.fn, e.arg
-        if not is_value(f):
-            ctx, r = _split(f)
-            return AppFnC(ctx, a), r
-        if not is_value(a):
-            ctx, r = _split(a)
-            return AppArgC(f, ctx), r
-        return Hole(), e
-    if c is Succ:
-        ctx, r = _split(e.body)
-        return SuccC(ctx), r
-    if c is Case:
-        if is_value(e.scrutinee):
-            return Hole(), e
-        ctx, r = _split(e.scrutinee)
-        return CaseC(e.zero_branch, e.succ_var, e.succ_branch, ctx), r
-    # Eff is itself the redex; Var and Let have no rule and will fail to
-    # contract
-    return Hole(), e
+    ctx = []
+    while True:
+        c = type(e)
+        if c is Succ:
+            ctx.append(e)
+            e = e.body
+        elif c is App and not is_value(e.fn):
+            ctx.append(e)
+            e = e.fn
+        elif c is App and not is_value(e.arg):
+            ctx.append(e)
+            e = e.arg
+        elif c is Case and not is_value(e.scrutinee):
+            ctx.append(e)
+            e = e.scrutinee
+        else:
+            # Eff is itself the redex; Var and Let have no rule and will
+            # fail to contract
+            return tuple(ctx), e
 
 
 def contract(r: Expr):
@@ -161,6 +123,12 @@ class MultiResult:
 
 
 def multi_step(e: Expr, budget: int) -> MultiResult:
+    return _run(small_step, e, budget)
+
+
+def _run(step, e: Expr, budget: int) -> MultiResult:
+    """Take step until a value, the budget or a term step refuses; the loop
+    of multi_step and of mnf.mnf_multi_step, each with its own step."""
     check_budget(budget)
     labels: list = []
     steps = 0
@@ -169,7 +137,7 @@ def multi_step(e: Expr, budget: int) -> MultiResult:
             return MultiResult(e, tuple(labels), steps, RunStatus.REACHED_VALUE)
         if steps == budget:
             return MultiResult(e, tuple(labels), steps, RunStatus.OUT_OF_BUDGET)
-        r = small_step(e)
+        r = step(e)
         if r is None:
             return MultiResult(e, tuple(labels), steps, RunStatus.STUCK)
         e = r.expr

@@ -155,15 +155,6 @@ def numeral(n: int) -> Expr:
     return e
 
 
-def numeral_value(e: Expr):
-    """The int a numeral value denotes, or None for non-numerals."""
-    n = 0
-    while isinstance(e, Succ):
-        e = e.body
-        n += 1
-    return n if isinstance(e, Zero) else None
-
-
 def expr_size(e: Expr) -> int:
     size, todo = 0, [e]
     while todo:

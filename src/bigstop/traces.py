@@ -110,13 +110,6 @@ def format_trace(t: Trace) -> str:
     return "·".join(t)
 
 
-def parse_trace(text: str) -> Trace:
-    text = text.strip()
-    if text == "1":
-        return ()
-    return tuple(check_label(p) for p in text.split("·"))
-
-
 def ann_join(a, b):
     """The annihilator's join: a trace cut off by the zero absorbs b."""
     return a if a and a[-1] == ANNIHILATOR else a + b

@@ -69,7 +69,7 @@ BUDGETS = range(11)
 
 @pytest.fixture(scope="module")
 def enumeration():
-    return list(enumerate_exprs(7, ("a", "b")))
+    return list(enumerate_exprs(7))
 
 
 @pytest.fixture(scope="module")

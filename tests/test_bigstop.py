@@ -56,12 +56,10 @@ from bigstop import (
     multi_step,
     numeral,
     parse_expr,
-    plug,
     print_expr,
     strict_to_bigstep,
     to_mnf,
 )
-from bigstop.smallstep import AppArgC, AppFnC, CaseC, Hole, SuccC
 from bigstop.syntax import rebuild, scoped_children
 from bigstop.traces import Span
 from test_acceptance import _twenty_mutations
@@ -611,27 +609,30 @@ def test_ec_checker_rejects_forgeries():
 
 
 def _spine_splits(e):
-    """Every (context, subterm) split of e along the evaluation spine.  The
-    EC-Seq check searched this list before it walked both terms together;
-    it stays here as the reference for that walk."""
-    out = [(Hole(), e)]
+    """Every (fill, subterm) split of e along the evaluation spine, where
+    fill(x) puts x back in the subterm's place.  The EC-Seq check searched
+    this list before it walked both terms together; it stays here as the
+    reference for that walk.  It also splits into a function that is a
+    value, which a context of smallstep cannot express."""
+    out = [(lambda x: x, e)]
     c = type(e)
     if c is App:
-        out += [(AppFnC(k, e.arg), s) for k, s in _spine_splits(e.fn)]
-        if is_value(e.fn):
-            out += [(AppArgC(e.fn, k), s) for k, s in _spine_splits(e.arg)]
+        fn, arg = e.fn, e.arg
+        out += [(lambda x, k=k: App(k(x), arg), s) for k, s in _spine_splits(fn)]
+        if is_value(fn):
+            out += [(lambda x, k=k: App(fn, k(x)), s) for k, s in _spine_splits(arg)]
     elif c is Succ:
-        out += [(SuccC(k), s) for k, s in _spine_splits(e.body)]
+        out += [(lambda x, k=k: Succ(k(x)), s) for k, s in _spine_splits(e.body)]
     elif c is Case:
         zb, xv, sb = e.zero_branch, e.succ_var, e.succ_branch
-        out += [(CaseC(zb, xv, sb, k), s) for k, s in _spine_splits(e.scrutinee)]
+        out += [(lambda x, k=k: Case(zb, xv, sb, k(x)), s) for k, s in _spine_splits(e.scrutinee)]
     return out
 
 
 def _fits_by_search(d):
     p1, p2 = d.premises
     return any(
-        sub == p1.lhs and plug(ctx, p1.rhs) == p2.lhs for ctx, sub in _spine_splits(d.lhs)
+        sub == p1.lhs and fill(p1.rhs) == p2.lhs for fill, sub in _spine_splits(d.lhs)
     )
 
 

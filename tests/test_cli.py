@@ -263,6 +263,12 @@ def test_derivation_flag_requires_a_deriving_semantics(capsys, tmp_path):
     assert "--derivation" in err
 
 
+@pytest.mark.parametrize("sem", ["small", "big", "bigstop", "annihilator", "mnf", "ec"])
+def test_trace_flag_requires_a_semantics_that_prints_a_trajectory(capsys, sem):
+    code, out, err = run(capsys, "pcf", "run", "--sem", sem, "--trace", "-e", "s(z)")
+    assert (code, out, err) == (2, "", "error: --trace needs --sem multi or kmachine\n")
+
+
 def test_an_unwritable_derivation_file_exits_two_with_one_error_line(capsys, tmp_path):
     dv = tmp_path / "missing" / "d.json"
     code, out, err = run(

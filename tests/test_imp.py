@@ -115,6 +115,16 @@ def test_loop_bodies_require_braces():
         parse_stmt("while x do skip")
 
 
+@pytest.mark.parametrize("src, says", [
+    ("x := ", "1:6: expected an expression, found end of input"),
+    ("x := 1 ;\ny := )", "2:6: expected an expression, found ')'"),
+])
+def test_parse_errors_name_the_line_and_column(src, says):
+    with pytest.raises(ImpParseError) as err:
+        parse_stmt(src)
+    assert str(err.value) == says
+
+
 def test_initial_store_syntax():
     assert parse_init("x=2,y=0") == (("x", 2), ("y", 0))
     assert parse_init("") == ()

@@ -38,12 +38,12 @@ def _sample(cls):
 
 
 def test_the_walk_finds_the_records():
-    for name in ("syntax.App", "syntax._Tok", "typecheck.ArrowT", "smallstep.AppArgC",
+    for name in ("syntax.App", "syntax._Tok", "typecheck.ArrowT", "smallstep.StepResult",
                  "smallstep.MultiResult", "bigstop.Derivation", "bigstop.Rule",
                  "traces.AnnTrace", "kmachine.MachineState", "imp.SeqS",
                  "imp.ImpConfig", "harness.PropertyReport"):
         assert name in RECORDS
-    assert len(RECORDS) >= 50
+    assert len(RECORDS) >= 47
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))

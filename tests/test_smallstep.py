@@ -1,9 +1,7 @@
+from bigstop.bigstop import ec_bigstop_eval
+from bigstop.mnf import mnf_multi_step, to_mnf
 from bigstop.smallstep import (
-    AppArgC,
-    AppFnC,
-    Hole,
     RunStatus,
-    SuccC,
     contract,
     decompose,
     multi_step,
@@ -11,7 +9,7 @@ from bigstop.smallstep import (
     small_step,
     step_trace,
 )
-from bigstop.syntax import App, Eff, Lam, Succ, Var, Zero, parse_expr, print_expr
+from bigstop.syntax import App, Eff, Lam, Let, Succ, Var, Zero, parse_expr, print_expr
 
 ID = Lam("f", "x", Var("x"))
 
@@ -30,14 +28,14 @@ def test_values_do_not_decompose():
 
 def test_redex_at_top_gives_hole():
     ctx, r = decompose(App(ID, Zero()))
-    assert ctx == Hole()
+    assert ctx == ()
     assert r == App(ID, Zero())
 
 
 def test_decompose_descends_into_succ():
     e = Succ(App(ID, Zero()))
     ctx, r = decompose(e)
-    assert ctx == SuccC(Hole())
+    assert ctx == (e,)
     assert r == App(ID, Zero())
     assert plug(ctx, r) == e
 
@@ -45,22 +43,23 @@ def test_decompose_descends_into_succ():
 def test_argument_waits_for_function():
     inner = App(ID, Zero())
     ctx, r = decompose(App(inner, inner))
-    assert isinstance(ctx, AppFnC)
     assert r == inner
+    # the hole is in the function: plug fills that side
+    assert plug(ctx, Zero()) == App(Zero(), inner)
 
 
 def test_argument_steps_once_function_is_a_value():
     e = App(ID, App(ID, Zero()))
     ctx, r = decompose(e)
-    assert isinstance(ctx, AppArgC)
     assert r == App(ID, Zero())
+    assert plug(ctx, Zero()) == App(ID, Zero())
 
 
 def test_effect_is_a_redex_not_a_context():
     # the effect fires before anything under it is touched
     e = Eff("a", App(ID, Zero()))
     ctx, r = decompose(e)
-    assert ctx == Hole()
+    assert ctx == ()
     assert r == e
 
 
@@ -166,3 +165,42 @@ def test_case_scrutinee_evaluates_before_selection():
     r = run("case eff[scrut] s(z) { z => z | s(n) => eff[branch] n }", 10)
     assert r.trace == ("scrut", "branch")
     assert r.final == Zero()
+
+
+def _spine(e, c):
+    """How many c nodes sit on e's spine, and the term below them; counted
+    in a loop, since == and print_expr recurse on deep terms."""
+    n = 0
+    while type(e) is c:
+        e = e.body if c is Succ else e.bound
+        n += 1
+    return n, e
+
+
+def test_contexts_deeper_than_the_recursion_limit(at_recursion_limit_1000):
+    # every step wraps one more s(.) around the redex, or in MNF nests one
+    # more let in the bound
+    grow = parse_expr("(fun f(x) => s(f x)) z")
+    got = at_recursion_limit_1000(
+        multi=lambda: multi_step(grow, 1200),
+        step_trace=lambda: step_trace(grow, 1200),
+        ec=lambda: ec_bigstop_eval(grow, 1200),
+        mnf=lambda: mnf_multi_step(to_mnf(grow), 1200),
+    )
+    m = got["multi"]
+    assert (m.steps, m.status, m.trace) == (1200, RunStatus.OUT_OF_BUDGET, ())
+    n, rest = _spine(m.final, Succ)
+    assert n == 1200 and rest == grow
+    points = got["step_trace"]
+    assert len(points) == 1201
+    assert [_spine(p, Succ)[0] for p in points] == list(range(1201))
+    ec = got["ec"]
+    links, d = 0, ec.derivation
+    while d.rule == "EC-Seq":
+        links, d = links + 1, d.premises[1]
+    assert (links, d.rule, ec.trace) == (1200, "EC-Stop", ())
+    assert _spine(ec.stopped, Succ) == (1200, grow)
+    mnf = got["mnf"]
+    assert (mnf.steps, mnf.status, mnf.trace) == (1200, RunStatus.OUT_OF_BUDGET, ())
+    n, rest = _spine(mnf.final, Let)
+    assert n == 1200 and type(rest) is App

@@ -22,7 +22,6 @@ from bigstop.syntax import (
     is_mnf_value,
     is_value,
     numeral,
-    numeral_value,
     parse_expr,
     print_expr,
     subst,
@@ -148,8 +147,6 @@ def test_values():
 def test_numerals():
     assert numeral(0) == Zero()
     assert numeral(3) == Succ(Succ(Succ(Zero())))
-    assert numeral_value(numeral(7)) == 7
-    assert numeral_value(ID) is None
 
 
 def test_expr_size_counts_every_node():
