@@ -7,7 +7,8 @@ A suite is one table entry that gives its (term, budget) cases, the
 comparison that returns a mismatch, and a shrinker or None; one loop in
 run_property_suite counts the cases and shrinks and reports the first five
 that fail.  One greedy shrinker replaces subterms with z (or sub-statements
-with skip) while the failure persists.
+with skip) while the failure persists.  A suite is the only statement of its
+comparison: the acceptance gate runs it at full scale and pins its count.
 """
 
 import itertools
@@ -718,9 +719,14 @@ def _shrink_config(c, still_fails):
 def _imp_stop_multi_mismatch(c, b):
     m = imp.imp_multi_step(c, b)
     s = imp.imp_bigstop(c, b)
-    if s == m.config:
+    if s != m.config:
+        return (imp.print_config(m.config), imp.print_config(s))
+    done = m.status == imp.ImpStatus.REACHED_SKIP
+    g = imp.imp_bigstep(c, b)
+    if g == (imp.ImpDone(m.config.state) if done else imp.ImpFuelExhausted()):
         return None
-    return (imp.print_config(m.config), imp.print_config(s))
+    got = f"done {imp.print_state(g.state)}" if isinstance(g, imp.ImpDone) else "out of fuel"
+    return (f"{m.status.value}: {imp.print_config(m.config)}", f"bigstep: {got}")
 
 
 def _imp_freeze_mismatch(c, b):
@@ -745,12 +751,15 @@ _SUITES = {
     "progress-preservation": lambda cfg, trials, mb: (
         _gen_cases(cfg, trials or 2000, mb), _progress_violation, None),
     "derivation-integrity": lambda cfg, trials, mb: (
-        itertools.chain(_enum_cases(cfg, range(mb + 1)), _gen_cases(cfg, trials or 500, mb)),
+        itertools.chain(
+            _enum_cases(cfg, range(mb + 1)),
+            ((e, b) for e, fuel in _gen_cases(cfg, trials or 500, mb) for b in (fuel, 1))),
         _derivation_violation, None),
     "kmachine-convergent": lambda cfg, trials, mb: (
         ((e, _CONVERGENCE_FUEL) for e in _terminating_pool(cfg)), _kmachine_mismatch, shrink_expr),
     "kmachine-divergent": lambda cfg, trials, mb: (
-        ((e, _CONVERGENCE_FUEL) for e in _divergers()), _kmachine_mismatch, None),
+        ((e, b) for e in _divergers() for b in range(max(mb, _CONVERGENCE_FUEL) + 1)),
+        _kmachine_mismatch, None),
     "annihilator": lambda cfg, trials, mb: (
         _enum_cases(cfg, (mb,)), _annihilator_mismatch, shrink_expr),
     "ec": lambda cfg, trials, mb: (

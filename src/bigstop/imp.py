@@ -350,6 +350,11 @@ _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _KEYWORDS = {"skip", "if", "then", "while", "do"}
 
 
+def _is_name(t) -> bool:
+    """Whether token or text t is a name a program can assign and read."""
+    return t is not None and re.fullmatch(_NAME, t) is not None and t not in _KEYWORDS
+
+
 def _imp_tokens(src: str):
     """(text, line, column) for each token, then (None, line, column) where
     the input ends: at its end, or where a comment that closes it begins."""
@@ -414,7 +419,7 @@ class _ImpParser:
             body = self.stmt()
             self.expect("}")
             return While(guard, body)
-        if t is not None and (t[0].isalpha() or t[0] == "_"):
+        if _is_name(t):
             name = self.next()
             self.expect(":=")
             return Assign(name, self.aexpr())
@@ -444,7 +449,7 @@ class _ImpParser:
             return e
         if t is not None and t.isdigit():
             return Lit(int(self.next()))
-        if t is not None and (t[0].isalpha() or t[0] == "_") and t not in ("then", "do"):
+        if _is_name(t):
             return Ref(self.next())
         self.fail("an expression")
 
@@ -467,7 +472,7 @@ def parse_init(text: str) -> tuple:
             if "=" not in part:
                 raise ImpParseError(f"bad binding {part!r}, want name=value")
             name, value = (side.strip() for side in part.split("=", 1))
-            if not re.fullmatch(_NAME, name) or name in _KEYWORDS:
+            if not _is_name(name):
                 raise ImpParseError(f"bad name {name!r} in binding {part!r}")
             if name in bindings:
                 raise ImpParseError(f"{name!r} is bound twice")

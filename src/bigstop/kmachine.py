@@ -269,12 +269,14 @@ def correspondence_check(e: Expr, budget: int) -> Report:
 
     Contractions are the moves that enter an eff node and the returns into
     a CaseF or an ArgF frame; every other move is free and leaves unwind()
-    unchanged.  The machine is driven once, with small_step in lockstep:
-    after each contraction n <= budget the unwound state must equal the
-    stepped term and the label it emitted the step's label, and the two
-    must halt or get stuck at the same n.  The end is compared once with
-    bigstop_eval(e, budget).  Linear in the budget; a failure names the
-    first contraction at which the two sides differ.
+    unchanged.  The machine is driven once, one move at a time, with
+    small_step in lockstep: after each contraction n <= budget the unwound
+    state must equal the stepped term and the label it emitted the step's
+    label, and the two must halt or get stuck at the same n.  The end is
+    compared once with bigstop_eval(e, budget), and k_run given exactly the
+    moves driven must end in the same state with the same trace, so its
+    numeral shortcut is held to single moves.  Linear in the budget; a
+    failure names the first contraction at which the two sides differ.
     """
     from .bigstop import StuckError, bigstop_eval
     from .smallstep import small_step
@@ -282,7 +284,7 @@ def correspondence_check(e: Expr, budget: int) -> Report:
     check_budget(budget)
     mode, stack, cur = Mode.EVAL, [], e
     term, labels = e, []
-    n, end = 0, "out of budget"
+    n, moves, end = 0, 0, "out of budget"
     while n < budget:
         step = small_step(term)
         # free moves up to the next contraction, then the contraction
@@ -299,6 +301,7 @@ def correspondence_check(e: Expr, budget: int) -> Report:
                 end = "stuck"
                 break
             mode, cur, label = nxt
+            moves += 1
             if contraction:
                 break
         here = unwind(MachineState(mode, tuple(stack), cur))
@@ -317,6 +320,10 @@ def correspondence_check(e: Expr, budget: int) -> Report:
                                  f"{_shown(here, (*labels, *emitted))}, step relation at {tree}")
         term = step.expr
         labels += emitted
+    driven, k = MachineState(mode, tuple(stack), cur), k_run(compile(e), moves)
+    if k.state != driven or k.trace != tuple(labels):
+        return Report(False, f"k_run for {moves} moves: {show_state(k.state)} | "
+                             f"{format_trace(k.trace)}, driven to {show_state(driven)}")
     try:
         r = bigstop_eval(e, budget)
         agree = end != "stuck" and r.stopped == term and r.trace == tuple(labels)
@@ -326,7 +333,8 @@ def correspondence_check(e: Expr, budget: int) -> Report:
     if not agree:
         return Report(False, f"big-stop at budget {budget}: {tree}, "
                              f"step relation at {_shown(term, labels)}")
-    return Report(True, f"agree at every contraction up to {n}, where both are {end}")
+    return Report(True, f"agree at every contraction up to {n} ({moves} moves), "
+                        f"where both are {end}")
 
 
 def _shown(e: Expr, labels) -> str:

@@ -1,138 +1,60 @@
 """The acceptance gate: every guarantee the package makes, checked at full
 scale in one file.  Each test is one guarantee; run with -v to get one
-pass/fail line per guarantee.  Slow by design — this is the gate, not the
-development loop."""
+pass/fail line per guarantee.  Where a property suite states a guarantee,
+the test runs that suite at the gate's scale and pins how many cases it
+checked, so each comparison is written once, in bigstop.harness; what
+stays here is hand-made: forged derivations, the absorption law and pinned
+answers.  Slow by design — this is the gate, not the development loop."""
 
 import dataclasses
 import time
 
-import pytest
-
 from bigstop import (
     App,
     Derivation,
-    FuelExhausted,
-    GenConfig,
-    GenerationExhausted,
-    ImpDone,
-    ImpFuelExhausted,
     ImpStatus,
-    KStatus,
-    RunStatus,
-    Stuck,
     Succ,
-    Value,
     Var,
     Zero,
     annihilator_derivation,
-    annihilator_eval,
-    big_step,
     bigstop_eval,
     check_derivation,
-    compile,
     config,
-    correspondence_check,
-    corpus,
     corpus_term,
     ec_bigstop_eval,
-    enumerate_exprs,
-    enumerate_stmts,
-    gen_typed_expr,
-    imp_bigstep,
-    imp_bigstop,
-    imp_bigstop_freeze,
     imp_multi_step,
-    is_progressing,
-    is_value,
-    k_run,
-    let_erase,
     mnf_bigstop_eval,
-    mnf_multi_step,
-    multi_step,
     parse_expr,
     parse_stmt,
-    principal_type,
-    print_expr,
-    small_step,
-    step_trace,
+    run_property_suite,
     subst,
-    to_mnf,
-    types_unifiable,
 )
-from bigstop import alpha_eq, expr_size
-from bigstop.harness import gen_imp_config
 from bigstop.traces import Span, ann_join, format_trace
-import random
-
-BUDGETS = range(11)
 
 
-@pytest.fixture(scope="module")
-def enumeration():
-    return list(enumerate_exprs(7))
+def holds(suite, cases, **scale):
+    """Run one suite at the fuzz defaults (seed 0, enumerated terms up to 7
+    nodes, generated terms up to 25, budgets 0-10, fuel 64) changed by
+    scale: every case passes, and exactly `cases` cases ran."""
+    rep = run_property_suite(suite, **scale)
+    assert rep.ok, rep.to_text()
+    assert rep.trials == cases, rep.to_text()
 
 
-@pytest.fixture(scope="module")
-def generated():
-    # 10,000 well-typed closed terms; trial i is rebuilt by seed i alone
-    pool = []
-    seed = 0
-    while len(pool) < 10_000:
-        try:
-            pool.append(gen_typed_expr(GenConfig(seed=seed, max_size=25)))
-        except GenerationExhausted:
-            pass
-        seed += 1
-    return pool
-
-
-def test_01_budget_runs_match_the_step_relation_on_enumeration(enumeration):
+def test_01_budget_runs_match_the_step_relation_on_enumeration():
+    # 16,014 terms at budgets 0-10
     started = time.monotonic()
-    assert len(set(enumeration)) >= 500
-    mismatches = 0
-    for e in enumeration:
-        for b in BUDGETS:
-            m = multi_step(e, b)
-            s = bigstop_eval(e, b)
-            if s.stopped != m.final or s.trace != m.trace:
-                mismatches += 1
+    holds("stop-multi", 176_154)
     elapsed = time.monotonic() - started
-    assert mismatches == 0
     assert elapsed < 60, f"sweep took {elapsed:.1f}s"
 
 
-def test_02_all_three_engines_agree_on_generated_terms(generated):
-    fuel = 64
-    for e in generated:
-        m = multi_step(e, fuel)
-        s = bigstop_eval(e, fuel)
-        assert s.stopped == m.final, print_expr(e)
-        assert s.trace == m.trace, print_expr(e)
-        g = big_step(e, fuel)
-        match g:
-            case Value(v, tr):
-                assert m.status is RunStatus.REACHED_VALUE, print_expr(e)
-                assert v == m.final and tr == m.trace, print_expr(e)
-            case FuelExhausted():
-                assert m.status is RunStatus.OUT_OF_BUDGET, print_expr(e)
-            case Stuck(at):
-                assert m.status is RunStatus.STUCK, print_expr(at)
+def test_02_all_three_engines_agree_on_generated_terms():
+    holds("stop-step-big", 10_000, trials=10_000)
 
 
-def test_03_progress_and_preservation_on_generated_terms(generated):
-    for e in generated:
-        ty0 = principal_type(e)
-        trajectory = step_trace(e, 64)
-        last = len(trajectory) - 1
-        for i, mid in enumerate(trajectory):
-            # step_trace has stepped every point but the last
-            if i == last and not is_value(mid):
-                assert small_step(mid) is not None, f"{print_expr(mid)} at {i}"
-            assert types_unifiable(ty0, principal_type(mid)), (
-                f"{print_expr(e)} lost its type at step {i}"
-            )
-        if not is_value(e):
-            assert is_progressing(bigstop_eval(e, 1).derivation), print_expr(e)
+def test_03_progress_and_preservation_on_generated_terms():
+    holds("progress-preservation", 10_000, trials=10_000)
 
 
 def _leaf(src):
@@ -203,59 +125,28 @@ def _twenty_mutations():
     ]
 
 
-def test_04_every_emitted_derivation_checks_and_forgeries_do_not(
-    enumeration, generated
-):
-    for e in enumeration:
-        for b in BUDGETS:
-            assert check_derivation(bigstop_eval(e, b).derivation) is None, (
-                f"{print_expr(e)} at {b}"
-            )
-    for e in generated:
-        assert check_derivation(bigstop_eval(e, 64).derivation) is None, print_expr(e)
-        assert check_derivation(bigstop_eval(e, 1).derivation) is None, print_expr(e)
+def test_04_every_emitted_derivation_checks_and_forgeries_do_not():
+    # the enumeration at budgets 0-10, and 10,000 generated terms at fuel 64
+    # and at budget 1
+    holds("derivation-integrity", 196_154, trials=10_000)
     mutations = _twenty_mutations()
     assert len(mutations) == 20
     for name, dialect, d in mutations:
         assert check_derivation(d, dialect=dialect) is not None, name
 
 
-def test_05_machine_agrees_with_the_tree_engines(enumeration):
-    terminating = [
-        e for e in enumeration
-        if multi_step(e, 64).status is RunStatus.REACHED_VALUE
-    ]
-    for _, t in corpus():
-        if hasattr(t, "stmt"):
-            continue
-        if multi_step(t, 64).status is RunStatus.REACHED_VALUE:
-            terminating.append(t)
-    assert len(terminating) > 500
-    for e in terminating:
-        s = bigstop_eval(e, 64)
-        r = k_run(compile(e), 4096)
-        assert r.status is KStatus.FINAL, print_expr(e)
-        assert r.state.expr == s.stopped, print_expr(e)
-        assert r.trace == s.trace, print_expr(e)
-    divergers = [
-        corpus_term("omega"),
-        corpus_term("leroy-grall"),
-        App(corpus_term("alloc-unbounded"), Succ(Zero())),
-    ]
-    # exactly, contraction by contraction, at every budget
-    for e in divergers:
-        for b in range(201):
-            r = correspondence_check(e, b)
-            assert r.ok, f"{print_expr(e)} at {b}: {r.detail}"
+def test_05_machine_agrees_with_the_tree_engines():
+    # every terminating enumerated or corpus term, and the three divergent
+    # reference programs at every budget up to 200: exactly, contraction by
+    # contraction, with k_run given the same moves ending in the same state
+    holds("kmachine-convergent", 15_981)
+    holds("kmachine-divergent", 603, max_budget=200)
 
 
-def test_06_annihilator_runs_reach_exactly_the_step_trajectories(enumeration):
+def test_06_annihilator_runs_reach_exactly_the_step_trajectories():
     # a trace is emitted by some cut-off run  <=>  it labels some finite
-    # prefix of the step relation, sweeping both sides over the same budgets
-    for e in enumeration:
-        cut = {annihilator_eval(e, b)[1].prefix for b in BUDGETS}
-        walked = {multi_step(e, b).trace for b in BUDGETS}
-        assert cut == walked, print_expr(e)
+    # prefix of the step relation, both swept over budgets 0-10
+    holds("annihilator", 16_014)
     # absorption: everything after the cut marker collapses into it, on
     # tuples and on spans of a run's log
     before, after = ("a", "b", "c", "0"), ("d", "e", "f")
@@ -303,42 +194,12 @@ def test_08_imperative_budget_runs_match_their_step_relation():
     assert done.status is ImpStatus.REACHED_SKIP
     assert done.steps == 7
     assert done.config.state == (("x", 0),)
-
-    pool = [config(s, {"x": 2, "y": 0}) for s in enumerate_stmts(6)]
-    rng = random.Random(0)
-    pool += [gen_imp_config(rng) for _ in range(2000)]
-    assert len(pool) >= 60_000
-    for c in pool:
-        for b in BUDGETS:
-            m = imp_multi_step(c, b)
-            assert imp_bigstop(c, b) == m.config
-            f = imp_bigstop_freeze(c, b)
-            assert f.state == m.config.state
-            assert f.frozen == (m.status is ImpStatus.OUT_OF_BUDGET)
-            done = m.status is ImpStatus.REACHED_SKIP
-            assert imp_bigstep(c, b) == (ImpDone(m.config.state) if done else ImpFuelExhausted())
+    # 60,662 enumerated and 2,000 generated programs at budgets 0-10:
+    # big-stop and big-step, then freeze, against multi-step
+    holds("imp-stop-multi", 689_282, trials=2_000)
+    holds("imp-freeze", 689_282, trials=2_000)
 
 
-def test_09_translation_dialects_preserve_behaviour(enumeration, generated):
-    fuel = 64
-    for e in generated[:2000]:
-        m = to_mnf(e)
-        assert alpha_eq(let_erase(m), e), print_expr(e)
-        direct = multi_step(e, fuel)
-        if direct.status is RunStatus.REACHED_VALUE:
-            wide = (fuel + 1) * (expr_size(m) + 2)
-            via = mnf_multi_step(m, wide)
-            assert via.status is RunStatus.REACHED_VALUE, print_expr(e)
-            assert alpha_eq(let_erase(via.final), direct.final), print_expr(e)
-            assert via.trace == direct.trace, print_expr(e)
-        else:
-            via = mnf_multi_step(m, fuel)
-            assert via.status is not RunStatus.REACHED_VALUE, print_expr(e)
-            a, b = direct.trace, via.trace
-            assert a[: len(b)] == b or b[: len(a)] == a, print_expr(e)
-    for e in enumeration:
-        for b in BUDGETS:
-            m = multi_step(e, b)
-            s = ec_bigstop_eval(e, b)
-            assert s.stopped == m.final, f"{print_expr(e)} at {b}"
-            assert s.trace == m.trace, f"{print_expr(e)} at {b}"
+def test_09_translation_dialects_preserve_behaviour():
+    holds("mnf", 2_000, trials=2_000)
+    holds("ec", 176_154)

@@ -441,6 +441,34 @@ def test_compose_reproduces_the_single_run():
             assert compose(d1, d2) == bigstop_eval(e, m + n).derivation
 
 
+def test_compose_reproduces_every_enumerated_run_and_checks():
+    # 2,883 terms, every split of budgets 0-10 into m + n with m, n <= 5
+    pairs = 0
+    for e in enumerate_exprs(6):
+        runs = [bigstop_eval(e, b).derivation for b in range(11)]
+        for m in range(6):
+            d1 = runs[m]
+            for n in range(6):
+                d = compose(d1, bigstop_eval(d1.rhs, n).derivation)
+                assert d == runs[m + n], (print_expr(e), m, n)
+                assert check_derivation(d) is None, (print_expr(e), m, n)
+                pairs += 1
+    assert pairs == 103_788
+
+
+def test_compose_merges_a_two_position_stop_with_a_one_position_stop():
+    # the evaluator stops a value in function position as St-Stop(2) with a
+    # zero stop first, never as St-Stop(1); the hand-built St-Stop(1) is
+    # still a valid zero-step run, and composing with it changes nothing
+    d1 = bigstop_eval(parse_expr("(fun f(x) => x) ((fun g(y) => y) (eff[a] z))"), 1).derivation
+    assert d1.rule == "St-Stop(2)"
+    fn = d1.rhs.fn
+    d2 = Derivation("St-Stop(1)", d1.rhs, d1.rhs, (), (Derivation("St-Stop(0)", fn, fn, (), ()),))
+    assert check_derivation(d2) is None
+    assert compose(d1, d2) == d1
+    assert check_derivation(compose(d1, d2)) is None
+
+
 def test_compose_with_a_zero_stop_is_identity_shaped():
     e = parse_expr("(fun f(x) => f x) z")
     d1 = bigstop_eval(e, 2).derivation

@@ -383,6 +383,17 @@ def test_imp_init_names_a_program_cannot_use_are_usage_errors(capsys, init):
     assert err.startswith("error: parse: ")
 
 
+@pytest.mark.parametrize("src, at", [
+    ("then := 1 ; do := 2", "1:1: expected a statement, found 'then'"),
+    ("é := 1 ; x := é", "1:1: expected a statement, found 'é'"),
+    ("x := 1 ;\ny := do", "2:6: expected an expression, found 'do'"),
+    ("x := é", "1:6: expected an expression, found 'é'"),
+])
+def test_imp_programs_use_only_the_names_init_accepts(capsys, src, at):
+    code, out, err = run(capsys, "imp", "run", "-e", src)
+    assert (code, out, err) == (2, "", f"error: parse: {at}\n")
+
+
 ### fuzz command
 
 def test_fuzz_passing_suite(capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import importlib
 import random
 
 import pytest
@@ -9,10 +10,13 @@ import pytest
 from bigstop import (
     App,
     Eff,
+    FuelExhausted,
     GenConfig,
     GenerationExhausted,
     ImpConfig,
+    ImpFuelExhausted,
     Lam,
+    Value,
     Var,
     While,
     Zero,
@@ -307,3 +311,74 @@ def test_a_wrong_engine_fails_imp_stop_multi_with_shrunk_statements(monkeypatch)
             "actual": "skip ; skip ; skip ; skip | {x=3, y=3}",
         },
     ]
+
+
+### no suite passes vacuously: each fails once one engine it compares is wrong
+
+def _wrong(change, at=None):
+    """A wrong engine made from the real one: change(result, input) replaces
+    its result on every call at budget `at`, or on every call."""
+
+    def make(real):
+        def engine(t, b):
+            r = real(t, b)
+            return change(r, t) if at is None or b == at else r
+
+        return engine
+
+    return make
+
+
+def _drop_last_label(r, _):
+    return dataclasses.replace(r, trace=tuple(r.trace)[:-1])
+
+
+def _ends_at_the_identity(trajectory, _):
+    # the last point of a longer run turns into a function
+    if len(trajectory) < 2:
+        return trajectory
+    return [*trajectory[:-1], Lam("f", "x", Var("x"))]
+
+
+SMALL = dict(cfg=GenConfig(max_size=4), max_budget=3)
+SMALL_GEN = dict(cfg=GenConfig(max_size=12), trials=30)
+SMALL_IMP = dict(cfg=GenConfig(max_size=3), trials=20, max_budget=3)
+replace = dataclasses.replace
+
+# suite -> (module, engine the suite compares, how it goes wrong, scale)
+WRONG_ENGINES = {
+    "annihilator": ("bigstop.harness", "annihilator_eval", _wrong(
+        lambda r, e: (r[0], replace(r[1], prefix=r[1].prefix[1:])), at=1), SMALL),
+    "derivation-integrity": ("bigstop.harness", "bigstop_eval", _wrong(
+        lambda r, e: replace(r, derivation=replace(
+            r.derivation, trace=(*r.derivation.trace, "a"))), at=1), SMALL),
+    "ec": ("bigstop.harness", "ec_bigstop_eval", _wrong(_drop_last_label, at=2), SMALL),
+    "imp-freeze": ("bigstop.imp", "imp_bigstop_freeze", _wrong(
+        lambda r, c: replace(r, frozen=not r.frozen), at=3), SMALL_IMP),
+    "imp-stop-multi": ("bigstop.imp", "imp_bigstep", _wrong(
+        lambda r, c: ImpFuelExhausted(), at=3), SMALL_IMP),
+    "kmachine-convergent": ("bigstop.kmachine", "k_run", _wrong(
+        lambda r, s: replace(r, trace=())), SMALL),
+    # 37 is a budget the sweep reaches and the single budget 64 did not
+    "kmachine-divergent": ("bigstop.bigstop", "bigstop_eval", _wrong(
+        lambda r, e: replace(r, stopped=Zero()), at=37), SMALL),
+    "mnf": ("bigstop.harness", "mnf_multi_step", _wrong(_drop_last_label), SMALL_GEN),
+    "progress-preservation": ("bigstop.harness", "step_trace", _wrong(
+        _ends_at_the_identity), SMALL_GEN),
+    "stop-multi": ("bigstop.harness", "bigstop_eval", _wrong(
+        lambda r, e: replace(r, stopped=e), at=1), SMALL),
+    "stop-step-big": ("bigstop.harness", "big_step", _wrong(
+        lambda r, e: FuelExhausted() if isinstance(r, Value) else r), SMALL_GEN),
+}
+
+
+def test_every_suite_has_a_wrong_engine():
+    assert tuple(sorted(WRONG_ENGINES)) == suite_names()
+
+
+@pytest.mark.parametrize("suite", sorted(WRONG_ENGINES))
+def test_a_wrong_engine_fails_its_suite(monkeypatch, suite):
+    module, name, make_wrong, scale = WRONG_ENGINES[suite]
+    module = importlib.import_module(module)
+    monkeypatch.setattr(module, name, make_wrong(getattr(module, name)))
+    assert run_property_suite(suite, **scale).ok is False
