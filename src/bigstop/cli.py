@@ -39,7 +39,7 @@ from .bigstop import (
 from .harness import GenConfig, run_property_suite, suite_names
 from .kmachine import KStatus, compile as k_compile, k_run, k_step, show_state, unwind
 from .mnf import NotMNF, mnf_bigstop_eval, to_mnf
-from .smallstep import RunStatus, multi_step, small_step, step_trace
+from .smallstep import RunStatus, _run, small_step
 from .syntax import ParseError, SubstOpenValue, is_value, parse_expr, print_expr
 from .traces import format_trace
 from .typecheck import TypeFailure, infer_type, print_type
@@ -223,13 +223,17 @@ def _pcf_run(ns, expr) -> int:
         return OK
 
     if ns.sem == "multi":
+        def step(e):  # small_step, printing each point it reaches
+            r = small_step(e)
+            if r is not None:
+                print(print_expr(r.expr))
+            return r
         if ns.trace:
-            for mid in step_trace(expr, budget):
-                print(print_expr(mid))
-        r = multi_step(expr, budget)
-        print(f"{print_expr(r.final)} | {format_trace(r.trace)}")
+            print(print_expr(expr))
+        r = _run(step if ns.trace else small_step, expr, budget)
         if r.status == RunStatus.STUCK:
             raise StuckError(r.final)
+        print(f"{print_expr(r.final)} | {format_trace(r.trace)}")
         return OK
 
     if ns.sem == "big":
@@ -253,8 +257,7 @@ def _pcf_run(ns, expr) -> int:
             cur = k_step(cur)[0]
             print(show_state(cur))
     if r.status == KStatus.STUCK:
-        _err(f"stuck machine state: {show_state(r.state)}")
-        return EVAL_ERROR
+        raise StuckError(unwind(r.state))
     print(f"{print_expr(unwind(r.state))} | {format_trace(r.trace)}")
     return OK
 

@@ -8,7 +8,10 @@ comparison that returns a mismatch, and a shrinker or None; one loop in
 run_property_suite counts the cases and shrinks and reports the first five
 that fail.  One greedy shrinker replaces subterms with z (or sub-statements
 with skip) while the failure persists.  A suite is the only statement of its
-comparison: the acceptance gate runs it at full scale and pins its count.
+comparison, and each guarantee has one suite: `kmachine` runs the
+terminating pool and then the divergers at every budget, and `imp` runs
+multi-step once per case and holds big-stop, big-step and freeze to it.  The
+acceptance gate runs each suite at full scale and pins its count.
 """
 
 import itertools
@@ -187,20 +190,12 @@ _CASE_BINDERS = ("a", "b")
 
 def enumerate_exprs(max_size: int):
     """Every closed well-typed term with at most max_size AST nodes, binders
-    drawn from a two-symbol alphabet, effect labels from _LABELS.
-
-    The stream is the brute-force oracle the differential suites lean on, so
-    it must stay honest: syntactic uniqueness is re-checked by hashing.
-    """
+    drawn from a two-symbol alphabet, effect labels from _LABELS."""
     if max_size > 8:
         raise ValueError("enumeration beyond size 8 is combinatorially hopeless")
     memo = {}
-    seen = set()
     for size in range(1, max_size + 1):
         for e in _enum(size, frozenset(), memo):
-            if e in seen:
-                raise AssertionError(f"enumerator repeated a term: {print_expr(e)}")
-            seen.add(e)
             if well_typed(e):
                 yield e
 
@@ -716,27 +711,22 @@ def _shrink_config(c, still_fails):
     return imp.ImpConfig(small, c.state)
 
 
-def _imp_stop_multi_mismatch(c, b):
+def _imp_mismatch(c, b):
+    # big-stop, big-step, then freeze against one multi-step run
     m = imp.imp_multi_step(c, b)
     s = imp.imp_bigstop(c, b)
     if s != m.config:
         return (imp.print_config(m.config), imp.print_config(s))
     done = m.status == imp.ImpStatus.REACHED_SKIP
     g = imp.imp_bigstep(c, b)
-    if g == (imp.ImpDone(m.config.state) if done else imp.ImpFuelExhausted()):
-        return None
-    got = f"done {imp.print_state(g.state)}" if isinstance(g, imp.ImpDone) else "out of fuel"
-    return (f"{m.status.value}: {imp.print_config(m.config)}", f"bigstep: {got}")
-
-
-def _imp_freeze_mismatch(c, b):
-    m = imp.imp_multi_step(c, b)
+    if g != (imp.ImpDone(m.config.state) if done else imp.ImpFuelExhausted()):
+        got = f"done {imp.print_state(g.state)}" if isinstance(g, imp.ImpDone) else "out of fuel"
+        return (f"{m.status.value}: {imp.print_config(m.config)}", f"bigstep: {got}")
     fz = imp.imp_bigstop_freeze(c, b)
-    want_frozen = m.status == imp.ImpStatus.OUT_OF_BUDGET
-    if fz.state == m.config.state and fz.frozen == want_frozen:
+    if fz.state == m.config.state and fz.frozen != done:
         return None
     return (
-        f"{imp.print_state(m.config.state)} frozen={want_frozen}",
+        f"{imp.print_state(m.config.state)} frozen={not done}",
         f"{imp.print_state(fz.state)} frozen={fz.frozen}",
     )
 
@@ -755,21 +745,19 @@ _SUITES = {
             _enum_cases(cfg, range(mb + 1)),
             ((e, b) for e, fuel in _gen_cases(cfg, trials or 500, mb) for b in (fuel, 1))),
         _derivation_violation, None),
-    "kmachine-convergent": lambda cfg, trials, mb: (
-        ((e, _CONVERGENCE_FUEL) for e in _terminating_pool(cfg)), _kmachine_mismatch, shrink_expr),
-    "kmachine-divergent": lambda cfg, trials, mb: (
-        ((e, b) for e in _divergers() for b in range(max(mb, _CONVERGENCE_FUEL) + 1)),
-        _kmachine_mismatch, None),
+    "kmachine": lambda cfg, trials, mb: (
+        itertools.chain(
+            ((e, _CONVERGENCE_FUEL) for e in _terminating_pool(cfg)),
+            ((e, b) for e in _divergers() for b in range(max(mb, _CONVERGENCE_FUEL) + 1))),
+        _kmachine_mismatch, shrink_expr),
     "annihilator": lambda cfg, trials, mb: (
         _enum_cases(cfg, (mb,)), _annihilator_mismatch, shrink_expr),
     "ec": lambda cfg, trials, mb: (
         _enum_cases(cfg, range(mb + 1)), _multi_mismatch(ec_bigstop_eval), shrink_expr),
     "mnf": lambda cfg, trials, mb: (
         _gen_cases(cfg, trials or 2000, mb), _mnf_mismatch, None),
-    "imp-stop-multi": lambda cfg, trials, mb: (
-        _imp_cases(cfg, trials or 2000, mb), _imp_stop_multi_mismatch, _shrink_config),
-    "imp-freeze": lambda cfg, trials, mb: (
-        _imp_cases(cfg, trials or 2000, mb), _imp_freeze_mismatch, _shrink_config),
+    "imp": lambda cfg, trials, mb: (
+        _imp_cases(cfg, trials or 2000, mb), _imp_mismatch, _shrink_config),
 }
 
 

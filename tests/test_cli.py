@@ -67,10 +67,18 @@ def test_big_fuel_exhaustion_is_an_error(capsys):
     assert "fuel" in err
 
 
-def test_stuck_terms_exit_nonzero(capsys):
-    code, _, err = run(capsys, "pcf", "run", "--sem", "small", "-e", "z z")
-    assert code == 1
-    assert "stuck" in err
+@pytest.mark.parametrize("sem", cli._PCF_SEMS)
+def test_a_stuck_run_prints_one_stuck_line_under_every_semantics(capsys, sem):
+    code, out, err = run(capsys, "pcf", "run", "--sem", sem, "-e", "z z")
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: stuck at ")
+
+
+@pytest.mark.parametrize("sem", ["small", "big"])
+def test_a_value_is_its_own_answer(capsys, sem):
+    code, out, err = run(capsys, "pcf", "run", "--sem", sem, "-e", "s(z)")
+    assert (code, out, err) == (0, "s(z) | 1\n", "")
 
 
 @pytest.mark.parametrize("sem", cli._PCF_SEMS)
@@ -182,6 +190,28 @@ def test_programs_nested_too_deeply_to_parse_exit_two(capsys, cmd, src):
     assert (code, out, err) == (2, "", "error: parse: program nested too deeply\n")
 
 
+@pytest.mark.parametrize("argv, err", [
+    ((), "error: usage: {pcf|imp|fuzz} ...\n"),
+    (("lisp", "run"), "error: unknown command 'lisp'; expected pcf, imp, or fuzz\n"),
+])
+def test_a_missing_or_unknown_command_is_a_usage_error(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", err)
+
+
+@pytest.mark.parametrize("entry, argv, first_line", [
+    (cli.pcf_entry, ["run", "-e", "eff[a] z"], "z | a"),
+    (cli.imp_entry, ["run", "--init", "x=2", "-e", "x := x - 1"], "skip | {x=1}"),
+    (cli.fuzz_entry, ["--suite", "stop-multi", "--max-size", "2", "--max-budget", "1"],
+     "property: stop-multi"),
+])
+def test_console_scripts_prefix_their_command(capsys, monkeypatch, entry, argv, first_line):
+    monkeypatch.setattr(sys, "argv", [entry.__name__, *argv])
+    with pytest.raises(SystemExit) as ex:
+        entry()
+    assert ex.value.code == 0
+    assert capsys.readouterr().out.splitlines()[0] == first_line
+
+
 def test_python_dash_m_runs_the_dispatcher():
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}
@@ -214,6 +244,12 @@ def test_negative_budget_is_a_usage_error(capsys):
     code, out, err = run(capsys, "pcf", "run", "--sem", "bigstop", "--budget", "-1", "-e", "z")
     assert (code, out) == (2, "")
     assert "--budget" in err
+
+
+def test_a_budget_that_is_no_integer_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "pcf", "run", "--budget", "two", "-e", "z")
+    assert (code, out) == (2, "")
+    assert err == "error: argument --budget: expected an integer >= 0, got 'two'\n"
 
 
 def test_negative_multi_budget_is_a_usage_error(capsys):
@@ -361,6 +397,16 @@ def test_imp_multi(capsys):
 def test_imp_big(capsys):
     code, out, _ = run(capsys, "imp", "run", "--sem", "big", "--budget", "9", *COUNTDOWN)
     assert (code, out) == (0, "skip | {x=0}\n")
+
+
+def test_imp_small_takes_one_step(capsys):
+    code, out, _ = run(capsys, "imp", "run", "--sem", "small", *COUNTDOWN)
+    assert (code, out) == (0, "x := x - 1 ; while x do { x := x - 1 } | {x=2}\n")
+
+
+def test_imp_big_out_of_fuel_is_an_error(capsys):
+    code, out, err = run(capsys, "imp", "run", "--sem", "big", "--budget", "2", *COUNTDOWN)
+    assert (code, out, err) == (1, "", "error: no finish within fuel 2\n")
 
 
 def test_imp_negative_budget_is_a_usage_error(capsys):

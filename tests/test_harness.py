@@ -34,7 +34,7 @@ from bigstop import (
     suite_names,
     well_typed,
 )
-from bigstop.harness import gen_imp_config, gen_stmt, shrink_expr, shrink_stmt
+from bigstop.harness import _enum, gen_imp_config, gen_stmt, shrink_expr, shrink_stmt
 
 
 def walk(x):
@@ -63,8 +63,11 @@ def test_everything_enumerated_is_well_typed_and_small():
 
 
 def test_enumeration_is_duplicate_free():
-    seen = list(enumerate_exprs(5))
-    assert len(seen) == len(set(seen))
+    # the raw stream, before the type filter, up to the size ceiling
+    memo = {}
+    raw = [e for size in range(1, 9) for e in _enum(size, frozenset(), memo)]
+    assert len(raw) == 452_147
+    assert len(set(raw)) == len(raw)
 
 
 def test_known_members():
@@ -195,10 +198,8 @@ def test_suite_names_are_stable():
         "annihilator",
         "derivation-integrity",
         "ec",
-        "imp-freeze",
-        "imp-stop-multi",
-        "kmachine-convergent",
-        "kmachine-divergent",
+        "imp",
+        "kmachine",
         "mnf",
         "progress-preservation",
         "stop-multi",
@@ -225,7 +226,7 @@ def test_generation_suite_scales_with_trials():
 
 
 def test_imp_suites_run_small():
-    rep = run_property_suite("imp-freeze", cfg=GenConfig(max_size=3), trials=30, max_budget=3)
+    rep = run_property_suite("imp", cfg=GenConfig(max_size=3), trials=30, max_budget=3)
     assert rep.ok
 
 
@@ -283,9 +284,7 @@ def test_a_wrong_engine_fails_imp_stop_multi_with_shrunk_statements(monkeypatch)
         return r
 
     monkeypatch.setattr(harness.imp, "imp_bigstop", loses_the_third_step_when_y_is_3)
-    rep = run_property_suite(
-        "imp-stop-multi", cfg=GenConfig(seed=1, max_size=4), trials=60, max_budget=3
-    )
+    rep = run_property_suite("imp", cfg=GenConfig(seed=1, max_size=4), trials=60, max_budget=3)
     assert rep.trials == 5168
     assert rep.to_json()["failures"] == [
         {
@@ -345,40 +344,42 @@ SMALL_GEN = dict(cfg=GenConfig(max_size=12), trials=30)
 SMALL_IMP = dict(cfg=GenConfig(max_size=3), trials=20, max_budget=3)
 replace = dataclasses.replace
 
-# suite -> (module, engine the suite compares, how it goes wrong, scale)
+# one wrong engine per compared engine, named by the comparison it breaks;
+# kmachine and imp hold two comparisons each:
+# name -> (suite, module, engine the suite compares, how it goes wrong, scale)
 WRONG_ENGINES = {
-    "annihilator": ("bigstop.harness", "annihilator_eval", _wrong(
+    "annihilator": ("annihilator", "bigstop.harness", "annihilator_eval", _wrong(
         lambda r, e: (r[0], replace(r[1], prefix=r[1].prefix[1:])), at=1), SMALL),
-    "derivation-integrity": ("bigstop.harness", "bigstop_eval", _wrong(
+    "derivation-integrity": ("derivation-integrity", "bigstop.harness", "bigstop_eval", _wrong(
         lambda r, e: replace(r, derivation=replace(
             r.derivation, trace=(*r.derivation.trace, "a"))), at=1), SMALL),
-    "ec": ("bigstop.harness", "ec_bigstop_eval", _wrong(_drop_last_label, at=2), SMALL),
-    "imp-freeze": ("bigstop.imp", "imp_bigstop_freeze", _wrong(
+    "ec": ("ec", "bigstop.harness", "ec_bigstop_eval", _wrong(_drop_last_label, at=2), SMALL),
+    "imp-freeze": ("imp", "bigstop.imp", "imp_bigstop_freeze", _wrong(
         lambda r, c: replace(r, frozen=not r.frozen), at=3), SMALL_IMP),
-    "imp-stop-multi": ("bigstop.imp", "imp_bigstep", _wrong(
+    "imp-stop-multi": ("imp", "bigstop.imp", "imp_bigstep", _wrong(
         lambda r, c: ImpFuelExhausted(), at=3), SMALL_IMP),
-    "kmachine-convergent": ("bigstop.kmachine", "k_run", _wrong(
+    "kmachine-convergent": ("kmachine", "bigstop.kmachine", "k_run", _wrong(
         lambda r, s: replace(r, trace=())), SMALL),
-    # 37 is a budget the sweep reaches and the single budget 64 did not
-    "kmachine-divergent": ("bigstop.bigstop", "bigstop_eval", _wrong(
+    # 37 is a budget only the divergers' sweep reaches
+    "kmachine-divergent": ("kmachine", "bigstop.bigstop", "bigstop_eval", _wrong(
         lambda r, e: replace(r, stopped=Zero()), at=37), SMALL),
-    "mnf": ("bigstop.harness", "mnf_multi_step", _wrong(_drop_last_label), SMALL_GEN),
-    "progress-preservation": ("bigstop.harness", "step_trace", _wrong(
+    "mnf": ("mnf", "bigstop.harness", "mnf_multi_step", _wrong(_drop_last_label), SMALL_GEN),
+    "progress-preservation": ("progress-preservation", "bigstop.harness", "step_trace", _wrong(
         _ends_at_the_identity), SMALL_GEN),
-    "stop-multi": ("bigstop.harness", "bigstop_eval", _wrong(
+    "stop-multi": ("stop-multi", "bigstop.harness", "bigstop_eval", _wrong(
         lambda r, e: replace(r, stopped=e), at=1), SMALL),
-    "stop-step-big": ("bigstop.harness", "big_step", _wrong(
+    "stop-step-big": ("stop-step-big", "bigstop.harness", "big_step", _wrong(
         lambda r, e: FuelExhausted() if isinstance(r, Value) else r), SMALL_GEN),
 }
 
 
 def test_every_suite_has_a_wrong_engine():
-    assert tuple(sorted(WRONG_ENGINES)) == suite_names()
+    assert tuple(sorted({suite for suite, *_ in WRONG_ENGINES.values()})) == suite_names()
 
 
-@pytest.mark.parametrize("suite", sorted(WRONG_ENGINES))
-def test_a_wrong_engine_fails_its_suite(monkeypatch, suite):
-    module, name, make_wrong, scale = WRONG_ENGINES[suite]
+@pytest.mark.parametrize("comparison", sorted(WRONG_ENGINES))
+def test_a_wrong_engine_fails_its_suite(monkeypatch, comparison):
+    suite, module, name, make_wrong, scale = WRONG_ENGINES[comparison]
     module = importlib.import_module(module)
     monkeypatch.setattr(module, name, make_wrong(getattr(module, name)))
     assert run_property_suite(suite, **scale).ok is False
