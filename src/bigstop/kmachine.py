@@ -154,8 +154,10 @@ def k_run(state: MachineState, budget: int) -> KRunResult:
     The budget counts transitions, exactly as repeated k_step would.  A
     numeral value s^j(v), v being z or a function, is evaluated by 2j+1
     transitions that push j successor frames and pop them again; they are
-    counted one by one but taken in one move, so each transition costs O(1)
-    whatever the depth of the stack or the size of the numeral.
+    counted one by one but taken in one move, which reads j and whether the
+    numeral is a value from the successor's stored spine, so evaluating a
+    numeral value costs O(1) whatever its size, and every other transition
+    O(1) whatever the depth of the stack.
     """
     check_budget(budget)
     mode, stack, e = state.mode, list(state.stack), state.expr
@@ -168,13 +170,10 @@ def k_run(state: MachineState, budget: int) -> KRunResult:
             break
         if steps == budget:
             break
-        if mode is Mode.EVAL and isinstance(e, Succ):
-            # walk the s(...) spine: on a value it is 2j+1 moves back to an
-            # equal term, otherwise j pushes down to the non-value at its end
-            j, end = 0, e
-            while isinstance(end, Succ):
-                j, end = j + 1, end.body
-            value = isinstance(end, (Zero, Lam))
+        if mode is Mode.EVAL and type(e) is Succ:
+            # the s(...) spine: on a value it is 2j+1 moves back to an equal
+            # term, otherwise j pushes down to the non-value at its end
+            value, j = e._spine > 0, abs(e._spine)
             moves = 2 * j + 1 if value else j
             left = budget - steps
             if moves <= left:
@@ -183,7 +182,8 @@ def k_run(state: MachineState, budget: int) -> KRunResult:
                     mode = Mode.RETURN
                 else:
                     stack.extend([_SUCC] * j)
-                    e = end
+                    for _ in range(j):
+                        e = e.body
                 continue
             # the budget runs out inside the walk, while pushing frames or
             # (past the first j+1 moves) while popping them back

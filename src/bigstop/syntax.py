@@ -26,13 +26,24 @@ class Expr:
     @property
     def closed(self) -> bool:
         """No variable occurs free.  Terms are frozen, so each object walks
-        itself at most once and keeps the answer in its `_closed` slot."""
+        itself at most once and keeps the answer in its `_closed` slot.  A
+        successor is closed when its body is: a spine is walked down to the
+        first term that knows, and every successor above it is told."""
         try:
             return self._closed
         except AttributeError:
-            closed = not free_vars(self)
-            _set_closed(self, closed)
-            return closed
+            pass
+        spine, e, closed = [], self, None
+        while type(e) is Succ and closed is None:
+            spine.append(e)
+            e = e.body
+            closed = getattr(e, "_closed", None)
+        if closed is None:
+            closed = not free_vars(e)
+            _set_closed(e, closed)
+        for s in spine:
+            _set_closed(s, closed)
+        return closed
 
 
 _set_closed = Expr._closed.__set__
@@ -52,9 +63,19 @@ class Zero(Expr):
         return "Zero()"
 
 
+def _spine_of(body: Expr) -> int:
+    # s(body) is s^j(e) with e no successor; its spine is j when e is z or
+    # a function, so that s(body) is a value, and -j otherwise
+    if type(body) is Succ:
+        j = body._spine
+        return j + 1 if j > 0 else j - 1
+    return 1 if type(body) is Zero or type(body) is Lam else -1
+
+
 @record
 class Succ(Expr):
     body: Expr
+    _derive = {"_spine": _spine_of}
 
 
 @record
@@ -142,9 +163,9 @@ def rebuild(e: Expr, kids) -> Expr:
 
 # hand-written, not read off the table: what makes a value is per constructor
 def is_value(e: Expr) -> bool:
-    while type(e) is Succ:
-        e = e.body
     c = type(e)
+    if c is Succ:
+        return e._spine > 0
     return c is Zero or c is Lam
 
 
@@ -186,18 +207,18 @@ def subst(e: Expr, mapping: dict) -> Expr:
 
     Only closed values may be substituted (that is all evaluation ever
     needs), which makes capture impossible; anything else raises
-    SubstOpenValue.  The guard walks down a numeral's spine and asks a
-    function for its `closed` flag, which each Lam object computes once, so
-    substituting the same function again costs O(1).  Entries for the
+    SubstOpenValue.  The guard reads a successor's stored value flag and
+    asks a function or numeral for its `closed` flag, which each object
+    computes once, so substituting the same value again costs O(1), and so
+    does the predecessor of a numeral already asked.  A function that is
+    closed, or whose binders shadow every substituted name, comes back as
+    the same object, with its flags and type scheme.  Entries for the
     wildcard binder are ignored: `_` never stands for anything.
     """
     mapping = {x: v for x, v in mapping.items() if x != BLANK}
     for x, v in mapping.items():
-        w = v
-        while type(w) is Succ:
-            w = w.body
-        # a numeral is closed; a function is closed when the Lam is
-        if not (type(w) is Zero or (type(w) is Lam and w.closed)):
+        c = type(v)
+        if not (c is Zero or (c is Lam or (c is Succ and v._spine > 0)) and v.closed):
             raise SubstOpenValue(f"substituting non-closed-value for {x}: {print_expr(v)}")
     return _subst(e, mapping)
 
@@ -215,8 +236,11 @@ def _subst(e: Expr, m: dict) -> Expr:
     if c is Succ:
         return Succ(_subst(e.body, m))
     if c is Lam:
+        if getattr(e, "_closed", False):
+            return e
         f, x = e.self_var, e.param
-        return Lam(f, x, _subst(e.body, {k: v for k, v in m.items() if k != f and k != x}))
+        inner = {k: v for k, v in m.items() if k != f and k != x}
+        return Lam(f, x, _subst(e.body, inner)) if inner else e
     if c is Zero:
         return e
     if c is Eff:
@@ -286,11 +310,11 @@ def alpha_eq(a: Expr, b: Expr) -> bool:
 # hand-written, not read off the table: the MNF grammar is per constructor
 def is_mnf_value(e: Expr) -> bool:
     """Value according to the MNF grammar (variables count as values)."""
+    while type(e) is Succ:
+        e = e.body
     c = type(e)
     if c is Var or c is Zero:
         return True
-    if c is Succ:
-        return is_mnf_value(e.body)
     if c is Lam:
         return check_mnf(e.body)
     return False

@@ -180,13 +180,21 @@ def _infer(e: Expr, env: dict) -> Type:
             return env[e.name]
         raise TypeFailure(f"unbound variable {e.name}", e)
     if c is App:
-        tf = _infer(e.fn, env)
+        tf = _find(_infer(e.fn, env))
         ta = _infer(e.arg, env)
+        if type(tf) is ArrowT:
+            # unifying with a fresh arrow would only link its result cell
+            if not _unify(tf.domain, ta):
+                raise TypeFailure("applying a non-function or wrong argument type", e)
+            return tf.codomain
         res = _Cell(next(_fresh_meta))
         if not _unify(tf, ArrowT(ta, res)):
             raise TypeFailure("applying a non-function or wrong argument type", e)
         return res
     if c is Succ:
+        # a numeral in one loop: only the innermost successor's body can fail
+        while type(e.body) is Succ:
+            e = e.body
         if not _unify(_infer(e.body, env), _NAT):
             raise TypeFailure("successor of a non-number", e)
         return _NAT
@@ -230,11 +238,15 @@ def _infer(e: Expr, env: dict) -> Type:
     raise TypeFailure(f"not an expression: {e!r}", e)
 
 
+def _infer_in(e: Expr, env) -> Type:
+    cells: dict = {}
+    return _infer(e, {x: _thaw(t, cells) for x, t in dict(env).items()})
+
+
 def principal_type(e: Expr, env=()) -> Type:
     """Most general type, metavariables left in place.  env maps names to
     types, as a dict or as pairs (a later pair shadows an earlier one)."""
-    cells: dict = {}
-    return _zonk(_infer(e, {x: _thaw(t, cells) for x, t in dict(env).items()}))
+    return _zonk(_infer_in(e, env))
 
 
 def infer_type(e: Expr, env=()) -> Type:
@@ -249,7 +261,7 @@ def types_unifiable(a: Type, b: Type) -> bool:
 
 def well_typed(e: Expr, env=()) -> bool:
     try:
-        infer_type(e, env)
+        _infer_in(e, env)
         return True
     except TypeFailure:
         return False

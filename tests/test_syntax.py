@@ -1,8 +1,19 @@
+import copy
+import dataclasses
+import pickle
 import sys
+from functools import partial
 
 import pytest
 
-from bigstop.bigstop import bigstop_eval
+from bigstop.bigstep import big_step
+from bigstop.bigstop import (
+    annihilator_derivation, annihilator_eval, bigstop_eval, check_derivation, ec_bigstop_eval,
+)
+from bigstop.harness import enumerate_exprs
+from bigstop.kmachine import compile as k_compile, k_run
+from bigstop.mnf import mnf_bigstop_eval, mnf_multi_step, to_mnf
+from bigstop.smallstep import multi_step, step_trace
 from bigstop.syntax import (
     App,
     Case,
@@ -24,6 +35,8 @@ from bigstop.syntax import (
     numeral,
     parse_expr,
     print_expr,
+    rebuild,
+    scoped_children,
     subst,
 )
 
@@ -218,8 +231,7 @@ def test_closedness_is_the_absence_of_free_variables():
         assert e.closed == (not free_vars(e)), src
 
 
-def _free_vars_calls_in_omega(budget):
-    omega = parse_expr("(fun f(x) => eff[t] f x) z")
+def _free_vars_calls(run):
     calls = 0
 
     def count(frame, event, arg):
@@ -228,9 +240,15 @@ def _free_vars_calls_in_omega(budget):
 
     sys.setprofile(count)
     try:
-        r = bigstop_eval(omega, budget)
+        result = run()
     finally:
         sys.setprofile(None)
+    return calls, result
+
+
+def _free_vars_calls_in_omega(budget):
+    omega = parse_expr("(fun f(x) => eff[t] f x) z")
+    calls, r = _free_vars_calls(partial(bigstop_eval, omega, budget))
     assert len(r.trace) == budget // 2
     return calls
 
@@ -238,6 +256,101 @@ def _free_vars_calls_in_omega(budget):
 def test_closedness_of_a_function_is_walked_once_not_per_beta_step():
     # omega substitutes the same function value on every beta step
     assert _free_vars_calls_in_omega(1_000) == _free_vars_calls_in_omega(2_000)
+
+
+def _checked(derive, dialect):
+    def prepare(e, budget):
+        # a copy rebuilt through __init__: no term in it knows its closedness
+        return partial(check_derivation, copy.deepcopy(derive(e, budget)), dialect)
+    return prepare
+
+
+# each run of countdown, from a fresh term to the thunk whose work is counted
+COUNTDOWN_RUNS = {
+    "multi_step": lambda e, b: partial(multi_step, e, b),
+    "step_trace": lambda e, b: partial(step_trace, e, b),
+    "bigstop_eval": lambda e, b: partial(bigstop_eval, e, b),
+    "ec_bigstop_eval": lambda e, b: partial(ec_bigstop_eval, e, b),
+    "annihilator_eval": lambda e, b: partial(annihilator_eval, e, b),
+    "big_step": lambda e, b: partial(big_step, e, b),
+    "mnf_multi_step": lambda e, b: partial(mnf_multi_step, to_mnf(e), b),
+    "mnf_bigstop_eval": lambda e, b: partial(mnf_bigstop_eval, to_mnf(e), b),
+    "k_run": lambda e, b: partial(k_run, k_compile(e), b),
+    "check_derivation": _checked(lambda e, b: bigstop_eval(e, b).derivation, "plain"),
+    "check_derivation ec": _checked(lambda e, b: ec_bigstop_eval(e, b).derivation, "ec"),
+    "check_derivation annihilator": _checked(annihilator_derivation, "annihilator"),
+    "check_derivation mnf": _checked(lambda e, b: mnf_bigstop_eval(to_mnf(e), b).derivation, "mnf"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(COUNTDOWN_RUNS))
+def test_countdown_asks_each_numeral_for_its_closedness_once(run):
+    # a case on s(m) substitutes the predecessor numeral, whose successors
+    # learnt their closedness when the numeral above it was asked, and gives
+    # back the countdown function itself: the work does not grow with n
+    counts = []
+    for n in (200, 400):
+        e = App(parse_expr("fun f(x) => case x { z => z | s(m) => eff[t] f m }"), numeral(n))
+        counts.append(_free_vars_calls(COUNTDOWN_RUNS[run](e, 10**9))[0])
+    assert counts[0] == counts[1], counts
+
+
+### what a successor knows about its numeral
+
+
+def _spine_walk(e):
+    # the reference: j for s^j(v) with v a value, -j when the spine ends elsewhere
+    j = 0
+    while type(e) is Succ:
+        e, j = e.body, j + 1
+    return j if type(e) is Zero or type(e) is Lam else -j
+
+
+def _subst_walk(e, m):
+    # the reference substitution, read off the syntax table: rebuilds every node
+    if type(e) is Var:
+        return m.get(e.name, e)
+    return rebuild(e, [_subst_walk(kid, {x: v for x, v in m.items() if x not in names})
+                       for kid, names in scoped_children(e)])
+
+
+CLOSED_VALUES = (Zero(), numeral(2), ID, Succ(ID))
+
+
+def _holds_to_the_walks(e):
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        todo += [kid for kid, _ in scoped_children(e)]
+        if type(e) is Succ:
+            assert e._spine == _spine_walk(e), print_expr(e)
+        assert is_value(e) == (_spine_walk(e) > 0 or type(e) in (Zero, Lam)), print_expr(e)
+        m = {x: CLOSED_VALUES[i % 4] for i, x in enumerate(sorted(all_names(e)))}
+        assert subst(e, m) == _subst_walk(e, m), print_expr(e)
+        assert e.closed == (not free_vars(e)), print_expr(e)
+        # again, now that e and its functions know whether they are closed
+        assert subst(e, m) == _subst_walk(e, m), print_expr(e)
+
+
+def test_stored_spines_closedness_and_subst_match_the_walks():
+    for e in enumerate_exprs(5):
+        for point in step_trace(e, 10):
+            _holds_to_the_walks(point)
+    for e in (Var("x"), parse_expr("fun f(y) => x"), App(ID, Zero()), Zero(), ID):
+        for _ in range(5):
+            _holds_to_the_walks(e)
+            e = Succ(e)
+
+
+def test_copies_of_a_successor_know_what_it_knows():
+    for end in (Var("x"), parse_expr("fun f(y) => x"), App(ID, Zero()), Zero(), ID):
+        e = Succ(Succ(end))
+        copies = [copy.copy(e), copy.deepcopy(e), dataclasses.replace(e)]
+        copies += [pickle.loads(pickle.dumps(e, protocol)) for protocol in (0, pickle.HIGHEST_PROTOCOL)]
+        for other in copies:
+            assert other == e and other._spine == e._spine == _spine_walk(e)
+            assert other.closed == e.closed
+    assert dataclasses.replace(numeral(3), body=Var("x"))._spine == -1
 
 
 ### alpha equivalence
@@ -303,6 +416,7 @@ def test_walkers_handle_terms_deeper_than_the_recursion_limit(at_recursion_limit
         num_size=lambda: expr_size(num),
         num_free=lambda: free_vars(num),
         num_closed=lambda: numeral(deep).closed,
+        num_mnf=lambda: check_mnf(num) and is_mnf_value(Succ(numeral(deep))),
         num_names=lambda: all_names(num),
         num_alpha=lambda: alpha_eq(num, numeral(deep)),
         num_alpha_not=lambda: alpha_eq(num, numeral(deep - 1)),
@@ -317,6 +431,7 @@ def test_walkers_handle_terms_deeper_than_the_recursion_limit(at_recursion_limit
         "num_size": deep + 1,
         "num_free": frozenset(),
         "num_closed": True,
+        "num_mnf": True,
         "num_names": set(),
         "num_alpha": True,
         "num_alpha_not": False,

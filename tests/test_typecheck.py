@@ -4,7 +4,7 @@ import pytest
 
 from bigstop.harness import GenConfig, GenerationExhausted, enumerate_exprs, gen_typed_expr
 from bigstop.smallstep import step_trace
-from bigstop.syntax import App, Var, Zero, parse_expr, print_expr
+from bigstop.syntax import App, Succ, Var, Zero, numeral, parse_expr, print_expr
 from bigstop.typecheck import (
     ArrowT,
     MetaT,
@@ -152,6 +152,9 @@ FAILURES = [
     ("fun f(x) => s(f)", "successor of a non-number", "s(f)"),
     ("fun f(x) => f", "function body disagrees with its own uses", "fun f(x) => f"),
     ("fun f(x) => x x", "applying a non-function or wrong argument type", "x x"),
+    ("(fun f(x) => s(x)) (fun g(y) => y)", "applying a non-function or wrong argument type",
+     "(fun f(x) => s(x)) (fun g(y) => y)"),
+    ("s(s(s(fun f(x) => x)))", "successor of a non-number", "s(fun f(x) => x)"),
     ("case (fun f(x) => x) { z => z | s(n) => n }", "case scrutinee is not a number",
      "case (fun f(x) => x) { z => z | s(n) => n }"),
     ("fun f(x) => case x { z => f | s(n) => n }", "case branches have different types",
@@ -165,6 +168,27 @@ def test_each_failure_kind_keeps_its_message_and_subterm(src, msg, at):
         principal_type(parse_expr(src))
     assert str(info.value) == msg
     assert print_expr(info.value.at) == at
+
+
+def test_a_numeral_deeper_than_the_recursion_limit_is_typed(at_recursion_limit_1000):
+    deep = 10_000
+    ident = parse_expr("fun f(x) => x")
+    bad = ident
+    for _ in range(deep):
+        bad = Succ(bad)
+
+    def failure():
+        with pytest.raises(TypeFailure) as info:
+            principal_type(bad)
+        return info.value.at
+
+    got = at_recursion_limit_1000(
+        typed=lambda: infer_type(App(ident, numeral(deep))),
+        well=lambda: well_typed(numeral(deep)),
+        failure=failure,
+    )
+    assert got["typed"] == NAT and got["well"] is True
+    assert type(got["failure"]) is Succ and got["failure"].body is ident
 
 
 def _metas(t):
