@@ -20,14 +20,11 @@ from .bigstop import (
     ComposeMismatch,
     Derivation,
     DerivationFormatError,
-    NotStrict,
     RuleViolation,
     StuckError,
     annihilator_derivation,
     annihilator_eval,
-    bigstep_to_strict,
     bigstop_eval,
-    check_bigstep,
     check_derivation,
     compose,
     derivation_from_json,
@@ -35,8 +32,6 @@ from .bigstop import (
     derivation_to_json_str,
     ec_bigstop_eval,
     is_progressing,
-    is_strict,
-    strict_to_bigstep,
 )
 from .budget import Budget, BudgetExhausted
 from .harness import (

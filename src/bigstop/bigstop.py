@@ -1,9 +1,11 @@
 """Big-stop evaluation: big-step derivations that may stop early.
 
 The judgment relates a term to the term it has become when the step
-budget runs out; on a large enough budget that is the final value and the
-derivation collapses to an ordinary big-step one (the "strict" form, where
-every stop node's right-hand side is a value).
+budget runs out; on a large enough budget that is the final value.  A
+big-step derivation is then a plain one whose conclusion is a value: every
+stop node in it ends in a value, as St-Stop(0) on a value (the big-step
+value rule) or St-Stop(1) on a successor (the successor rule), so big-step
+trees need no rules of their own.
 
 A derivation node records the rule, both sides of its conclusion, the
 emitted trace, and its premisses, in order.  Stop nodes are St-Stop(k):
@@ -206,7 +208,7 @@ def is_progressing(d: Derivation) -> bool:
 # checks every node against its entry.  A rule is written once: the
 # structural rules that the plain and annihilator dialects share have one
 # entry each, so do the redex rules of the MNF and evaluation-context
-# dialects, and the big-step table (BE-*) is made of the same entries.  A
+# dialects.  A big-step tree is a plain tree that ends in a value.  A
 # value side condition is stated once, by the Val premiss that asserts it.
 # The tables use subst but none of the evaluator's node builders, so the
 # checker stays independent of the evaluator.
@@ -306,7 +308,7 @@ def _fits_context(d: Derivation) -> bool:
 
 _VAL = Rule(is_value)            # the side condition "v is a value"
 _FREEZE = Rule()                 # St-Stop(0), StM-Stop, EC-Stop
-_VALUE = Rule(is_value)          # EC-Val, StA-Val, BE-Val
+_VALUE = Rule(is_value)          # EC-Val, StA-Val
 
 # St-Stop(1) runs the first evaluation position of s, case or application:
 # how to read that position, and how to rebuild the term with it replaced
@@ -326,8 +328,7 @@ _STOP2 = Rule(
     rhs=lambda lhs, ps: App(ps[0].rhs, ps[2].rhs),
 )
 
-# the structural rules of the plain (StE), annihilator (StA) and big-step
-# (BE) dialects
+# the structural rules of the plain (StE) and annihilator (StA) dialects
 _SUCC = Rule(_kind(Succ), (_run(_part("body")),), rhs=lambda lhs, ps: Succ(ps[0].rhs))
 _CASEZ = Rule(
     _kind(Case),
@@ -425,37 +426,24 @@ _RULES = {
 }
 DIALECTS = tuple(_RULES)
 
-# the ordinary big-step rules, which the strict derivations convert to
-_BIGSTEP = {
-    "Val": _VAL,
-    "BE-Val": _VALUE,
-    "BE-Succ": _SUCC,
-    "BE-CaseZ": _CASEZ,
-    "BE-CaseS": _CASES,
-    "BE-App": _APP,
-    "BE-Eff": _EFF,
-}
-
-
 # how each dialect joins two traces; the annihilator's cut absorbs the rest
 _TRACES = {"plain": operator.add, "mnf": operator.add, "ec": operator.add, "annihilator": ann_join}
 
 
 def check_derivation(d: Derivation, dialect: str = "plain"):
     """Re-derive every node; None if valid, else the first RuleViolation
-    in preorder.  Dialects: plain, mnf, ec, annihilator."""
+    in preorder.  Dialects: plain, mnf, ec, annihilator.
+
+    One walker checks every node of d against its entry in the dialect's
+    table, with the dialect's join of traces.  A start that substitutes no
+    closed value is left to the Val premiss that asserts one, which is
+    checked in its turn; an open function is reported only if nothing else
+    is wrong."""
     try:
         rules = _RULES[dialect]
     except KeyError:
         raise ValueError(f"unknown dialect {dialect!r}") from None
-    return _check(d, dialect, rules, _TRACES[dialect])
-
-
-def _check(d: Derivation, dialect: str, rules: dict, join):
-    """The one walker: every node of d against its entry in rules, with the
-    dialect's join of traces.  A start that substitutes no closed value
-    is left to the Val premiss that asserts one, which is checked in its
-    turn; an open function is reported only if nothing else is wrong."""
+    join = _TRACES[dialect]
     unclosed = None
     todo = [(d, ())]
     while todo:
@@ -517,90 +505,6 @@ def _flat(path) -> tuple:
         path, i = path
         flat.append(i)
     return tuple(reversed(flat))
-
-
-### strictness and the big-step correspondence
-
-
-class NotStrict(Exception):
-    """The derivation has a stop node whose right-hand side is not a value."""
-
-    def __init__(self, path):
-        super().__init__(f"non-strict stop node at {'/'.join(map(str, path)) or 'root'}")
-        self.path = path
-
-
-def is_strict(d: Derivation) -> bool:
-    """True when every stop node in the tree stopped at a value.
-
-    Strict derivations are exactly the ones that survive the round trip
-    through big-step form: on checker-valid trees a stop node with a value
-    right-hand side can only be St-Stop(0) or a Succ congruence.
-    """
-    return all(stop_k(n.rule) is None or is_value(n.rhs) for n in _nodes(d))
-
-
-_TO_BIGSTEP = {
-    "Val": "Val",
-    "St-Stop(0)": "BE-Val",
-    "St-Stop(1)": "BE-Succ",
-    "StE-CaseZ": "BE-CaseZ",
-    "StE-CaseS": "BE-CaseS",
-    "StE-App": "BE-App",
-    "StE-Eff": "BE-Eff",
-}
-
-_FROM_BIGSTEP = {v: k for k, v in _TO_BIGSTEP.items()}
-
-
-def _renamed(d: Derivation, name) -> Derivation:
-    """d with each rule renamed to name(node, path), keeping every node's
-    lhs, rhs and trace.  Names are asked in preorder, so name raises at the
-    first bad node in preorder; paths are linked, as in the checker.  The
-    tree is then built from its last row back, as derivation_from_json
-    builds it, so any depth converts."""
-    rows = []
-    todo = [(d, ())]
-    while todo:
-        n, path = todo.pop()
-        rows.append((n, name(n, path)))
-        ps = n.premises
-        todo += [(ps[i], (path, i)) for i in reversed(range(len(ps)))]
-    done: list = []  # built premisses, the first on top
-    for n, rule in reversed(rows):
-        cut = len(done) - len(n.premises)
-        done[cut:] = [Derivation(rule, n.lhs, n.rhs, n.trace, tuple(reversed(done[cut:])))]
-    return done[0]
-
-
-def strict_to_bigstep(d: Derivation) -> Derivation:
-    """Rename a strict derivation's rules to the big-step ones (BE-*).
-    Raises NotStrict at the first node in preorder that has no big-step
-    name or is a stop node short of a value."""
-    def name(n: Derivation, path) -> str:
-        rule = _TO_BIGSTEP.get(n.rule)
-        if rule is None or stop_k(n.rule) is not None and not is_value(n.rhs):
-            raise NotStrict(_flat(path))
-        return rule
-
-    return _renamed(d, name)
-
-
-def bigstep_to_strict(d: Derivation) -> Derivation:
-    """Inverse of strict_to_bigstep."""
-    def name(n: Derivation, path) -> str:
-        rule = _FROM_BIGSTEP.get(n.rule)
-        if rule is None:
-            raise ValueError(f"not a big-step rule: {n.rule!r}")
-        return rule
-
-    return _renamed(d, name)
-
-
-def check_bigstep(d: Derivation):
-    """Replay a BE-* derivation against the big-step rules; None if valid,
-    else the first RuleViolation in preorder."""
-    return _check(d, "big-step", _BIGSTEP, operator.add)
 
 
 ### composing derivations (constructive transitivity)

@@ -4,7 +4,7 @@ Three console scripts share one dispatcher:
 
     pcf run --sem bigstop --budget 4 'eff[a] s(z)'
     pcf typecheck 'fun f(x) => x'
-    pcf mnf '(fun f(x) => x) (s z)'      -- oops: application is juxtaposition
+    pcf mnf '(fun f(x) => x) s(z)'       -- application is juxtaposition
     pcf check --dialect plain d.json     -- a file that pcf run --derivation wrote
     imp run --sem freeze --budget 3 --init x=2 'while x do { x := x - 1 }'
     fuzz --suite stop-multi --max-size 5

@@ -108,6 +108,8 @@ class App(Expr):
 class Eff(Expr):
     label: str
     body: Expr
+    # a reserved label is refused when the term is built, however it is built
+    _derive = {"_label": lambda label, body: check_label(label)}
 
 
 @record

@@ -1,4 +1,4 @@
-"""Budgeted evaluator: derivation shapes, the checker, strictness, composition,
+"""Budgeted evaluator: derivation shapes, the checker, big-step trees, composition,
 and the two alternate dialects (annihilator traces, context-threading)."""
 
 import dataclasses
@@ -18,11 +18,8 @@ from bigstop import (
     ComposeMismatch,
     Derivation,
     DerivationFormatError,
-    GenConfig,
-    GenerationExhausted,
     KStatus,
     Lam,
-    NotStrict,
     RunStatus,
     Stuck,
     StuckError,
@@ -33,9 +30,7 @@ from bigstop import (
     annihilator_derivation,
     annihilator_eval,
     big_step,
-    bigstep_to_strict,
     bigstop_eval,
-    check_bigstep,
     check_derivation,
     compile as k_compile,
     compose,
@@ -45,24 +40,21 @@ from bigstop import (
     derivation_to_json_str,
     ec_bigstop_eval,
     enumerate_exprs,
-    gen_typed_expr,
     infer_type,
     is_progressing,
-    is_strict,
     is_value,
     k_run,
     mnf_bigstop_eval,
     mnf_multi_step,
     multi_step,
-    numeral,
     parse_expr,
     print_expr,
-    strict_to_bigstep,
     to_mnf,
 )
 from bigstop.syntax import rebuild, scoped_children
 from bigstop.traces import Span
 from test_acceptance import _twenty_mutations
+from test_typecheck import _default_gen_pool
 
 
 def mut(d, **kw):
@@ -175,7 +167,7 @@ def test_partial_application_exposes_an_eta_body():
     d = bigstop_eval(fil, 1).derivation
     assert d.rule == "StE-App"
     assert print_expr(d.rhs) == "fun _(y) => (fun f(x) => fun _(y) => f x y) z y"
-    assert is_strict(d)
+    assert is_value(d.rhs)
 
 
 ### is_progressing
@@ -277,100 +269,62 @@ def test_dialects_do_not_leak_into_each_other():
     assert check_derivation(ec, dialect="ec") is None
 
 
-### strict trees convert to and from ordinary big-step trees
+### big-step trees are the plain trees that end in a value
 
-def test_converged_run_is_strict_and_converts():
-    e = parse_expr("eff[a] ((fun f(x) => s(x)) z)")
-    d = bigstop_eval(e, 8).derivation
-    assert is_strict(d)
-    bs = strict_to_bigstep(d)
-    assert bs.rule == "BE-Eff"
-    assert [p.rule for p in bs.premises] == ["BE-App"]
-    assert check_bigstep(bs) is None
-    assert bigstep_to_strict(bs) == d
-
-
-def test_value_leaf_converts():
-    d = bigstop_eval(parse_expr("s(z)"), 0).derivation
-    assert is_strict(d)
-    assert strict_to_bigstep(d).rule == "BE-Val"
+def _stops_end_in_values(d):
+    todo = [d]
+    while todo:
+        n = todo.pop()
+        if n.rule.startswith("St-Stop(") and not is_value(n.rhs):
+            return False
+        todo += n.premises
+    return True
 
 
-def test_budget_cut_trees_are_not_strict():
-    d = bigstop_eval(corpus_term("leroy-grall"), 1).derivation
-    assert not is_strict(d)
-    with pytest.raises(NotStrict) as exc:
-        strict_to_bigstep(d)
-    assert exc.value.path == ()
-
-
-def test_nonvalue_stop_at_zero_is_not_strict():
-    d = bigstop_eval(parse_expr("(fun f(x) => x) z"), 0).derivation
-    assert not is_strict(d)
-
-
-def test_round_trip_on_a_sweep():
-    e = parse_expr("case (fun f(x) => s(x)) z { z => z | s(n) => eff[hit] n }")
-    # find the convergence point, then convert everything at or past it
-    base = multi_step(e, 64).steps
-    for budget in range(base, base + 3):
+def test_a_checked_tree_stops_only_at_values_exactly_when_it_ends_in_one():
+    # so the big-step rules are the plain ones, with St-Stop(0) on a value
+    # as the value rule and St-Stop(1) on a successor as the successor rule
+    runs = [(e, b) for e in enumerate_exprs(6) for b in range(11)]
+    runs += [(e, b) for e in _default_gen_pool() for b in (64, 1)]
+    ends = {True: 0, False: 0}
+    for e, budget in runs:  # every term is well typed, so none is stuck
         d = bigstop_eval(e, budget).derivation
-        assert is_strict(d)
-        assert bigstep_to_strict(strict_to_bigstep(d)) == d
+        assert check_derivation(d) is None, print_expr(e)
+        value = is_value(d.rhs)
+        assert _stops_end_in_values(d) == value, (print_expr(e), budget)
+        ends[value] += 1
+    assert ends == {True: 30100, False: 5613}
 
 
-def _forged_bigstep():
+def _forged_annihilator():
+    # StA-Val, StA-Succ and StA-Eff are the plain table's value, successor
+    # and effect entries under the annihilator's names
     z, one, redex = Zero(), Succ(Zero()), parse_expr("(fun f(x) => x) z")
-    z_val = Derivation("BE-Val", z, z, (), ())
+    z_val = Derivation("StA-Val", z, z, (), ())
     return {
-        "BE-Val with a forged conclusion and trace": (
-            Derivation("BE-Val", z, one, ("a",), ()),
-            "BE-Val conclusion does not match its premisses"),
-        "BE-Val on a redex": (
-            Derivation("BE-Val", redex, redex, (), ()),
-            "BE-Val does not apply to this term"),
-        "BE-Succ with a forged conclusion and trace": (
-            Derivation("BE-Succ", one, Succ(one), ("b",), (z_val,)),
-            "BE-Succ conclusion does not match its premisses"),
-        "BE-Succ with no premiss": (
-            Derivation("BE-Succ", one, one, (), ()),
-            "BE-Succ wants 1 premisses, got 0"),
-        "BE-Eff with a wrong trace": (
-            Derivation("BE-Eff", parse_expr("eff[a] z"), z, ("b",), (z_val,)),
-            "BE-Eff emits the wrong trace"),
+        "StA-Val: forged conclusion and trace": (
+            Derivation("StA-Val", z, one, ("a",), ()),
+            "StA-Val conclusion does not match its premisses"),
+        "StA-Val on a redex": (
+            Derivation("StA-Val", redex, redex, (), ()),
+            "StA-Val does not apply to this term"),
+        "StA-Succ: forged conclusion and trace": (
+            Derivation("StA-Succ", one, Succ(one), ("b",), (z_val,)),
+            "StA-Succ conclusion does not match its premisses"),
+        "StA-Succ with no premiss": (
+            Derivation("StA-Succ", one, one, (), ()),
+            "StA-Succ wants 1 premisses, got 0"),
+        "StA-Eff with a wrong trace": (
+            Derivation("StA-Eff", parse_expr("eff[a] z"), z, ("b",), (z_val,)),
+            "StA-Eff emits the wrong trace"),
     }
 
 
-@pytest.mark.parametrize("case", list(_forged_bigstep()))
-def test_check_bigstep_rejects_a_forgery_at_the_root(case):
-    d, reason = _forged_bigstep()[case]
-    v = check_bigstep(d)
+@pytest.mark.parametrize("case", list(_forged_annihilator()))
+def test_annihilator_forgery_fails_at_root(case):
+    d, reason = _forged_annihilator()[case]
+    v = check_derivation(d, "annihilator")
     assert (v.path, v.reason) == ((), reason)
-
-
-def test_converged_runs_convert_check_and_convert_back():
-    # the converters only rename, so the big-step tree is the strict one
-    # under other rule names, and the big-step rules must accept it
-    generated, seed = [], 0
-    while len(generated) < 2000:  # the gen pool: GenConfig seeds 0, 1, ...
-        try:
-            generated.append(gen_typed_expr(GenConfig(seed=seed, max_size=25)))
-        except GenerationExhausted:
-            pass
-        seed += 1
-    converged = 0
-    for e in [*enumerate_exprs(6), *generated]:
-        try:
-            d = bigstop_eval(e, 64).derivation
-        except StuckError:
-            continue
-        if not is_value(d.rhs):
-            continue
-        converged += 1
-        bs = strict_to_bigstep(d)
-        assert check_bigstep(bs) is None, print_expr(e)
-        assert bigstep_to_strict(bs) == d, print_expr(e)
-    assert converged > 4000
 
 
 def test_a_value_test_is_reported_at_the_val_premiss_that_states_it():
@@ -384,10 +338,10 @@ def test_a_value_test_is_reported_at_the_val_premiss_that_states_it():
         v = check_derivation(forged, dialect)
         assert (v.path, v.reason) == ((0,), "Val does not apply to this term"), dialect
     # the run after the Val premiss would substitute the redex: no crash,
-    # and a big-step run cannot end in a redex in the first place
-    for check, rule, stop, where in (
-        (check_derivation, "StE-App", "St-Stop(0)", ((2,), "Val does not apply to this term")),
-        (check_bigstep, "BE-App", "BE-Val", ((1,), "BE-Val does not apply to this term")),
+    # and an annihilator run cannot end in a redex in the first place
+    for dialect, rule, stop, where in (
+        ("plain", "StE-App", "St-Stop(0)", ((2,), "Val does not apply to this term")),
+        ("annihilator", "StA-App", "StA-Val", ((1,), "StA-Val does not apply to this term")),
     ):
         forged = Derivation(rule, app, redex, (), (
             Derivation(stop, lam, lam, (), ()),
@@ -395,7 +349,7 @@ def test_a_value_test_is_reported_at_the_val_premiss_that_states_it():
             Derivation("Val", redex, redex, (), ()),
             Derivation(stop, redex, redex, (), ()),
         ))
-        v = check(forged)
+        v = check_derivation(forged, dialect)
         assert (v.path, v.reason) == where, rule
     # a successor of a redex is no value either, for StE-CaseS's branch
     case = parse_expr("case s((fun g(y) => y) z) { z => z | s(n) => n }")
@@ -1204,9 +1158,7 @@ def _same(a, b):
 def test_derivations_deeper_than_the_recursion_limit_check(at_recursion_limit_1000):
     plain = bigstop_eval(LOOP, 3000).derivation
     mnf = mnf_bigstop_eval(to_mnf(LOOP), 3000).derivation
-    countdown = App(parse_expr("fun f(x) => case x { z => z | s(m) => eff[t] f m }"), numeral(1000))
-    strict = bigstop_eval(countdown, 10**6).derivation
-    assert min(_depth(plain), _depth(mnf), _depth(strict)) > 2000
+    assert min(_depth(plain), _depth(mnf)) > 2000
     chain = parse_expr("(fun f(x) => x) z")
     for _ in range(3000):
         chain = Succ(chain)
@@ -1214,14 +1166,10 @@ def test_derivations_deeper_than_the_recursion_limit_check(at_recursion_limit_10
     got = at_recursion_limit_1000(
         plain_verdict=lambda: check_derivation(plain),
         mnf_verdict=lambda: check_derivation(mnf, dialect="mnf"),
-        plain_strict=lambda: is_strict(plain),
         progressing=lambda: is_progressing(stop1),
-        round_trip=lambda: bigstep_to_strict(strict_to_bigstep(strict)),
         ec_verdict=lambda: check_derivation(ec_bigstop_eval(LOOP, 5000).derivation, "ec"),
     )
     assert got["plain_verdict"] is None
     assert got["ec_verdict"] is None
     assert got["mnf_verdict"] is None
-    assert got["plain_strict"] is False  # cut off inside the loop
     assert got["progressing"] is True
-    assert got["round_trip"] is not strict and _same(got["round_trip"], strict)

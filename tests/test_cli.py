@@ -3,8 +3,11 @@ typechecking, normal-form translation, and the suite runner."""
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -221,6 +224,35 @@ def test_python_dash_m_runs_the_dispatcher():
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert (r.returncode, r.stdout) == (0, "s(z) | a\n"), (module, r.stderr)
+
+
+def _documented_command_lines():
+    """README's "Command line" block, then the cli docstring's examples,
+    as (line, answer): answer is the README comment when the line's
+    output is one line, which the comment then gives."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text(encoding="utf-8").split("### Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        cmd, _, comment = line.partition("  #")
+        yield cmd, comment.strip()
+    for line in cli.__doc__.splitlines():
+        if line.startswith("    "):
+            yield re.sub(r"\s+--\s.*$", "", line), ""
+
+
+def test_every_documented_command_line_runs(capsys, monkeypatch, tmp_path):
+    # one directory for all, so the docstring's `pcf check d.json` reads
+    # the file README's `--derivation d.json` line wrote
+    monkeypatch.chdir(tmp_path)
+    answered = 0
+    for line, answer in _documented_command_lines():
+        code, out, err = run(capsys, *shlex.split(line))
+        assert code == 0, (line, err)
+        if answer and len(out.splitlines()) == 1:
+            assert out == answer + "\n", line
+            answered += 1
+    assert answered == 5
 
 
 def test_parse_errors_are_usage_errors(capsys):

@@ -39,6 +39,7 @@ from bigstop.syntax import (
     scoped_children,
     subst,
 )
+from bigstop.traces import BadLabel
 
 ID = Lam("f", "x", Var("x"))
 
@@ -103,6 +104,14 @@ def test_reserved_label_rejected():
     with pytest.raises(ParseError, match="label"):
         parse_expr("eff[0] z")
     assert parse_expr("eff[a0] z") == Eff("a0", Zero())
+
+
+@pytest.mark.parametrize("label", ["0", "", "a·b"])
+def test_a_term_built_with_a_reserved_label_is_refused(label):
+    # not only by the parser: the annihilator would read an emitted 0 as
+    # its cut, and the printer would write text the parser refuses
+    with pytest.raises(BadLabel):
+        Eff(label, Zero())
 
 
 def test_parse_error_carries_position():
