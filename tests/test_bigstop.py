@@ -25,6 +25,7 @@ from bigstop import (
     StuckError,
     Succ,
     TypeFailure,
+    Value,
     Var,
     Zero,
     annihilator_derivation,
@@ -271,14 +272,17 @@ def test_dialects_do_not_leak_into_each_other():
 
 ### big-step trees are the plain trees that end in a value
 
-def _stops_end_in_values(d):
-    todo = [d]
+def _first_stop_short_of_a_value(d):
+    """The path of the first stop node in preorder whose right-hand side is
+    no value, or None when every stop node ends in a value."""
+    todo = [(d, ())]
     while todo:
-        n = todo.pop()
+        n, path = todo.pop()
         if n.rule.startswith("St-Stop(") and not is_value(n.rhs):
-            return False
-        todo += n.premises
-    return True
+            return path
+        ps = n.premises
+        todo += [(ps[i], path + (i,)) for i in reversed(range(len(ps)))]
+    return None
 
 
 def test_a_checked_tree_stops_only_at_values_exactly_when_it_ends_in_one():
@@ -291,9 +295,68 @@ def test_a_checked_tree_stops_only_at_values_exactly_when_it_ends_in_one():
         d = bigstop_eval(e, budget).derivation
         assert check_derivation(d) is None, print_expr(e)
         value = is_value(d.rhs)
-        assert _stops_end_in_values(d) == value, (print_expr(e), budget)
+        assert (_first_stop_short_of_a_value(d) is None) == value, (print_expr(e), budget)
         ends[value] += 1
     assert ends == {True: 30100, False: 5613}
+
+
+def test_converged_run_is_strict_and_converts():
+    # its big-step tree is the plain one: StE-Eff over StE-App
+    e = parse_expr("eff[a] ((fun f(x) => s(x)) z)")
+    d = bigstop_eval(e, 8).derivation
+    assert _first_stop_short_of_a_value(d) is None
+    assert d.rule == "StE-Eff"
+    assert [p.rule for p in d.premises] == ["StE-App"]
+    assert check_derivation(d) is None
+    assert big_step(e, 8) == Value(d.rhs, d.trace)
+
+
+def test_value_leaf_converts():
+    # the value rule is St-Stop(0) on a value
+    d = bigstop_eval(parse_expr("s(z)"), 0).derivation
+    assert _first_stop_short_of_a_value(d) is None
+    assert d.rule == "St-Stop(0)" and is_value(d.rhs)
+    assert check_derivation(d) is None
+
+
+def test_budget_cut_trees_are_not_strict():
+    d = bigstop_eval(corpus_term("leroy-grall"), 1).derivation
+    assert check_derivation(d) is None
+    assert not is_value(d.rhs)
+    assert _first_stop_short_of_a_value(d) == ()
+
+
+def test_nonvalue_stop_at_zero_is_not_strict():
+    d = bigstop_eval(parse_expr("(fun f(x) => x) z"), 0).derivation
+    assert d.rule == "St-Stop(0)"
+    assert _first_stop_short_of_a_value(d) == ()
+
+
+def test_round_trip_on_a_sweep():
+    e = parse_expr("case (fun f(x) => s(x)) z { z => z | s(n) => eff[hit] n }")
+    # from the convergence point on, more budget leaves the tree as it is
+    base = multi_step(e, 64).steps
+    d = bigstop_eval(e, base).derivation
+    assert _first_stop_short_of_a_value(d) is None and is_value(d.rhs)
+    assert check_derivation(d) is None
+    for budget in range(base + 1, base + 3):
+        assert bigstop_eval(e, budget).derivation == d
+    assert derivation_from_json(derivation_to_json(d)) == d
+
+
+def test_converged_runs_convert_check_and_convert_back():
+    # a converged run's plain tree is its big-step tree: it checks, stops
+    # only at values and concludes what the big-step evaluator computes
+    converged = 0
+    for e in [*enumerate_exprs(6), *_default_gen_pool()]:
+        d = bigstop_eval(e, 64).derivation
+        if not is_value(d.rhs):
+            continue
+        converged += 1
+        assert check_derivation(d) is None, print_expr(e)
+        assert _first_stop_short_of_a_value(d) is None, print_expr(e)
+        assert big_step(e, 64) == Value(d.rhs, d.trace), print_expr(e)
+    assert converged > 4000
 
 
 def _forged_annihilator():
