@@ -10,6 +10,7 @@ it emitted on the way.  Sweep the budget and you see the whole trajectory.
 from bigstop import (
     bigstop_eval,
     check_derivation,
+    compose,
     derivation_to_json_str,
     multi_step,
     parse_expr,
@@ -41,3 +42,12 @@ assert check_derivation(d) is None
 print()
 print("derivation at budget 2 (root rule", d.rule + "):")
 print(derivation_to_json_str(d)[:200], "...")
+
+# budgets add up: the budget-2 tree, composed with the budget-3 tree that
+# starts where it stopped, is the budget-5 tree, and it checks
+d3 = bigstop_eval(d.rhs, 3).derivation
+d5 = compose(d, d3)
+assert d5 == bigstop_eval(program, 5).derivation
+assert check_derivation(d5) is None
+print()
+print(f"budget 2, then 3 from {print_expr(d.rhs)}: the budget-5 tree, {print_expr(d5.rhs)} | {format_trace(d5.trace)}")

@@ -61,72 +61,8 @@ class BigStopResult:
     derivation: Derivation
 
 
-_STOP_K = {"St-Stop(0)": 0, "St-Stop(1)": 1, "St-Stop(2)": 2}
-
-
-def stop_k(rule: str):
-    """k for a stop rule St-Stop(k), else None."""
-    return _STOP_K.get(rule)
-
-
 def val_leaf(v: Expr) -> Derivation:
     return Derivation("Val", v, v, (), ())
-
-
-### node builders (shared by the evaluator and compose, so that both produce
-### literally identical trees)
-
-def mk_stop0(e: Expr) -> Derivation:
-    return Derivation("St-Stop(0)", e, e, (), ())
-
-
-def mk_stop1(lhs: Expr, p: Derivation) -> Derivation:
-    c = type(lhs)
-    if c is App:
-        rhs: Expr = App(p.rhs, lhs.arg)
-    elif c is Succ:
-        rhs = Succ(p.rhs)
-    elif c is Case:
-        rhs = Case(lhs.zero_branch, lhs.succ_var, lhs.succ_branch, p.rhs)
-    else:
-        raise ValueError(f"St-Stop(1) does not apply to {print_expr(lhs)}")
-    return Derivation("St-Stop(1)", lhs, rhs, p.trace, (p,))
-
-
-def mk_stop2(lhs: Expr, p1: Derivation, p2: Derivation) -> Derivation:
-    if not isinstance(lhs, App):
-        raise ValueError(f"St-Stop(2) does not apply to {print_expr(lhs)}")
-    return Derivation(
-        "St-Stop(2)", lhs, App(p1.rhs, p2.rhs), p1.trace + p2.trace,
-        (p1, val_leaf(p1.rhs), p2),
-    )
-
-
-def mk_casez(lhs: Expr, ps: Derivation, pb: Derivation) -> Derivation:
-    return Derivation("StE-CaseZ", lhs, pb.rhs, ps.trace + pb.trace, (ps, pb))
-
-
-def mk_cases(lhs: Expr, ps: Derivation, pb: Derivation) -> Derivation:
-    assert isinstance(ps.rhs, Succ)
-    return Derivation(
-        "StE-CaseS", lhs, pb.rhs, ps.trace + pb.trace,
-        (ps, val_leaf(ps.rhs.body), pb),
-    )
-
-
-def mk_appnode(lhs: Expr, p1: Derivation, p2: Derivation, pb: Derivation) -> Derivation:
-    return Derivation(
-        "StE-App", lhs, pb.rhs, p1.trace + p2.trace + pb.trace,
-        (p1, p2, val_leaf(p2.rhs), pb),
-    )
-
-
-def mk_eff(lhs: Expr, p: Derivation, head: Trace | None = None) -> Derivation:
-    """head is the emitted label's own trace; the evaluator passes the span
-    it logged the label as."""
-    assert isinstance(lhs, Eff)
-    head = (lhs.label,) if head is None else head
-    return Derivation("StE-Eff", lhs, p.rhs, head + p.trace, (p,))
 
 
 ### the evaluator
@@ -145,39 +81,51 @@ def bigstop_eval(e: Expr, budget: int) -> BigStopResult:
 
 def _stop(e: Expr, b: Budget, log: list) -> Derivation:
     if is_value(e) or b.remaining == 0:
-        return mk_stop0(e)
+        return Derivation("St-Stop(0)", e, e, (), ())
     c = type(e)
     if c is App:
         p1 = _stop(e.fn, b, log)
         f = p1.rhs
         if not is_value(f):
-            return mk_stop1(e, p1)
+            return Derivation("St-Stop(1)", e, App(f, e.arg), p1.trace, (p1,))
         p2 = _stop(e.arg, b, log)
         v = p2.rhs
         if not is_value(v) or b.remaining == 0:
-            return mk_stop2(e, p1, p2)
+            return Derivation(
+                "St-Stop(2)", e, App(f, v), p1.trace + p2.trace, (p1, val_leaf(f), p2)
+            )
         if type(f) is not Lam:
             raise StuckError(App(f, v))
         b.spend()
-        body = subst(f.body, {f.self_var: f, f.param: v})
-        return mk_appnode(e, p1, p2, _stop(body, b, log))
+        pb = _stop(subst(f.body, {f.self_var: f, f.param: v}), b, log)
+        return Derivation(
+            "StE-App", e, pb.rhs, p1.trace + p2.trace + pb.trace, (p1, p2, val_leaf(v), pb)
+        )
     if c is Succ:
-        return mk_stop1(e, _stop(e.body, b, log))
+        p = _stop(e.body, b, log)
+        return Derivation("St-Stop(1)", e, Succ(p.rhs), p.trace, (p,))
     if c is Eff:
         b.spend()
         head = emit(log, e.label)
-        return mk_eff(e, _stop(e.body, b, log), head)
+        p = _stop(e.body, b, log)
+        return Derivation("StE-Eff", e, p.rhs, head + p.trace, (p,))
     if c is Case:
         ps = _stop(e.scrutinee, b, log)
         v = ps.rhs
         if not is_value(v) or b.remaining == 0:
-            return mk_stop1(e, ps)
+            return Derivation(
+                "St-Stop(1)", e, Case(e.zero_branch, e.succ_var, e.succ_branch, v), ps.trace, (ps,)
+            )
         if type(v) is Zero:
             b.spend()
-            return mk_casez(e, ps, _stop(e.zero_branch, b, log))
+            pb = _stop(e.zero_branch, b, log)
+            return Derivation("StE-CaseZ", e, pb.rhs, ps.trace + pb.trace, (ps, pb))
         if type(v) is Succ:
             b.spend()
-            return mk_cases(e, ps, _stop(subst(e.succ_branch, {e.succ_var: v.body}), b, log))
+            pb = _stop(subst(e.succ_branch, {e.succ_var: v.body}), b, log)
+            return Derivation(
+                "StE-CaseS", e, pb.rhs, ps.trace + pb.trace, (ps, val_leaf(v.body), pb)
+            )
         raise StuckError(Case(e.zero_branch, e.succ_var, e.succ_branch, v))
     raise StuckError(e)  # a variable or a let has no rule
 
@@ -192,7 +140,8 @@ def _nodes(d: Derivation):
 
 
 _IDLE = frozenset({
-    "Val", *_STOP_K, "EC-Stop", "EC-Val", "EC-Seq", "StM-Stop", "StM-Let1", "StA-Stop", "StA-Val", "StA-Succ",
+    "Val", "St-Stop(0)", "St-Stop(1)", "St-Stop(2)", "EC-Stop", "EC-Val", "EC-Seq",
+    "StM-Stop", "StM-Let1", "StA-Stop", "StA-Val", "StA-Succ",
 })
 
 
@@ -210,8 +159,10 @@ def is_progressing(d: Derivation) -> bool:
 # entry each, so do the redex rules of the MNF and evaluation-context
 # dialects.  A big-step tree is a plain tree that ends in a value.  A
 # value side condition is stated once, by the Val premiss that asserts it.
-# The tables use subst but none of the evaluator's node builders, so the
-# checker stays independent of the evaluator.
+# The tables use subst but no evaluator code, so the checker stays
+# independent of the evaluator.  compose builds its nodes from the plain
+# table too, and the evaluator reads no table, so compose produces trees
+# without the evaluator.
 
 
 @record
@@ -517,63 +468,61 @@ class ComposeMismatch(Exception):
 def compose(d1: Derivation, d2: Derivation) -> Derivation:
     """Given e1 stops at e2 and e2 stops at e3, build e1 stops at e3.
 
-    On evaluator output this reproduces bigstop_eval(e, m+n) exactly.
+    Both sides must be plain derivations.  Every node is built from the
+    plain rule table, not by the evaluator, yet on evaluator output this
+    reproduces bigstop_eval(e, m+n) exactly.
     """
     if d1.rhs != d2.lhs:
         raise ComposeMismatch(
             f"cannot compose: {print_expr(d1.rhs)} vs {print_expr(d2.lhs)}"
         )
-    if stop_k(d1.rule) == 0 or d1.rule == "Val":
+    plain = _RULES["plain"]
+    rule1, rule2 = plain.get(d1.rule), plain.get(d2.rule)
+    for d, rule in ((d1, rule1), (d2, rule2)):
+        if rule is None:
+            raise ComposeMismatch(f"cannot compose {d.rule}: it is not a plain rule")
+        if rule.applies is not None and not rule.applies(d.lhs):
+            raise ComposeMismatch(f"{d.rule} does not apply to {print_expr(d.lhs)}")
+    # a rule without premisses (Val, St-Stop(0)) stands still
+    if not rule1.premises:
         return d2
-    if stop_k(d2.rule) == 0 or d2.rule == "Val":
+    if not rule2.premises:
         return d1
-    match d1.rule:
-        case "StE-Eff":
-            return mk_eff(d1.lhs, compose(d1.premises[0], d2))
-        case "StE-CaseZ":
-            ps, pb = d1.premises
-            return mk_casez(d1.lhs, ps, compose(pb, d2))
-        case "StE-CaseS":
-            ps, _, pb = d1.premises
-            return mk_cases(d1.lhs, ps, compose(pb, d2))
-        case "StE-App":
-            p1, p2, _, pb = d1.premises
-            return mk_appnode(d1.lhs, p1, p2, compose(pb, d2))
-    k1 = stop_k(d1.rule)
-    if k1 is None:
-        raise ComposeMismatch(f"cannot compose out of rule {d1.rule!r}")
+    runs1, runs2 = _runs(d1, rule1), _runs(d2, rule2)
+    if rule1.rhs is None:  # a contraction: its last run goes on into d2
+        return _plain_node(d1.rule, d1.lhs, runs1[:-1] + [compose(runs1[-1], d2)])
+    # a congruence stop: its position runs merge with d2's first runs, and
+    # the side with more runs names the rule (St-Stop(1) after St-Stop(2)
+    # runs no new position)
+    merged = [compose(p, q) for p, q in zip(runs1, runs2)]
+    longer, rest = (d1, runs1) if len(runs1) > len(runs2) else (d2, runs2)
+    return _plain_node(longer.rule, d1.lhs, merged + rest[len(merged):])
 
-    # d1 is a congruence stop; merge with whatever d2 does next
-    k2 = stop_k(d2.rule)
-    if k1 == 1 and k2 == 1:
-        return mk_stop1(d1.lhs, compose(d1.premises[0], d2.premises[0]))
-    if k1 == 1 and k2 == 2:
-        q1, _, q2 = d2.premises
-        return mk_stop2(d1.lhs, compose(d1.premises[0], q1), q2)
-    if k1 == 2 and k2 == 1:
-        p1, _, p2 = d1.premises
-        return mk_stop2(d1.lhs, compose(p1, d2.premises[0]), p2)
-    if k1 == 2 and k2 == 2:
-        p1, _, p2 = d1.premises
-        q1, _, q2 = d2.premises
-        return mk_stop2(d1.lhs, compose(p1, q1), compose(p2, q2))
-    if k2 is not None:
-        raise ComposeMismatch(f"stop shapes {d1.rule} then {d2.rule} do not fit")
 
-    match d2.rule, d1.lhs:
-        case "StE-CaseZ", Case():
-            qs, qb = d2.premises
-            return mk_casez(d1.lhs, compose(d1.premises[0], qs), qb)
-        case "StE-CaseS", Case():
-            qs, _, qb = d2.premises
-            return mk_cases(d1.lhs, compose(d1.premises[0], qs), qb)
-        case "StE-App", App():
-            q1, q2, _, qb = d2.premises
-            if k1 == 1:
-                return mk_appnode(d1.lhs, compose(d1.premises[0], q1), q2, qb)
-            p1, _, p2 = d1.premises
-            return mk_appnode(d1.lhs, compose(p1, q1), compose(p2, q2), qb)
-    raise ComposeMismatch(f"cannot compose {d1.rule} with {d2.rule}")
+def _runs(d: Derivation, rule: Rule) -> list:
+    """d's run premisses, in order, without its Val side conditions."""
+    return [p for p, want in zip(d.premises, rule.premises) if not want.val]
+
+
+def _plain_node(name: str, lhs: Expr, runs: list) -> Derivation:
+    """The plain rule `name` concluded at lhs from its run premisses: the
+    Val premisses, the rhs and the trace follow from the rule's entry."""
+    rule = _RULES["plain"][name]
+    runs = iter(runs)
+    ps: list = []
+    trace = (lhs.label,) if rule.emits else ()
+    for want in rule.premises:
+        if want.val:
+            v = want.at(lhs, ps)
+            ps.append(Derivation("Val", v, v, (), ()))
+            continue
+        p = next(runs)
+        if want.ends is not None and not want.ends(p.rhs):
+            raise ComposeMismatch(f"{name} cannot continue from {print_expr(p.rhs)}")
+        ps.append(p)
+        trace = trace + p.trace
+    rhs = rule.rhs(lhs, ps) if rule.rhs else ps[-1].rhs
+    return Derivation(name, lhs, rhs, trace, tuple(ps))
 
 
 ### the annihilator dialect

@@ -1,11 +1,14 @@
 """Budgeted evaluator: derivation shapes, the checker, big-step trees, composition,
 and the two alternate dialects (annihilator traces, context-threading)."""
 
+import contextlib
 import dataclasses
 import gc
+import io
 import json
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -473,6 +476,10 @@ def test_compose_reproduces_every_enumerated_run_and_checks():
     assert pairs == 103_788
 
 
+def _stop0(e):
+    return Derivation("St-Stop(0)", e, e, (), ())
+
+
 def test_compose_merges_a_two_position_stop_with_a_one_position_stop():
     # the evaluator stops a value in function position as St-Stop(2) with a
     # zero stop first, never as St-Stop(1); the hand-built St-Stop(1) is
@@ -484,6 +491,20 @@ def test_compose_merges_a_two_position_stop_with_a_one_position_stop():
     assert check_derivation(d2) is None
     assert compose(d1, d2) == d1
     assert check_derivation(compose(d1, d2)) is None
+    # more valid inputs the evaluator never makes, each node of the result
+    # built from the rule table: St-Stop(1) over an application whose
+    # function is a value, St-Stop(1) over a numeral, and Val as d1
+    app = parse_expr("(fun f(x) => x) (eff[a] z)")
+    stop1 = Derivation("St-Stop(1)", app, app, (), (_stop0(app.fn),))
+    run = bigstop_eval(app, 2).derivation
+    assert run.rule == "StE-App"
+    sz = parse_expr("s(z)")
+    succ = Derivation("St-Stop(1)", sz, sz, (), (_stop0(Zero()),))
+    val = Derivation("Val", sz, sz, (), ())
+    for d1, d2, want in ((stop1, run, run), (succ, val, succ), (val, succ, succ)):
+        assert check_derivation(d1) is None and check_derivation(d2) is None
+        assert compose(d1, d2) == want
+        assert check_derivation(compose(d1, d2)) is None
 
 
 def test_compose_with_a_zero_stop_is_identity_shaped():
@@ -507,6 +528,52 @@ def test_compose_rejects_mismatched_endpoints():
         compose(d1, d2)
 
 
+def test_compose_refuses_a_rule_that_does_not_apply():
+    d1 = bigstop_eval(parse_expr("(fun f(x) => x) ((fun g(y) => y) (eff[a] z))"), 1).derivation
+    assert d1.rule == "St-Stop(2)"
+    fn, arg = d1.rhs.fn, d1.rhs.arg
+    forged = Derivation("StE-CaseZ", d1.rhs, arg, (), (_stop0(fn), _stop0(arg)))
+    with pytest.raises(ComposeMismatch, match="StE-CaseZ does not apply"):
+        compose(d1, forged)
+    # a case stopped at z, then a forged StE-CaseS that goes on as if at s(_)
+    d1 = bigstop_eval(parse_expr("case eff[a] z { z => z | s(n) => n }"), 1).derivation
+    assert d1.rule == "St-Stop(1)"
+    z = Zero()
+    val_z = Derivation("Val", z, z, (), ())
+    forged = Derivation("StE-CaseS", d1.rhs, z, (), (_stop0(z), val_z, _stop0(z)))
+    with pytest.raises(ComposeMismatch, match="StE-CaseS cannot continue from z"):
+        compose(d1, forged)
+
+
+_FOREIGN = {
+    "annihilator": annihilator_derivation,
+    "mnf": lambda e, budget: mnf_bigstop_eval(e, budget).derivation,
+    "ec": lambda e, budget: ec_bigstop_eval(e, budget).derivation,
+}
+
+
+@pytest.mark.parametrize("side", ["first", "second"])
+@pytest.mark.parametrize("dialect", sorted(_FOREIGN))
+def test_compose_refuses_a_tree_of_another_dialect(dialect, side):
+    inner = parse_expr("(fun f(x) => x) z")
+    foreign = _FOREIGN[dialect](inner, 1)
+    if side == "first":
+        d1, d2 = foreign, bigstop_eval(foreign.rhs, 0).derivation
+    else:
+        d1, d2 = bigstop_eval(parse_expr("eff[a] ((fun f(x) => x) z)"), 1).derivation, foreign
+    assert d1.rhs == d2.lhs
+    with pytest.raises(ComposeMismatch, match=f"{foreign.rule}: it is not a plain rule"):
+        compose(d1, d2)
+
+
+def test_compose_and_the_evaluator_build_their_nodes_apart():
+    # compose reads the rule table and never runs the evaluator; the
+    # evaluator reads no table, and the checker reads neither producer
+    assert not {"_RULES", "_plain_node"} & set(bigstop.bigstop._stop.__code__.co_names)
+    for f in (compose, check_derivation):
+        assert not {"_stop", "bigstop_eval"} & set(f.__code__.co_names), f.__name__
+
+
 ### annihilator dialect: cut runs end in an absorbing marker
 
 def test_annihilated_value_is_demand_shaped():
@@ -514,6 +581,21 @@ def test_annihilated_value_is_demand_shaped():
     assert out == Lam("_", "x", Var("x"))     # arrow demanded, arrow supplied
     assert tr == AnnTrace((), True)
     assert str(tr) == "0"
+
+
+def test_a_cut_may_close_with_a_value_of_any_type():
+    # the checker takes no types, so it can judge untyped runs too: StA-Stop
+    # accepts any value as a cut's result, not only one of the term's type
+    ident, z = parse_expr("fun _(x) => x"), Zero()
+    nat = parse_expr("eff[a] eff[b] z")
+    arrow = parse_expr("(fun f(x) => x) (fun g(y) => y)")
+    assert not isinstance(infer_type(nat), ArrowT) and isinstance(infer_type(arrow), ArrowT)
+    val_ident = Derivation("Val", ident, ident, (), ())
+    cut = Derivation("StA-Stop", nat.body, ident, ("0",), (val_ident,))
+    cut_to_fn = Derivation("StA-Eff", nat, ident, ("a", "0"), (cut,))
+    cut_to_nat = Derivation("StA-Stop", arrow, z, ("0",), (Derivation("Val", z, z, (), ()),))
+    assert check_derivation(cut_to_fn, "annihilator") is None
+    assert check_derivation(cut_to_nat, "annihilator") is None
 
 
 def test_annihilator_agrees_with_plain_on_convergence():
@@ -1236,3 +1318,21 @@ def test_derivations_deeper_than_the_recursion_limit_check(at_recursion_limit_10
     assert got["ec_verdict"] is None
     assert got["mnf_verdict"] is None
     assert got["progressing"] is True
+
+
+### README's Python examples
+
+def test_readme_python_blocks_run_and_print_what_they_say():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = [b.split("```", 1)[0] for b in readme.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    quick_start, checked = blocks
+    namespace: dict = {}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(quick_start, namespace)
+    said = [line[2:] for line in quick_start.splitlines() if line.startswith("# ")]
+    assert len(said) == 4
+    assert out.getvalue().splitlines() == said
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(checked, namespace)  # its assert holds, in the Quick start's namespace
