@@ -470,8 +470,15 @@ def compose(d1: Derivation, d2: Derivation) -> Derivation:
 
     Both sides must be plain derivations.  Every node is built from the
     plain rule table, not by the evaluator, yet on evaluator output this
-    reproduces bigstop_eval(e, m+n) exactly.
+    reproduces bigstop_eval(e, m+n) exactly.  A rebuilt node's trace is
+    the end of d1's trace followed by the start of d2's, so every node
+    takes a span of one list of both traces: linear time and memory.
     """
+    return _compose(d1, d2, [*d1.trace, *d2.trace], len(d1.trace))
+
+
+def _compose(d1: Derivation, d2: Derivation, log: list, mid: int) -> Derivation:
+    # log holds the outer d1's trace, then from mid on the outer d2's
     if d1.rhs != d2.lhs:
         raise ComposeMismatch(
             f"cannot compose: {print_expr(d1.rhs)} vs {print_expr(d2.lhs)}"
@@ -488,15 +495,20 @@ def compose(d1: Derivation, d2: Derivation) -> Derivation:
         return d2
     if not rule2.premises:
         return d1
+    # a side that emits nothing keeps the other's trace; otherwise d1's
+    # side ran last in d1 and d2's side first in d2, so they meet at mid
+    t1, t2 = d1.trace, d2.trace
+    trace = t1 if not t2 else t2 if not t1 else Span(log, mid - len(t1), mid + len(t2))
     runs1, runs2 = _runs(d1, rule1), _runs(d2, rule2)
     if rule1.rhs is None:  # a contraction: its last run goes on into d2
-        return _plain_node(d1.rule, d1.lhs, runs1[:-1] + [compose(runs1[-1], d2)])
+        last = _compose(runs1[-1], d2, log, mid)
+        return _plain_node(d1.rule, d1.lhs, runs1[:-1] + [last], trace)
     # a congruence stop: its position runs merge with d2's first runs, and
     # the side with more runs names the rule (St-Stop(1) after St-Stop(2)
     # runs no new position)
-    merged = [compose(p, q) for p, q in zip(runs1, runs2)]
+    merged = [_compose(p, q, log, mid) for p, q in zip(runs1, runs2)]
     longer, rest = (d1, runs1) if len(runs1) > len(runs2) else (d2, runs2)
-    return _plain_node(longer.rule, d1.lhs, merged + rest[len(merged):])
+    return _plain_node(longer.rule, d1.lhs, merged + rest[len(merged):], trace)
 
 
 def _runs(d: Derivation, rule: Rule) -> list:
@@ -504,13 +516,13 @@ def _runs(d: Derivation, rule: Rule) -> list:
     return [p for p, want in zip(d.premises, rule.premises) if not want.val]
 
 
-def _plain_node(name: str, lhs: Expr, runs: list) -> Derivation:
-    """The plain rule `name` concluded at lhs from its run premisses: the
-    Val premisses, the rhs and the trace follow from the rule's entry."""
+def _plain_node(name: str, lhs: Expr, runs: list, trace) -> Derivation:
+    """The plain rule `name` concluded at lhs from its run premisses, with
+    the given trace: the Val premisses and the rhs follow from the rule's
+    entry."""
     rule = _RULES["plain"][name]
     runs = iter(runs)
     ps: list = []
-    trace = (lhs.label,) if rule.emits else ()
     for want in rule.premises:
         if want.val:
             v = want.at(lhs, ps)
@@ -520,7 +532,6 @@ def _plain_node(name: str, lhs: Expr, runs: list) -> Derivation:
         if want.ends is not None and not want.ends(p.rhs):
             raise ComposeMismatch(f"{name} cannot continue from {print_expr(p.rhs)}")
         ps.append(p)
-        trace = trace + p.trace
     rhs = rule.rhs(lhs, ps) if rule.rhs else ps[-1].rhs
     return Derivation(name, lhs, rhs, trace, tuple(ps))
 

@@ -37,7 +37,7 @@ from .bigstop import (
     ec_bigstop_eval,
 )
 from .harness import GenConfig, run_property_suite, suite_names
-from .kmachine import KStatus, compile as k_compile, k_run, k_step, show_state, unwind
+from .kmachine import KStatus, StuckState, compile as k_compile, k_run, k_step, show_state, unwind
 from .mnf import NotMNF, mnf_bigstop_eval, to_mnf
 from .smallstep import RunStatus, _run, small_step
 from .syntax import ParseError, SubstOpenValue, is_value, parse_expr, print_expr
@@ -247,18 +247,27 @@ def _pcf_run(ns, expr) -> int:
                 return EVAL_ERROR
         return OK
 
-    # kmachine
+    # kmachine; traced, it runs one k_step at a time and prints each state
     st = k_compile(expr)
-    r = k_run(st, budget)
     if ns.trace:
-        cur = st
-        print(show_state(cur))
-        for _ in range(r.steps):
-            cur = k_step(cur)[0]
-            print(show_state(cur))
-    if r.status == KStatus.STUCK:
-        raise StuckError(unwind(r.state))
-    print(f"{print_expr(unwind(r.state))} | {format_trace(r.trace)}")
+        print(show_state(st))
+        labels: list = []
+        for _ in range(budget):
+            try:
+                nxt = k_step(st)
+            except StuckState:
+                raise StuckError(unwind(st)) from None
+            if nxt is None:
+                break
+            st, emitted = nxt
+            labels += emitted
+            print(show_state(st))
+    else:
+        r = k_run(st, budget)
+        if r.status == KStatus.STUCK:
+            raise StuckError(unwind(r.state))
+        st, labels = r.state, r.trace
+    print(f"{print_expr(unwind(st))} | {format_trace(labels)}")
     return OK
 
 

@@ -2,11 +2,13 @@
 
 The machine threads a stack of pending frames instead of walking the term
 on every step: it is either evaluating some subterm or returning a value
-to the innermost frame.  Effects emit their label the moment the eff node
-is entered.  unwind() reads the whole configuration back into a term, so
-machine runs can be compared position-for-position with the tree engines:
-correspondence_check() holds the machine to the step relation exactly,
-contraction by contraction.
+to the innermost frame.  A value in focus, a numeral of any size included,
+is returned in one transition; only a successor that is no value pushes a
+frame and evaluates its body.  Effects emit their label the moment the eff
+node is entered.  unwind() reads the whole configuration back into a term,
+so machine runs can be compared position-for-position with the tree
+engines: correspondence_check() holds the machine to the step relation
+exactly, contraction by contraction.
 """
 
 import enum
@@ -90,6 +92,8 @@ def _move(mode: Mode, stack: list, e: Expr):
         if c is Zero or c is Lam:
             return Mode.RETURN, e, None
         if c is Succ:
+            if e._spine:  # a numeral value returns whole, as z and functions do
+                return Mode.RETURN, e, None
             stack.append(_SUCC)
             return Mode.EVAL, e.body, None
         if c is Eff:
@@ -149,16 +153,8 @@ class KRunResult:
 
 
 def k_run(state: MachineState, budget: int) -> KRunResult:
-    """Run the machine for at most budget transitions.
-
-    The budget counts transitions, exactly as repeated k_step would.  A
-    numeral value s^j(v), v being z or a function, is evaluated by 2j+1
-    transitions that push j successor frames and pop them again; they are
-    counted one by one but taken in one move, which reads j and whether the
-    numeral is a value from the successor's stored spine, so evaluating a
-    numeral value costs O(1) whatever its size, and every other transition
-    O(1) whatever the depth of the stack.
-    """
+    """Run the machine for at most budget transitions, the moves k_step
+    takes one at a time, each O(1) whatever the depth of the stack."""
     check_budget(budget)
     mode, stack, e = state.mode, list(state.stack), state.expr
     labels: list = []
@@ -169,32 +165,6 @@ def k_run(state: MachineState, budget: int) -> KRunResult:
             status = KStatus.FINAL
             break
         if steps == budget:
-            break
-        if mode is Mode.EVAL and type(e) is Succ:
-            # the s(...) spine: on a value it is 2j+1 moves back to an equal
-            # term, otherwise j pushes down to the non-value at its end
-            value, j = e._spine > 0, abs(e._spine)
-            moves = 2 * j + 1 if value else j
-            left = budget - steps
-            if moves <= left:
-                steps += moves
-                if value:
-                    mode = Mode.RETURN
-                else:
-                    stack.extend([_SUCC] * j)
-                    for _ in range(j):
-                        e = e.body
-                continue
-            # the budget runs out inside the walk, while pushing frames or
-            # (past the first j+1 moves) while popping them back
-            if left <= j:
-                depth = left
-            else:
-                mode, depth = Mode.RETURN, moves - left
-            stack.extend([_SUCC] * depth)
-            for _ in range(depth):
-                e = e.body
-            steps = budget
             break
         nxt = _move(mode, stack, e)
         if nxt is None:
@@ -274,9 +244,9 @@ def correspondence_check(e: Expr, budget: int) -> Report:
     state must equal the stepped term and the label it emitted the step's
     label, and the two must halt or get stuck at the same n.  The end is
     compared once with bigstop_eval(e, budget), and k_run given exactly the
-    moves driven must end in the same state with the same trace, so its
-    numeral shortcut is held to single moves.  Linear in the budget; a
-    failure names the first contraction at which the two sides differ.
+    moves driven must end in the same state with the same trace.  Linear in
+    the budget; a failure names the first contraction at which the two
+    sides differ.
     """
     from .bigstop import StuckError, bigstop_eval
     from .smallstep import small_step

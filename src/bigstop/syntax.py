@@ -64,12 +64,11 @@ class Zero(Expr):
 
 
 def _spine_of(body: Expr) -> int:
-    # s(body) is s^j(e) with e no successor; its spine is j when e is z or
-    # a function, so that s(body) is a value, and -j otherwise
+    # s(body) is s^j(e) with e no successor; its spine says what the numeral
+    # heads: 1 when e is z, 2 when e is a function, 0 when s(body) is no value
     if type(body) is Succ:
-        j = body._spine
-        return j + 1 if j > 0 else j - 1
-    return 1 if type(body) is Zero or type(body) is Lam else -1
+        return body._spine
+    return 1 if type(body) is Zero else 2 if type(body) is Lam else 0
 
 
 @record

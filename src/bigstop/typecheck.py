@@ -192,7 +192,9 @@ def _infer(e: Expr, env: dict) -> Type:
             raise TypeFailure("applying a non-function or wrong argument type", e)
         return res
     if c is Succ:
-        # a numeral in one loop: only the innermost successor's body can fail
+        if e._spine == 1:  # a numeral that ends in z
+            return _NAT
+        # any other successor chain in one loop: only its innermost body can fail
         while type(e.body) is Succ:
             e = e.body
         if not _unify(_infer(e.body, env), _NAT):

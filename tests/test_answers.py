@@ -31,7 +31,7 @@ from bigstop.traces import format_trace
 from test_typecheck import _default_gen_pool
 
 BUDGETS = (0, 1, 3, 10, 64)
-ANSWERS = "0b308bafaba55c3aebb4deca832505045f5c33ce7cc8abfca5aed1d7853ec974"
+ANSWERS = "82bc8e358f09f37b61beed1c77a985bf3a34b67b779b055d024287db01f8a917"
 
 
 def _rows(d):

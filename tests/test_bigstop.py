@@ -493,7 +493,8 @@ def test_compose_merges_a_two_position_stop_with_a_one_position_stop():
     assert check_derivation(compose(d1, d2)) is None
     # more valid inputs the evaluator never makes, each node of the result
     # built from the rule table: St-Stop(1) over an application whose
-    # function is a value, St-Stop(1) over a numeral, and Val as d1
+    # function is a value, St-Stop(1) over a numeral, Val as d1, and a run
+    # that is not d1's last merged with a still run over a numeral
     app = parse_expr("(fun f(x) => x) (eff[a] z)")
     stop1 = Derivation("St-Stop(1)", app, app, (), (_stop0(app.fn),))
     run = bigstop_eval(app, 2).derivation
@@ -501,7 +502,16 @@ def test_compose_merges_a_two_position_stop_with_a_one_position_stop():
     sz = parse_expr("s(z)")
     succ = Derivation("St-Stop(1)", sz, sz, (), (_stop0(Zero()),))
     val = Derivation("Val", sz, sz, (), ())
-    for d1, d2, want in ((stop1, run, run), (succ, val, succ), (val, succ, succ)):
+    # St-Stop(2) whose first run emits a and reaches s(z), then St-Stop(1)
+    # over that numeral: the merged first run keeps a, the start of a·b
+    first, second, stuck = parse_expr("eff[a] s(z)"), parse_expr("eff[b] z"), parse_expr("s(z) z")
+    eff_b = Derivation("StE-Eff", second, Zero(), ("b",), (_stop0(Zero()),))
+    stop2 = Derivation("St-Stop(2)", App(first, second), stuck, ("a", "b"), (
+        Derivation("StE-Eff", first, sz, ("a",), (_stop0(sz),)), val, eff_b))
+    still = Derivation("St-Stop(2)", stuck, stuck, (), (succ, val, _stop0(Zero())))
+    merged = Derivation("St-Stop(2)", stop2.lhs, stuck, ("a", "b"), (
+        Derivation("StE-Eff", first, sz, ("a",), (succ,)), val, eff_b))
+    for d1, d2, want in ((stop1, run, run), (succ, val, succ), (val, succ, succ), (stop2, still, merged)):
         assert check_derivation(d1) is None and check_derivation(d2) is None
         assert compose(d1, d2) == want
         assert check_derivation(compose(d1, d2)) is None
@@ -519,6 +529,36 @@ def test_composed_trees_still_check():
     d1 = bigstop_eval(app, 1).derivation
     d2 = bigstop_eval(d1.rhs, 3).derivation
     assert check_derivation(compose(d1, d2)) is None
+
+
+def _composed_from_where_it_stopped(n):
+    d1 = bigstop_eval(LOOP, n).derivation
+    return d1, bigstop_eval(d1.rhs, n).derivation
+
+
+def _compose_peak_bytes(n):
+    # tracemalloc walks the whole Python stack at each allocation, and
+    # compose recurses once per level: kept small, or the count is slow
+    d1, d2 = _composed_from_where_it_stopped(n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        compose(d1, d2)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_compose_of_two_long_runs_is_linear_in_memory():
+    # the two sides log their labels in different lists; copying both
+    # traces at each node of the spine makes the peak grow with the square
+    # of the run (ratio 4)
+    d1, d2 = _composed_from_where_it_stopped(2000)
+    d = compose(d1, d2)
+    assert d == bigstop_eval(LOOP, 4000).derivation
+    assert check_derivation(d) is None
+    small, large = _compose_peak_bytes(1000), _compose_peak_bytes(2000)
+    assert large <= 2.5 * small and large < 3 * 2**20, (small, large)
 
 
 def test_compose_rejects_mismatched_endpoints():

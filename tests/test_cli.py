@@ -13,6 +13,7 @@ import pytest
 
 import bigstop.cli as cli
 import bigstop.harness as harness
+import bigstop.kmachine as kmachine
 from bigstop import Failure, PropertyReport, Zero, check_derivation, derivation_to_json_str
 from test_acceptance import _twenty_mutations
 
@@ -142,8 +143,39 @@ def test_kmachine_trace_shows_configurations(capsys):
     code, out, _ = run(
         capsys, "pcf", "run", "--sem", "kmachine", "--trace", "--budget", "64", "-e", "s(z)"
     )
+    assert (code, out) == (0, "ε ▷ s(z)\nε ◁ s(z)\ns(z) | 1\n")
+    code, out, _ = run(
+        capsys, "pcf", "run", "--sem", "kmachine", "--trace", "--budget", "64", "-e", "s(eff[a] z)"
+    )
     assert code == 0
-    assert out == "ε ▷ s(z)\nε;s(-) ▷ z\nε;s(-) ◁ z\nε ◁ s(z)\ns(z) | 1\n"
+    assert out == "ε ▷ s(eff[a] z)\nε;s(-) ▷ eff[a] z\nε;s(-) ▷ z\nε;s(-) ◁ z\nε ◁ s(z)\ns(z) | a\n"
+
+
+@pytest.mark.parametrize("src, budget", [
+    ("(fun f(x) => eff[t] f x) z", 60),
+    ("case s(z) { z => z | s(n) => n }", 64),
+    ("(fun f(x) => x z) z", 64),
+])
+def test_kmachine_trace_runs_the_machine_once(capsys, monkeypatch, src, budget):
+    # omega out of budget, a run that halts, and one that gets stuck
+    argv = ("pcf", "run", "--sem", "kmachine", "--budget", str(budget), "-e", src)
+    plain = run(capsys, *argv)
+    moves = 0
+    real = kmachine._move
+
+    def counted(*args):
+        nonlocal moves
+        moves += 1
+        return real(*args)
+
+    monkeypatch.setattr(kmachine, "_move", counted)
+    code, out, err = run(capsys, *argv, "--trace")
+    # the same exit code, error and answer line, after the states
+    assert (code, err) == (plain[0], plain[2]) and out.endswith(plain[1])
+    states = out[:len(out) - len(plain[1])].splitlines()
+    # the first state is loaded, each other one is reached by one move, and
+    # a stuck run makes one more move that reaches nothing
+    assert moves == len(states) - 1 + (code != 0)
 
 
 ### typecheck and mnf subcommands

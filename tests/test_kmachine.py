@@ -58,13 +58,27 @@ def test_loading_starts_in_eval_mode_with_an_empty_stack():
 
 
 def test_successor_transcript():
+    # a numeral value is returned at once; a successor that is no value
+    # pushes a frame, and the value its body reaches pops it
     got = [show_state(s) for s in transcript(parse_expr("s(z)"))]
+    assert got == ["ε ▷ s(z)", "ε ◁ s(z)"]
+    got = [show_state(s) for s in transcript(parse_expr("s(eff[a] z)"))]
     assert got == [
-        "ε ▷ s(z)",
+        "ε ▷ s(eff[a] z)",
+        "ε;s(-) ▷ eff[a] z",
         "ε;s(-) ▷ z",
         "ε;s(-) ◁ z",
         "ε ◁ s(z)",
     ]
+
+
+def test_a_numeral_of_any_size_is_returned_in_one_transition():
+    # ε ◁ s(s(...)): the numeral, which is too deep to print, returned whole
+    st = compile(numeral(10**5))
+    nxt, emitted = k_step(st)
+    assert (nxt.mode, nxt.stack, emitted) == (Mode.RETURN, (), ()) and nxt.expr is st.expr
+    r = k_run(st, 1)
+    assert (r.status, r.steps, r.trace) == (KStatus.FINAL, 1, ()) and r.state.expr is st.expr
 
 
 def test_case_transcript_walks_scrutinee_then_branch():
@@ -73,8 +87,6 @@ def test_case_transcript_walks_scrutinee_then_branch():
     assert got == [
         "ε ▷ case s(z) { z => z | s(n) => eff[hit] n }",
         "ε;case(-){z=>z|s(n)=>eff[hit] n} ▷ s(z)",
-        "ε;case(-){z=>z|s(n)=>eff[hit] n};s(-) ▷ z",
-        "ε;case(-){z=>z|s(n)=>eff[hit] n};s(-) ◁ z",
         "ε;case(-){z=>z|s(n)=>eff[hit] n} ◁ s(z)",
         "ε ▷ eff[hit] z",
         "ε ▷ z",
@@ -144,8 +156,8 @@ def _single_steps(e, budget):
 
 
 def test_run_equals_single_steps_at_every_budget():
-    # k_run takes a numeral's walk in one move; at every budget, stuck and
-    # mid-numeral states included, it must land where single steps do
+    # at every budget, stuck and mid-successor states included, k_run must
+    # land where single steps do
     terms = list(enumerate_exprs(5))
     terms += [t for _, t in corpus() if isinstance(t, Expr)]
     terms.append(App(COUNTDOWN, numeral(7)))
@@ -195,9 +207,9 @@ def test_unwind_reconstructs_the_focused_term():
 
 
 def test_unwind_of_a_mid_successor_state():
-    st = transcript(parse_expr("s(z)"))[1]
-    assert show_state(st) == "ε;s(-) ▷ z"
-    assert print_expr(unwind(st)) == "s(z)"
+    states = transcript(parse_expr("s(eff[a] z)"))
+    assert [show_state(st) for st in states[2:4]] == ["ε;s(-) ▷ z", "ε;s(-) ◁ z"]
+    assert [print_expr(unwind(st)) for st in states] == ["s(eff[a] z)"] * 2 + ["s(z)"] * 3
 
 
 def test_states_reached_by_stepping_validate():

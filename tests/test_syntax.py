@@ -308,11 +308,11 @@ def test_countdown_asks_each_numeral_for_its_closedness_once(run):
 
 
 def _spine_walk(e):
-    # the reference: j for s^j(v) with v a value, -j when the spine ends elsewhere
-    j = 0
+    # the reference: what s^j(v), j >= 0 and v no successor, heads: 1 when
+    # v is z, 2 when v is a function, 0 when it is no value
     while type(e) is Succ:
-        e, j = e.body, j + 1
-    return j if type(e) is Zero or type(e) is Lam else -j
+        e = e.body
+    return 1 if type(e) is Zero else 2 if type(e) is Lam else 0
 
 
 def _subst_walk(e, m):
@@ -333,7 +333,7 @@ def _holds_to_the_walks(e):
         todo += [kid for kid, _ in scoped_children(e)]
         if type(e) is Succ:
             assert e._spine == _spine_walk(e), print_expr(e)
-        assert is_value(e) == (_spine_walk(e) > 0 or type(e) in (Zero, Lam)), print_expr(e)
+        assert is_value(e) == (_spine_walk(e) > 0), print_expr(e)
         m = {x: CLOSED_VALUES[i % 4] for i, x in enumerate(sorted(all_names(e)))}
         assert subst(e, m) == _subst_walk(e, m), print_expr(e)
         assert e.closed == (not free_vars(e)), print_expr(e)
@@ -359,7 +359,8 @@ def test_copies_of_a_successor_know_what_it_knows():
         for other in copies:
             assert other == e and other._spine == e._spine == _spine_walk(e)
             assert other.closed == e.closed
-    assert dataclasses.replace(numeral(3), body=Var("x"))._spine == -1
+    assert dataclasses.replace(numeral(3), body=Var("x"))._spine == 0
+    assert dataclasses.replace(numeral(3), body=ID)._spine == 2
 
 
 ### alpha equivalence

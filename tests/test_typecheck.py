@@ -1,7 +1,10 @@
+import collections
 import re
+import sys
 
 import pytest
 
+from bigstop import typecheck
 from bigstop.harness import GenConfig, GenerationExhausted, enumerate_exprs, gen_typed_expr
 from bigstop.smallstep import step_trace
 from bigstop.syntax import App, Succ, Var, Zero, numeral, parse_expr, print_expr
@@ -189,6 +192,32 @@ def test_a_numeral_deeper_than_the_recursion_limit_is_typed(at_recursion_limit_1
     )
     assert got["typed"] == NAT and got["well"] is True
     assert type(got["failure"]) is Succ and got["failure"].body is ident
+
+
+def _infer_work(e):
+    # (_infer calls, lines run inside them): walking the numeral shows in the lines
+    code = typecheck._infer.__code__
+    work = collections.Counter()
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        work[event] += 1
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        t = principal_type(e)
+    finally:
+        sys.settrace(None)
+    assert t == NAT
+    return work["call"], work["line"]
+
+
+def test_a_numeral_is_typed_without_walking_it():
+    # the preservation check types every point of a countdown run, each
+    # holding a numeral: a walk would make that check quadratic in n
+    assert _infer_work(numeral(10)) == _infer_work(numeral(10**4))
 
 
 def _metas(t):
