@@ -50,7 +50,7 @@ from .syntax import (
     scoped_children,
 )
 from .traces import format_trace
-from .typecheck import ArrowT, NatT, principal_type, types_unifiable, well_typed
+from .typecheck import ArrowT, MetaT, NatT, principal_type, types_unifiable, well_typed
 
 ### generation
 
@@ -190,17 +190,21 @@ _CASE_BINDERS = ("a", "b")
 
 def enumerate_exprs(max_size: int):
     """Every closed well-typed term with at most max_size AST nodes, binders
-    drawn from a two-symbol alphabet, effect labels from _LABELS."""
+    drawn from a two-symbol alphabet, effect labels from _LABELS.  The type
+    filter sits in _enum, so terms are built only from typable parts."""
     if max_size > 8:
         raise ValueError("enumeration beyond size 8 is combinatorially hopeless")
     memo = {}
     for size in range(1, max_size + 1):
-        for e in _enum(size, frozenset(), memo):
-            if well_typed(e):
-                yield e
+        yield from _enum(size, frozenset(), memo)
 
 
 def _enum(size, env, memo):
+    """The terms of exactly size nodes over the free names env that type with
+    each name at its own metavariable.  The filter is exact: that typing is
+    the most general one, so a dropped term types under no types for env, and
+    a term with an untypable subterm is untypable itself.  Each name needs a
+    distinct meta: one shared meta would drop `a b`."""
     key = (size, env)
     got = memo.get(key)
     if got is not None:
@@ -233,7 +237,8 @@ def _enum(size, env, memo):
                             for zb in _enum(zs, env, memo):
                                 for sb in _enum(ss, env_s, memo):
                                     out.append(Case(zb, xv, sb, sc))
-    memo[key] = out
+    metas = {x: MetaT(i) for i, x in enumerate(env)}
+    out = memo[key] = [e for e in out if well_typed(e, metas)]
     return out
 
 

@@ -513,8 +513,12 @@ def print_expr(e: Expr) -> str:
             return x
         case Zero():
             return "z"
-        case Succ(b):
-            return f"s({print_expr(b)})"
+        case Succ():
+            # a successor chain in one loop: a numeral may be deeper than the stack
+            k = 0
+            while type(e) is Succ:
+                e, k = e.body, k + 1
+            return "s(" * k + print_expr(e) + ")" * k
         case Lam(f, x, b):
             return f"fun {f}({x}) => {print_expr(b)}"
         case Eff(l, b):

@@ -62,12 +62,51 @@ def test_everything_enumerated_is_well_typed_and_small():
         assert expr_size(e) <= 4
 
 
-def test_enumeration_is_duplicate_free():
-    # the raw stream, before the type filter, up to the size ceiling
+@pytest.fixture(scope="module")
+def stream_8():
+    # the stream _enum builds up to the size ceiling, which enumerate_exprs(8) yields
     memo = {}
-    raw = [e for size in range(1, 9) for e in _enum(size, frozenset(), memo)]
-    assert len(raw) == 452_147
-    assert len(set(raw)) == len(raw)
+    return [e for size in range(1, 9) for e in _enum(size, frozenset(), memo)]
+
+
+def _digest(terms):
+    return hashlib.sha256("\n".join(map(print_expr, terms)).encode()).hexdigest()
+
+
+def test_enumeration_is_duplicate_free(stream_8):
+    # _enum type-filters every memo list, so its stream is the typed one
+    assert len(stream_8) == 92_148
+    assert len(set(stream_8)) == len(stream_8)
+
+
+def test_enumeration_yields_a_pinned_stream(stream_8):
+    # content and order, pinned when the filter ran on whole terms
+    pins = {
+        6: (2_883, "8ef97ebdd3f89977760d44bbc8f71612329aef37015669b04f4913f61e798745"),
+        7: (16_014, "ba245750e9841e4078fb3203a67142ca822270ee21324b5dd46e9f1c490fad58"),
+        8: (92_148, "e02db68f4bf718d092ef4f6730699b9921f7a3f34591c6801c9c7768c0f96e47"),
+    }
+    for n in (6, 7):
+        terms = list(enumerate_exprs(n))
+        assert (len(terms), _digest(terms)) == pins[n]
+        assert terms == stream_8[: len(terms)]
+    assert (len(stream_8), _digest(stream_8)) == pins[8]
+
+
+def test_enumeration_types_only_typable_parts(monkeypatch):
+    # whole-term filtering made 59,647 calls at size 7; building from
+    # typable parts makes 42,311
+    import bigstop.harness as harness
+
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return well_typed(*args)
+
+    monkeypatch.setattr(harness, "well_typed", counted)
+    assert len(list(enumerate_exprs(7))) == 16_014
+    assert len(calls) <= 45_000
 
 
 def test_known_members():

@@ -11,7 +11,7 @@ from bigstop.bigstop import (
     annihilator_derivation, annihilator_eval, bigstop_eval, check_derivation, ec_bigstop_eval,
 )
 from bigstop.harness import enumerate_exprs
-from bigstop.kmachine import compile as k_compile, k_run
+from bigstop.kmachine import compile as k_compile, k_run, show_state
 from bigstop.mnf import mnf_bigstop_eval, mnf_multi_step, to_mnf
 from bigstop.smallstep import multi_step, step_trace
 from bigstop.syntax import (
@@ -453,6 +453,20 @@ def test_walkers_handle_terms_deeper_than_the_recursion_limit(at_recursion_limit
         "nest_alpha": True,
         "nest_alpha_not": False,
     }
+
+
+def test_a_numeral_prints_in_one_loop(at_recursion_limit_1000):
+    # under pytest at the package's limit of 100,000, a printer that recursed
+    # once per successor crashed the interpreter on this machine state
+    n = 10**5
+    got = at_recursion_limit_1000(
+        text=lambda: print_expr(numeral(n)),
+        state=lambda: show_state(k_compile(numeral(n))),
+        over_var=lambda: print_expr(Succ(Succ(App(Var("f"), Var("x"))))),
+    )
+    assert got["text"] == "s(" * n + "z" + ")" * n
+    assert got["state"].endswith(" " + got["text"])
+    assert got["over_var"] == "s(s(f x))"
 
 
 ### the let-free fragment checker
