@@ -14,7 +14,9 @@ too deep for the interpreter's recursion limit, or a derivation that
 `pcf check` rejects, 2 usage or parse error (a program nested too deeply to
 parse included), a program file that cannot be read as UTF-8 text, a
 --derivation file that cannot be written, or a `pcf check` file that cannot
-be read or is not a derivation file, 3 property-suite failure.
+be read or is not a derivation file, 3 property-suite failure, 141 stdout
+closed before the output was written (the code a shell reports for a
+process that SIGPIPE ends; nothing is printed).
 `python -m bigstop` takes the same arguments as the dispatcher:
 `python -m bigstop pcf run -e z`.
 """
@@ -45,6 +47,7 @@ from .traces import format_trace
 from .typecheck import TypeFailure, infer_type, print_type
 
 OK, EVAL_ERROR, USAGE_ERROR, SUITE_FAILED = 0, 1, 2, 3
+STDOUT_CLOSED = 141
 
 
 def _err(msg: str) -> None:
@@ -110,6 +113,18 @@ _FAILURES = {
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
+        code = _dispatch(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what is left goes to devnull, so the flush at
+        # exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return STDOUT_CLOSED
+
+
+def _dispatch(argv) -> int:
+    try:
         if not argv:
             raise _Usage("usage: {pcf|imp|fuzz} ...")
         command = _COMMANDS.get(argv[0])
@@ -154,7 +169,8 @@ def _pcf(args) -> int:
 
     run = sub.add_parser("run")
     run.add_argument("--sem", choices=_PCF_SEMS, default="bigstop")
-    run.add_argument("--budget", type=_at_least(0), default=256)
+    run.add_argument("--budget", type=_at_least(0), default=256,
+                     help="contractions to run; machine transitions under --sem kmachine")
     run.add_argument("--trace", action="store_true", help="print the trajectory")
     run.add_argument("--derivation", metavar="FILE", default=None)
     run.add_argument("-e", action="store_true", dest="literal",
@@ -282,7 +298,7 @@ def _imp(args) -> int:
     sub = p.add_subparsers(dest="cmd", required=True)
     run = sub.add_parser("run")
     run.add_argument("--sem", choices=_IMP_SEMS, default="bigstop")
-    run.add_argument("--budget", type=_at_least(0), default=256)
+    run.add_argument("--budget", type=_at_least(0), default=256, help="steps to run")
     run.add_argument("--init", default="", metavar="x=v,...")
     run.add_argument("-e", action="store_true", dest="literal")
     run.add_argument("program")
@@ -320,7 +336,10 @@ def _fuzz(args) -> int:
     p = _Parser(prog="fuzz")
     p.add_argument("--suite", required=True)
     p.add_argument("--trials", type=_at_least(1), default=None)
-    p.add_argument("--max-size", type=_at_least(1), default=GenConfig.max_size)
+    p.add_argument("--max-size", type=_at_least(1), default=GenConfig.max_size,
+                   help="largest program in nodes; generated pcf terms take it as given, "
+                   "the enumerated pcf suites cap it at 7 and the imp suite's enumeration "
+                   "at 6, so --max-size 8 enumerates size 7")
     p.add_argument("--max-budget", type=_at_least(0), default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")

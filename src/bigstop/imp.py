@@ -88,10 +88,21 @@ class ImpConfig:
     state: tuple  # sorted (name, value) pairs
 
 
+_STORES: dict = {}  # every initial store of exact ints a caller asked for, once
+
+
 def make_state(bindings=()) -> tuple:
+    """The canonical store of bindings: (name, value) pairs sorted by name.
+    Equal stores whose values are all exact ints are one object, so a pool
+    of programs that start from one store holds that store once, not once
+    per program.  Other stores are built fresh: True and 1.0 compare and
+    hash equal to 1 but print differently, so they must not share."""
     if isinstance(bindings, dict):
         bindings = bindings.items()
-    return tuple(sorted(dict(bindings).items()))
+    st = tuple(sorted(dict(bindings).items()))
+    if all(type(v) is int for _, v in st):
+        return _STORES.setdefault(st, st)
+    return st
 
 
 def state_get(state: tuple, name: str) -> int:

@@ -258,6 +258,22 @@ def test_python_dash_m_runs_the_dispatcher():
         assert (r.returncode, r.stdout) == (0, "s(z) | a\n"), (module, r.stderr)
 
 
+def test_a_closed_stdout_exits_with_its_code_and_no_traceback():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run(
+            [sys.executable, "-m", "bigstop", "pcf", "run", "-e", "z"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert r.returncode == cli.STDOUT_CLOSED == 141
+    assert "Traceback" not in r.stderr
+
+
 def _documented_command_lines():
     """README's "Command line" block, then the cli docstring's examples,
     as (line, answer): answer is the README comment when the line's
@@ -314,6 +330,15 @@ def test_a_budget_that_is_no_integer_is_a_usage_error(capsys):
     code, out, err = run(capsys, "pcf", "run", "--budget", "two", "-e", "z")
     assert (code, out) == (2, "")
     assert err == "error: argument --budget: expected an integer >= 0, got 'two'\n"
+
+
+def test_budget_help_says_what_it_counts(capsys):
+    code, out, _ = run(capsys, "pcf", "run", "--help")
+    assert code == 0
+    assert "contractions" in out and "transitions" in out
+    code, out, _ = run(capsys, "imp", "run", "--help")
+    assert code == 0
+    assert "steps" in out
 
 
 def test_negative_multi_budget_is_a_usage_error(capsys):

@@ -18,6 +18,7 @@ from bigstop import (
     Sub,
     aeval,
     config,
+    enumerate_stmts,
     imp_bigstep,
     imp_bigstop,
     imp_bigstop_freeze,
@@ -74,6 +75,38 @@ BDF = make_state({"b": 1, "d": 2, "f": 3})
 )
 def test_state_set_keeps_the_store_canonical(st, name):
     assert state_set(st, name, 7) == make_state({**dict(st), name: 7})
+
+
+def test_the_gate_pool_holds_one_store():
+    pool = [config(s, {"x": 2, "y": 0}) for s in enumerate_stmts(6)]
+    assert len(pool) == 60_662
+    assert len({id(c.state) for c in pool}) == 1
+
+
+def test_equal_stores_of_ints_are_one_object():
+    st = make_state({"y": 0, "x": 2})
+    assert st is make_state([("x", 2), ("y", 0)])
+    assert st is parse_init("x=2,y=0")
+    assert st == (("x", 2), ("y", 0))
+
+
+@pytest.mark.parametrize("other", [True, 1.0])
+def test_a_store_is_shared_only_with_values_of_the_same_type(other):
+    # other compares and hashes equal to 1, yet prints differently
+    make_state({"x": other})
+    st = make_state({"x": 1})
+    assert type(state_get(st, "x")) is int
+    assert print_config(config(Skip(), {"x": 1})) == "skip | {x=1}"
+    assert type(state_get(make_state({"x": other}), "x")) is type(other)
+
+
+def test_state_set_leaves_a_shared_store_unchanged():
+    st = make_state({"x": 2, "y": 0})
+    st2 = state_set(st, "x", 5)
+    assert st2 is not st
+    assert st == (("x", 2), ("y", 0))
+    assert make_state({"x": 2, "y": 0}) is st
+    assert st2 == (("x", 5), ("y", 0))
 
 
 ### arithmetic
