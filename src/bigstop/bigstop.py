@@ -139,18 +139,6 @@ def _nodes(d: Derivation):
         todo += d.premises
 
 
-_IDLE = frozenset({
-    "Val", "St-Stop(0)", "St-Stop(1)", "St-Stop(2)", "EC-Stop", "EC-Val", "EC-Seq",
-    "StM-Stop", "StM-Let1", "StA-Stop", "StA-Val", "StA-Succ",
-})
-
-
-def is_progressing(d: Derivation) -> bool:
-    """True iff some node performs work: one that is neither the Val side
-    condition nor a stop, value or congruence rule of its dialect."""
-    return any(n.rule not in _IDLE for n in _nodes(d))
-
-
 ### checking derivations
 #
 # Each dialect is a table from rule names to Rule entries, and one walker
@@ -377,6 +365,16 @@ _RULES = {
 }
 DIALECTS = tuple(_RULES)
 
+# the rules that contract nothing: a contraction has run premisses, no rhs and no side condition
+_IDLE = frozenset(name for rules in _RULES.values() for name, r in rules.items()
+                  if r.rhs is not None or r.side is not None or all(p.val for p in r.premises))
+
+
+def is_progressing(d: Derivation) -> bool:
+    """True iff some node contracts; a rule name that no table has counts."""
+    return any(n.rule not in _IDLE for n in _nodes(d))
+
+
 # how each dialect joins two traces; the annihilator's cut absorbs the rest
 _TRACES = {"plain": operator.add, "mnf": operator.add, "ec": operator.add, "annihilator": ann_join}
 
@@ -500,7 +498,7 @@ def _compose(d1: Derivation, d2: Derivation, log: list, mid: int) -> Derivation:
     t1, t2 = d1.trace, d2.trace
     trace = t1 if not t2 else t2 if not t1 else Span(log, mid - len(t1), mid + len(t2))
     runs1, runs2 = _runs(d1, rule1), _runs(d2, rule2)
-    if rule1.rhs is None:  # a contraction: its last run goes on into d2
+    if d1.rule not in _IDLE:  # a contraction: its last run goes on into d2
         last = _compose(runs1[-1], d2, log, mid)
         return _plain_node(d1.rule, d1.lhs, runs1[:-1] + [last], trace)
     # a congruence stop: its position runs merge with d2's first runs, and

@@ -337,9 +337,9 @@ def _fuzz(args) -> int:
     p.add_argument("--suite", required=True)
     p.add_argument("--trials", type=_at_least(1), default=None)
     p.add_argument("--max-size", type=_at_least(1), default=GenConfig.max_size,
-                   help="largest program in nodes; generated pcf terms take it as given, "
-                   "the enumerated pcf suites cap it at 7 and the imp suite's enumeration "
-                   "at 6, so --max-size 8 enumerates size 7")
+                   help="largest program in nodes: generated pcf terms take it as given, enumerated "
+                   "pcf suites cap it at 7 (so 8 enumerates size 7) and imp's enumeration at 6; "
+                   "generated imp programs ignore it and draw their own size, 1 to 12")
     p.add_argument("--max-budget", type=_at_least(0), default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")

@@ -30,7 +30,7 @@ from .bigstop import (
     is_progressing,
 )
 from .kmachine import correspondence_check
-from .mnf import let_erase, mnf_multi_step, to_mnf
+from .mnf import let_erase, mnf_small_step, to_mnf
 from .record import record
 from .smallstep import RunStatus, multi_step, small_step, step_trace
 from .syntax import (
@@ -39,17 +39,17 @@ from .syntax import (
     Eff,
     Expr,
     Lam,
+    Let,
     Succ,
     Var,
     Zero,
     alpha_eq,
-    expr_size,
     is_value,
     print_expr,
     rebuild,
     scoped_children,
 )
-from .traces import format_trace
+from .traces import AnnTrace, format_trace
 from .typecheck import ArrowT, MetaT, NatT, principal_type, types_unifiable, well_typed
 
 ### generation
@@ -669,45 +669,46 @@ def _kmachine_mismatch(e, b):
     return (f"machine equal to the step relation at every contraction up to {b}", r.detail)
 
 
-def _annihilator_mismatch(e, max_budget):
-    # a is reachable by multi-step  <=>  a0 (or a full converged a) is the
-    # trace of some annihilator run; both sides swept over the same budgets
-    lhs = set()
-    for b in range(max_budget + 1):
-        _, t = annihilator_eval(e, b)
-        lhs.add(t.prefix)
-    rhs = {multi_step(e, b).trace for b in range(max_budget + 1)}
-    if lhs == rhs:
+def _annihilator_mismatch(e, b):
+    # multi_step(e, b)'s labels, a cut exactly when it reached no value, else its value
+    m = multi_step(e, b)
+    v, t = annihilator_eval(e, b)
+    done = m.status == RunStatus.REACHED_VALUE
+    if t.prefix == m.trace and t.annihilated != done and (not done or v == m.final):
         return None
-    def fmt(ts):
-        return "{" + ", ".join(sorted(format_trace(t) for t in ts)) + "}"
-    return (f"multi prefixes {fmt(rhs)}", f"annihilator traces {fmt(lhs)}")
+    return (f"{print_expr(m.final) if done else 'any value'} | {AnnTrace(m.trace, not done)}",
+            f"{print_expr(v)} | {t}")
+
+
+def _administrative(m):
+    # mnf_small_step would take its Let branch: a let that binds a value
+    while type(m) is Let and not is_value(m.bound):
+        m = m.bound
+    return type(m) is Let
 
 
 def _mnf_mismatch(e, fuel):
+    """e and its MNF image in step for up to fuel contractions; before each
+    one the image takes its administrative steps, which are not counted."""
     m = to_mnf(e)
     if not alpha_eq(let_erase(m), e):
         return ("let-erasure inverts the translation", print_expr(let_erase(m)))
-    direct = multi_step(e, fuel)
-    if direct.status == RunStatus.REACHED_VALUE:
-        # enough extra budget to pay for every let it could ever bind
-        wide = (fuel + 1) * (expr_size(m) + 2)
-        via = mnf_multi_step(m, wide)
-        if via.status != RunStatus.REACHED_VALUE:
-            return (f"convergence like the direct engine ({direct.status.value})",
-                    f"translated run: {via.status.value}")
-        if not alpha_eq(let_erase(via.final), direct.final):
-            return (print_expr(direct.final), print_expr(let_erase(via.final)))
-        if via.trace != direct.trace:
-            return (format_trace(direct.trace), format_trace(via.trace))
-    else:
-        via = mnf_multi_step(m, fuel)
-        if via.status == RunStatus.REACHED_VALUE:
-            return (f"no value within {fuel} (direct engine ran out)",
-                    f"translated run finished: {print_expr(via.final)}")
-        a, b = direct.trace, via.trace
-        if a[: len(b)] != b and b[: len(a)] != a:
-            return (f"trace prefix agreement with {format_trace(a)}", format_trace(b))
+    n = 0
+    while n < fuel:
+        while _administrative(m):
+            r = mnf_small_step(m)
+            if r is None:
+                return (f"an administrative step before contraction {n + 1}", f"none from {print_expr(m)}")
+            m = r.expr
+        direct, via = small_step(e), mnf_small_step(m)
+        if direct is None and via is None:
+            break
+        if direct is None or via is None or direct.trace != via.trace:
+            return tuple(f"contraction {n + 1}: {'none' if s is None else format_trace(s.trace)}"
+                         for s in (direct, via))
+        e, m, n = direct.expr, via.expr, n + 1
+    if not alpha_eq(let_erase(m), e):
+        return (f"after {n} contractions: {print_expr(e)}", print_expr(let_erase(m)))
     return None
 
 
@@ -756,7 +757,7 @@ _SUITES = {
             ((e, b) for e in _divergers() for b in range(max(mb, _CONVERGENCE_FUEL) + 1))),
         _kmachine_mismatch, shrink_expr),
     "annihilator": lambda cfg, trials, mb: (
-        _enum_cases(cfg, (mb,)), _annihilator_mismatch, shrink_expr),
+        _enum_cases(cfg, range(mb + 1)), _annihilator_mismatch, shrink_expr),
     "ec": lambda cfg, trials, mb: (
         _enum_cases(cfg, range(mb + 1)), _multi_mismatch(ec_bigstop_eval), shrink_expr),
     "mnf": lambda cfg, trials, mb: (

@@ -34,7 +34,7 @@ from bigstop import (
     suite_names,
     well_typed,
 )
-from bigstop.harness import _enum, gen_imp_config, gen_stmt, shrink_expr, shrink_stmt
+from bigstop.harness import _administrative, _enum, gen_imp_config, gen_stmt, shrink_expr, shrink_stmt
 
 
 def walk(x):
@@ -371,6 +371,11 @@ def _drop_last_label(r, _):
     return dataclasses.replace(r, trace=tuple(r.trace)[:-1])
 
 
+def _silent(step):
+    # a stepper that emits nothing
+    return lambda e: (r := step(e)) and dataclasses.replace(r, trace=())
+
+
 def _ends_at_the_identity(trajectory, _):
     # the last point of a longer run turns into a function
     if len(trajectory) < 2:
@@ -402,7 +407,7 @@ WRONG_ENGINES = {
     # 37 is a budget only the divergers' sweep reaches
     "kmachine-divergent": ("kmachine", "bigstop.bigstop", "bigstop_eval", _wrong(
         lambda r, e: replace(r, stopped=Zero()), at=37), SMALL),
-    "mnf": ("mnf", "bigstop.harness", "mnf_multi_step", _wrong(_drop_last_label), SMALL_GEN),
+    "mnf": ("mnf", "bigstop.harness", "mnf_small_step", _silent, SMALL_GEN),
     "progress-preservation": ("progress-preservation", "bigstop.harness", "step_trace", _wrong(
         _ends_at_the_identity), SMALL_GEN),
     "stop-multi": ("stop-multi", "bigstop.harness", "bigstop_eval", _wrong(
@@ -422,3 +427,50 @@ def test_a_wrong_engine_fails_its_suite(monkeypatch, comparison):
     module = importlib.import_module(module)
     monkeypatch.setattr(module, name, make_wrong(getattr(module, name)))
     assert run_property_suite(suite, **scale).ok is False
+
+
+def _fold_administrative(step):
+    # an MNF stepper that takes each administrative let and the step after it as one
+    def fold(e):
+        r = step(e)
+        return (step(r.expr) or r) if r is not None and _administrative(e) else r
+
+    return fold
+
+
+def _one_step_late(step):
+    # an MNF stepper that emits each step's labels on the step after it
+    late = [()]
+
+    def delay(e):
+        r = step(e)
+        if r is None:
+            return None
+        out, late[0] = late[0], r.trace
+        return dataclasses.replace(r, trace=out)
+
+    return delay
+
+
+# engines wrong in ways only an exact comparison per case sees:
+# name -> (suite, engine the suite compares, how it goes wrong, scale)
+SABOTAGED = {
+    "annihilator-cut-flipped": ("annihilator", "annihilator_eval", _wrong(
+        lambda r, e: (r[0], replace(r[1], annihilated=not r[1].annihilated))), SMALL),
+    "annihilator-value-z": ("annihilator", "annihilator_eval", _wrong(
+        lambda r, e: (Zero(), r[1])), SMALL),
+    "mnf-folds-administrative-lets": ("mnf", "mnf_small_step", _fold_administrative, SMALL_GEN),
+    "mnf-labels-one-step-late": ("mnf", "mnf_small_step", _one_step_late, SMALL_GEN),
+}
+
+
+@pytest.mark.parametrize("sabotage", sorted(SABOTAGED))
+def test_a_sabotaged_engine_fails_at_a_named_point(monkeypatch, sabotage):
+    suite, name, make_wrong, scale = SABOTAGED[sabotage]
+    harness = importlib.import_module("bigstop.harness")
+    monkeypatch.setattr(harness, name, make_wrong(getattr(harness, name)))
+    rep = run_property_suite(suite, **scale)
+    assert not rep.ok
+    for f in rep.failures:
+        # an annihilator case is one budget; an MNF report names the contraction
+        assert suite == "annihilator" or "contraction" in f.expected, f

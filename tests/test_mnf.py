@@ -176,6 +176,21 @@ def test_bigstop_tracks_multi_exactly():
         assert check_derivation(r.derivation, dialect="mnf") is None
 
 
+def test_bigstop_tracks_multi_on_the_enumeration():
+    # 2,883 terms at budgets 0-10: the MNF tree engine stops where the MNF
+    # stepper does, with its trace, and its tree checks
+    cases = 0
+    for e in enumerate_exprs(6):
+        m = to_mnf(e)
+        for budget in range(11):
+            r = mnf_bigstop_eval(m, budget)
+            want = mnf_multi_step(m, budget)
+            assert (r.stopped, r.trace) == (want.final, want.trace), (print_expr(m), budget)
+            assert check_derivation(r.derivation, "mnf") is None, (print_expr(m), budget)
+            cases += 1
+    assert cases == 31_713
+
+
 ### the translation preserves behaviour
 
 def test_traces_survive_translation():

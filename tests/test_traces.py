@@ -2,6 +2,15 @@ from functools import reduce
 
 import pytest
 
+from bigstop import (
+    Eff,
+    Zero,
+    bigstop_eval,
+    derivation_from_json,
+    derivation_to_json_str,
+    parse_expr,
+    print_expr,
+)
 from bigstop.traces import (
     AnnTrace,
     BadLabel,
@@ -31,6 +40,22 @@ def test_labels_cannot_be_zero_or_empty():
     with pytest.raises(BadLabel):
         check_label("a·b")
     check_label("alloc")  # fine
+
+
+@pytest.mark.parametrize("label", ["a b", "x]"])
+def test_labels_the_parser_cannot_read_back_are_refused(label):
+    with pytest.raises(BadLabel):
+        check_label(label)
+    with pytest.raises(BadLabel):
+        Eff(label, Zero())
+
+
+@pytest.mark.parametrize("label", ["a'_1", "é", "1"])
+def test_every_identifier_is_a_label_that_round_trips(label):
+    e = Eff(label, Eff(label, Zero()))
+    assert parse_expr(print_expr(e)) == e
+    d = bigstop_eval(e, 1).derivation
+    assert derivation_from_json(derivation_to_json_str(d)) == d
 
 
 def test_annihilated_trace_prints_trailing_zero():
