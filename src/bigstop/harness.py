@@ -30,7 +30,7 @@ from .bigstop import (
     is_progressing,
 )
 from .kmachine import correspondence_check
-from .mnf import let_erase, mnf_small_step, to_mnf
+from .mnf import _spine, let_erase, mnf_small_step, to_mnf
 from .record import record
 from .smallstep import RunStatus, multi_step, small_step, step_trace
 from .syntax import (
@@ -44,6 +44,7 @@ from .syntax import (
     Var,
     Zero,
     alpha_eq,
+    expr_size,
     is_value,
     print_expr,
     rebuild,
@@ -680,25 +681,21 @@ def _annihilator_mismatch(e, b):
             f"{print_expr(v)} | {t}")
 
 
-def _administrative(m):
-    # mnf_small_step would take its Let branch: a let that binds a value
-    while type(m) is Let and not is_value(m.bound):
-        m = m.bound
-    return type(m) is Let
-
-
 def _mnf_mismatch(e, fuel):
     """e and its MNF image in step for up to fuel contractions; before each
-    one the image takes its administrative steps, which are not counted."""
+    one the image takes its silent administrative steps, uncounted but fewer
+    than its nodes (each removes a let outside every fun)."""
     m = to_mnf(e)
     if not alpha_eq(let_erase(m), e):
         return ("let-erasure inverts the translation", print_expr(let_erase(m)))
     n = 0
     while n < fuel:
-        while _administrative(m):
-            r = mnf_small_step(m)
-            if r is None:
-                return (f"an administrative step before contraction {n + 1}", f"none from {print_expr(m)}")
+        k = expr_size(m)
+        while type(_spine(m)[1]) is Let:
+            r, k = mnf_small_step(m), k - 1
+            if r is None or r.trace or k < 0:
+                return (f"silent administrative steps before contraction {n + 1}, at most one per node",
+                        f"{'none' if r is None else format_trace(r.trace)} from {print_expr(m)}")
             m = r.expr
         direct, via = small_step(e), mnf_small_step(m)
         if direct is None and via is None:

@@ -138,14 +138,21 @@ def _rename(e: Expr, old: str, new: str) -> Expr:
 ### engines
 
 
-def mnf_small_step(e: Expr):
-    """One MNF step, or None for values and stuck terms.  The step is taken
-    inside every let whose bound is no value, and those lets are rebuilt
-    around its result."""
+def _spine(e: Expr):
+    # the lets whose bound is no value, outermost first, and the term under
+    # them; an MNF step there is administrative when that term is a let
     lets = []
     while type(e) is Let and not is_value(e.bound):
         lets.append(e)
         e = e.bound
+    return lets, e
+
+
+def mnf_small_step(e: Expr):
+    """One MNF step, or None for values and stuck terms.  The step is taken
+    inside every let whose bound is no value, and those lets are rebuilt
+    around its result."""
+    lets, e = _spine(e)
     c = type(e)
     if c is Let:
         e, tr = subst(e.body, {e.var: e.bound}), ()
@@ -190,9 +197,7 @@ def _mstop(e: Expr, b: Budget, log: list) -> Derivation:
         p1 = _mstop(e.bound, b, log)
         v1 = p1.rhs
         if not is_value(v1) or b.remaining == 0:
-            return Derivation(
-                "StM-Let1", e, Let(x, v1, body), p1.trace, (p1,)
-            )
+            return Derivation("StM-Let1", e, Let(x, v1, body), p1.trace, (p1,))
         b.spend()
         pb = _mstop(subst(body, {x: v1}), b, log)
         return Derivation(
@@ -221,7 +226,5 @@ def _mstop(e: Expr, b: Budget, log: list) -> Derivation:
             b.spend()
             w = sc.body
             pb = _mstop(subst(e.succ_branch, {e.succ_var: w}), b, log)
-            return Derivation(
-                "StM-CaseS", e, pb.rhs, pb.trace, (val_leaf(w), pb)
-            )
+            return Derivation("StM-CaseS", e, pb.rhs, pb.trace, (val_leaf(w), pb))
     raise StuckError(e)

@@ -22,8 +22,8 @@ class BadLabel(Exception):
 
 
 def check_label(label: str) -> str:
-    # one identifier to the parser, [\w']+: isalnum is \w without _ (the common, cheap case)
-    if label == ANNIHILATOR or not (label.isalnum() or label.replace("_", "a").replace("'", "a").isalnum()):
+    # one identifier to the parser, [\w']+ (isalnum is \w without _)
+    if label == ANNIHILATOR or not label.replace("_", "a").replace("'", "a").isalnum():
         raise BadLabel(f"illegal effect label {label!r}")
     return label
 

@@ -16,6 +16,7 @@ from bigstop import (
     ImpConfig,
     ImpFuelExhausted,
     Lam,
+    Let,
     Value,
     Var,
     While,
@@ -34,7 +35,8 @@ from bigstop import (
     suite_names,
     well_typed,
 )
-from bigstop.harness import _administrative, _enum, gen_imp_config, gen_stmt, shrink_expr, shrink_stmt
+from bigstop.harness import _enum, gen_imp_config, gen_stmt, shrink_expr, shrink_stmt
+from bigstop.mnf import _spine
 
 
 def walk(x):
@@ -429,6 +431,10 @@ def test_a_wrong_engine_fails_its_suite(monkeypatch, comparison):
     assert run_property_suite(suite, **scale).ok is False
 
 
+def _administrative(e):
+    return type(_spine(e)[1]) is Let
+
+
 def _fold_administrative(step):
     # an MNF stepper that takes each administrative let and the step after it as one
     def fold(e):
@@ -436,6 +442,14 @@ def _fold_administrative(step):
         return (step(r.expr) or r) if r is not None and _administrative(e) else r
 
     return fold
+
+
+def _at_administrative_lets(change):
+    # an MNF stepper that changes each administrative step's result
+    def make(step):
+        return lambda e: change(step(e), e) if _administrative(e) else step(e)
+
+    return make
 
 
 def _one_step_late(step):
@@ -461,6 +475,10 @@ SABOTAGED = {
         lambda r, e: (Zero(), r[1])), SMALL),
     "mnf-folds-administrative-lets": ("mnf", "mnf_small_step", _fold_administrative, SMALL_GEN),
     "mnf-labels-one-step-late": ("mnf", "mnf_small_step", _one_step_late, SMALL_GEN),
+    "mnf-labels-administrative-lets": ("mnf", "mnf_small_step", _at_administrative_lets(
+        lambda r, e: replace(r, trace=("let",))), SMALL_GEN),
+    "mnf-administrative-let-unchanged": ("mnf", "mnf_small_step", _at_administrative_lets(
+        lambda r, e: replace(r, expr=e)), SMALL_GEN),
 }
 
 

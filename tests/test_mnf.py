@@ -167,20 +167,12 @@ def test_bigstop_budget_zero_stops():
 
 
 def test_bigstop_tracks_multi_exactly():
-    e = to_mnf(parse_expr("eff[a] ((fun f(x) => eff[b] s(x)) (eff[c] z))"))
-    for budget in range(8):
-        r = mnf_bigstop_eval(e, budget)
-        m = mnf_multi_step(e, budget)
-        assert r.stopped == m.final
-        assert r.trace == m.trace
-        assert check_derivation(r.derivation, dialect="mnf") is None
-
-
-def test_bigstop_tracks_multi_on_the_enumeration():
-    # 2,883 terms at budgets 0-10: the MNF tree engine stops where the MNF
-    # stepper does, with its trace, and its tree checks
+    # every term of enumerate_exprs(6), and one with labels in three places,
+    # at budgets 0-10: the MNF tree engine stops where the MNF stepper does,
+    # with its trace, and its tree checks
+    terms = [*enumerate_exprs(6), parse_expr("eff[a] ((fun f(x) => eff[b] s(x)) (eff[c] z))")]
     cases = 0
-    for e in enumerate_exprs(6):
+    for e in terms:
         m = to_mnf(e)
         for budget in range(11):
             r = mnf_bigstop_eval(m, budget)
@@ -188,7 +180,7 @@ def test_bigstop_tracks_multi_on_the_enumeration():
             assert (r.stopped, r.trace) == (want.final, want.trace), (print_expr(m), budget)
             assert check_derivation(r.derivation, "mnf") is None, (print_expr(m), budget)
             cases += 1
-    assert cases == 31_713
+    assert cases == 31_724
 
 
 ### the translation preserves behaviour
