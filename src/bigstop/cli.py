@@ -100,7 +100,6 @@ def _at_least(least: int):
 _FAILURES = {
     _Usage: (USAGE_ERROR, ""),
     ParseError: (USAGE_ERROR, "parse: "),
-    imp.ImpParseError: (USAGE_ERROR, "parse: "),
     DerivationFormatError: (USAGE_ERROR, ""),
     TypeFailure: (EVAL_ERROR, "type: "),
     StuckError: (EVAL_ERROR, ""),

@@ -8,10 +8,11 @@ comparison that returns a mismatch, and a shrinker or None; one loop in
 run_property_suite counts the cases and shrinks and reports the first five
 that fail.  One greedy shrinker replaces subterms with z (or sub-statements
 with skip) while the failure persists.  A suite is the only statement of its
-comparison, and each guarantee has one suite: `kmachine` runs the
-terminating pool and then the divergers at every budget, and `imp` runs
-multi-step once per case and holds big-stop, big-step and freeze to it.  The
-acceptance gate runs each suite at full scale and pins its count.
+comparison, and each guarantee has one suite: `kmachine` runs every
+enumerated and corpus term at fuel 64 and then the divergers at every
+budget, and `imp` runs multi-step once per case and holds big-stop,
+big-step and freeze to it.  The acceptance gate runs each suite at full
+scale and pins its count.
 """
 
 import itertools
@@ -277,8 +278,6 @@ def corpus():
         ("alloc-unbounded", unbounded),
         # allocates exactly one cell on any input, then loops or finishes
         ("alloc-bounded", bounded),
-        ("imp-countdown", imp.config(imp.parse_stmt("while x do { x := x - 1 }"), {"x": 2})),
-        ("imp-loop", imp.config(imp.parse_stmt("while 1 do { skip }"))),
     )
 
 
@@ -294,8 +293,8 @@ def corpus_term(name: str):
 
 @record
 class Failure:
-    term: object  # Expr, Stmt, or ImpConfig
-    budget: object  # int or None
+    term: object  # Expr or ImpConfig
+    budget: int
     expected: str
     actual: str
 
@@ -320,8 +319,7 @@ class PropertyReport:
         ]
         for f in self.failures:
             lines.append(f"  counterexample: {_show(f.term)}")
-            if f.budget is not None:
-                lines.append(f"    budget:   {f.budget}")
+            lines.append(f"    budget:   {f.budget}")
             lines.append(f"    expected: {f.expected}")
             lines.append(f"    actual:   {f.actual}")
         return "\n".join(lines)
@@ -347,11 +345,7 @@ class PropertyReport:
 
 
 def _show(t) -> str:
-    if isinstance(t, imp.ImpConfig):
-        return imp.print_config(t)
-    if isinstance(t, imp.Stmt):
-        return imp.print_stmt(t)
-    return print_expr(t)
+    return imp.print_config(t) if isinstance(t, imp.ImpConfig) else print_expr(t)
 
 
 ### shrinking
@@ -643,16 +637,7 @@ def _derivation_violation(e, b):
     return None if v is None else ("a checkable derivation", str(v))
 
 
-_CONVERGENCE_FUEL = 64
-
-
-def _terminating_pool(cfg):
-    for e in _enum_pool(cfg):
-        if multi_step(e, _CONVERGENCE_FUEL).status == RunStatus.REACHED_VALUE:
-            yield e
-    for _, t in corpus():
-        if isinstance(t, Expr) and multi_step(t, _CONVERGENCE_FUEL).status == RunStatus.REACHED_VALUE:
-            yield t
+_MACHINE_FUEL = 64
 
 
 def _divergers():
@@ -750,8 +735,8 @@ _SUITES = {
         _derivation_violation, None),
     "kmachine": lambda cfg, trials, mb: (
         itertools.chain(
-            ((e, _CONVERGENCE_FUEL) for e in _terminating_pool(cfg)),
-            ((e, b) for e in _divergers() for b in range(max(mb, _CONVERGENCE_FUEL) + 1))),
+            ((e, _MACHINE_FUEL) for e in itertools.chain(_enum_pool(cfg), (t for _, t in corpus()))),
+            ((e, b) for e in _divergers() for b in range(max(mb, _MACHINE_FUEL) + 1))),
         _kmachine_mismatch, shrink_expr),
     "annihilator": lambda cfg, trials, mb: (
         _enum_cases(cfg, range(mb + 1)), _annihilator_mismatch, shrink_expr),

@@ -13,6 +13,7 @@ import re
 
 from .budget import Budget, BudgetExhausted, check_budget
 from .record import record
+from .syntax import ParseError, _Cursor
 
 ### syntax
 
@@ -353,68 +354,40 @@ def _fstop(s: Stmt, st: tuple, b: Budget):
 ### concrete syntax
 
 
-class ImpParseError(Exception):
+class ImpParseError(ParseError):
     pass
 
 
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _KEYWORDS = {"skip", "if", "then", "while", "do"}
+
+# punctuation (= and , for stores), a number, a name, anything else; a program
+# adds blanks, comments and line breaks, a store blanks, line breaks and signed integers
+_LEXEMES = r"(?P<punct>:=|[();{}+\-*=,])|(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>.)"
+_TOKEN = re.compile(r"[^\S\n]+|(?P<comment>--.*)|(?P<nl>\n)|" + _LEXEMES)
+_STORE_TOKEN = re.compile(r"[^\S\n]+|(?P<nl>\n)|(?P<int>-?\d+)|" + _LEXEMES)
 
 
 def _is_name(t) -> bool:
-    """Whether token or text t is a name a program can assign and read."""
-    return t is not None and re.fullmatch(_NAME, t) is not None and t not in _KEYWORDS
+    """Whether token t is a name a program can assign and read."""
+    return t.kind == "name" and t.text not in _KEYWORDS
 
 
-def _imp_tokens(src: str):
-    """(text, line, column) for each token, then (None, line, column) where
-    the input ends: at its end, or where a comment that closes it begins."""
-    toks = []
-    spec = rf"(:=|[();{{}}+\-*]|\d+|{_NAME}|\S)"
-    for line, raw in enumerate(src.split("\n"), 1):
-        body = raw.split("--", 1)[0]
-        for m in re.finditer(spec, body):
-            toks.append((m.group(0), line, m.start() + 1))
-    toks.append((None, line, len(body) + 1))
-    return toks
-
-
-class _ImpParser:
-    def __init__(self, src: str):
-        self.toks = _imp_tokens(src)
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos][0]
-
-    def next(self):
-        t = self.peek()
-        self.pos += 1
-        return t
-
-    def fail(self, want: str):
-        text, line, col = self.toks[self.pos]
-        found = "end of input" if text is None else repr(text)
-        raise ImpParseError(f"{line}:{col}: expected {want}, found {found}")
-
-    def expect(self, text):
-        if self.peek() != text:
-            self.fail(repr(text))
-        self.pos += 1
+class _ImpParser(_Cursor):
+    error = ImpParseError
 
     def stmt(self) -> Stmt:
         s = self.simple()
-        while self.peek() == ";":
+        while self.peek().text == ";":
             self.next()
             s = SeqS(s, self.simple())
         return s
 
     def simple(self) -> Stmt:
         t = self.peek()
-        if t == "skip":
+        if t.text == "skip":
             self.next()
             return Skip()
-        if t == "if":
+        if t.text == "if":
             self.next()
             guard = self.aexpr()
             self.expect("then")
@@ -422,7 +395,7 @@ class _ImpParser:
             body = self.stmt()
             self.expect("}")
             return If(guard, body)
-        if t == "while":
+        if t.text == "while":
             self.next()
             guard = self.aexpr()
             self.expect("do")
@@ -431,66 +404,63 @@ class _ImpParser:
             self.expect("}")
             return While(guard, body)
         if _is_name(t):
-            name = self.next()
+            name = self.next().text
             self.expect(":=")
             return Assign(name, self.aexpr())
         self.fail("a statement")
 
     def aexpr(self) -> AExpr:
         e = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.next()
+        while self.peek().text in ("+", "-"):
+            op = self.next().text
             r = self.term()
             e = Add(e, r) if op == "+" else Sub(e, r)
         return e
 
     def term(self) -> AExpr:
         e = self.factor()
-        while self.peek() == "*":
+        while self.peek().text == "*":
             self.next()
             e = Mul(e, self.factor())
         return e
 
     def factor(self) -> AExpr:
         t = self.peek()
-        if t == "(":
+        if t.text == "(":
             self.next()
             e = self.aexpr()
             self.expect(")")
             return e
-        if t is not None and t.isdigit():
-            return Lit(int(self.next()))
+        if t.kind == "num":
+            return Lit(int(self.next().text))
         if _is_name(t):
-            return Ref(self.next())
+            return Ref(self.next().text)
         self.fail("an expression")
 
 
 def parse_stmt(src: str) -> Stmt:
-    p = _ImpParser(src)
-    s = p.stmt()
-    if p.peek() is not None:
-        p.fail("end of input")
-    return s
+    p = _ImpParser(src, _TOKEN)
+    return p.whole(p.stmt)
 
 
 def parse_init(text: str) -> tuple:
-    """Parse an initial store given as x=2,y=0.  Each name must be one a
-    program can refer to, and no name may be bound twice."""
+    """Parse an initial store given as x=2,y=-1: comma-separated bindings
+    of a name a program can refer to, each bound once, to an integer."""
+    p = _ImpParser(text, _STORE_TOKEN)
     bindings = {}
-    text = text.strip()
-    if text:
-        for part in text.split(","):
-            if "=" not in part:
-                raise ImpParseError(f"bad binding {part!r}, want name=value")
-            name, value = (side.strip() for side in part.split("=", 1))
-            if not _is_name(name):
-                raise ImpParseError(f"bad name {name!r} in binding {part!r}")
-            if name in bindings:
-                raise ImpParseError(f"{name!r} is bound twice")
-            try:
-                bindings[name] = int(value)
-            except ValueError:
-                raise ImpParseError(f"bad value {value!r} in binding {part!r}") from None
+    while p.peek().kind != "eof":
+        if bindings:
+            p.expect(",")
+        t = p.peek()
+        if not _is_name(t):
+            p.fail("a name")
+        if t.text in bindings:
+            raise ImpParseError(f"{t.text!r} is bound twice", t.line, t.col)
+        p.next()
+        p.expect("=")
+        if p.peek().kind != "int":
+            p.fail("an integer")
+        bindings[t.text] = int(p.next().text)
     return make_state(bindings)
 
 
@@ -523,8 +493,13 @@ def print_stmt(s: Stmt) -> str:
             return "skip"
         case Assign(x, a):
             return f"{x} := {print_aexpr(a)}"
-        case SeqS(s1, s2):
-            return f"{print_stmt(s1)} ; {print_stmt(s2)}"
+        case SeqS():
+            # `;` nests to the left: a long program's spine prints in one loop
+            rest = []
+            while type(s) is SeqS:
+                rest.append(s.second)
+                s = s.first
+            return " ; ".join(map(print_stmt, [s, *reversed(rest)]))
         case If(a, body):
             return f"if {print_aexpr(a)} then {{ {print_stmt(body)} }}"
         case While(a, body):

@@ -350,36 +350,39 @@ class ParseError(Exception):
 
 @record
 class _Tok:
-    kind: str  # 'punct' | 'ident' | 'eof'
+    kind: str  # the name of the token pattern's group it matched, or 'eof'
     text: str
     line: int
     col: int
 
 
-# blanks, a comment, a line break, punctuation, an identifier, anything else
-_TOKEN = re.compile(r"[ \t\r]+|(?P<comment>--.*)|(?P<nl>\n)|(?P<punct>=>|[(){}\[\]|=])|(?P<ident>[\w']+)|(?P<bad>.)")
-
-
-def _tokenize(src: str):
+def _tokenize(src: str, pattern, error) -> list:
+    """Each match of a named group of pattern but `comment`, `nl` and `bad`,
+    then 'eof' at the end of src or where a comment that closes it begins."""
     toks = []
     line, bol, m = 1, 0, None  # bol: where the current line begins
-    for m in _TOKEN.finditer(src):
+    for m in pattern.finditer(src):
         kind = m.lastgroup
-        if kind == "punct" or kind == "ident":
-            toks.append(_Tok(kind, m.group(), line, m.start() - bol + 1))
-        elif kind == "nl":
+        if kind is None or kind == "comment":
+            continue
+        if kind == "nl":
             line, bol = line + 1, m.end()
         elif kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", line, m.start() - bol + 1)
-    # input ends at its end, or where a comment that closes it begins
+            raise error(f"unexpected character {m.group()!r}", line, m.start() - bol + 1)
+        else:
+            toks.append(_Tok(kind, m.group(), line, m.start() - bol + 1))
     end = m.start() if m is not None and m.lastgroup == "comment" else len(src)
     toks.append(_Tok("eof", "", line, end - bol + 1))
     return toks
 
 
-class _Parser:
-    def __init__(self, src: str):
-        self.toks = _tokenize(src)
+class _Cursor:
+    """Reads the tokens of one text front to back; a grammar subclasses it."""
+
+    error = ParseError
+
+    def __init__(self, src: str, pattern):
+        self.toks = _tokenize(src, pattern, self.error)
         self.pos = 0
 
     def peek(self) -> _Tok:
@@ -390,28 +393,32 @@ class _Parser:
         self.pos += 1
         return t
 
-    def err(self, msg: str):
+    def fail(self, want: str):
         t = self.peek()
-        raise ParseError(msg, t.line, t.col)
+        found = "end of input" if t.kind == "eof" else repr(t.text)
+        raise self.error(f"expected {want}, found {found}", t.line, t.col)
 
     def expect(self, text: str) -> _Tok:
-        t = self.peek()
-        if t.text != text or (t.kind == "eof"):
-            self.err(f"expected {text!r}, found {t.text!r}" if t.kind != "eof" else f"expected {text!r}, found end of input")
+        if self.peek().text != text:  # the end of input's text is empty
+            self.fail(repr(text))
         return self.next()
 
-    def binder(self) -> str:
-        t = self.peek()
-        if t.kind != "ident" or (t.text in KEYWORDS and t.text != "_"):
-            self.err(f"expected a binder, found {t.text!r}")
-        return self.next().text
+    def whole(self, rule):
+        out = rule()  # must read the whole text
+        if self.peek().kind != "eof":
+            self.fail("end of input")
+        return out
 
-    def ident(self) -> str:
+
+# blanks, a comment, a line break, punctuation, an identifier, anything else
+_TOKEN = re.compile(r"[ \t\r]+|(?P<comment>--.*)|(?P<nl>\n)|(?P<punct>=>|[(){}\[\]|=])|(?P<ident>[\w']+)|(?P<bad>.)")
+
+
+class _Parser(_Cursor):
+    def binder(self, want: str = "a binder") -> str:
         t = self.peek()
         if t.kind != "ident" or t.text in KEYWORDS:
-            self.err(f"expected an identifier, found {t.text!r}")
-        if t.text == BLANK:
-            self.err("the wildcard _ cannot be referenced")
+            self.fail(want)
         return self.next().text
 
     def expr(self) -> Expr:
@@ -436,11 +443,11 @@ class _Parser:
             self.expect("[")
             lab = self.peek()
             if lab.kind != "ident":
-                self.err("expected an effect label")
+                self.fail("an effect label")
             try:
                 check_label(lab.text)
             except BadLabel as bl:
-                self.err(str(bl))
+                raise ParseError(str(bl), lab.line, lab.col) from None
             self.next()
             self.expect("]")
             return Eff(lab.text, self.expr())
@@ -454,11 +461,7 @@ class _Parser:
 
     def starts_atom(self) -> bool:
         t = self.peek()
-        if t.kind == "punct":
-            return t.text == "("
-        if t.kind == "eof":
-            return False
-        return t.text not in {"fun", "eff", "let", "in"}
+        return t.text == "(" if t.kind == "punct" else t.kind == "ident" and t.text not in {"fun", "eff", "let", "in"}
 
     def atom(self) -> Expr:
         t = self.peek()
@@ -466,11 +469,20 @@ class _Parser:
             self.next()
             return Zero()
         if t.text == "s":
-            self.next()
-            self.expect("(")
-            b = self.expr()
-            self.expect(")")
-            return Succ(b)
+            # a successor chain in one loop, as a numeral may be deeper than the
+            # stack; an inner s(...) heads the application in its parent's ( )
+            opened = 0
+            while self.peek().text == "s":
+                self.next()
+                self.expect("(")
+                opened += 1
+            e = self.expr()
+            for left in range(opened - 1, -1, -1):
+                self.expect(")")
+                e = Succ(e)
+                while left and self.starts_atom():
+                    e = App(e, self.atom())
+            return e
         if t.text == "case":
             self.next()
             sc = self.expr()
@@ -493,17 +505,15 @@ class _Parser:
             self.expect(")")
             return e
         if t.kind == "ident":
-            return Var(self.ident())
-        self.err(f"expected an expression, found {t.text!r}")
+            if t.text == BLANK:
+                raise ParseError("the wildcard _ cannot be referenced", t.line, t.col)
+            return Var(self.binder("an identifier"))
+        self.fail("an expression")
 
 
 def parse_expr(src: str) -> Expr:
-    p = _Parser(src)
-    e = p.expr()
-    t = p.peek()
-    if t.kind != "eof":
-        p.err(f"trailing input starting at {t.text!r}")
-    return e
+    p = _Parser(src, _TOKEN)
+    return p.whole(p.expr)
 
 
 # hand-written, like the parser: the concrete syntax is per constructor

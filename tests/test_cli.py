@@ -216,13 +216,19 @@ def test_a_file_that_is_not_utf8_exits_two_with_one_error_line(capsys, tmp_path,
 
 
 @pytest.mark.parametrize("cmd,src", [
-    (("pcf", "run"), "s(" * 60_000 + "z" + ")" * 60_000),
+    (("pcf", "run"), "(" * 60_000 + "z" + ")" * 60_000),
     (("pcf", "typecheck"), "(" * 60_000 + "z" + ")" * 60_000),
     (("imp", "run"), "x := " + "(" * 60_000 + "1" + ")" * 60_000),
 ], ids=["pcf-run", "pcf-typecheck", "imp-run"])
 def test_programs_nested_too_deeply_to_parse_exit_two(capsys, cmd, src):
     code, out, err = run(capsys, *cmd, "-e", src)
     assert (code, out, err) == (2, "", "error: parse: program nested too deeply\n")
+
+
+def test_a_numeral_deeper_than_the_parser_nests_runs(capsys):
+    num = "s(" * 60_000 + "z" + ")" * 60_000
+    code, out, err = run(capsys, "pcf", "run", "-e", num)
+    assert (code, out == num + " | 1\n", err) == (0, True, "")
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -520,9 +526,9 @@ def test_imp_init_names_a_program_cannot_use_are_usage_errors(capsys, init):
 
 @pytest.mark.parametrize("src, at", [
     ("then := 1 ; do := 2", "1:1: expected a statement, found 'then'"),
-    ("é := 1 ; x := é", "1:1: expected a statement, found 'é'"),
+    ("é := 1 ; x := é", "1:1: unexpected character 'é'"),
     ("x := 1 ;\ny := do", "2:6: expected an expression, found 'do'"),
-    ("x := é", "1:6: expected an expression, found 'é'"),
+    ("x := é", "1:6: unexpected character 'é'"),
 ])
 def test_imp_programs_use_only_the_names_init_accepts(capsys, src, at):
     code, out, err = run(capsys, "imp", "run", "-e", src)

@@ -12,6 +12,7 @@ from bigstop import (
     ImpStatus,
     Lit,
     Mul,
+    ParseError,
     Ref,
     SeqS,
     Skip,
@@ -168,6 +169,30 @@ def test_initial_store_rejects_names_a_program_cannot_use():
     for bad in ("x y=2", "while=3", "skip=1", "=4", "x=1,x=2", "é=1", "x=abc", "x="):
         with pytest.raises(ImpParseError):
             parse_init(bad)
+
+
+@pytest.mark.parametrize("text, says", [
+    ("x=1,x=2", "1:5: 'x' is bound twice"),
+    ("x=2,\ny", "2:2: expected '=', found end of input"),
+    ("x=- 3", "1:3: expected an integer, found '-'"),   # the sign touches the digits
+    ("x=+3", "1:3: expected an integer, found '+'"),    # a literal no program can write
+    ("x=3_000", "1:4: expected ',', found '_000'"),
+    ("x=1 -- no comments", "1:5: expected ',', found '-'"),
+    ("é=1", "1:1: unexpected character 'é'"),
+])
+def test_initial_store_errors_name_the_line_and_column(text, says):
+    with pytest.raises(ParseError) as err:
+        parse_init(text)
+    assert isinstance(err.value, ImpParseError)
+    assert (str(err.value), err.value.line, err.value.col) == (says, *map(int, says.split(":")[:2]))
+
+
+def test_a_long_sequence_prints_in_one_loop(at_recursion_limit_1000):
+    # `;` nests to the left, one SeqS per statement
+    src = " ; ".join(["x := x + 1"] * 3_000)
+    prog = parse_stmt(src)
+    got = at_recursion_limit_1000(again=lambda: print_stmt(parse_stmt(print_stmt(prog))))
+    assert got["again"] == src
 
 
 ### small step

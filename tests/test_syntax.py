@@ -469,6 +469,39 @@ def test_a_numeral_prints_in_one_loop(at_recursion_limit_1000):
     assert got["over_var"] == "s(s(f x))"
 
 
+def test_a_successor_chain_parses_in_one_loop(at_recursion_limit_1000):
+    # texts, not terms, are compared: a term's == still recurses
+    n = 10_000
+    num, over_var = "s(" * n + "z" + ")" * n, "s(" * n + "x" + ")" * n
+    got = at_recursion_limit_1000(
+        num=lambda: print_expr(parse_expr(num)),
+        over_var=lambda: print_expr(parse_expr(over_var)),
+    )
+    assert got == {"num": num, "over_var": over_var}
+
+
+@pytest.mark.parametrize("src, term", [
+    # an inner s(...) heads the application inside its parent's parentheses
+    ("s(s(z) z)", Succ(App(Succ(Zero()), Zero()))),
+    ("s(s(s(z)) f) x", App(Succ(App(Succ(Succ(Zero())), Var("f"))), Var("x"))),
+    ("f s(z) z", App(App(Var("f"), Succ(Zero())), Zero())),
+])
+def test_arguments_after_an_inner_successor_stay_inside_it(src, term):
+    assert parse_expr(src) == term
+
+
+@pytest.mark.parametrize("src, says", [
+    ("fun f(", "1:7: expected a binder, found end of input"),
+    ("eff[", "1:5: expected an effect label, found end of input"),
+    ("eff[(", "1:5: expected an effect label, found '('"),
+    ("s(z", "1:4: expected ')', found end of input"),
+])
+def test_every_missing_token_is_expected_and_found(src, says):
+    with pytest.raises(ParseError) as err:
+        parse_expr(src)
+    assert str(err.value) == says
+
+
 ### the let-free fragment checker
 
 
