@@ -52,7 +52,7 @@ from .syntax import (
     scoped_children,
 )
 from .traces import AnnTrace, format_trace
-from .typecheck import ArrowT, MetaT, NatT, principal_type, types_unifiable, well_typed
+from .typecheck import ArrowT, NatT, principal_type, principal_typing, types_unifiable, well_typed
 
 ### generation
 
@@ -188,12 +188,13 @@ def _fresh(env, skip=None):
 _LAM_SELF = "a"
 _LAM_PARAM = "b"
 _CASE_BINDERS = ("a", "b")
+_UNSEEN = object()  # a candidate key not typed yet
 
 
 def enumerate_exprs(max_size: int):
     """Every closed well-typed term with at most max_size AST nodes, binders
     drawn from a two-symbol alphabet, effect labels from _LABELS.  The type
-    filter sits in _enum, so terms are built only from typable parts."""
+    filter sits in _enum, which types each combination of parts' typings once."""
     if max_size > 8:
         raise ValueError("enumeration beyond size 8 is combinatorially hopeless")
     memo = {}
@@ -206,42 +207,66 @@ def _enum(size, env, memo):
     each name at its own metavariable.  The filter is exact: that typing is
     the most general one, so a dropped term types under no types for env, and
     a term with an untypable subterm is untypable itself.  Each name needs a
-    distinct meta: one shared meta would drop `a b`."""
+    distinct meta: one shared meta would drop `a b`.
+
+    memo["ids", size, env] holds the id of each term's principal typing over
+    sorted(env).  Typings compose: every typing of a part is an instance of
+    its principal one, so a candidate's typing follows from its key in
+    _candidates.  memo["typed"] keeps it from the key's first candidate."""
     key = (size, env)
     got = memo.get(key)
     if got is not None:
         return got
-    out = []
+    typed = memo.setdefault("typed", {})
+    ids = memo.setdefault("ids", {None: None})  # principal typing -> its id, None -> None
+    out, out_ids = [], []
+    for k, make, *args in _candidates(size, env, memo):
+        tid = typed.get(k, _UNSEEN)
+        if tid is not None:  # a candidate of a key known to fail is never built
+            e = make(*args)
+            if tid is _UNSEEN:
+                tid = typed[k] = ids.setdefault(principal_typing(e, sorted(env)), len(ids))
+            if tid is not None:
+                out.append(e)
+                out_ids.append(tid)
+    memo["ids", size, env] = out_ids
+    memo[key] = out
+    return out
+
+
+def _candidates(size, env, memo):
+    """_enum's candidates in order, each as (key, constructor, *fields); the key
+    is env, the constructor, a Case binder or Eff label, the parts' typing ids."""
+    def parts(s, en):
+        return list(zip(_enum(s, en, memo), memo["ids", s, en]))
+
     if size == 1:
-        out.append(Zero())
+        yield (env, Zero), Zero
         for x in sorted(env):
-            out.append(Var(x))
+            yield (env, Var, x), Var, x
     else:
-        inner = _enum(size - 1, env, memo)
-        for b in inner:
-            out.append(Succ(b))
+        inner = parts(size - 1, env)
+        for b, t in inner:
+            yield (env, Succ, t), Succ, b
         for lab in _LABELS:
-            for b in inner:
-                out.append(Eff(lab, b))
-        for b in _enum(size - 1, env | {_LAM_SELF, _LAM_PARAM}, memo):
-            out.append(Lam(_LAM_SELF, _LAM_PARAM, b))
+            for b, t in inner:
+                yield (env, Eff, lab, t), Eff, lab, b
+        for b, t in parts(size - 1, env | {_LAM_SELF, _LAM_PARAM}):
+            yield (env, Lam, t), Lam, _LAM_SELF, _LAM_PARAM, b
         for i in range(1, size - 1):
-            for fn in _enum(i, env, memo):
-                for arg in _enum(size - 1 - i, env, memo):
-                    out.append(App(fn, arg))
+            for fn, tf in parts(i, env):
+                for arg, ta in parts(size - 1 - i, env):
+                    yield (env, App, tf, ta), App, fn, arg
         if size >= 4:
             for zs in range(1, size - 3 + 1):
                 for ss in range(1, size - 2 - zs + 1):
                     cs = size - 1 - zs - ss
                     for xv in _CASE_BINDERS:
                         env_s = env | {xv}
-                        for sc in _enum(cs, env, memo):
-                            for zb in _enum(zs, env, memo):
-                                for sb in _enum(ss, env_s, memo):
-                                    out.append(Case(zb, xv, sb, sc))
-    metas = {x: MetaT(i) for i, x in enumerate(env)}
-    out = memo[key] = [e for e in out if well_typed(e, metas)]
-    return out
+                        for sc, tc in parts(cs, env):
+                            for zb, tz in parts(zs, env):
+                                for sb, ts in parts(ss, env_s):
+                                    yield (env, Case, xv, tc, tz, ts), Case, zb, xv, sb, sc
 
 
 ### corpus of worked examples

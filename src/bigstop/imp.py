@@ -361,10 +361,11 @@ class ImpParseError(ParseError):
 _KEYWORDS = {"skip", "if", "then", "while", "do"}
 
 # punctuation (= and , for stores), a number, a name, anything else; a program
-# adds blanks, comments and line breaks, a store blanks, line breaks and signed integers
-_LEXEMES = r"(?P<punct>:=|[();{}+\-*=,])|(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>.)"
+# adds blanks, comments and line breaks, a store blanks, line breaks and signed
+# integers.  Digits are ASCII, as names are: \d matches every Unicode digit
+_LEXEMES = r"(?P<punct>:=|[();{}+\-*=,])|(?P<num>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>.)"
 _TOKEN = re.compile(r"[^\S\n]+|(?P<comment>--.*)|(?P<nl>\n)|" + _LEXEMES)
-_STORE_TOKEN = re.compile(r"[^\S\n]+|(?P<nl>\n)|(?P<int>-?\d+)|" + _LEXEMES)
+_STORE_TOKEN = re.compile(r"[^\S\n]+|(?P<nl>\n)|(?P<int>-?[0-9]+)|" + _LEXEMES)
 
 
 def _is_name(t) -> bool:

@@ -261,6 +261,19 @@ def types_unifiable(a: Type, b: Type) -> bool:
     return _unify(_thaw(a, cells), _thaw(b, cells))
 
 
+def principal_typing(e: Expr, names: tuple):
+    """Each name's type in order, then e's, with metas numbered by first
+    occurrence; None if e types under no types for names.  Every typing of e
+    is an instance of it (Wells, The Essence of Principal Typings, 2002)."""
+    env = {x: _Cell(next(_fresh_meta)) for x in names}
+    try:
+        t = _infer(e, env)
+    except TypeFailure:
+        return None
+    numbered: dict = {}
+    return (*(_zonk(env[x], numbered) for x in names), _zonk(t, numbered))
+
+
 def well_typed(e: Expr, env=()) -> bool:
     try:
         _infer_in(e, env)

@@ -517,7 +517,7 @@ def test_imp_freeze_reports_both_outcomes(capsys):
     assert (code, out) == (0, "{x=0} | finished\n")
 
 
-@pytest.mark.parametrize("init", ["x y=2", "while=3", "=4", "x=1,x=2", "1x=1", "x-y=1"])
+@pytest.mark.parametrize("init", ["x y=2", "while=3", "=4", "x=1,x=2", "1x=1", "x-y=1", "x=٣"])
 def test_imp_init_names_a_program_cannot_use_are_usage_errors(capsys, init):
     code, out, err = run(capsys, "imp", "run", "--init", init, "-e", "skip")
     assert (code, out) == (2, "")
@@ -529,6 +529,7 @@ def test_imp_init_names_a_program_cannot_use_are_usage_errors(capsys, init):
     ("é := 1 ; x := é", "1:1: unexpected character 'é'"),
     ("x := 1 ;\ny := do", "2:6: expected an expression, found 'do'"),
     ("x := é", "1:6: unexpected character 'é'"),
+    ("x := ٣٣ + 1", "1:6: unexpected character '٣'"),   # digits are ASCII, as names are
 ])
 def test_imp_programs_use_only_the_names_init_accepts(capsys, src, at):
     code, out, err = run(capsys, "imp", "run", "-e", src)

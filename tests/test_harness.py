@@ -37,6 +37,7 @@ from bigstop import (
 )
 from bigstop.harness import _enum, gen_imp_config, gen_stmt, shrink_expr, shrink_stmt
 from bigstop.mnf import _spine
+from bigstop.typecheck import principal_typing
 
 
 def walk(x):
@@ -96,19 +97,46 @@ def test_enumeration_yields_a_pinned_stream(stream_8):
 
 
 def test_enumeration_types_only_typable_parts(monkeypatch):
-    # whole-term filtering made 59,647 calls at size 7; building from
-    # typable parts makes 42,311
+    # whole-term filtering made 59,647 typing calls at size 7, filtering
+    # built from typable parts 42,311; one per key of constructor and
+    # parts' typings makes 2,425
     import bigstop.harness as harness
 
     calls = []
 
     def counted(*args):
         calls.append(None)
-        return well_typed(*args)
+        return principal_typing(*args)
 
-    monkeypatch.setattr(harness, "well_typed", counted)
+    monkeypatch.setattr(harness, "principal_typing", counted)
+    monkeypatch.setattr(harness, "well_typed", None)  # the enumerator types no other way
     assert len(list(enumerate_exprs(7))) == 16_014
-    assert len(calls) <= 45_000
+    assert len(calls) <= 2_500
+
+
+def test_enumeration_typing_ids_are_exact():
+    # each memo list's typing ids are those a fresh inference gives
+    memo = {}
+    for size in range(1, 7):
+        _enum(size, frozenset(), memo)
+    ids = memo["ids"]
+    lists = [(k, terms) for k, terms in memo.items() if type(k) is tuple and len(k) == 2]
+    assert sum(len(terms) for _, terms in lists) > 2_883
+    for (size, env), terms in lists:
+        names = sorted(env)
+        got = [ids[principal_typing(e, names)] for e in terms]
+        assert got == memo["ids", size, env], (size, env)
+
+
+def test_enumeration_cache_is_local_to_one_call():
+    one, two = enumerate_exprs(6), enumerate_exprs(6)
+    a, b = [], []
+    for x, y in zip(one, two):
+        a.append(x)
+        b.append(y)
+    assert next(one, None) is None and next(two, None) is None
+    assert a == b == list(enumerate_exprs(6))
+    assert len(a) == 2_883
 
 
 def test_known_members():

@@ -152,6 +152,10 @@ def test_loop_bodies_require_braces():
 @pytest.mark.parametrize("src, says", [
     ("x := ", "1:6: expected an expression, found end of input"),
     ("x := 1 ;\ny := )", "2:6: expected an expression, found ')'"),
+    # digits are ASCII, as names are: \d would read these as 33, 13 and 3
+    ("x := ٣٣ + 1", "1:6: unexpected character '٣'"),
+    ("x := 1٣", "1:7: unexpected character '٣'"),
+    ("x := ３", "1:6: unexpected character '３'"),
 ])
 def test_parse_errors_name_the_line_and_column(src, says):
     with pytest.raises(ImpParseError) as err:
@@ -179,6 +183,7 @@ def test_initial_store_rejects_names_a_program_cannot_use():
     ("x=3_000", "1:4: expected ',', found '_000'"),
     ("x=1 -- no comments", "1:5: expected ',', found '-'"),
     ("é=1", "1:1: unexpected character 'é'"),
+    ("x=٣", "1:3: unexpected character '٣'"),       # digits are ASCII, as names are
 ])
 def test_initial_store_errors_name_the_line_and_column(text, says):
     with pytest.raises(ParseError) as err:
