@@ -39,10 +39,10 @@ from .bigstop import (
     ec_bigstop_eval,
 )
 from .harness import GenConfig, run_property_suite, suite_names
-from .kmachine import KStatus, StuckState, compile as k_compile, k_run, k_step, show_state, unwind
+from .kmachine import KStatus, compile as k_compile, k_run, show_state, unwind
 from .mnf import NotMNF, mnf_bigstop_eval, to_mnf
 from .smallstep import RunStatus, _run, small_step
-from .syntax import ParseError, SubstOpenValue, is_value, parse_expr, print_expr
+from .syntax import ParseError, SubstOpenValue, parse_expr, print_expr
 from .traces import format_trace
 from .typecheck import TypeFailure, infer_type, print_type
 
@@ -169,7 +169,8 @@ def _pcf(args) -> int:
     run = sub.add_parser("run")
     run.add_argument("--sem", choices=_PCF_SEMS, default="bigstop")
     run.add_argument("--budget", type=_at_least(0), default=256,
-                     help="contractions to run; machine transitions under --sem kmachine")
+                     help="contractions to run; machine transitions under --sem kmachine; "
+                     "--sem small is multi at budget 1: one step, whatever this says")
     run.add_argument("--trace", action="store_true", help="print the trajectory")
     run.add_argument("--derivation", metavar="FILE", default=None)
     run.add_argument("-e", action="store_true", dest="literal",
@@ -211,33 +212,16 @@ def _pcf_check(path: str, dialect: str) -> int:
 
 
 def _pcf_run(ns, expr) -> int:
-    budget = ns.budget
     if ns.trace and ns.sem not in ("multi", "kmachine"):
         raise _Usage("--trace needs --sem multi or kmachine")
-    if ns.sem in _DERIVING:
-        d = _DERIVING[ns.sem](expr, budget)
-        print(f"{print_expr(d.rhs)} | {format_trace(d.trace)}")
-        if ns.derivation is not None:
-            try:
-                with open(ns.derivation, "w") as fh:
-                    print(derivation_to_json_str(d), file=fh)
-            except OSError as err:
-                raise _Usage(f"cannot write {ns.derivation}: {err.strerror or err}")
-        return OK
-    if ns.derivation is not None:
+    if ns.derivation is not None and ns.sem not in _DERIVING:
         raise _Usage(f"--derivation needs one of --sem {', '.join(_DERIVING)}")
+    sem, budget = ("multi", 1) if ns.sem == "small" else (ns.sem, ns.budget)  # small: one multi step
 
-    if ns.sem == "small":
-        step = small_step(expr)
-        if step is not None:
-            print(f"{print_expr(step.expr)} | {format_trace(step.trace)}")
-        elif is_value(expr):
-            print(f"{print_expr(expr)} | 1")
-        else:
-            raise StuckError(expr)
-        return OK
-
-    if ns.sem == "multi":
+    if sem in _DERIVING:
+        d = _DERIVING[sem](expr, budget)
+        stop, trace = d.rhs, d.trace
+    elif sem == "multi":
         def step(e):  # small_step, printing each point it reaches
             r = small_step(e)
             if r is not None:
@@ -248,41 +232,40 @@ def _pcf_run(ns, expr) -> int:
         r = _run(step if ns.trace else small_step, expr, budget)
         if r.status == RunStatus.STUCK:
             raise StuckError(r.final)
-        print(f"{print_expr(r.final)} | {format_trace(r.trace)}")
-        return OK
-
-    if ns.sem == "big":
+        stop, trace = r.final, r.trace
+    elif sem == "big":
         match big_step(expr, budget):
             case Value(v, tr):
-                print(f"{print_expr(v)} | {format_trace(tr)}")
+                stop, trace = v, tr
             case Stuck(at):
                 raise StuckError(at)
             case FuelExhausted():
                 _err(f"no value within fuel {budget}")
                 return EVAL_ERROR
-        return OK
-
-    # kmachine; traced, it runs one k_step at a time and prints each state
-    st = k_compile(expr)
-    if ns.trace:
-        print(show_state(st))
-        labels: list = []
-        for _ in range(budget):
-            try:
-                nxt = k_step(st)
-            except StuckState:
-                raise StuckError(unwind(st)) from None
-            if nxt is None:
-                break
-            st, emitted = nxt
-            labels += emitted
+    else:  # kmachine; traced, one transition per k_run call, each state printed
+        st, trace = k_compile(expr), []
+        if ns.trace:
             print(show_state(st))
-    else:
-        r = k_run(st, budget)
-        if r.status == KStatus.STUCK:
-            raise StuckError(unwind(r.state))
-        st, labels = r.state, r.trace
-    print(f"{print_expr(unwind(st))} | {format_trace(labels)}")
+        per_call, calls = (1, budget) if ns.trace else (budget, 1)
+        for _ in range(calls):
+            r = k_run(st, per_call)
+            if r.status == KStatus.STUCK:
+                raise StuckError(unwind(r.state))
+            if r.steps == 0:  # halted, or no budget
+                break
+            st = r.state
+            trace += r.trace
+            if ns.trace:
+                print(show_state(st))
+        stop = unwind(st)
+
+    print(f"{print_expr(stop)} | {format_trace(trace)}")
+    if ns.derivation is not None:
+        try:
+            with open(ns.derivation, "w") as fh:
+                print(derivation_to_json_str(d), file=fh)
+        except OSError as err:
+            raise _Usage(f"cannot write {ns.derivation}: {err.strerror or err}")
     return OK
 
 
@@ -297,19 +280,16 @@ def _imp(args) -> int:
     sub = p.add_subparsers(dest="cmd", required=True)
     run = sub.add_parser("run")
     run.add_argument("--sem", choices=_IMP_SEMS, default="bigstop")
-    run.add_argument("--budget", type=_at_least(0), default=256, help="steps to run")
+    run.add_argument("--budget", type=_at_least(0), default=256,
+                     help="steps to run; --sem small is multi at budget 1: one step, whatever this says")
     run.add_argument("--init", default="", metavar="x=v,...")
     run.add_argument("-e", action="store_true", dest="literal")
     run.add_argument("program")
     ns = p.parse_args(args)
     cfg = imp.ImpConfig(_load(imp.parse_stmt, ns), imp.parse_init(ns.init))
 
-    if ns.sem == "small":
-        nxt = imp.imp_small_step(cfg)
-        print(imp.print_config(cfg if nxt is None else nxt))
-        return OK
-    if ns.sem == "multi":
-        r = imp.imp_multi_step(cfg, ns.budget)
+    if ns.sem in ("small", "multi"):  # small is one step of multi
+        r = imp.imp_multi_step(cfg, 1 if ns.sem == "small" else ns.budget)
         print(imp.print_config(r.config))
         return OK
     if ns.sem == "big":

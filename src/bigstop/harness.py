@@ -52,7 +52,7 @@ from .syntax import (
     scoped_children,
 )
 from .traces import AnnTrace, format_trace
-from .typecheck import ArrowT, NatT, principal_type, principal_typing, types_unifiable, well_typed
+from .typecheck import ArrowT, NatT, principal_type, principal_typing, types_unifiable
 
 ### generation
 
@@ -92,11 +92,9 @@ def gen_typed_expr(cfg: GenConfig) -> Expr:
     for _ in range(64):
         goal = _NAT if rng.random() < 0.8 else _NAT1
         try:
-            e = _gen(rng, goal, (), cfg.max_size, 0)
+            return _gen(rng, goal, (), cfg.max_size, 0)
         except _GenFail:
-            continue
-        if well_typed(e):
-            return e
+            pass
     raise GenerationExhausted(
         f"no well-typed term within {cfg.max_size} nodes"
     )
@@ -145,12 +143,12 @@ def _gen_one(rng, pick, goal, env, size, depth) -> Expr:
     if pick == "succ":
         return Succ(_gen(rng, _NAT, env, size - 1, d))
     if pick == "lam":
-        f, x = _fresh(env), None
+        f = _fresh(env)
         x = _fresh(env, skip=f)
         body = _gen(rng, goal.codomain, env + ((f, goal), (x, goal.domain)), size - 1, d)
         return Lam(f, x, body)
     if pick == "spin":
-        f, x = _fresh(env), None
+        f = _fresh(env)
         x = _fresh(env, skip=f)
         # fun f(x) => f x : any arrow type; loops forever once applied
         return Lam(f, x, App(Var(f), Var(x)))

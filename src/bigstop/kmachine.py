@@ -126,18 +126,6 @@ def _move(mode: Mode, stack: list, e: Expr):
     return None
 
 
-def k_step(s: MachineState):
-    """One machine transition: (state, trace).  None when halted."""
-    if halted(s):
-        return None
-    stack = list(s.stack)
-    nxt = _move(s.mode, stack, s.expr)
-    if nxt is None:
-        raise StuckState(s)
-    mode, e, label = nxt
-    return MachineState(mode, tuple(stack), e), () if label is None else (label,)
-
-
 class KStatus(enum.Enum):
     FINAL = "Final"
     OUT_OF_BUDGET = "OutOfBudget"
@@ -153,8 +141,8 @@ class KRunResult:
 
 
 def k_run(state: MachineState, budget: int) -> KRunResult:
-    """Run the machine for at most budget transitions, the moves k_step
-    takes one at a time, each O(1) whatever the depth of the stack."""
+    """Run the machine for at most budget transitions, each O(1) whatever
+    the depth of the stack."""
     check_budget(budget)
     mode, stack, e = state.mode, list(state.stack), state.expr
     labels: list = []
@@ -175,6 +163,14 @@ def k_run(state: MachineState, budget: int) -> KRunResult:
             labels.append(label)
         steps += 1
     return KRunResult(MachineState(mode, tuple(stack), e), tuple(labels), steps, status)
+
+
+def k_step(s: MachineState):
+    """k_run's first transition: (state, trace), None when halted, StuckState when stuck."""
+    r = k_run(s, 1)
+    if r.status is KStatus.STUCK:
+        raise StuckState(s)
+    return None if r.steps == 0 else (r.state, r.trace)
 
 
 def unwind(s: MachineState) -> Expr:
@@ -244,9 +240,10 @@ def correspondence_check(e: Expr, budget: int) -> Report:
     state must equal the stepped term and the label it emitted the step's
     label, and the two must halt or get stuck at the same n.  The end is
     compared once with bigstop_eval(e, budget), and k_run given exactly the
-    moves driven must end in the same state with the same trace.  Linear in
-    the budget; a failure names the first contraction at which the two
-    sides differ.
+    moves driven must end in the same state with the same trace.  Each
+    contraction unwinds and compares the whole term: linear in the budget
+    while the stack stays bounded, quadratic on a growing context, as the
+    step relation is.  A failure names the first contraction that differs.
     """
     from .bigstop import StuckError, bigstop_eval
     from .smallstep import small_step

@@ -14,7 +14,17 @@ import pytest
 import bigstop.cli as cli
 import bigstop.harness as harness
 import bigstop.kmachine as kmachine
-from bigstop import Failure, PropertyReport, Zero, check_derivation, derivation_to_json_str
+from bigstop import (
+    Failure,
+    PropertyReport,
+    Zero,
+    check_derivation,
+    derivation_to_json_str,
+    enumerate_exprs,
+    enumerate_stmts,
+    print_expr,
+    print_stmt,
+)
 from test_acceptance import _twenty_mutations
 
 
@@ -497,6 +507,23 @@ def test_imp_big(capsys):
 def test_imp_small_takes_one_step(capsys):
     code, out, _ = run(capsys, "imp", "run", "--sem", "small", *COUNTDOWN)
     assert (code, out) == (0, "x := x - 1 ; while x do { x := x - 1 } | {x=2}\n")
+
+
+@pytest.mark.parametrize("head", [
+    ("pcf", "run"), ("imp", "run", "--init", ""), ("imp", "run", "--init", "x=2,y=0"),
+], ids=["pcf", "imp-empty-store", "imp-x2-y0"])
+def test_small_is_multi_at_budget_one(capsys, head):
+    # typed, stuck and open terms, and every small statement: the same exit
+    # code, stdout and stderr
+    if head[0] == "pcf":
+        programs = [print_expr(e) for e in enumerate_exprs(5)]
+        programs += ["z z", "x", "(fun f(y) => x) z", "z (eff[a] z)"]
+    else:
+        programs = [print_stmt(s) for s in enumerate_stmts(4)]
+    for program in programs:
+        small = run(capsys, *head, "--sem", "small", "-e", program)
+        multi = run(capsys, *head, "--sem", "multi", "--budget", "1", "-e", program)
+        assert small == multi and small[0] != cli.USAGE_ERROR, program
 
 
 def test_imp_big_out_of_fuel_is_an_error(capsys):
