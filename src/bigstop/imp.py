@@ -98,12 +98,13 @@ def make_state(bindings=()) -> tuple:
     of programs that start from one store holds that store once, not once
     per program.  Other stores are built fresh: True and 1.0 compare and
     hash equal to 1 but print differently, so they must not share."""
-    if isinstance(bindings, dict):
-        bindings = bindings.items()
-    st = tuple(sorted(dict(bindings).items()))
-    if all(type(v) is int for _, v in st):
-        return _STORES.setdefault(st, st)
-    return st
+    if not isinstance(bindings, dict):
+        bindings = dict(bindings)
+    st = tuple(sorted(bindings.items()))
+    for _, v in st:
+        if type(v) is not int:
+            return st
+    return _STORES.setdefault(st, st)
 
 
 def state_get(state: tuple, name: str) -> int:

@@ -1,6 +1,8 @@
 """Every frozen record class in the package: frozen, slotted, copyable and
-picklable like a dataclass, built by its own `__init__`."""
+picklable like a dataclass, built by its own `__init__`, and equal, hashed
+and printed as a genuine frozen dataclass would be."""
 
+import builtins
 import cProfile
 import copy
 import dataclasses
@@ -8,6 +10,7 @@ import importlib
 import pickle
 import pkgutil
 import pstats
+import random
 import tracemalloc
 
 import pytest
@@ -74,6 +77,83 @@ def test_records_replace_pickle_and_copy_to_an_equal_object(name):
         assert other == obj and hash(other) == hash(obj)
 
 
+# field values for the twin comparison: 1, True and 1.0 are equal and hash
+# alike but print apart, and a nan is equal only to itself
+_VALUES = (0, 1, True, 1.0, "a", (), ("a", "b"), None, Zero(), App(Zero(), Zero()), float("nan"))
+_LABELS = ("a", "b")  # for a field declared str, which may have to be a label
+
+
+def _twin(cls):
+    """A genuine frozen dataclass with the name and fields of cls, and the
+    methods that cls's own module defines in place of the record's."""
+    ns = {"__annotations__": {f.name: f.type for f in dataclasses.fields(cls)},
+          "__qualname__": cls.__qualname__, "__module__": cls.__module__}
+    for method in ("__repr__", "__eq__", "__hash__"):
+        if getattr(cls.__dict__[method], "__module__", None) == cls.__module__:
+            ns[method] = cls.__dict__[method]
+    return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), ns))
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_compare_hash_and_print_as_their_dataclass_twin(name):
+    cls = RECORDS[name]
+    twin = _twin(cls)
+    rng = random.Random(name)
+    rows = [tuple(rng.choice(_LABELS if f.type in (str, "str") else _VALUES)
+                  for f in dataclasses.fields(cls)) for _ in range(8)]
+    pairs = [(cls(*row), twin(*row)) for row in rows]
+    strangers = [_sample(Succ if cls is App else App), rows[0], None]
+    for rec, tw in pairs:
+        assert repr(rec) == repr(tw)
+        assert hash(rec) == hash(tw)
+        assert rec != tw and not rec == tw
+        for x in strangers:
+            assert rec.__eq__(x) is tw.__eq__(x) is NotImplemented
+            assert (rec == x, rec != x) == (tw == x, tw != x)
+        for rec2, tw2 in pairs:
+            assert (rec == rec2, rec != rec2) == (tw == tw2, tw != tw2)
+            if rec == rec2:
+                assert hash(rec) == hash(rec2)
+
+
+def test_a_record_costs_one_compile(monkeypatch):
+    calls = []
+    real_compile, real_exec = builtins.compile, builtins.exec
+
+    def counted_compile(*args, **kwargs):
+        calls.append("compile")
+        return real_compile(*args, **kwargs)
+
+    def counted_exec(*args, **kwargs):
+        calls.append("exec")  # dataclasses compiles each method it adds in an exec
+        return real_exec(*args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counted_compile)
+    monkeypatch.setattr(builtins, "exec", counted_exec)
+
+    @record
+    class Fresh:
+        n: int
+        label: str = "a"
+        _derive = {"_twice": lambda n, label: 2 * n}
+
+    monkeypatch.undo()
+    assert calls == ["compile", "exec"]
+    assert Fresh(3) == Fresh(3, "a") and Fresh(3)._twice == 6
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_a_records_methods_come_from_its_one_compile(name):
+    cls = RECORDS[name]
+    for method in ("__init__", "__eq__", "__hash__"):
+        assert getattr(cls, method).__code__.co_filename == f"<record {cls.__name__}>"
+    for value in vars(cls).values():
+        code = getattr(value, "__code__", None)
+        assert code is None or code.co_filename != "<string>"
+    assert cls.__reduce__ is App.__reduce__
+    assert cls.__dataclass_params__ is App.__dataclass_params__
+
+
 def test_terms_round_trip_through_pickle_with_their_closedness():
     e = bigstop.parse_expr("(fun f(x) => eff[t] f x) z")
     assert e.closed
@@ -102,6 +182,22 @@ def test_record_refuses_what_its_init_would_skip():
 
             def __post_init__(self):
                 pass
+
+
+def test_a_record_may_extend_a_record():
+    @record
+    class Base:
+        n: int
+
+    @record
+    class More(Base):
+        label: str
+
+    m = More(1, "a")
+    assert dataclasses.fields(m)[1].name == "label" and repr(m) == f"{More.__qualname__}(n=1, label='a')"
+    assert m == More(1, "a") != Base(1) and hash(m) == hash(More(1, "a"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.n = 2
 
 
 def _bytes_per_object(make, n=2000):
