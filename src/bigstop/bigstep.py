@@ -8,7 +8,7 @@ which is what sequences the effects.
 
 from .budget import Budget, BudgetExhausted
 from .record import record
-from .syntax import App, Case, Eff, Expr, Lam, Succ, Zero, is_value, subst
+from .syntax import App, Case, Eff, Expr, Lam, Succ, Zero, beta, is_value, subst
 from .traces import Trace
 
 
@@ -59,7 +59,7 @@ def _eval(e: Expr, b: Budget, labels: list) -> Expr:
         b.spend()
         if type(f) is not Lam:
             raise _StuckEval(App(f, v))
-        return _eval(subst(f.body, {f.self_var: f, f.param: v}), b, labels)
+        return _eval(beta(f, v), b, labels)
     if c is Succ:
         return Succ(_eval(e.body, b, labels))
     if c is Eff:

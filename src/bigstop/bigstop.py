@@ -31,7 +31,7 @@ from .record import record
 from .smallstep import decompose, plug
 from .syntax import (
     App, Case, Eff, Expr, Lam, Let, ParseError, Succ, SubstOpenValue, Var, Zero,
-    is_value, parse_expr, print_expr, subst,
+    beta, is_value, parse_expr, print_expr, subst,
 )
 from .traces import ANNIHILATOR, AnnTrace, Span, Trace, ann_join, emit
 from .typecheck import ArrowT, TypeFailure, infer_type
@@ -97,7 +97,7 @@ def _stop(e: Expr, b: Budget, log: list) -> Derivation:
         if type(f) is not Lam:
             raise StuckError(App(f, v))
         b.spend()
-        pb = _stop(subst(f.body, {f.self_var: f, f.param: v}), b, log)
+        pb = _stop(beta(f, v), b, log)
         return Derivation(
             "StE-App", e, pb.rhs, p1.trace + p2.trace + pb.trace, (p1, p2, val_leaf(v), pb)
         )
@@ -210,10 +210,6 @@ def _part(name: str):
     return lambda lhs, ps: getattr(lhs, name)
 
 
-def _beta(lam: Lam, v: Expr) -> Expr:
-    return subst(lam.body, {lam.self_var: lam, lam.param: v})
-
-
 def _branch(case: Case, pred: Expr) -> Expr:
     return subst(case.succ_branch, {case.succ_var: pred})
 
@@ -287,7 +283,7 @@ _APP = Rule(
         _run(_part("fn"), ends=_kind(Lam)),
         _run(_part("arg")),
         _val(lambda lhs, ps: ps[1].rhs),
-        _run(lambda lhs, ps: _beta(ps[0].rhs, ps[1].rhs)),
+        _run(lambda lhs, ps: beta(ps[0].rhs, ps[1].rhs)),
     ),
 )
 _EFF = Rule(_kind(Eff), (_run(_part("body")),), emits=True)
@@ -306,7 +302,7 @@ _REDEX_CASES = Rule(
 )
 _REDEX_APP = Rule(
     lambda e: isinstance(e, App) and isinstance(e.fn, Lam),
-    (_val(_part("arg")), _run(lambda lhs, ps: _beta(lhs.fn, lhs.arg))),
+    (_val(_part("arg")), _run(lambda lhs, ps: beta(lhs.fn, lhs.arg))),
 )
 
 _RULES = {
@@ -583,7 +579,7 @@ def _ann(e: Expr, b: Budget, demand: str | Expr, log: list) -> Derivation:
         f = p1.rhs
         if type(f) is not Lam:
             raise StuckError(App(f, p2.rhs))
-        pb = _contract(subst(f.body, {f.self_var: f, f.param: p2.rhs}), b, demand, log)
+        pb = _contract(beta(f, p2.rhs), b, demand, log)
         return Derivation(
             "StA-App", e, pb.rhs,
             ann_join(ann_join(p1.trace, p2.trace), pb.trace),
@@ -664,7 +660,7 @@ def _ec_redex(r: Expr, b: Budget, log: list) -> Derivation:
         f, v = r.fn, r.arg
         if type(f) is Lam and is_value(v):
             b.spend()
-            out = subst(f.body, {f.self_var: f, f.param: v})
+            out = beta(f, v)
             return Derivation("EC-App", r, out, (), (val_leaf(v), halt(out)))
     elif c is Eff:
         b.spend()

@@ -17,7 +17,7 @@ from .budget import check_budget
 from .record import record
 from .syntax import (
     App, Case, Eff, Expr, Lam, Succ, Zero,
-    is_value, print_expr, subst,
+    beta, is_value, print_expr, subst,
 )
 from .traces import Trace, format_trace
 
@@ -112,7 +112,7 @@ def _move(mode: Mode, stack: list, e: Expr):
         f = top.fn_value
         if type(f) is Lam:
             stack.pop()
-            return Mode.EVAL, subst(f.body, {f.self_var: f, f.param: e}), None
+            return Mode.EVAL, beta(f, e), None
     elif c is SuccF:
         stack.pop()
         return Mode.RETURN, Succ(e), None

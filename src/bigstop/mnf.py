@@ -15,7 +15,7 @@ from .bigstop import (
 )
 from .syntax import (
     App, BLANK, Case, Eff, Expr, Lam, Let, Succ, Var, Zero,
-    all_names, check_mnf, free_vars, is_value, print_expr, rebuild, scoped_children, subst,
+    all_names, beta, check_mnf, free_vars, is_value, print_expr, rebuild, scoped_children, subst,
 )
 from .smallstep import MultiResult, StepResult, _run
 from .traces import emit
@@ -158,7 +158,7 @@ def mnf_small_step(e: Expr):
         e, tr = subst(e.body, {e.var: e.bound}), ()
     elif c is App and type(e.fn) is Lam and is_value(e.arg):
         f = e.fn
-        e, tr = subst(f.body, {f.self_var: f, f.param: e.arg}), ()
+        e, tr = beta(f, e.arg), ()
     elif c is Eff:
         e, tr = e.body, (e.label,)
     elif c is Case and type(e.scrutinee) is Zero:
@@ -209,7 +209,7 @@ def _mstop(e: Expr, b: Budget, log: list) -> Derivation:
         if type(f) is not Lam:
             raise StuckError(e)
         b.spend()
-        pb = _mstop(subst(f.body, {f.self_var: f, f.param: a}), b, log)
+        pb = _mstop(beta(f, a), b, log)
         return Derivation("StM-App", e, pb.rhs, pb.trace, (val_leaf(a), pb))
     if c is Eff:
         b.spend()

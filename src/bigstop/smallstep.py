@@ -10,7 +10,7 @@ import enum
 
 from .budget import check_budget
 from .record import record
-from .syntax import App, Case, Eff, Expr, Lam, Succ, Zero, is_value, subst
+from .syntax import App, Case, Eff, Expr, Lam, Succ, Zero, beta, is_value, subst
 from .traces import Trace
 
 ### evaluation contexts
@@ -74,7 +74,7 @@ def contract(r: Expr):
     if c is App:
         f, v = r.fn, r.arg
         if type(f) is Lam and is_value(v):
-            return subst(f.body, {f.self_var: f, f.param: v}), ()
+            return beta(f, v), ()
     elif c is Eff:
         return r.body, (r.label,)
     elif c is Case:

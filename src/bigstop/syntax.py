@@ -86,8 +86,8 @@ class Case(Expr):
 
 
 class _Function(Expr):
-    # typecheck's principal type scheme of a closed function, kept by the object
-    __slots__ = ("_scheme",)
+    # typecheck's principal type scheme of a closed function, and beta's last (argument, result)
+    __slots__ = ("_scheme", "_inst")
 
 
 @record
@@ -208,20 +208,33 @@ def subst(e: Expr, mapping: dict) -> Expr:
 
     Only closed values may be substituted (that is all evaluation ever
     needs), which makes capture impossible; anything else raises
-    SubstOpenValue.  The guard reads a successor's stored value flag and
-    asks a function or numeral for its `closed` flag, which each object
-    computes once, so substituting the same value again costs O(1), and so
-    does the predecessor of a numeral already asked.  A function that is
-    closed, or whose binders shadow every substituted name, comes back as
-    the same object, with its flags and type scheme.  Entries for the
-    wildcard binder are ignored: `_` never stands for anything.
+    SubstOpenValue.  The guard passes a numeral that ends in z on its stored
+    spine and asks a function, or a numeral that ends in one, for its
+    `closed` flag, which each object computes once.  A numeral that ends in
+    z, or a function that is closed or whose binders shadow every
+    substituted name, comes back as the same object, with its flags and
+    type scheme.  Entries for the wildcard binder are ignored: `_` never
+    stands for anything.
     """
-    mapping = {x: v for x, v in mapping.items() if x != BLANK}
+    if BLANK in mapping:
+        mapping = {x: v for x, v in mapping.items() if x != BLANK}
     for x, v in mapping.items():
         c = type(v)
-        if not (c is Zero or (c is Lam or (c is Succ and v._spine > 0)) and v.closed):
+        if not (c is Zero or c is Succ and v._spine == 1
+                or (c is Lam or c is Succ and v._spine == 2) and v.closed):
             raise SubstOpenValue(f"substituting non-closed-value for {x}: {print_expr(v)}")
     return _subst(e, mapping)
+
+
+def beta(f: Lam, v: Expr) -> Expr:
+    """f's body with f for its self binder and v for its parameter, which
+    wins where both are one name.  f keeps its last instantiation: a loop
+    that applies it to the same v object again gets the same term back."""
+    inst = getattr(f, "_inst", None)
+    if inst is None or inst[0] is not v:
+        inst = (v, subst(f.body, {f.self_var: f, f.param: v}))
+        _Function._inst.__set__(f, inst)
+    return inst[1]
 
 
 # hand-written, not read off the table: it runs at every contraction (third in
@@ -235,12 +248,12 @@ def _subst(e: Expr, m: dict) -> Expr:
     if c is App:
         return App(_subst(e.fn, m), _subst(e.arg, m))
     if c is Succ:
-        return Succ(_subst(e.body, m))
+        return e if e._spine == 1 else Succ(_subst(e.body, m))
     if c is Lam:
         if getattr(e, "_closed", False):
             return e
         f, x = e.self_var, e.param
-        inner = {k: v for k, v in m.items() if k != f and k != x}
+        inner = {k: v for k, v in m.items() if k != f and k != x} if f in m or x in m else m
         return Lam(f, x, _subst(e.body, inner)) if inner else e
     if c is Zero:
         return e
@@ -248,11 +261,12 @@ def _subst(e: Expr, m: dict) -> Expr:
         return Eff(e.label, _subst(e.body, m))
     if c is Case:
         xv = e.succ_var
-        inner = {k: v for k, v in m.items() if k != xv}
+        inner = {k: v for k, v in m.items() if k != xv} if xv in m else m
         return Case(_subst(e.zero_branch, m), xv, _subst(e.succ_branch, inner), _subst(e.scrutinee, m))
     if c is Let:
         x = e.var
-        return Let(x, _subst(e.bound, m), _subst(e.body, {k: v for k, v in m.items() if k != x}))
+        inner = {k: v for k, v in m.items() if k != x} if x in m else m
+        return Let(x, _subst(e.bound, m), _subst(e.body, inner))
     raise TypeError(f"not an expression: {e!r}")
 
 

@@ -21,10 +21,16 @@ class BadLabel(Exception):
     pass
 
 
+_LEGAL: set = set()  # the labels that passed: every Eff built checks its label
+
+
 def check_label(label: str) -> str:
+    if label in _LEGAL:
+        return label
     # one identifier to the parser, [\w']+ (isalnum is \w without _)
     if label == ANNIHILATOR or not label.replace("_", "a").replace("'", "a").isalnum():
         raise BadLabel(f"illegal effect label {label!r}")
+    _LEGAL.add(label)
     return label
 
 

@@ -450,6 +450,42 @@ def test_a_start_that_substitutes_an_open_function_is_a_violation():
     assert (v.path, v.reason) == ((3,), "unknown rule '?' for the plain dialect")
 
 
+def test_a_kept_instantiation_vouches_for_no_forgery():
+    # after a run, the function holds its body for z: the checker must still
+    # reject a body that starts elsewhere, and that body for another argument
+    e = parse_expr("(fun f(x) => eff[t] f x) z")
+    f, one = e.fn, Succ(Zero())
+    d = bigstop_eval(e, 4).derivation
+    body = d.premises[3].lhs
+    assert f._inst == (e.arg, body)
+    assert check_derivation(d) is None
+    wrong = "StE-App premiss 3 starts at the wrong term"
+    v = check_derivation(mut(d, premises=d.premises[:3] + (d.premises[3].premises[0],)))
+    assert (v.path, v.reason) == ((), wrong)
+    forged = Derivation("StE-App", App(f, one), body, (), (
+        Derivation("St-Stop(0)", f, f, (), ()),
+        Derivation("St-Stop(0)", one, one, (), ()),
+        Derivation("Val", one, one, (), ()),
+        Derivation("St-Stop(0)", body, body, (), ()),
+    ))
+    v = check_derivation(forged)
+    assert (v.path, v.reason) == ((), wrong)
+    # the EC dialect's redex rule, one level down an EC-Seq
+    d = ec_bigstop_eval(e, 4).derivation
+    assert check_derivation(d, "ec") is None
+    app = d.premises[0]
+    body = app.rhs
+    assert app.rule == "EC-App" and f._inst == (e.arg, body)
+    forged_app = Derivation("EC-App", App(f, one), body, (), (
+        Derivation("Val", one, one, (), ()),
+        Derivation("EC-Stop", body, body, (), ()),
+    ))
+    v = check_derivation(forged_app, "ec")
+    assert (v.path, v.reason) == ((), "EC-App premiss 1 starts at the wrong term")
+    v = check_derivation(mut(d, lhs=App(f, one), premises=(forged_app,) + d.premises[1:]), "ec")
+    assert (v.path, v.reason) == ((0,), "EC-App premiss 1 starts at the wrong term")
+
+
 ### composition is exact, not just sound
 
 def test_compose_reproduces_the_single_run():

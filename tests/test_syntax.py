@@ -27,6 +27,7 @@ from bigstop.syntax import (
     Zero,
     all_names,
     alpha_eq,
+    beta,
     check_mnf,
     expr_size,
     free_vars,
@@ -231,6 +232,65 @@ def test_subst_rejects_an_open_function_every_time():
     assert ID.closed
     assert subst(Var("v"), {"v": ID}) == ID
     assert subst(Var("v"), {"v": ID}) == ID
+
+
+### beta: a function keeps its last instantiation
+
+
+def _fresh_beta(f, v):
+    return subst(f.body, {f.self_var: f, f.param: v})
+
+
+def test_beta_is_the_substitution_whatever_the_argument_before():
+    f = parse_expr("fun f(x) => case x { z => eff[a] f s(x) | s(m) => f m }")
+    v1, v2 = numeral(2), parse_expr("fun g(y) => y")
+    outs = [beta(f, v) for v in (v1, v2, v1)]
+    assert outs == [_fresh_beta(f, v) for v in (v1, v2, v1)]
+    assert outs[0] != outs[1]
+
+
+def test_beta_again_on_the_same_objects_is_the_same_object():
+    f, v = parse_expr("fun f(x) => eff[t] f x"), Zero()
+    out = beta(f, v)
+    assert beta(f, v) is out
+    # an equal argument that is another object gets an equal term
+    for other in (Zero(), parse_expr("z")):
+        assert other is not v
+        assert beta(f, other) == out
+    w = parse_expr("fun g(y) => s(y)")
+    assert beta(f, w) == beta(f, parse_expr("fun g(y) => s(y)")) == _fresh_beta(f, w)
+
+
+def test_beta_refuses_an_open_or_non_value_argument_every_time():
+    f, v = parse_expr("fun f(x) => s(x)"), numeral(1)
+    out = beta(f, v)
+    for bad in (Var("y"), parse_expr("fun g(y) => x"), App(ID, Zero()), Succ(Var("y"))):
+        for _ in range(2):
+            with pytest.raises(SubstOpenValue):
+                beta(f, bad)
+            assert f._inst == (v, out)  # untouched
+    assert beta(f, v) is out
+    w = Succ(ID)
+    assert beta(f, w) == Succ(w) == _fresh_beta(f, w)
+
+
+def test_beta_binds_as_substitution_does():
+    # the parameter wins over the self binder of the same name
+    f = parse_expr("fun f(f) => f")
+    assert beta(f, Zero()) == Zero()
+    assert beta(f, Zero()) == Zero()
+    # `_` binds nothing: the body's own names stay free, and the bound one is replaced
+    anon = parse_expr("fun _(x) => x")
+    assert beta(anon, numeral(1)) == numeral(1) == _fresh_beta(anon, numeral(1))
+    ignores = parse_expr("fun f(_) => f")
+    assert beta(ignores, Zero()) is ignores
+    assert beta(ignores, ID) is ignores
+
+
+def test_a_loop_instantiates_its_body_once():
+    omega = parse_expr("(fun f(x) => eff[t] f x) z")
+    assert multi_step(omega, 2).final is multi_step(omega, 4).final
+    assert multi_step(omega, 4).final == omega
 
 
 def test_closedness_is_the_absence_of_free_variables():

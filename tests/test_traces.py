@@ -50,6 +50,19 @@ def test_labels_the_parser_cannot_read_back_are_refused(label):
         Eff(label, Zero())
 
 
+def test_a_label_that_passed_leaves_the_others_refused():
+    # check_label keeps the labels that passed; none of them vouches for another
+    for label in ("a", "b", "x", "a_b", "x'", "00"):
+        assert check_label(label) == check_label(label) == label
+        assert Eff(label, Zero()).label == label
+    for bad in ("0", "a b", "x]"):
+        for _ in range(2):
+            with pytest.raises(BadLabel):
+                check_label(bad)
+            with pytest.raises(BadLabel):
+                Eff(bad, Zero())
+
+
 @pytest.mark.parametrize("label", ["a'_1", "é", "1"])
 def test_every_identifier_is_a_label_that_round_trips(label):
     e = Eff(label, Eff(label, Zero()))
