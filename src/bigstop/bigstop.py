@@ -15,9 +15,16 @@ the first k positions of the head constructor and leaves the rest alone.
 
 The evaluators log every label a run emits in one list, and a node's trace
 is the span of that log its subtree emitted (traces.Span), so building and
-checking a trace copies no labels.  Every dialect's trace is such a label
-sequence; an annihilator run that is cut off ends its trace in the reserved
-label "0".
+checking a trace copies no labels: the plain, EC and MNF engines take it
+from where the log stood at the node's entry and exit.  Every dialect's
+trace is such a label sequence; an annihilator run that is cut off ends its
+trace in the reserved label "0".
+
+A run's equal leaves are one object: each engine keeps one leaf per rule
+and term object for the length of a run (shared_leaf), so a loop's tree
+holds a handful of leaf objects however long it runs.  The tree is the
+same under ==, hashing, JSON and _nodes, and the checker checks each
+distinct node object once.
 """
 
 import json
@@ -33,7 +40,7 @@ from .syntax import (
     App, Case, Eff, Expr, Lam, Let, ParseError, Succ, SubstOpenValue, Var, Zero,
     beta, is_value, parse_expr, print_expr, subst,
 )
-from .traces import ANNIHILATOR, AnnTrace, Span, Trace, ann_join, emit
+from .traces import ANNIHILATOR, AnnTrace, Span, Trace, ann_join, emit, since
 from .typecheck import ArrowT, TypeFailure, infer_type
 
 
@@ -61,8 +68,28 @@ class BigStopResult:
     derivation: Derivation
 
 
-def val_leaf(v: Expr) -> Derivation:
-    return Derivation("Val", v, v, (), ())
+# An engine keeps one dict of leaves for the length of a run, so equal
+# leaves of a run are one object: its own leaf rule's leaf at a term object
+# e under id(e), and the Val leaf at e under -id(e), which is no id.  The
+# dict holds each leaf, and the leaf its term, so the ids stay unique.
+
+
+def shared_leaf(leaves: dict, rule: str, e: Expr) -> Derivation:
+    """The run's one leaf of the engine's own leaf rule at e."""
+    k = id(e)
+    d = leaves.get(k)
+    if d is None:
+        d = leaves[k] = Derivation(rule, e, e, (), ())
+    return d
+
+
+def val_leaf(leaves: dict, v: Expr) -> Derivation:
+    """The run's one Val leaf at v."""
+    k = -id(v)
+    d = leaves.get(k)
+    if d is None:
+        d = leaves[k] = Derivation("Val", v, v, (), ())
+    return d
 
 
 ### the evaluator
@@ -75,42 +102,48 @@ def bigstop_eval(e: Expr, budget: int) -> BigStopResult:
     result is wherever the term got to, as a checkable derivation whose
     conclusion matches multi_step(e, budget) exactly.
     """
-    d = _stop(e, Budget(budget), [])
+    d = _stop(e, Budget(budget), [], {})
     return BigStopResult(d.rhs, tuple(d.trace), d)
 
 
-def _stop(e: Expr, b: Budget, log: list) -> Derivation:
+def _stop(e: Expr, b: Budget, log: list, leaves: dict) -> Derivation:
+    # a node's trace is what the log gained between its entry and its exit
     if is_value(e) or b.remaining == 0:
-        return Derivation("St-Stop(0)", e, e, (), ())
+        k = id(e)  # shared_leaf, written out on the hottest path
+        d = leaves.get(k)
+        if d is None:
+            d = leaves[k] = Derivation("St-Stop(0)", e, e, (), ())
+        return d
+    start = len(log)
     c = type(e)
     if c is App:
-        p1 = _stop(e.fn, b, log)
+        p1 = _stop(e.fn, b, log, leaves)
         f = p1.rhs
         if not is_value(f):
             return Derivation("St-Stop(1)", e, App(f, e.arg), p1.trace, (p1,))
-        p2 = _stop(e.arg, b, log)
+        p2 = _stop(e.arg, b, log, leaves)
         v = p2.rhs
         if not is_value(v) or b.remaining == 0:
             return Derivation(
-                "St-Stop(2)", e, App(f, v), p1.trace + p2.trace, (p1, val_leaf(f), p2)
+                "St-Stop(2)", e, App(f, v), since(log, start), (p1, val_leaf(leaves, f), p2)
             )
         if type(f) is not Lam:
             raise StuckError(App(f, v))
         b.spend()
-        pb = _stop(beta(f, v), b, log)
+        pb = _stop(beta(f, v), b, log, leaves)
         return Derivation(
-            "StE-App", e, pb.rhs, p1.trace + p2.trace + pb.trace, (p1, p2, val_leaf(v), pb)
+            "StE-App", e, pb.rhs, since(log, start), (p1, p2, val_leaf(leaves, v), pb)
         )
     if c is Succ:
-        p = _stop(e.body, b, log)
+        p = _stop(e.body, b, log, leaves)
         return Derivation("St-Stop(1)", e, Succ(p.rhs), p.trace, (p,))
     if c is Eff:
         b.spend()
-        head = emit(log, e.label)
-        p = _stop(e.body, b, log)
-        return Derivation("StE-Eff", e, p.rhs, head + p.trace, (p,))
+        log.append(e.label)
+        p = _stop(e.body, b, log, leaves)
+        return Derivation("StE-Eff", e, p.rhs, Span(log, start, len(log)), (p,))
     if c is Case:
-        ps = _stop(e.scrutinee, b, log)
+        ps = _stop(e.scrutinee, b, log, leaves)
         v = ps.rhs
         if not is_value(v) or b.remaining == 0:
             return Derivation(
@@ -118,20 +151,21 @@ def _stop(e: Expr, b: Budget, log: list) -> Derivation:
             )
         if type(v) is Zero:
             b.spend()
-            pb = _stop(e.zero_branch, b, log)
-            return Derivation("StE-CaseZ", e, pb.rhs, ps.trace + pb.trace, (ps, pb))
+            pb = _stop(e.zero_branch, b, log, leaves)
+            return Derivation("StE-CaseZ", e, pb.rhs, since(log, start), (ps, pb))
         if type(v) is Succ:
             b.spend()
-            pb = _stop(subst(e.succ_branch, {e.succ_var: v.body}), b, log)
+            pb = _stop(subst(e.succ_branch, {e.succ_var: v.body}), b, log, leaves)
             return Derivation(
-                "StE-CaseS", e, pb.rhs, ps.trace + pb.trace, (ps, val_leaf(v.body), pb)
+                "StE-CaseS", e, pb.rhs, since(log, start), (ps, val_leaf(leaves, v.body), pb)
             )
         raise StuckError(Case(e.zero_branch, e.succ_var, e.succ_branch, v))
     raise StuckError(e)  # a variable or a let has no rule
 
 
 def _nodes(d: Derivation):
-    """Every node of d, with an explicit stack, so any depth walks."""
+    """Every node of d, with an explicit stack, so any depth walks.  A node
+    comes once per position: a run's shared leaf comes at each of its."""
     todo = [d]
     while todo:
         d = todo.pop()
@@ -374,37 +408,55 @@ def is_progressing(d: Derivation) -> bool:
 # how each dialect joins two traces; the annihilator's cut absorbs the rest
 _TRACES = {"plain": operator.add, "mnf": operator.add, "ec": operator.add, "annihilator": ann_join}
 
+# each dialect's rules as the checker reads them, read off the tables once:
+# rule name -> (applies, emits, one (index, is a Val, start, ends) row per
+# premiss, side, rhs, cut)
+_PLANS = {
+    dialect: {name: (r.applies, r.emits, tuple((i, p.val, p.at, p.ends) for i, p in enumerate(r.premises)),
+                     r.side, r.rhs, r.cut)
+              for name, r in rules.items()}
+    for dialect, rules in _RULES.items()
+}
+
 
 def check_derivation(d: Derivation, dialect: str = "plain"):
     """Re-derive every node; None if valid, else the first RuleViolation
     in preorder.  Dialects: plain, mnf, ec, annihilator.
 
     One walker checks every node of d against its entry in the dialect's
-    table, with the dialect's join of traces.  A start that substitutes no
-    closed value is left to the Val premiss that asserts one, which is
-    checked in its turn; an open function is reported only if nothing else
-    is wrong."""
+    table, with the dialect's join of traces.  A node's validity is its
+    own, so each distinct node object is checked once: a run's equal
+    leaves are one object, and a node met again is skipped with its
+    subtree, which leaves the first violation in preorder where it was.  A
+    start that substitutes no closed value is left to the Val premiss that
+    asserts one, which is checked in its turn; an open function is
+    reported only if nothing else is wrong."""
     try:
-        rules = _RULES[dialect]
+        plans = _PLANS[dialect]
     except KeyError:
         raise ValueError(f"unknown dialect {dialect!r}") from None
     join = _TRACES[dialect]
     unclosed = None
+    seen = set()
     todo = [(d, ())]
     while todo:
         d, path = todo.pop()
-        rule = rules.get(d.rule)
-        if rule is None:
+        k = id(d)  # the tree keeps every node alive, so ids stay unique
+        if k in seen:
+            continue
+        seen.add(k)
+        plan = plans.get(d.rule)
+        if plan is None:
             return _bad(path, f"unknown rule {d.rule!r} for the {dialect} dialect")
+        applies, emits, wants, side, rhs, cut = plan
         lhs, ps = d.lhs, d.premises
-        if len(ps) != len(rule.premises):
-            return _bad(path, f"{d.rule} wants {len(rule.premises)} premisses, got {len(ps)}")
-        if rule.applies is not None and not rule.applies(lhs):
+        if len(ps) != len(wants):
+            return _bad(path, f"{d.rule} wants {len(wants)} premisses, got {len(ps)}")
+        if applies is not None and not applies(lhs):
             return _bad(path, f"{d.rule} does not apply to this term")
-        trace = (lhs.label,) if rule.emits else ()
-        for i, want in enumerate(rule.premises):
-            p = ps[i]
-            if want.val:
+        trace = (lhs.label,) if emits else ()
+        for (i, val, at, ends), p in zip(wants, ps):
+            if val:
                 if p.rule != "Val":
                     return _bad(path, f"{d.rule} premiss {i} must be a Val side condition")
             else:
@@ -412,23 +464,25 @@ def check_derivation(d: Derivation, dialect: str = "plain"):
                     trace = join(trace, p.trace)
                 except TypeError:
                     return _bad(path, f"{d.rule} premiss {i} holds something that is not a trace")
-            if want.at is not None:
+            if at is not None:
                 try:
-                    wrong = p.lhs != want.at(lhs, ps)
+                    want = at(lhs, ps)
+                    wrong = p.lhs is not want and p.lhs != want
                 except SubstOpenValue:
                     wrong = False
                     unclosed = unclosed or _bad(path, f"{d.rule} premiss {i} substitutes no closed value")
                 if wrong:
                     return _bad(path, f"{d.rule} premiss {i} starts at the wrong term")
-            if want.ends is not None and not want.ends(p.rhs):
+            if ends is not None and not ends(p.rhs):
                 return _bad(path, f"{d.rule} cannot continue from the result of premiss {i}")
-        if rule.side is not None and not rule.side(d):
+        if side is not None and not side(d):
             return _bad(path, f"{d.rule} premisses do not fit any evaluation context")
-        if d.rhs != (rule.rhs(lhs, ps) if rule.rhs else ps[-1].rhs if ps else lhs):
+        end = rhs(lhs, ps) if rhs else ps[-1].rhs if ps else lhs
+        if d.rhs is not end and d.rhs != end:
             return _bad(path, f"{d.rule} conclusion does not match its premisses")
-        if rule.cut:
+        if cut:
             trace = join(trace, (ANNIHILATOR,))
-        if d.trace != trace:
+        if d.trace is not trace and d.trace != trace:
             return _bad(path, f"{d.rule} emits the wrong trace")
         i = len(ps)
         while i:  # push the premisses so that the first is checked next
@@ -556,7 +610,7 @@ def annihilator_derivation(e: Expr, budget: int) -> Derivation:
     demand of e itself: fn if e's type is an arrow, else nat; that type is
     inferred only when such a cut happens, so at most once a run.
     """
-    return _ann(e, Budget(budget), e, [])
+    return _ann(e, Budget(budget), e, [], {})
 
 
 def annihilator_eval(e: Expr, budget: int):
@@ -567,62 +621,67 @@ def annihilator_eval(e: Expr, budget: int):
     return d.rhs, AnnTrace(t[:-1] if cut else t, cut)
 
 
-def _ann(e: Expr, b: Budget, demand: str | Expr, log: list) -> Derivation:
+def _ann(e: Expr, b: Budget, demand: str | Expr, log: list, leaves: dict) -> Derivation:
+    # traces join with ann_join, as a cut absorbs the labels logged after it
     if is_value(e):
-        return Derivation("StA-Val", e, e, (), ())
+        k = id(e)  # shared_leaf, written out on the hottest path
+        d = leaves.get(k)
+        if d is None:
+            d = leaves[k] = Derivation("StA-Val", e, e, (), ())
+        return d
     if b.remaining == 0:
-        return _cut(e, demand, log)
+        return _cut(e, demand, log, leaves)
     c = type(e)
     if c is App:
-        p1 = _ann(e.fn, b, "fn", log)
-        p2 = _ann(e.arg, b, "nat", log)
+        p1 = _ann(e.fn, b, "fn", log, leaves)
+        p2 = _ann(e.arg, b, "nat", log, leaves)
         f = p1.rhs
         if type(f) is not Lam:
             raise StuckError(App(f, p2.rhs))
-        pb = _contract(beta(f, p2.rhs), b, demand, log)
+        pb = _contract(beta(f, p2.rhs), b, demand, log, leaves)
         return Derivation(
             "StA-App", e, pb.rhs,
             ann_join(ann_join(p1.trace, p2.trace), pb.trace),
-            (p1, p2, val_leaf(p2.rhs), pb),
+            (p1, p2, val_leaf(leaves, p2.rhs), pb),
         )
     if c is Succ:
-        p = _ann(e.body, b, "nat", log)
+        p = _ann(e.body, b, "nat", log, leaves)
         return Derivation("StA-Succ", e, Succ(p.rhs), p.trace, (p,))
     if c is Eff:
         b.spend()
         head = emit(log, e.label)
-        p = _ann(e.body, b, demand, log)
+        p = _ann(e.body, b, demand, log, leaves)
         return Derivation("StA-Eff", e, p.rhs, ann_join(head, p.trace), (p,))
     if c is Case:
-        ps = _ann(e.scrutinee, b, "nat", log)
+        ps = _ann(e.scrutinee, b, "nat", log, leaves)
         v = ps.rhs
         if type(v) is Zero:
-            pb = _contract(e.zero_branch, b, demand, log)
+            pb = _contract(e.zero_branch, b, demand, log, leaves)
             return Derivation(
                 "StA-CaseZ", e, pb.rhs, ann_join(ps.trace, pb.trace), (ps, pb)
             )
         if type(v) is Succ:
-            pb = _contract(subst(e.succ_branch, {e.succ_var: v.body}), b, demand, log)
+            pb = _contract(subst(e.succ_branch, {e.succ_var: v.body}), b, demand, log, leaves)
             return Derivation(
                 "StA-CaseS", e, pb.rhs, ann_join(ps.trace, pb.trace),
-                (ps, val_leaf(v.body), pb),
+                (ps, val_leaf(leaves, v.body), pb),
             )
         raise StuckError(Case(e.zero_branch, e.succ_var, e.succ_branch, v))
     raise StuckError(e)  # a variable or a let has no rule
 
 
-def _cut(e: Expr, demand: str | Expr, log: list) -> Derivation:
+def _cut(e: Expr, demand: str | Expr, log: list, leaves: dict) -> Derivation:
     v = _placeholder(demand)
-    return Derivation("StA-Stop", e, v, emit(log, ANNIHILATOR), (val_leaf(v),))
+    return Derivation("StA-Stop", e, v, emit(log, ANNIHILATOR), (val_leaf(leaves, v),))
 
 
-def _contract(e: Expr, b: Budget, demand: str | Expr, log: list) -> Derivation:
+def _contract(e: Expr, b: Budget, demand: str | Expr, log: list, leaves: dict) -> Derivation:
     """Pay for a contraction and run the branch or body e it leads to; with
     no budget left to pay, e is cut, even when it is a value."""
     if b.remaining == 0:
-        return _cut(e, demand, log)
+        return _cut(e, demand, log, leaves)
     b.spend()
-    return _ann(e, b, demand, log)
+    return _ann(e, b, demand, log, leaves)
 
 
 ### the evaluation-context dialect
@@ -632,50 +691,48 @@ def ec_bigstop_eval(e: Expr, budget: int) -> BigStopResult:
     """Budgeted evaluation presented as context-decomposition chains:
     each contraction is one EC-Seq link whose left premiss is the redex
     rule and whose right premiss continues with the plugged-back term."""
-    d = _ec(e, Budget(budget), [])
+    d = _ec(e, Budget(budget), [], {})
     return BigStopResult(d.rhs, tuple(d.trace), d)
 
 
-def _ec(e: Expr, b: Budget, log: list) -> Derivation:
+def _ec(e: Expr, b: Budget, log: list, leaves: dict) -> Derivation:
     """A loop over the contractions, then their links folded into the EC-Seq
-    chain from its end."""
+    chain from its end.  A link's trace is the log from its contraction on."""
     links = []
     while b.remaining and (split := decompose(e)) is not None:
         ctx, r = split
-        step = _ec_redex(r, b, log)
-        links.append((e, step))
+        start = len(log)
+        step = _ec_redex(r, b, log, leaves)
+        links.append((e, step, start))
         e = plug(ctx, step.rhs)
     d = Derivation("EC-Val" if b.remaining else "EC-Stop", e, e, (), ())
-    for e, step in reversed(links):
-        d = Derivation("EC-Seq", e, d.rhs, step.trace + d.trace, (step, d))
+    for e, step, start in reversed(links):
+        d = Derivation("EC-Seq", e, d.rhs, since(log, start), (step, d))
     return d
 
 
-def _ec_redex(r: Expr, b: Budget, log: list) -> Derivation:
-    def halt(x: Expr) -> Derivation:
-        return Derivation("EC-Stop", x, x, (), ())
-
+def _ec_redex(r: Expr, b: Budget, log: list, leaves: dict) -> Derivation:
     c = type(r)
     if c is App:
         f, v = r.fn, r.arg
         if type(f) is Lam and is_value(v):
             b.spend()
             out = beta(f, v)
-            return Derivation("EC-App", r, out, (), (val_leaf(v), halt(out)))
+            return Derivation("EC-App", r, out, (), (val_leaf(leaves, v), shared_leaf(leaves, "EC-Stop", out)))
     elif c is Eff:
         b.spend()
-        return Derivation("EC-Eff", r, r.body, emit(log, r.label), (halt(r.body),))
+        return Derivation("EC-Eff", r, r.body, emit(log, r.label), (shared_leaf(leaves, "EC-Stop", r.body),))
     elif c is Case:
         sc = r.scrutinee
         if type(sc) is Zero:
             b.spend()
             zb = r.zero_branch
-            return Derivation("EC-CaseZ", r, zb, (), (halt(zb),))
+            return Derivation("EC-CaseZ", r, zb, (), (shared_leaf(leaves, "EC-Stop", zb),))
         if type(sc) is Succ and is_value(sc.body):
             b.spend()
             v = sc.body
             out = subst(r.succ_branch, {r.succ_var: v})
-            return Derivation("EC-CaseS", r, out, (), (val_leaf(v), halt(out)))
+            return Derivation("EC-CaseS", r, out, (), (val_leaf(leaves, v), shared_leaf(leaves, "EC-Stop", out)))
     raise StuckError(r)
 
 
@@ -783,10 +840,10 @@ def _decode(obj) -> Derivation:
         raise DerivationFormatError("terms, labels and nodes must be lists")
     if not all(type(x) is str for x in texts) or not all(type(x) is str for x in labels):
         raise DerivationFormatError("terms and labels must be strings")
-    terms = []
+    terms, table = [], {}  # equal subterms of the terms are one object
     for i, text in enumerate(texts):
         try:
-            terms.append(parse_expr(text))
+            terms.append(parse_expr(text, table))
         except ParseError as err:
             raise DerivationFormatError(f"term {i} does not parse: {err}") from None
     n_terms, n_labels = len(terms), len(labels)

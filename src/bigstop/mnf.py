@@ -18,7 +18,7 @@ from .syntax import (
     all_names, beta, check_mnf, free_vars, is_value, print_expr, rebuild, scoped_children, subst,
 )
 from .smallstep import MultiResult, StepResult, _run
-from .traces import emit
+from .traces import Span, since
 
 
 def to_mnf(e: Expr) -> Expr:
@@ -184,47 +184,54 @@ def mnf_bigstop_eval(e: Expr, budget: int) -> BigStopResult:
     """Budgeted evaluation of an MNF term with an StM-* derivation."""
     if not check_mnf(e):
         raise NotMNF(f"not in monadic normal form: {print_expr(e)}")
-    d = _mstop(e, Budget(budget), [])
+    d = _mstop(e, Budget(budget), [], {})
     return BigStopResult(d.rhs, tuple(d.trace), d)
 
 
-def _mstop(e: Expr, b: Budget, log: list) -> Derivation:
+def _mstop(e: Expr, b: Budget, log: list, leaves: dict) -> Derivation:
+    # leaves holds the run's StM-Stop and Val leaves (bigstop.shared_leaf); a
+    # node's trace is what the log gained between its entry and its exit
     if is_value(e) or b.remaining == 0:
-        return Derivation("StM-Stop", e, e, (), ())
+        k = id(e)  # shared_leaf, written out on the hottest path
+        d = leaves.get(k)
+        if d is None:
+            d = leaves[k] = Derivation("StM-Stop", e, e, (), ())
+        return d
+    start = len(log)
     c = type(e)
     if c is Let:
         x, body = e.var, e.body
-        p1 = _mstop(e.bound, b, log)
+        p1 = _mstop(e.bound, b, log, leaves)
         v1 = p1.rhs
         if not is_value(v1) or b.remaining == 0:
             return Derivation("StM-Let1", e, Let(x, v1, body), p1.trace, (p1,))
         b.spend()
-        pb = _mstop(subst(body, {x: v1}), b, log)
+        pb = _mstop(subst(body, {x: v1}), b, log, leaves)
         return Derivation(
-            "StM-Let2", e, pb.rhs, p1.trace + pb.trace,
-            (p1, val_leaf(v1), pb),
+            "StM-Let2", e, pb.rhs, since(log, start),
+            (p1, val_leaf(leaves, v1), pb),
         )
     if c is App:
         f, a = e.fn, e.arg
         if type(f) is not Lam:
             raise StuckError(e)
         b.spend()
-        pb = _mstop(beta(f, a), b, log)
-        return Derivation("StM-App", e, pb.rhs, pb.trace, (val_leaf(a), pb))
+        pb = _mstop(beta(f, a), b, log, leaves)
+        return Derivation("StM-App", e, pb.rhs, pb.trace, (val_leaf(leaves, a), pb))
     if c is Eff:
         b.spend()
-        head = emit(log, e.label)
-        p = _mstop(e.body, b, log)
-        return Derivation("StM-Eff", e, p.rhs, head + p.trace, (p,))
+        log.append(e.label)
+        p = _mstop(e.body, b, log, leaves)
+        return Derivation("StM-Eff", e, p.rhs, Span(log, start, len(log)), (p,))
     if c is Case:
         sc = e.scrutinee
         if type(sc) is Zero:
             b.spend()
-            pb = _mstop(e.zero_branch, b, log)
+            pb = _mstop(e.zero_branch, b, log, leaves)
             return Derivation("StM-CaseZ", e, pb.rhs, pb.trace, (pb,))
         if type(sc) is Succ and is_value(sc):
             b.spend()
             w = sc.body
-            pb = _mstop(subst(e.succ_branch, {e.succ_var: w}), b, log)
-            return Derivation("StM-CaseS", e, pb.rhs, pb.trace, (val_leaf(w), pb))
+            pb = _mstop(subst(e.succ_branch, {e.succ_var: w}), b, log, leaves)
+            return Derivation("StM-CaseS", e, pb.rhs, pb.trace, (val_leaf(leaves, w), pb))
     raise StuckError(e)

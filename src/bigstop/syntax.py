@@ -429,6 +429,23 @@ _TOKEN = re.compile(r"[ \t\r]+|(?P<comment>--.*)|(?P<nl>\n)|(?P<punct>=>|[(){}\[
 
 
 class _Parser(_Cursor):
+    def __init__(self, src: str, pattern, table: dict | None = None):
+        super().__init__(src, pattern)
+        self.table = table
+
+    def make(self, cls, *parts) -> Expr:
+        """cls(*parts), or with a table the equal term it already holds.
+        Every part is then the table's own, so a term is known by its
+        class, its names and its parts' ids, and equal terms are one object."""
+        table = self.table
+        if table is None:
+            return cls(*parts)
+        key = (cls, *[x if type(x) is str else id(x) for x in parts])
+        e = table.get(key)
+        if e is None:
+            e = table[key] = cls(*parts)
+        return e
+
     def binder(self, want: str = "a binder") -> str:
         t = self.peek()
         if t.kind != "ident" or t.text in KEYWORDS:
@@ -444,14 +461,14 @@ class _Parser(_Cursor):
             x = self.binder()
             self.expect(")")
             self.expect("=>")
-            return Lam(f, x, self.expr())
+            return self.make(Lam, f, x, self.expr())
         if t.text == "let":
             self.next()
             x = self.binder()
             self.expect("=")
             bound = self.expr()
             self.expect("in")
-            return Let(x, bound, self.expr())
+            return self.make(Let, x, bound, self.expr())
         if t.text == "eff":
             self.next()
             self.expect("[")
@@ -464,13 +481,13 @@ class _Parser(_Cursor):
                 raise ParseError(str(bl), lab.line, lab.col) from None
             self.next()
             self.expect("]")
-            return Eff(lab.text, self.expr())
+            return self.make(Eff, lab.text, self.expr())
         return self.app()
 
     def app(self) -> Expr:
         e = self.atom()
         while self.starts_atom():
-            e = App(e, self.atom())
+            e = self.make(App, e, self.atom())
         return e
 
     def starts_atom(self) -> bool:
@@ -481,7 +498,7 @@ class _Parser(_Cursor):
         t = self.peek()
         if t.text == "z":
             self.next()
-            return Zero()
+            return self.make(Zero)
         if t.text == "s":
             # a successor chain in one loop, as a numeral may be deeper than the
             # stack; an inner s(...) heads the application in its parent's ( )
@@ -493,9 +510,9 @@ class _Parser(_Cursor):
             e = self.expr()
             for left in range(opened - 1, -1, -1):
                 self.expect(")")
-                e = Succ(e)
+                e = self.make(Succ, e)
                 while left and self.starts_atom():
-                    e = App(e, self.atom())
+                    e = self.make(App, e, self.atom())
             return e
         if t.text == "case":
             self.next()
@@ -512,7 +529,7 @@ class _Parser(_Cursor):
             self.expect("=>")
             sb = self.expr()
             self.expect("}")
-            return Case(zb, xv, sb, sc)
+            return self.make(Case, zb, xv, sb, sc)
         if t.text == "(":
             self.next()
             e = self.expr()
@@ -521,12 +538,14 @@ class _Parser(_Cursor):
         if t.kind == "ident":
             if t.text == BLANK:
                 raise ParseError("the wildcard _ cannot be referenced", t.line, t.col)
-            return Var(self.binder("an identifier"))
+            return self.make(Var, self.binder("an identifier"))
         self.fail("an expression")
 
 
-def parse_expr(src: str) -> Expr:
-    p = _Parser(src, _TOKEN)
+def parse_expr(src: str, table: dict | None = None) -> Expr:
+    """The term src writes.  Texts parsed with one table share their equal
+    subterms: each is one object, which the table keeps."""
+    p = _Parser(src, _TOKEN, table)
     return p.whole(p.expr)
 
 

@@ -111,6 +111,13 @@ def emit(log: list, label: str) -> Span:
     return Span(log, len(log) - 1, len(log))
 
 
+def since(log: list, start: int):
+    """The trace a run logged from start on: what a node emitted, taken at
+    its exit from where the log stood at its entry."""
+    end = len(log)
+    return Span(log, start, end) if end > start else ()
+
+
 def format_trace(t: Trace) -> str:
     if not t:
         return "1"

@@ -1314,6 +1314,79 @@ def test_evaluator_derivations_round_trip(dialect):
             assert check_derivation(back, dialect) is None, (print_expr(e), budget)
 
 
+### shared leaves and traces taken from the log
+
+# the rules that put the lhs's label before their premisses' traces
+EMITS = {"StE-Eff", "EC-Eff", "StM-Eff"}
+
+
+@pytest.mark.parametrize("dialect", ["plain", "ec", "mnf"])
+def test_every_node_emits_its_premisses_traces_in_order(dialect):
+    # a node's trace is taken from the run's log at its entry and exit; it
+    # must still be its label, where the rule emits, then its premisses'
+    nodes = 0
+    for e in enumerate_exprs(5):
+        for budget in range(7):
+            for path, node in _nodes(BUILD[dialect](e, budget)):
+                want = (node.lhs.label,) if node.rule in EMITS else ()
+                for p in node.premises:
+                    want += tuple(p.trace)
+                assert tuple(node.trace) == want, (print_expr(e), budget, path)
+                nodes += 1
+    assert nodes > 5_000
+
+
+@pytest.mark.parametrize("dialect", sorted(BUILD))
+def test_a_long_loop_has_a_handful_of_leaf_objects(dialect):
+    # a run keeps one leaf per rule and term object: omega's 8,000
+    # contractions meet the same few terms over and over
+    d = BUILD[dialect](LOOP, 8000)
+    positions = list(bigstop.bigstop._nodes(d))
+    leaves = {id(n) for n in positions if not n.premises}
+    assert len(leaves) <= 5
+    assert len(positions) > 12_000  # a leaf is still one node per position
+    assert check_derivation(d, dialect) is None
+
+
+def test_an_invalid_node_at_two_positions_is_rejected_at_the_first():
+    d = bigstop_eval(LOOP, 8).derivation
+    # the St-Stop(0) leaf at the loop's function sits once in each turn
+    shared = [(path, node) for path, node in _nodes(d)
+              if node.rule == "St-Stop(0)" and isinstance(node.lhs, Lam)]
+    assert len(shared) >= 3 and len({id(node) for _, node in shared}) == 1
+    (first, leaf), (second, _) = shared[1], shared[2]
+    bad = mut(leaf, premises=(leaf,))
+    alone = check_derivation(_replace_at(d, first, bad))
+    assert (alone.path, alone.reason) == (first, "St-Stop(0) wants 0 premisses, got 1")
+    later = check_derivation(_replace_at(d, second, bad))
+    assert later.path == second
+    assert check_derivation(_replace_at(_replace_at(d, first, bad), second, bad)) == alone
+    # siblings: the argument's leaf is the body's, and the first is reported
+    ident = bigstop_eval(parse_expr("(fun g(y) => y) z"), 1).derivation
+    p1, p2, val, pb = ident.premises
+    assert p2 is pb
+    bad = mut(p2, premises=(p2,))
+    v = check_derivation(mut(ident, premises=(p1, bad, val, bad)))
+    assert (v.path, v.reason) == ((1,), "St-Stop(0) wants 0 premisses, got 1")
+
+
+def test_a_decoded_file_makes_equal_subterms_one_object():
+    countdown = App(parse_expr("fun f(x) => case x { z => z | s(m) => eff[t] f m }"),
+                    Succ(Succ(Succ(Zero()))))
+    for d in (bigstop_eval(countdown, 11).derivation, mnf_bigstop_eval(to_mnf(countdown), 20).derivation):
+        back = _round_trip(d)
+        assert back == d
+        by_value: dict = {}
+        for _, node in _nodes(back):
+            todo = [node.lhs, node.rhs]
+            while todo:
+                t = todo.pop()
+                by_value.setdefault(t, set()).add(id(t))
+                todo += [kid for kid, _ in scoped_children(t)]
+        assert len(by_value) > 10  # the numerals and their predecessors among them
+        assert all(len(ids) == 1 for ids in by_value.values())
+
+
 REDEX = parse_expr("(fun f(x) => x) z")
 
 
