@@ -16,7 +16,7 @@ def check_budget(units: int) -> int:
 
 
 class BudgetExhausted(RuntimeError):
-    """spend() on an empty budget; the big-step engines catch it as no fuel."""
+    """spend() on an empty budget; PCF's big_step catches it as no fuel."""
 
 
 class Budget:

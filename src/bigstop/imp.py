@@ -11,7 +11,7 @@ program, reporting that it froze.
 import enum
 import re
 
-from .budget import Budget, BudgetExhausted, check_budget
+from .budget import check_budget
 from .record import record
 from .syntax import ParseError, _Cursor
 
@@ -136,7 +136,11 @@ def config(stmt: Stmt, bindings=()) -> ImpConfig:
 def aeval(state: tuple, a: AExpr) -> int:
     t = type(a)
     if t is Ref:
-        return state_get(state, a.name)
+        name = a.name
+        for n, v in state:
+            if n == name:
+                return v
+        return 0
     if t is Lit:
         return a.value
     if t is Sub:
@@ -155,22 +159,29 @@ _SKIP = Skip()  # statements compare by value, so one instance serves every engi
 
 
 def _step(s: Stmt, st: tuple):
-    """One step of the statement s, which is not skip, from the store st,
-    as a (statement, store) pair."""
-    t = type(s)
-    if t is SeqS:
-        s1 = s.first
-        if type(s1) is Skip:
-            return s.second, st
-        s1, st = _step(s1, st)
-        return SeqS(s1, s.second), st
-    if t is If:
-        return (s.body if aeval(st, s.guard) != 0 else _SKIP), st
-    if t is Assign:
-        return _SKIP, state_set(st, s.name, aeval(st, s.expr))
-    if t is While:
-        return (SeqS(s.body, s) if aeval(st, s.guard) != 0 else _SKIP), st
-    raise TypeError(f"not a statement: {s!r}")
+    """One step of the statement s, which is not skip, from the store st, as
+    a (statement, store) pair, taken at the foot of s's left spine of `;`."""
+    seconds = ()
+    while type(s) is SeqS:
+        if type(s.first) is Skip:
+            s = s.second
+            break
+        seconds = (s.second, seconds)
+        s = s.first
+    else:
+        t = type(s)
+        if t is If:
+            s = s.body if aeval(st, s.guard) != 0 else _SKIP
+        elif t is Assign:
+            st = state_set(st, s.name, aeval(st, s.expr))
+            s = _SKIP
+        elif t is While:
+            s = SeqS(s.body, s) if aeval(st, s.guard) != 0 else _SKIP
+        else:
+            raise TypeError(f"not a statement: {s!r}")
+    while seconds:
+        s, seconds = SeqS(s, seconds[0]), seconds[1]
+    return s, st
 
 
 def imp_small_step(cfg: ImpConfig):
@@ -206,9 +217,13 @@ def imp_multi_step(cfg: ImpConfig, budget: int) -> ImpMultiResult:
 
 ### big-step with fuel
 #
-# In the three engines below a sequence's second statement and a loop's
-# next turn are tail positions, taken as turns of the engine's own loop:
-# the call depth follows how deeply the statements nest, not the budget.
+# Each engine below is one loop over the current statement s, the budget n
+# as a local int and the statements pending after s as a stack of
+# (statement, rest) pairs, innermost on top (no method call per push or pop;
+# _step keeps its spine so too).  A sequence pushes its second statement and
+# goes on with its first; a loop whose guard holds pushes itself and runs
+# its body, as it steps to body ; while; a skip with something pending pays
+# the skip ; s2 -> s2 step and pops.  Only aeval recurses, once per operator.
 
 
 @record
@@ -222,38 +237,34 @@ class ImpFuelExhausted:
 
 
 def imp_bigstep(cfg: ImpConfig, fuel: int):
-    b = Budget(fuel)
-    try:
-        return ImpDone(_beval(cfg.stmt, cfg.state, b))
-    except BudgetExhausted:
-        return ImpFuelExhausted()
-
-
-def _beval(s: Stmt, st: tuple, b: Budget) -> tuple:
-    while True:
+    n = check_budget(fuel)
+    s, st = cfg.stmt, cfg.state
+    pending = ()
+    while n:
         t = type(s)
-        if t is SeqS:
-            st = _beval(s.first, st, b)
-            b.spend()  # the skip ; s2 -> s2 step
-            s = s.second
-        elif t is If:
-            b.spend()
-            if aeval(st, s.guard) == 0:
-                return st
-            s = s.body
-        elif t is Assign:
-            b.spend()
-            return state_set(st, s.name, aeval(st, s.expr))
+        if t is Skip:
+            if not pending:
+                return ImpDone(st)
+            s, pending = pending
         elif t is While:
-            b.spend()  # unrolling or finishing the loop
-            if aeval(st, s.guard) == 0:
-                return st
-            st = _beval(s.body, st, b)
-            b.spend()  # the skip ; while step after the unrolled body
-        elif t is Skip:
-            return st
+            if aeval(st, s.guard) != 0:
+                pending = (s, pending)
+                s = s.body
+            else:
+                s = _SKIP
+        elif t is If:
+            s = s.body if aeval(st, s.guard) != 0 else _SKIP
+        elif t is SeqS:
+            pending = (s.second, pending)
+            s = s.first
+            continue
+        elif t is Assign:
+            st = state_set(st, s.name, aeval(st, s.expr))
+            s = _SKIP
         else:
             raise TypeError(f"not a statement: {s!r}")
+        n -= 1
+    return ImpDone(st) if type(s) is Skip and not pending else ImpFuelExhausted()
 
 
 ### big-stop
@@ -262,40 +273,36 @@ def _beval(s: Stmt, st: tuple, b: Budget) -> tuple:
 def imp_bigstop(cfg: ImpConfig, budget: int) -> ImpConfig:
     """The configuration after at most `budget` counted steps; matches
     imp_multi_step(cfg, budget) exactly."""
-    b = Budget(budget)
-    return ImpConfig(*_bstop(cfg.stmt, cfg.state, b))
-
-
-def _bstop(s: Stmt, st: tuple, b: Budget):
-    while True:
+    n = check_budget(budget)
+    s, st = cfg.stmt, cfg.state
+    pending = ()
+    while n:
         t = type(s)
-        if t is Skip or b.remaining == 0:
-            return s, st
-        if t is SeqS:
-            s1, st = _bstop(s.first, st, b)
-            if type(s1) is not Skip or b.remaining == 0:
-                return SeqS(s1, s.second), st
-            b.spend()
-            s = s.second
-        elif t is If:
-            b.spend()
-            if aeval(st, s.guard) == 0:
-                return _SKIP, st
-            s = s.body
-        elif t is Assign:
-            b.spend()
-            return _SKIP, state_set(st, s.name, aeval(st, s.expr))
+        if t is Skip:
+            if not pending:
+                break
+            s, pending = pending
         elif t is While:
-            b.spend()
-            if aeval(st, s.guard) == 0:
-                return _SKIP, st
-            # one unrolling: now behaves exactly like body ; while
-            s1, st = _bstop(s.body, st, b)
-            if type(s1) is not Skip or b.remaining == 0:
-                return SeqS(s1, s), st
-            b.spend()
+            if aeval(st, s.guard) != 0:
+                pending = (s, pending)
+                s = s.body
+            else:
+                s = _SKIP
+        elif t is If:
+            s = s.body if aeval(st, s.guard) != 0 else _SKIP
+        elif t is SeqS:
+            pending = (s.second, pending)
+            s = s.first
+            continue
+        elif t is Assign:
+            st = state_set(st, s.name, aeval(st, s.expr))
+            s = _SKIP
         else:
             raise TypeError(f"not a statement: {s!r}")
+        n -= 1
+    while pending:
+        s, pending = SeqS(s, pending[0]), pending[1]
+    return ImpConfig(s, st)
 
 
 ### freeze variant
@@ -314,42 +321,34 @@ def imp_bigstop_freeze(cfg: ImpConfig, budget: int) -> FreezeResult:
     budget - a frozen store absorbs every later assignment, so skipping
     the remainder of the program changes nothing.
     """
-    b = Budget(budget)
-    st, frozen = _fstop(cfg.stmt, cfg.state, b)
-    return FreezeResult(st, frozen)
-
-
-def _fstop(s: Stmt, st: tuple, b: Budget):
-    while True:
+    n = check_budget(budget)
+    s, st = cfg.stmt, cfg.state
+    pending = ()
+    while n:
         t = type(s)
         if t is Skip:
-            return st, False
-        if b.remaining == 0:
-            return st, True
-        if t is SeqS:
-            st, frozen = _fstop(s.first, st, b)
-            if frozen or b.remaining == 0:
-                return st, True
-            b.spend()
-            s = s.second
-        elif t is If:
-            b.spend()
-            if aeval(st, s.guard) == 0:
-                return st, False
-            s = s.body
-        elif t is Assign:
-            b.spend()
-            return state_set(st, s.name, aeval(st, s.expr)), False
+            if not pending:
+                return FreezeResult(st, False)
+            s, pending = pending
         elif t is While:
-            b.spend()
-            if aeval(st, s.guard) == 0:
-                return st, False
-            st, frozen = _fstop(s.body, st, b)
-            if frozen or b.remaining == 0:
-                return st, True
-            b.spend()
+            if aeval(st, s.guard) != 0:
+                pending = (s, pending)
+                s = s.body
+            else:
+                s = _SKIP
+        elif t is If:
+            s = s.body if aeval(st, s.guard) != 0 else _SKIP
+        elif t is SeqS:
+            pending = (s.second, pending)
+            s = s.first
+            continue
+        elif t is Assign:
+            st = state_set(st, s.name, aeval(st, s.expr))
+            s = _SKIP
         else:
             raise TypeError(f"not a statement: {s!r}")
+        n -= 1
+    return FreezeResult(st, type(s) is not Skip or bool(pending))
 
 
 ### concrete syntax

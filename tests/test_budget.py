@@ -1,5 +1,5 @@
 """The budget: every engine that takes one rejects a negative budget the
-same way, with the ValueError that Budget raises."""
+same way, with the ValueError that check_budget raises."""
 
 import pytest
 
@@ -8,6 +8,9 @@ from bigstop import (
     BudgetExhausted,
     compile,
     config,
+    imp_bigstep,
+    imp_bigstop,
+    imp_bigstop_freeze,
     imp_multi_step,
     k_run,
     mnf_multi_step,
@@ -31,7 +34,11 @@ STMT = parse_stmt("x := 1")
     lambda b: mnf_multi_step(to_mnf(TERM), b),
     lambda b: k_run(compile(TERM), b),
     lambda b: imp_multi_step(config(STMT), b),
-], ids=["Budget", "multi_step", "step_trace", "mnf_multi_step", "k_run", "imp_multi_step"])
+    lambda b: imp_bigstop(config(STMT), b),
+    lambda b: imp_bigstop_freeze(config(STMT), b),
+    lambda b: imp_bigstep(config(STMT), b),
+], ids=["Budget", "multi_step", "step_trace", "mnf_multi_step", "k_run", "imp_multi_step",
+        "imp_bigstop", "imp_bigstop_freeze", "imp_bigstep"])
 def test_a_negative_budget_raises(run):
     with pytest.raises(ValueError, match="budget must be non-negative"):
         run(-1)

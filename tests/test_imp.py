@@ -6,6 +6,7 @@ from bigstop import (
     Add,
     Assign,
     FreezeResult,
+    If,
     ImpDone,
     ImpFuelExhausted,
     ImpParseError,
@@ -17,6 +18,7 @@ from bigstop import (
     SeqS,
     Skip,
     Sub,
+    While,
     aeval,
     config,
     enumerate_stmts,
@@ -328,3 +330,47 @@ def test_long_loops_run_at_the_default_recursion_limit(at_recursion_limit_1000):
     assert got["bigstop"] == m.config
     assert got["freeze"] == FreezeResult(m.config.state, True)
     assert got["bigstep"] == ImpFuelExhausted()
+
+
+def test_deep_programs_run_at_the_default_recursion_limit(at_recursion_limit_1000):
+    # 3,000 statements nest 3,000 deep to the left, as `;` parses; the nest
+    # alternates 3,000 loops and conditionals around y := y + 1 ; x := 0.
+    # Only stores are compared: == and repr on a statement recurse per level.
+    # Multi-step walks the whole spine at every step, so it takes a few steps
+    # only: from the start of the line, and from deep inside the nest.
+    line = config(parse_stmt(" ; ".join(["x := x + 1"] * 3_000)), ())
+    nest = SeqS(Assign("y", Add(Ref("y"), Lit(1))), Assign("x", Lit(0)))
+    for i in range(3_000):
+        nest = If(Ref("x"), nest) if i % 2 else While(Ref("x"), nest)
+    nest = config(nest, parse_init("x=1"))
+    fuel = 10_000
+
+    def unrolled():
+        # one step per loop unrolled and per branch taken: at 3,000 steps the
+        # nest's next step assigns at the foot of a spine 1,501 sequences deep
+        return imp_bigstop(nest, 3_000)
+
+    got = at_recursion_limit_1000(
+        line_bigstop=lambda: imp_bigstop(line, fuel).state,
+        line_freeze=lambda: imp_bigstop_freeze(line, fuel),
+        line_bigstep=lambda: imp_bigstep(line, fuel),
+        line_multi=lambda: imp_multi_step(line, 20).config.state,
+        line_small=lambda: imp_small_step(line).state,
+        nest_bigstop=lambda: imp_bigstop(nest, fuel).state,
+        nest_freeze=lambda: imp_bigstop_freeze(nest, fuel),
+        nest_bigstep=lambda: imp_bigstep(nest, fuel),
+        nest_multi=lambda: imp_multi_step(unrolled(), 3).config.state,
+        nest_small=lambda: imp_small_step(unrolled()).state,
+    )
+    done = make_state({"x": 3_000})
+    assert got["line_bigstop"] == done
+    assert got["line_freeze"] == FreezeResult(done, False)
+    assert got["line_bigstep"] == ImpDone(done)
+    assert got["line_multi"] == make_state({"x": 10})
+    assert got["line_small"] == make_state({"x": 1})
+    done = make_state({"x": 0, "y": 1})
+    assert got["nest_bigstop"] == done
+    assert got["nest_freeze"] == FreezeResult(done, False)
+    assert got["nest_bigstep"] == ImpDone(done)
+    assert got["nest_multi"] == done
+    assert got["nest_small"] == make_state({"x": 1, "y": 1})
