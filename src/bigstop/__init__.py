@@ -10,7 +10,8 @@ imperative sibling language, and differential test suites over all of them.
 
 import sys
 
-# deep derivations and deep terms want stack headroom
+# _stop, _ann, _mstop and compose recurse once per derivation node, and
+# the term walkers of ROADMAP item 15 once per level of a term
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 
 from .bigstep import FuelExhausted, Stuck, Value, big_step
@@ -33,7 +34,7 @@ from .bigstop import (
     ec_bigstop_eval,
     is_progressing,
 )
-from .budget import Budget, BudgetExhausted
+from .budget import Budget
 from .harness import (
     Failure,
     GenConfig,

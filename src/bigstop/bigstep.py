@@ -3,10 +3,12 @@
 Fuel is spent exactly where the small-step engine would spend a step, so
 big_step(e, n) converges exactly when multi_step(e, n) reaches a value,
 with the same value and trace.  Premisses are evaluated left to right,
-which is what sequences the effects.
+which is what sequences the effects.  The evaluator is one loop over the
+term in focus and a stack of what waits on its value: it runs at any depth
+and returns, never raises, when the fuel runs out or the term is stuck.
 """
 
-from .budget import Budget, BudgetExhausted
+from .budget import check_budget
 from .record import record
 from .syntax import App, Case, Eff, Expr, Lam, Succ, Zero, beta, is_value, subst
 from .traces import Trace
@@ -30,48 +32,54 @@ class Stuck:
 
 BigStepOutcome = Value | FuelExhausted | Stuck
 
-
-class _StuckEval(Exception):
-    def __init__(self, at: Expr):
-        self.at = at
+_ARG, _BETA, _SUCC, _CASE = range(4)  # what waits on a value: see big_step
 
 
 def big_step(e: Expr, fuel: int) -> BigStepOutcome:
-    b = Budget(fuel)
+    n = check_budget(fuel)
     labels: list = []
-    try:
-        v = _eval(e, b, labels)
-    except BudgetExhausted:
-        return FuelExhausted()
-    except _StuckEval as s:
-        return Stuck(s.at)
-    return Value(v, tuple(labels))
-
-
-def _eval(e: Expr, b: Budget, labels: list) -> Expr:
-    """The value of e; every label emitted on the way is appended to labels."""
-    if is_value(e):
-        return e
-    c = type(e)
-    if c is App:
-        f = _eval(e.fn, b, labels)
-        v = _eval(e.arg, b, labels)
-        b.spend()
-        if type(f) is not Lam:
-            raise _StuckEval(App(f, v))
-        return _eval(beta(f, v), b, labels)
-    if c is Succ:
-        return Succ(_eval(e.body, b, labels))
-    if c is Eff:
-        b.spend()
-        labels.append(e.label)
-        return _eval(e.body, b, labels)
-    if c is Case:
-        v = _eval(e.scrutinee, b, labels)
-        b.spend()
-        if type(v) is Zero:
-            return _eval(e.zero_branch, b, labels)
-        if type(v) is Succ:
-            return _eval(subst(e.succ_branch, {e.succ_var: v.body}), b, labels)
-        raise _StuckEval(Case(e.zero_branch, e.succ_var, e.succ_branch, v))
-    raise _StuckEval(e)  # a variable or a let has no rule
+    rest = ()  # (kind, term, rest): what waits on the value of e, innermost first
+    while True:
+        if is_value(e):
+            if not rest:
+                return Value(e, tuple(labels))
+            kind, t, rest = rest
+            if kind == _ARG:  # e is the function, t its argument
+                rest = (_BETA, e, rest)
+                e = t
+            elif kind == _SUCC:
+                e = Succ(e)
+            elif not n:
+                return FuelExhausted()
+            elif kind == _BETA:  # t is the function, e its argument
+                n -= 1
+                if type(t) is not Lam:
+                    return Stuck(App(t, e))
+                e = beta(t, e)
+            else:  # t is the case, e its scrutinee
+                n -= 1
+                if type(e) is Zero:
+                    e = t.zero_branch
+                elif type(e) is Succ:
+                    e = subst(t.succ_branch, {t.succ_var: e.body})
+                else:
+                    return Stuck(Case(t.zero_branch, t.succ_var, t.succ_branch, e))
+            continue
+        c = type(e)
+        if c is App:
+            rest = (_ARG, e.arg, rest)
+            e = e.fn
+        elif c is Succ:
+            rest = (_SUCC, None, rest)
+            e = e.body
+        elif c is Case:
+            rest = (_CASE, e, rest)
+            e = e.scrutinee
+        elif c is not Eff:
+            return Stuck(e)  # a variable or a let has no rule
+        elif not n:
+            return FuelExhausted()
+        else:
+            n -= 1
+            labels.append(e.label)
+            e = e.body

@@ -33,7 +33,7 @@ import re
 from collections.abc import Callable
 from itertools import accumulate
 
-from .budget import Budget
+from .budget import Budget, check_budget
 from .record import record
 from .smallstep import decompose, plug
 from .syntax import (
@@ -129,7 +129,7 @@ def _stop(e: Expr, b: Budget, log: list, leaves: dict) -> Derivation:
             )
         if type(f) is not Lam:
             raise StuckError(App(f, v))
-        b.spend()
+        b.remaining -= 1
         pb = _stop(beta(f, v), b, log, leaves)
         return Derivation(
             "StE-App", e, pb.rhs, since(log, start), (p1, p2, val_leaf(leaves, v), pb)
@@ -138,7 +138,7 @@ def _stop(e: Expr, b: Budget, log: list, leaves: dict) -> Derivation:
         p = _stop(e.body, b, log, leaves)
         return Derivation("St-Stop(1)", e, Succ(p.rhs), p.trace, (p,))
     if c is Eff:
-        b.spend()
+        b.remaining -= 1
         log.append(e.label)
         p = _stop(e.body, b, log, leaves)
         return Derivation("StE-Eff", e, p.rhs, Span(log, start, len(log)), (p,))
@@ -150,11 +150,11 @@ def _stop(e: Expr, b: Budget, log: list, leaves: dict) -> Derivation:
                 "St-Stop(1)", e, Case(e.zero_branch, e.succ_var, e.succ_branch, v), ps.trace, (ps,)
             )
         if type(v) is Zero:
-            b.spend()
+            b.remaining -= 1
             pb = _stop(e.zero_branch, b, log, leaves)
             return Derivation("StE-CaseZ", e, pb.rhs, since(log, start), (ps, pb))
         if type(v) is Succ:
-            b.spend()
+            b.remaining -= 1
             pb = _stop(subst(e.succ_branch, {e.succ_var: v.body}), b, log, leaves)
             return Derivation(
                 "StE-CaseS", e, pb.rhs, since(log, start), (ps, val_leaf(leaves, v.body), pb)
@@ -648,7 +648,7 @@ def _ann(e: Expr, b: Budget, demand: str | Expr, log: list, leaves: dict) -> Der
         p = _ann(e.body, b, "nat", log, leaves)
         return Derivation("StA-Succ", e, Succ(p.rhs), p.trace, (p,))
     if c is Eff:
-        b.spend()
+        b.remaining -= 1
         head = emit(log, e.label)
         p = _ann(e.body, b, demand, log, leaves)
         return Derivation("StA-Eff", e, p.rhs, ann_join(head, p.trace), (p,))
@@ -680,7 +680,7 @@ def _contract(e: Expr, b: Budget, demand: str | Expr, log: list, leaves: dict) -
     no budget left to pay, e is cut, even when it is a value."""
     if b.remaining == 0:
         return _cut(e, demand, log, leaves)
-    b.spend()
+    b.remaining -= 1
     return _ann(e, b, demand, log, leaves)
 
 
@@ -691,45 +691,42 @@ def ec_bigstop_eval(e: Expr, budget: int) -> BigStopResult:
     """Budgeted evaluation presented as context-decomposition chains:
     each contraction is one EC-Seq link whose left premiss is the redex
     rule and whose right premiss continues with the plugged-back term."""
-    d = _ec(e, Budget(budget), [], {})
+    d = _ec(e, check_budget(budget), [], {})
     return BigStopResult(d.rhs, tuple(d.trace), d)
 
 
-def _ec(e: Expr, b: Budget, log: list, leaves: dict) -> Derivation:
+def _ec(e: Expr, n: int, log: list, leaves: dict) -> Derivation:
     """A loop over the contractions, then their links folded into the EC-Seq
     chain from its end.  A link's trace is the log from its contraction on."""
     links = []
-    while b.remaining and (split := decompose(e)) is not None:
+    while n and (split := decompose(e)) is not None:
         ctx, r = split
         start = len(log)
-        step = _ec_redex(r, b, log, leaves)
+        step = _ec_redex(r, log, leaves)
+        n -= 1
         links.append((e, step, start))
         e = plug(ctx, step.rhs)
-    d = Derivation("EC-Val" if b.remaining else "EC-Stop", e, e, (), ())
+    d = Derivation("EC-Val" if n else "EC-Stop", e, e, (), ())
     for e, step, start in reversed(links):
         d = Derivation("EC-Seq", e, d.rhs, since(log, start), (step, d))
     return d
 
 
-def _ec_redex(r: Expr, b: Budget, log: list, leaves: dict) -> Derivation:
+def _ec_redex(r: Expr, log: list, leaves: dict) -> Derivation:
     c = type(r)
     if c is App:
         f, v = r.fn, r.arg
         if type(f) is Lam and is_value(v):
-            b.spend()
             out = beta(f, v)
             return Derivation("EC-App", r, out, (), (val_leaf(leaves, v), shared_leaf(leaves, "EC-Stop", out)))
     elif c is Eff:
-        b.spend()
         return Derivation("EC-Eff", r, r.body, emit(log, r.label), (shared_leaf(leaves, "EC-Stop", r.body),))
     elif c is Case:
         sc = r.scrutinee
         if type(sc) is Zero:
-            b.spend()
             zb = r.zero_branch
             return Derivation("EC-CaseZ", r, zb, (), (shared_leaf(leaves, "EC-Stop", zb),))
         if type(sc) is Succ and is_value(sc.body):
-            b.spend()
             v = sc.body
             out = subst(r.succ_branch, {r.succ_var: v})
             return Derivation("EC-CaseS", r, out, (), (val_leaf(leaves, v), shared_leaf(leaves, "EC-Stop", out)))

@@ -1,9 +1,11 @@
-"""A mutable step budget shared by one evaluation run.
+"""The step budget.
 
 Every engine charges one unit per contraction (beta, case selection,
 effect emission, let binding in MNF, each non-congruence rule in the
 while language).  Congruence descent is free.  The check happens before
-the contraction, so a value sitting at budget zero is still an answer.
+the contraction, so a value sitting at budget zero is still an answer,
+and running out is an outcome, never an error.  The loops keep the
+budget in a local int; the recursive tree engines share one Budget.
 """
 
 
@@ -15,20 +17,8 @@ def check_budget(units: int) -> int:
     return units
 
 
-class BudgetExhausted(RuntimeError):
-    """spend() on an empty budget; PCF's big_step catches it as no fuel."""
-
-
 class Budget:
     __slots__ = ("remaining",)
 
     def __init__(self, units: int):
         self.remaining = check_budget(units)
-
-    def spend(self) -> None:
-        if self.remaining <= 0:
-            raise BudgetExhausted("spend() on an empty budget")
-        self.remaining -= 1
-
-    def __repr__(self):
-        return f"Budget({self.remaining})"

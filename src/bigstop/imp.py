@@ -509,7 +509,8 @@ def print_stmt(s: Stmt) -> str:
 
 
 def print_state(state: tuple) -> str:
-    inner = ", ".join(f"{n}={v}" for n, v in state)
+    from decimal import Decimal  # str refuses an int of over 4,300 digits; Decimal prints any
+    inner = ", ".join(f"{n}={Decimal(v) if type(v) is int else v}" for n, v in state)
     return "{" + inner + "}"
 
 

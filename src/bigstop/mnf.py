@@ -205,7 +205,7 @@ def _mstop(e: Expr, b: Budget, log: list, leaves: dict) -> Derivation:
         v1 = p1.rhs
         if not is_value(v1) or b.remaining == 0:
             return Derivation("StM-Let1", e, Let(x, v1, body), p1.trace, (p1,))
-        b.spend()
+        b.remaining -= 1
         pb = _mstop(subst(body, {x: v1}), b, log, leaves)
         return Derivation(
             "StM-Let2", e, pb.rhs, since(log, start),
@@ -215,22 +215,22 @@ def _mstop(e: Expr, b: Budget, log: list, leaves: dict) -> Derivation:
         f, a = e.fn, e.arg
         if type(f) is not Lam:
             raise StuckError(e)
-        b.spend()
+        b.remaining -= 1
         pb = _mstop(beta(f, a), b, log, leaves)
         return Derivation("StM-App", e, pb.rhs, pb.trace, (val_leaf(leaves, a), pb))
     if c is Eff:
-        b.spend()
+        b.remaining -= 1
         log.append(e.label)
         p = _mstop(e.body, b, log, leaves)
         return Derivation("StM-Eff", e, p.rhs, Span(log, start, len(log)), (p,))
     if c is Case:
         sc = e.scrutinee
         if type(sc) is Zero:
-            b.spend()
+            b.remaining -= 1
             pb = _mstop(e.zero_branch, b, log, leaves)
             return Derivation("StM-CaseZ", e, pb.rhs, pb.trace, (pb,))
         if type(sc) is Succ and is_value(sc):
-            b.spend()
+            b.remaining -= 1
             w = sc.body
             pb = _mstop(subst(e.succ_branch, {e.succ_var: w}), b, log, leaves)
             return Derivation("StM-CaseS", e, pb.rhs, pb.trace, (val_leaf(leaves, w), pb))

@@ -1,6 +1,6 @@
 from bigstop.bigstep import FuelExhausted, Stuck, Value, big_step
 from bigstop.smallstep import RunStatus, multi_step
-from bigstop.syntax import App, Succ, Zero, parse_expr
+from bigstop.syntax import App, Succ, Zero, numeral, parse_expr
 
 
 def ev(src, fuel):
@@ -35,6 +35,11 @@ def test_stuck_reports_the_bad_application():
     assert got == Stuck(App(Zero(), Zero()))
 
 
+def test_fuel_is_tested_before_the_stuck_test():
+    assert ev("z z", 0) == FuelExhausted()
+    assert ev("z z", 1) == Stuck(App(Zero(), Zero()))
+
+
 def test_stuck_under_evaluation_order():
     # function position evaluates first, so the stuck spot is found there
     got = ev("(z z) ((fun f(x) => x) z)", 5)
@@ -54,3 +59,19 @@ def test_fuel_boundary_agrees_with_step_counting():
     n = full.steps
     assert big_step(e, n) == Value(full.final, full.trace)
     assert big_step(e, n - 1) == FuelExhausted()
+
+
+def test_any_depth_runs_at_the_recursion_limit(at_recursion_limit_1000):
+    # one loop and a stack of pending work: a context 1,200 deep, 200,000
+    # turns of omega and a numeral 3,000 deep need no Python frames
+    countdown = parse_expr("fun f(x) => case x { z => z | s(m) => eff[t] f m }")
+    got = at_recursion_limit_1000(
+        grow=lambda: ev("(fun f(x) => s(f x)) z", 1200),
+        omega=lambda: ev("(fun f(x) => f x) z", 200_000),
+        countdown=lambda: big_step(App(countdown, numeral(3000)), 10**6),
+    )
+    assert got == {
+        "grow": FuelExhausted(),
+        "omega": FuelExhausted(),
+        "countdown": Value(Zero(), ("t",) * 3000),
+    }

@@ -5,14 +5,19 @@ import pytest
 
 from bigstop import (
     Budget,
-    BudgetExhausted,
+    annihilator_eval,
+    big_step,
+    bigstop_eval,
     compile,
     config,
+    correspondence_check,
+    ec_bigstop_eval,
     imp_bigstep,
     imp_bigstop,
     imp_bigstop_freeze,
     imp_multi_step,
     k_run,
+    mnf_bigstop_eval,
     mnf_multi_step,
     multi_step,
     parse_expr,
@@ -37,16 +42,16 @@ STMT = parse_stmt("x := 1")
     lambda b: imp_bigstop(config(STMT), b),
     lambda b: imp_bigstop_freeze(config(STMT), b),
     lambda b: imp_bigstep(config(STMT), b),
+    lambda b: big_step(TERM, b),
+    lambda b: bigstop_eval(TERM, b),
+    lambda b: ec_bigstop_eval(TERM, b),
+    lambda b: annihilator_eval(TERM, b),
+    lambda b: mnf_bigstop_eval(to_mnf(TERM), b),
+    lambda b: correspondence_check(TERM, b),
 ], ids=["Budget", "multi_step", "step_trace", "mnf_multi_step", "k_run", "imp_multi_step",
-        "imp_bigstop", "imp_bigstop_freeze", "imp_bigstep"])
+        "imp_bigstop", "imp_bigstop_freeze", "imp_bigstep", "big_step", "bigstop_eval",
+        "ec_bigstop_eval", "annihilator_eval", "mnf_bigstop_eval", "correspondence_check"])
 def test_a_negative_budget_raises(run):
     with pytest.raises(ValueError, match="budget must be non-negative"):
         run(-1)
     run(0)  # zero is a budget
-
-
-def test_spending_an_empty_budget_raises_budget_exhausted():
-    b = Budget(1)
-    b.spend()
-    with pytest.raises(BudgetExhausted):
-        b.spend()

@@ -111,18 +111,20 @@ def test_open_terms_are_stuck_with_one_stuck_prefix(capsys, sem):
 
 
 @pytest.mark.parametrize("sem, code", [
-    ("bigstop", 1), ("annihilator", 1), ("mnf", 1), ("big", 1),
-    ("small", 0), ("multi", 0), ("ec", 0), ("kmachine", 0),
+    ("bigstop", 1), ("annihilator", 1), ("mnf", 1),
+    ("small", 0), ("multi", 0), ("ec", 0), ("kmachine", 0), ("big", 1),
 ])
 def test_a_run_too_deep_for_the_interpreter_exits_one_with_one_error_line(
     capsys, at_recursion_limit_1000, sem, code
 ):
     # omega at 5,000 contractions: the recursive evaluators overflow the
-    # default limit, the loops finish
+    # default limit, the loops finish; big_step finishes out of fuel
     argv = ("pcf", "run", "--sem", sem, "--budget", "5000", "-e", "(fun f(x) => f x) z")
     got, out, err = at_recursion_limit_1000(run=lambda: run(capsys, *argv))["run"]
     assert got == code
-    if code:
+    if sem == "big":
+        assert (out, err) == ("", "error: no value within fuel 5000\n")
+    elif code:
         assert out == ""
         assert err.startswith("error: run too deep") and err.count("\n") == 1
     else:
@@ -529,6 +531,23 @@ def test_small_is_multi_at_budget_one(capsys, head):
 def test_imp_big_out_of_fuel_is_an_error(capsys):
     code, out, err = run(capsys, "imp", "run", "--sem", "big", "--budget", "2", *COUNTDOWN)
     assert (code, out, err) == (1, "", "error: no finish within fuel 2\n")
+
+
+def test_imp_prints_a_store_int_of_any_size_in_full(capsys):
+    # x is 2^(2^17) after 52 steps: 39,457 digits, past the 4,300 that str
+    # converts under the interpreter's default limit, which the run leaves alone
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(
+        capsys, "imp", "run", "--sem", "bigstop", "--budget", "52",
+        "--init", "x=2", "-e", "while x do { x := x * x }",
+    )
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        want = f"x := x * x ; while x do {{ x := x * x }} | {{x={2 ** 2 ** 17}}}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out, err) == (0, want, "")
 
 
 def test_imp_negative_budget_is_a_usage_error(capsys):
