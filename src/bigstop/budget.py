@@ -10,9 +10,12 @@ budget in a local int; the recursive tree engines share one Budget.
 
 
 def check_budget(units: int) -> int:
-    """units, if it is a budget; a negative one raises ValueError.  Every
-    engine that takes a budget checks it here."""
-    if units < 0:
+    """units, if it is a budget: one that is not an int raises TypeError
+    (a count that skips 0 would never run out), a negative one ValueError.
+    Every engine that takes a budget checks it here."""
+    if type(units) is not int or units < 0:
+        if type(units) is not int:
+            raise TypeError(f"budget must be an int, not {type(units).__name__}")
         raise ValueError("budget must be non-negative")
     return units
 

@@ -9,14 +9,15 @@ Three console scripts share one dispatcher:
     imp run --sem freeze --budget 3 --init x=2 'while x do { x := x - 1 }'
     fuzz --suite stop-multi --max-size 5
 
-Exit codes: 0 success, 1 evaluation stuck, open program, type error, a run
-too deep for the interpreter's recursion limit, or a derivation that
-`pcf check` rejects, 2 usage or parse error (a program nested too deeply to
-parse included), a program file that cannot be read as UTF-8 text, a
---derivation file that cannot be written, or a `pcf check` file that cannot
-be read or is not a derivation file, 3 property-suite failure, 141 stdout
-closed before the output was written (the code a shell reports for a
-process that SIGPIPE ends; nothing is printed).
+Exit codes: 0 success, 1 evaluation stuck, open program, type error, a
+`--sem big` run out of fuel, a run too deep for the interpreter's recursion
+limit, or a derivation that `pcf check` rejects, 2 usage or parse error (a
+program nested too deeply to parse included), a program file that cannot be
+read as UTF-8 text, a --derivation file that cannot be written, or a
+`pcf check` file that cannot be read or is not a derivation file, 3
+property-suite failure, 141 stdout closed before the output was written
+(the code a shell reports for a process that SIGPIPE ends; nothing is
+printed).
 `python -m bigstop` takes the same arguments as the dispatcher:
 `python -m bigstop pcf run -e z`.
 """

@@ -217,13 +217,16 @@ def imp_multi_step(cfg: ImpConfig, budget: int) -> ImpMultiResult:
 
 ### big-step with fuel
 #
-# Each engine below is one loop over the current statement s, the budget n
-# as a local int and the statements pending after s as a stack of
-# (statement, rest) pairs, innermost on top (no method call per push or pop;
-# _step keeps its spine so too).  A sequence pushes its second statement and
-# goes on with its first; a loop whose guard holds pushes itself and runs
-# its body, as it steps to body ; while; a skip with something pending pays
-# the skip ; s2 -> s2 step and pops.  Only aeval recurses, once per operator.
+# The big-step, big-stop and freeze engines are one loop, _run, with three
+# endings.  It keeps the current statement s, the budget n as a local int and
+# the statements pending after s as a stack of (statement, rest) pairs,
+# innermost on top (no method call per push or pop; _step keeps its spine so
+# too).  A sequence pushes its second statement and goes on with its first;
+# a loop whose guard holds pushes itself and runs its body, as it steps to
+# body ; while; a skip with something pending pays the skip ; s2 -> s2 step
+# and pops.  Only aeval recurses, once per operator.  No two of the three are
+# checked against each other: each answers to imp_multi_step, whose _step
+# shares none of this code.
 
 
 @record
@@ -236,43 +239,8 @@ class ImpFuelExhausted:
     pass
 
 
-def imp_bigstep(cfg: ImpConfig, fuel: int):
-    n = check_budget(fuel)
-    s, st = cfg.stmt, cfg.state
-    pending = ()
-    while n:
-        t = type(s)
-        if t is Skip:
-            if not pending:
-                return ImpDone(st)
-            s, pending = pending
-        elif t is While:
-            if aeval(st, s.guard) != 0:
-                pending = (s, pending)
-                s = s.body
-            else:
-                s = _SKIP
-        elif t is If:
-            s = s.body if aeval(st, s.guard) != 0 else _SKIP
-        elif t is SeqS:
-            pending = (s.second, pending)
-            s = s.first
-            continue
-        elif t is Assign:
-            st = state_set(st, s.name, aeval(st, s.expr))
-            s = _SKIP
-        else:
-            raise TypeError(f"not a statement: {s!r}")
-        n -= 1
-    return ImpDone(st) if type(s) is Skip and not pending else ImpFuelExhausted()
-
-
-### big-stop
-
-
-def imp_bigstop(cfg: ImpConfig, budget: int) -> ImpConfig:
-    """The configuration after at most `budget` counted steps; matches
-    imp_multi_step(cfg, budget) exactly."""
+def _run(cfg: ImpConfig, budget: int):
+    """(s, st, pending) where the budget died or the program finished."""
     n = check_budget(budget)
     s, st = cfg.stmt, cfg.state
     pending = ()
@@ -300,6 +268,21 @@ def imp_bigstop(cfg: ImpConfig, budget: int) -> ImpConfig:
         else:
             raise TypeError(f"not a statement: {s!r}")
         n -= 1
+    return s, st, pending
+
+
+def imp_bigstep(cfg: ImpConfig, fuel: int):
+    s, st, pending = _run(cfg, fuel)
+    return ImpDone(st) if type(s) is Skip and not pending else ImpFuelExhausted()
+
+
+### big-stop
+
+
+def imp_bigstop(cfg: ImpConfig, budget: int) -> ImpConfig:
+    """The configuration after at most `budget` counted steps; matches
+    imp_multi_step(cfg, budget) exactly."""
+    s, st, pending = _run(cfg, budget)
     while pending:
         s, pending = SeqS(s, pending[0]), pending[1]
     return ImpConfig(s, st)
@@ -321,33 +304,7 @@ def imp_bigstop_freeze(cfg: ImpConfig, budget: int) -> FreezeResult:
     budget - a frozen store absorbs every later assignment, so skipping
     the remainder of the program changes nothing.
     """
-    n = check_budget(budget)
-    s, st = cfg.stmt, cfg.state
-    pending = ()
-    while n:
-        t = type(s)
-        if t is Skip:
-            if not pending:
-                return FreezeResult(st, False)
-            s, pending = pending
-        elif t is While:
-            if aeval(st, s.guard) != 0:
-                pending = (s, pending)
-                s = s.body
-            else:
-                s = _SKIP
-        elif t is If:
-            s = s.body if aeval(st, s.guard) != 0 else _SKIP
-        elif t is SeqS:
-            pending = (s.second, pending)
-            s = s.first
-            continue
-        elif t is Assign:
-            st = state_set(st, s.name, aeval(st, s.expr))
-            s = _SKIP
-        else:
-            raise TypeError(f"not a statement: {s!r}")
-        n -= 1
+    s, st, pending = _run(cfg, budget)
     return FreezeResult(st, type(s) is not Skip or bool(pending))
 
 

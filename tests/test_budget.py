@@ -1,5 +1,5 @@
-"""The budget: every engine that takes one rejects a negative budget the
-same way, with the ValueError that check_budget raises."""
+"""The budget: every engine that takes one rejects a negative budget and
+one that is not an int the same way, with the errors check_budget raises."""
 
 import pytest
 
@@ -54,4 +54,6 @@ STMT = parse_stmt("x := 1")
 def test_a_negative_budget_raises(run):
     with pytest.raises(ValueError, match="budget must be non-negative"):
         run(-1)
+    with pytest.raises(TypeError, match="budget must be an int"):
+        run(2.5)  # a count that skips 0 would never run out
     run(0)  # zero is a budget
