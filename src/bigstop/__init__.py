@@ -10,8 +10,8 @@ imperative sibling language, and differential test suites over all of them.
 
 import sys
 
-# _stop, _ann, _mstop and compose recurse once per derivation node, and
-# the term walkers of ROADMAP item 15 once per level of a term
+# the term walkers of ROADMAP item 15 (to_mnf, let_erase, typing,
+# substitution into an open term, ==) recurse once per level of a term
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 
 from .bigstep import FuelExhausted, Stuck, Value, big_step
@@ -34,7 +34,6 @@ from .bigstop import (
     ec_bigstop_eval,
     is_progressing,
 )
-from .budget import Budget
 from .harness import (
     Failure,
     GenConfig,

@@ -15,10 +15,14 @@ the first k positions of the head constructor and leaves the rest alone.
 
 The evaluators log every label a run emits in one list, and a node's trace
 is the span of that log its subtree emitted (traces.Span), so building and
-checking a trace copies no labels: the plain, EC and MNF engines take it
-from where the log stood at the node's entry and exit.  Every dialect's
-trace is such a label sequence; an annihilator run that is cut off ends its
-trace in the reserved label "0".
+checking a trace copies no labels: each engine takes it from where the log
+stood at the node's entry and exit.  Every dialect's trace is such a label
+sequence; an annihilator run that is cut off ends its trace in the reserved
+label "0", which it logs once, at its first cut.
+
+The evaluators and compose are loops over explicit stacks, each evaluator
+with its budget in a local int, so a tree of any depth is built within the
+interpreter's default recursion limit.
 
 A run's equal leaves are one object: each engine keeps one leaf per rule
 and term object for the length of a run (shared_leaf), so a loop's tree
@@ -33,7 +37,7 @@ import re
 from collections.abc import Callable
 from itertools import accumulate
 
-from .budget import Budget, check_budget
+from .budget import check_budget
 from .record import record
 from .smallstep import decompose, plug
 from .syntax import (
@@ -102,65 +106,101 @@ def bigstop_eval(e: Expr, budget: int) -> BigStopResult:
     result is wherever the term got to, as a checkable derivation whose
     conclusion matches multi_step(e, budget) exactly.
     """
-    d = _stop(e, Budget(budget), [], {})
+    d = _stop(e, check_budget(budget), [], {})
     return BigStopResult(d.rhs, tuple(d.trace), d)
 
 
-def _stop(e: Expr, b: Budget, log: list, leaves: dict) -> Derivation:
-    # a node's trace is what the log gained between its entry and its exit
-    if is_value(e) or b.remaining == 0:
+# what a node of _stop or _ann waits on: the run of its function, argument,
+# beta body, successor body, effect body, scrutinee, or case branch
+_ON_FN, _ON_ARG, _ON_BETA, _ON_SUCC, _ON_EFF, _ON_SCRUT, _ON_CASEZ, _ON_CASES = range(8)
+
+
+def _stop(e: Expr, n: int, log: list, leaves: dict) -> Derivation:
+    """One loop over the term in focus and a stack of the nodes that wait on
+    its run, innermost first, as (kind, lhs, start, p1, p2, rest): start is
+    where the log stood at the node's entry, p1 and p2 its finished runs.
+    It descends to a leaf, then hands each finished run to the node above,
+    which either starts its next run or is finished in turn.  A node's
+    trace is what the log gained between its entry and its exit."""
+    if is_value(e) or not n:
+        return Derivation("St-Stop(0)", e, e, (), ())
+    rest = ()
+    while True:
+        while n and not is_value(e):
+            c = type(e)
+            if c is App:
+                f = e.fn
+                if is_value(f):  # the function's run is its leaf: on to the argument
+                    rest = (_ON_ARG, e, len(log), shared_leaf(leaves, "St-Stop(0)", f), None, rest)
+                    e = e.arg
+                else:
+                    rest = (_ON_FN, e, len(log), None, None, rest)
+                    e = f
+            elif c is Eff:
+                n -= 1
+                rest = (_ON_EFF, e, len(log), None, None, rest)
+                log.append(e.label)
+                e = e.body
+            elif c is Case:
+                rest = (_ON_SCRUT, e, len(log), None, None, rest)
+                e = e.scrutinee
+            elif c is Succ:
+                rest = (_ON_SUCC, e, 0, None, None, rest)
+                e = e.body
+            else:
+                raise StuckError(e)  # a variable or a let has no rule
         k = id(e)  # shared_leaf, written out on the hottest path
         d = leaves.get(k)
         if d is None:
             d = leaves[k] = Derivation("St-Stop(0)", e, e, (), ())
-        return d
-    start = len(log)
-    c = type(e)
-    if c is App:
-        p1 = _stop(e.fn, b, log, leaves)
-        f = p1.rhs
-        if not is_value(f):
-            return Derivation("St-Stop(1)", e, App(f, e.arg), p1.trace, (p1,))
-        p2 = _stop(e.arg, b, log, leaves)
-        v = p2.rhs
-        if not is_value(v) or b.remaining == 0:
-            return Derivation(
-                "St-Stop(2)", e, App(f, v), since(log, start), (p1, val_leaf(leaves, f), p2)
-            )
-        if type(f) is not Lam:
-            raise StuckError(App(f, v))
-        b.remaining -= 1
-        pb = _stop(beta(f, v), b, log, leaves)
-        return Derivation(
-            "StE-App", e, pb.rhs, since(log, start), (p1, p2, val_leaf(leaves, v), pb)
-        )
-    if c is Succ:
-        p = _stop(e.body, b, log, leaves)
-        return Derivation("St-Stop(1)", e, Succ(p.rhs), p.trace, (p,))
-    if c is Eff:
-        b.remaining -= 1
-        log.append(e.label)
-        p = _stop(e.body, b, log, leaves)
-        return Derivation("StE-Eff", e, p.rhs, Span(log, start, len(log)), (p,))
-    if c is Case:
-        ps = _stop(e.scrutinee, b, log, leaves)
-        v = ps.rhs
-        if not is_value(v) or b.remaining == 0:
-            return Derivation(
-                "St-Stop(1)", e, Case(e.zero_branch, e.succ_var, e.succ_branch, v), ps.trace, (ps,)
-            )
-        if type(v) is Zero:
-            b.remaining -= 1
-            pb = _stop(e.zero_branch, b, log, leaves)
-            return Derivation("StE-CaseZ", e, pb.rhs, since(log, start), (ps, pb))
-        if type(v) is Succ:
-            b.remaining -= 1
-            pb = _stop(subst(e.succ_branch, {e.succ_var: v.body}), b, log, leaves)
-            return Derivation(
-                "StE-CaseS", e, pb.rhs, since(log, start), (ps, val_leaf(leaves, v.body), pb)
-            )
-        raise StuckError(Case(e.zero_branch, e.succ_var, e.succ_branch, v))
-    raise StuckError(e)  # a variable or a let has no rule
+        while rest:
+            kind, t, start, p1, p2, rest = rest
+            if kind == _ON_FN:
+                f = d.rhs
+                if not is_value(f):
+                    d = Derivation("St-Stop(1)", t, App(f, t.arg), d.trace, (d,))
+                    continue
+                rest = (_ON_ARG, t, start, d, None, rest)
+                e = t.arg
+                break
+            if kind == _ON_ARG:
+                f, v = p1.rhs, d.rhs
+                if not is_value(v) or not n:
+                    d = Derivation("St-Stop(2)", t, App(f, v), since(log, start), (p1, val_leaf(leaves, f), d))
+                    continue
+                if type(f) is not Lam:
+                    raise StuckError(App(f, v))
+                rest = (_ON_BETA, t, start, p1, d, rest)
+                e = beta(f, v)
+            elif kind == _ON_SCRUT:
+                v = d.rhs
+                if not is_value(v) or not n:
+                    d = Derivation("St-Stop(1)", t, Case(t.zero_branch, t.succ_var, t.succ_branch, v), d.trace, (d,))
+                    continue
+                if type(v) is Zero:
+                    rest = (_ON_CASEZ, t, start, d, None, rest)
+                    e = t.zero_branch
+                elif type(v) is Succ:
+                    rest = (_ON_CASES, t, start, d, None, rest)
+                    e = subst(t.succ_branch, {t.succ_var: v.body})
+                else:
+                    raise StuckError(Case(t.zero_branch, t.succ_var, t.succ_branch, v))
+            else:
+                if kind == _ON_BETA:
+                    d = Derivation("StE-App", t, d.rhs, since(log, start), (p1, p2, val_leaf(leaves, p2.rhs), d))
+                elif kind == _ON_EFF:
+                    d = Derivation("StE-Eff", t, d.rhs, Span(log, start, len(log)), (d,))
+                elif kind == _ON_CASEZ:
+                    d = Derivation("StE-CaseZ", t, d.rhs, since(log, start), (p1, d))
+                elif kind == _ON_CASES:
+                    d = Derivation("StE-CaseS", t, d.rhs, since(log, start), (p1, val_leaf(leaves, p1.rhs.body), d))
+                else:
+                    d = Derivation("St-Stop(1)", t, Succ(d.rhs), d.trace, (d,))
+                continue
+            n -= 1  # a contraction leads to e
+            break
+        else:
+            return d
 
 
 def _nodes(d: Derivation):
@@ -520,43 +560,48 @@ def compose(d1: Derivation, d2: Derivation) -> Derivation:
     plain rule table, not by the evaluator, yet on evaluator output this
     reproduces bigstop_eval(e, m+n) exactly.  A rebuilt node's trace is
     the end of d1's trace followed by the start of d2's, so every node
-    takes a span of one list of both traces: linear time and memory.
+    takes a span of one list of both traces: linear time and memory.  One
+    loop pops jobs off a stack: a pair of trees to compose, or a node to
+    build once the pairs pushed after it are composed.
     """
-    return _compose(d1, d2, [*d1.trace, *d2.trace], len(d1.trace))
-
-
-def _compose(d1: Derivation, d2: Derivation, log: list, mid: int) -> Derivation:
-    # log holds the outer d1's trace, then from mid on the outer d2's
-    if d1.rhs != d2.lhs:
-        raise ComposeMismatch(
-            f"cannot compose: {print_expr(d1.rhs)} vs {print_expr(d2.lhs)}"
-        )
+    log, mid = [*d1.trace, *d2.trace], len(d1.trace)  # d1's trace, then from mid on d2's
     plain = _RULES["plain"]
-    rule1, rule2 = plain.get(d1.rule), plain.get(d2.rule)
-    for d, rule in ((d1, rule1), (d2, rule2)):
-        if rule is None:
-            raise ComposeMismatch(f"cannot compose {d.rule}: it is not a plain rule")
-        if rule.applies is not None and not rule.applies(d.lhs):
-            raise ComposeMismatch(f"{d.rule} does not apply to {print_expr(d.lhs)}")
-    # a rule without premisses (Val, St-Stop(0)) stands still
-    if not rule1.premises:
-        return d2
-    if not rule2.premises:
-        return d1
-    # a side that emits nothing keeps the other's trace; otherwise d1's
-    # side ran last in d1 and d2's side first in d2, so they meet at mid
-    t1, t2 = d1.trace, d2.trace
-    trace = t1 if not t2 else t2 if not t1 else Span(log, mid - len(t1), mid + len(t2))
-    runs1, runs2 = _runs(d1, rule1), _runs(d2, rule2)
-    if d1.rule not in _IDLE:  # a contraction: its last run goes on into d2
-        last = _compose(runs1[-1], d2, log, mid)
-        return _plain_node(d1.rule, d1.lhs, runs1[:-1] + [last], trace)
-    # a congruence stop: its position runs merge with d2's first runs, and
-    # the side with more runs names the rule (St-Stop(1) after St-Stop(2)
-    # runs no new position)
-    merged = [_compose(p, q, log, mid) for p, q in zip(runs1, runs2)]
-    longer, rest = (d1, runs1) if len(runs1) > len(runs2) else (d2, runs2)
-    return _plain_node(longer.rule, d1.lhs, merged + rest[len(merged):], trace)
+    done, todo = [], [(d1, d2)]
+    while todo:
+        job = todo.pop()
+        if len(job) > 2:  # (rule, lhs, trace, runs before, k composed runs, runs after)
+            name, lhs, trace, before, k, after = job
+            runs = before + done[-k:] + after
+            del done[-k:]
+            done.append(_plain_node(name, lhs, runs, trace))
+            continue
+        d1, d2 = job
+        if d1.rhs is not d2.lhs and d1.rhs != d2.lhs:
+            raise ComposeMismatch(f"cannot compose: {print_expr(d1.rhs)} vs {print_expr(d2.lhs)}")
+        rule1, rule2 = plain.get(d1.rule), plain.get(d2.rule)
+        for d, rule in ((d1, rule1), (d2, rule2)):
+            if rule is None:
+                raise ComposeMismatch(f"cannot compose {d.rule}: it is not a plain rule")
+            if rule.applies is not None and not rule.applies(d.lhs):
+                raise ComposeMismatch(f"{d.rule} does not apply to {print_expr(d.lhs)}")
+        if not rule1.premises or not rule2.premises:  # Val and St-Stop(0) stand still
+            done.append(d1 if rule1.premises else d2)
+            continue
+        # a side that emits nothing keeps the other's trace; otherwise d1's
+        # side ran last in d1 and d2's side first in d2, so they meet at mid
+        t1, t2 = d1.trace, d2.trace
+        trace = t1 if not t2 else t2 if not t1 else Span(log, mid - len(t1), mid + len(t2))
+        runs1, runs2 = _runs(d1, rule1), _runs(d2, rule2)
+        if d1.rule not in _IDLE:  # a contraction: its last run goes on into d2
+            todo += [(d1.rule, d1.lhs, trace, runs1[:-1], 1, []), (runs1[-1], d2)]
+            continue
+        # a congruence stop: its position runs merge with d2's first runs, and
+        # the side with more runs names the rule (St-Stop(1) after St-Stop(2)
+        # runs no new position)
+        pairs = list(zip(runs1, runs2))
+        longer, rest = (d1, runs1) if len(runs1) > len(runs2) else (d2, runs2)
+        todo += [(longer.rule, d1.lhs, trace, [], len(pairs), rest[len(pairs):]), *reversed(pairs)]
+    return done[0]
 
 
 def _runs(d: Derivation, rule: Rule) -> list:
@@ -610,7 +655,7 @@ def annihilator_derivation(e: Expr, budget: int) -> Derivation:
     demand of e itself: fn if e's type is an arrow, else nat; that type is
     inferred only when such a cut happens, so at most once a run.
     """
-    return _ann(e, Budget(budget), e, [], {})
+    return _ann(e, check_budget(budget), [], {})
 
 
 def annihilator_eval(e: Expr, budget: int):
@@ -621,67 +666,104 @@ def annihilator_eval(e: Expr, budget: int):
     return d.rhs, AnnTrace(t[:-1] if cut else t, cut)
 
 
-def _ann(e: Expr, b: Budget, demand: str | Expr, log: list, leaves: dict) -> Derivation:
-    # traces join with ann_join, as a cut absorbs the labels logged after it
+_CUT = (ANNIHILATOR,)  # the trace of every cut after a run's first
+
+
+def _ann(e: Expr, n: int, log: list, leaves: dict) -> Derivation:
+    """_stop's loop for the StA rules: a frame also holds the demand its
+    node's tail contraction meets, as (kind, lhs, demand, start, p1, p2,
+    rest).  The first cut logs the 0 and spends the budget, so no node
+    starts after it and nothing more is logged: a node's trace is the log
+    from its entry on, up to that 0 when its run holds the cut, as
+    ann_join would make it, and every later cut's trace is just 0."""
     if is_value(e):
-        k = id(e)  # shared_leaf, written out on the hottest path
-        d = leaves.get(k)
-        if d is None:
-            d = leaves[k] = Derivation("StA-Val", e, e, (), ())
-        return d
-    if b.remaining == 0:
-        return _cut(e, demand, log, leaves)
-    c = type(e)
-    if c is App:
-        p1 = _ann(e.fn, b, "fn", log, leaves)
-        p2 = _ann(e.arg, b, "nat", log, leaves)
-        f = p1.rhs
-        if type(f) is not Lam:
-            raise StuckError(App(f, p2.rhs))
-        pb = _contract(beta(f, p2.rhs), b, demand, log, leaves)
-        return Derivation(
-            "StA-App", e, pb.rhs,
-            ann_join(ann_join(p1.trace, p2.trace), pb.trace),
-            (p1, p2, val_leaf(leaves, p2.rhs), pb),
-        )
-    if c is Succ:
-        p = _ann(e.body, b, "nat", log, leaves)
-        return Derivation("StA-Succ", e, Succ(p.rhs), p.trace, (p,))
-    if c is Eff:
-        b.remaining -= 1
-        head = emit(log, e.label)
-        p = _ann(e.body, b, demand, log, leaves)
-        return Derivation("StA-Eff", e, p.rhs, ann_join(head, p.trace), (p,))
-    if c is Case:
-        ps = _ann(e.scrutinee, b, "nat", log, leaves)
-        v = ps.rhs
-        if type(v) is Zero:
-            pb = _contract(e.zero_branch, b, demand, log, leaves)
-            return Derivation(
-                "StA-CaseZ", e, pb.rhs, ann_join(ps.trace, pb.trace), (ps, pb)
-            )
-        if type(v) is Succ:
-            pb = _contract(subst(e.succ_branch, {e.succ_var: v.body}), b, demand, log, leaves)
-            return Derivation(
-                "StA-CaseS", e, pb.rhs, ann_join(ps.trace, pb.trace),
-                (ps, val_leaf(leaves, v.body), pb),
-            )
-        raise StuckError(Case(e.zero_branch, e.succ_var, e.succ_branch, v))
-    raise StuckError(e)  # a variable or a let has no rule
+        return Derivation("StA-Val", e, e, (), ())
+    if not n:
+        return _cut(e, e, emit(log, ANNIHILATOR), leaves)
+    demand, cut, rest = e, (), ()
+    while True:
+        while True:
+            if is_value(e):
+                k = id(e)  # shared_leaf, written out on the hottest path
+                d = leaves.get(k)
+                if d is None:
+                    d = leaves[k] = Derivation("StA-Val", e, e, (), ())
+                break
+            if not n:
+                d = _cut(e, demand, cut or emit(log, ANNIHILATOR), leaves)
+                cut = _CUT
+                break
+            c = type(e)
+            if c is App:
+                f = e.fn
+                if is_value(f):  # the function's run is its leaf: on to the argument
+                    rest = (_ON_ARG, e, demand, len(log), shared_leaf(leaves, "StA-Val", f), None, rest)
+                    e, demand = e.arg, "nat"
+                else:
+                    rest = (_ON_FN, e, demand, len(log), None, None, rest)
+                    e, demand = f, "fn"
+            elif c is Eff:
+                n -= 1
+                rest = (_ON_EFF, e, demand, len(log), None, None, rest)
+                log.append(e.label)
+                e = e.body
+            elif c is Case:
+                rest = (_ON_SCRUT, e, demand, len(log), None, None, rest)
+                e, demand = e.scrutinee, "nat"
+            elif c is Succ:
+                rest = (_ON_SUCC, e, demand, 0, None, None, rest)
+                e, demand = e.body, "nat"
+            else:
+                raise StuckError(e)  # a variable or a let has no rule
+        while rest:
+            kind, t, tail, start, p1, p2, rest = rest
+            if kind == _ON_FN:
+                rest = (_ON_ARG, t, tail, start, d, None, rest)
+                e, demand = t.arg, "nat"
+                break
+            if kind == _ON_ARG:
+                f, v = p1.rhs, d.rhs
+                if type(f) is not Lam:
+                    raise StuckError(App(f, v))
+                rest = (_ON_BETA, t, tail, start, p1, d, rest)
+                e = beta(f, v)
+            elif kind == _ON_SCRUT:
+                v = d.rhs
+                if type(v) is Zero:
+                    rest = (_ON_CASEZ, t, tail, start, d, None, rest)
+                    e = t.zero_branch
+                elif type(v) is Succ:
+                    rest = (_ON_CASES, t, tail, start, d, None, rest)
+                    e = subst(t.succ_branch, {t.succ_var: v.body})
+                else:
+                    raise StuckError(Case(t.zero_branch, t.succ_var, t.succ_branch, v))
+            else:
+                if kind == _ON_BETA:
+                    d = Derivation("StA-App", t, d.rhs, since(log, start), (p1, p2, val_leaf(leaves, p2.rhs), d))
+                elif kind == _ON_EFF:
+                    d = Derivation("StA-Eff", t, d.rhs, Span(log, start, len(log)), (d,))
+                elif kind == _ON_CASEZ:
+                    d = Derivation("StA-CaseZ", t, d.rhs, since(log, start), (p1, d))
+                elif kind == _ON_CASES:
+                    d = Derivation("StA-CaseS", t, d.rhs, since(log, start), (p1, val_leaf(leaves, p1.rhs.body), d))
+                else:
+                    d = Derivation("StA-Succ", t, Succ(d.rhs), d.trace, (d,))
+                continue
+            # a contraction leads to e at the node's own demand; with no
+            # budget left to pay for it, e is cut, even when it is a value
+            demand = tail
+            if n:
+                n -= 1
+                break
+            d = _cut(e, demand, cut or emit(log, ANNIHILATOR), leaves)
+            cut = _CUT
+        else:
+            return d
 
 
-def _cut(e: Expr, demand: str | Expr, log: list, leaves: dict) -> Derivation:
+def _cut(e: Expr, demand: str | Expr, trace, leaves: dict) -> Derivation:
     v = _placeholder(demand)
-    return Derivation("StA-Stop", e, v, emit(log, ANNIHILATOR), (val_leaf(leaves, v),))
-
-
-def _contract(e: Expr, b: Budget, demand: str | Expr, log: list, leaves: dict) -> Derivation:
-    """Pay for a contraction and run the branch or body e it leads to; with
-    no budget left to pay, e is cut, even when it is a value."""
-    if b.remaining == 0:
-        return _cut(e, demand, log, leaves)
-    b.remaining -= 1
-    return _ann(e, b, demand, log, leaves)
+    return Derivation("StA-Stop", e, v, trace, (val_leaf(leaves, v),))
 
 
 ### the evaluation-context dialect

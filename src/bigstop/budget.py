@@ -4,8 +4,8 @@ Every engine charges one unit per contraction (beta, case selection,
 effect emission, let binding in MNF, each non-congruence rule in the
 while language).  Congruence descent is free.  The check happens before
 the contraction, so a value sitting at budget zero is still an answer,
-and running out is an outcome, never an error.  The loops keep the
-budget in a local int; the recursive tree engines share one Budget.
+and running out is an outcome, never an error.  Every engine is a loop
+that keeps the budget in a local int, checked here once.
 """
 
 
@@ -19,9 +19,3 @@ def check_budget(units: int) -> int:
         raise ValueError("budget must be non-negative")
     return units
 
-
-class Budget:
-    __slots__ = ("remaining",)
-
-    def __init__(self, units: int):
-        self.remaining = check_budget(units)

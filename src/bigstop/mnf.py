@@ -9,7 +9,7 @@ same value up to erasing the lets back out.
 
 import itertools
 
-from .budget import Budget
+from .budget import check_budget
 from .bigstop import (
     BigStopResult, Derivation, StuckError, val_leaf,
 )
@@ -184,54 +184,76 @@ def mnf_bigstop_eval(e: Expr, budget: int) -> BigStopResult:
     """Budgeted evaluation of an MNF term with an StM-* derivation."""
     if not check_mnf(e):
         raise NotMNF(f"not in monadic normal form: {print_expr(e)}")
-    d = _mstop(e, Budget(budget), [], {})
+    d = _mstop(e, check_budget(budget), [], {})
     return BigStopResult(d.rhs, tuple(d.trace), d)
 
 
-def _mstop(e: Expr, b: Budget, log: list, leaves: dict) -> Derivation:
-    # leaves holds the run's StM-Stop and Val leaves (bigstop.shared_leaf); a
-    # node's trace is what the log gained between its entry and its exit
-    if is_value(e) or b.remaining == 0:
+# what a node of _mstop waits on: the run of its let's bound or body, or of
+# the term its redex contracts to
+_ON_BOUND, _ON_BODY, _ON_APP, _ON_EFF, _ON_CASEZ, _ON_CASES = range(6)
+
+
+def _mstop(e: Expr, n: int, log: list, leaves: dict) -> Derivation:
+    """One loop over the term in focus and a stack of the nodes that wait on
+    its run, innermost first, as (kind, lhs, start, p1, rest): start is
+    where the log stood at the node's entry, p1 its finished run (a let's
+    bound) or its Val leaf.  leaves holds the run's StM-Stop and Val leaves
+    (bigstop.shared_leaf); a node's trace is what the log gained between
+    its entry and its exit."""
+    if is_value(e) or not n:
+        return Derivation("StM-Stop", e, e, (), ())
+    rest = ()
+    while True:
+        while n and not is_value(e):
+            c = type(e)
+            if c is Let:
+                rest = (_ON_BOUND, e, len(log), None, rest)
+                e = e.bound
+                continue
+            if c is App:
+                f, a = e.fn, e.arg
+                if type(f) is not Lam:
+                    raise StuckError(e)
+                rest = (_ON_APP, e, 0, val_leaf(leaves, a), rest)
+                e = beta(f, a)
+            elif c is Eff:
+                rest = (_ON_EFF, e, len(log), None, rest)
+                log.append(e.label)
+                e = e.body
+            elif c is Case and type(e.scrutinee) is Zero:
+                rest = (_ON_CASEZ, e, 0, None, rest)
+                e = e.zero_branch
+            elif c is Case and type(e.scrutinee) is Succ and is_value(e.scrutinee):
+                w = e.scrutinee.body
+                rest = (_ON_CASES, e, 0, val_leaf(leaves, w), rest)
+                e = subst(e.succ_branch, {e.succ_var: w})
+            else:
+                raise StuckError(e)
+            n -= 1
         k = id(e)  # shared_leaf, written out on the hottest path
         d = leaves.get(k)
         if d is None:
             d = leaves[k] = Derivation("StM-Stop", e, e, (), ())
-        return d
-    start = len(log)
-    c = type(e)
-    if c is Let:
-        x, body = e.var, e.body
-        p1 = _mstop(e.bound, b, log, leaves)
-        v1 = p1.rhs
-        if not is_value(v1) or b.remaining == 0:
-            return Derivation("StM-Let1", e, Let(x, v1, body), p1.trace, (p1,))
-        b.remaining -= 1
-        pb = _mstop(subst(body, {x: v1}), b, log, leaves)
-        return Derivation(
-            "StM-Let2", e, pb.rhs, since(log, start),
-            (p1, val_leaf(leaves, v1), pb),
-        )
-    if c is App:
-        f, a = e.fn, e.arg
-        if type(f) is not Lam:
-            raise StuckError(e)
-        b.remaining -= 1
-        pb = _mstop(beta(f, a), b, log, leaves)
-        return Derivation("StM-App", e, pb.rhs, pb.trace, (val_leaf(leaves, a), pb))
-    if c is Eff:
-        b.remaining -= 1
-        log.append(e.label)
-        p = _mstop(e.body, b, log, leaves)
-        return Derivation("StM-Eff", e, p.rhs, Span(log, start, len(log)), (p,))
-    if c is Case:
-        sc = e.scrutinee
-        if type(sc) is Zero:
-            b.remaining -= 1
-            pb = _mstop(e.zero_branch, b, log, leaves)
-            return Derivation("StM-CaseZ", e, pb.rhs, pb.trace, (pb,))
-        if type(sc) is Succ and is_value(sc):
-            b.remaining -= 1
-            w = sc.body
-            pb = _mstop(subst(e.succ_branch, {e.succ_var: w}), b, log, leaves)
-            return Derivation("StM-CaseS", e, pb.rhs, pb.trace, (val_leaf(leaves, w), pb))
-    raise StuckError(e)
+        while rest:
+            kind, t, start, p1, rest = rest
+            if kind == _ON_BOUND:
+                v1 = d.rhs
+                if not is_value(v1) or not n:
+                    d = Derivation("StM-Let1", t, Let(t.var, v1, t.body), d.trace, (d,))
+                    continue
+                n -= 1
+                rest = (_ON_BODY, t, start, d, rest)
+                e = subst(t.body, {t.var: v1})
+                break
+            if kind == _ON_BODY:
+                d = Derivation("StM-Let2", t, d.rhs, since(log, start), (p1, val_leaf(leaves, p1.rhs), d))
+            elif kind == _ON_APP:
+                d = Derivation("StM-App", t, d.rhs, d.trace, (p1, d))
+            elif kind == _ON_EFF:
+                d = Derivation("StM-Eff", t, d.rhs, Span(log, start, len(log)), (d,))
+            elif kind == _ON_CASEZ:
+                d = Derivation("StM-CaseZ", t, d.rhs, d.trace, (d,))
+            else:
+                d = Derivation("StM-CaseS", t, d.rhs, d.trace, (p1, d))
+        else:
+            return d

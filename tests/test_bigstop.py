@@ -51,6 +51,7 @@ from bigstop import (
     mnf_bigstop_eval,
     mnf_multi_step,
     multi_step,
+    numeral,
     parse_expr,
     print_expr,
     to_mnf,
@@ -761,6 +762,23 @@ def test_annihilator_cuts_exactly_the_runs_the_budget_cuts():
                 assert out == m.final, where
 
 
+def test_a_run_logs_its_first_cut_alone():
+    # at budget 2 the function's run is cut, then the pending argument,
+    # then the beta body (a value); only the first cut logs its 0, and the
+    # later ones, run with no budget left, log nothing
+    e = parse_expr("((fun f(x) => eff[a] f x) z) ((fun g(y) => y) z)")
+    d = annihilator_derivation(e, 2)
+    assert type(d.trace) is Span and d.trace.log == ["a", "0"]
+    assert d.trace == ("a", "0")
+    stops = [node for _, node in _nodes(d) if node.rule == "StA-Stop"]
+    assert [print_expr(node.lhs) for node in stops] == [
+        "(fun f(x) => eff[a] f x) z", "(fun g(y) => y) z", "z",
+    ]
+    assert type(stops[0].trace) is Span
+    assert [node.trace for node in stops[1:]] == [("0",), ("0",)]
+    assert check_derivation(d, "annihilator") is None
+
+
 ### context-threading dialect
 
 def test_ec_budget_zero_stops_even_on_values():
@@ -1467,6 +1485,66 @@ def test_derivations_deeper_than_the_recursion_limit_check(at_recursion_limit_10
     assert got["ec_verdict"] is None
     assert got["mnf_verdict"] is None
     assert got["progressing"] is True
+
+
+def _runs_deep(e, n):
+    """Each tree evaluator's run of e at budget n, checked in its dialect:
+    (verdict, stopped term) per evaluator, the trees dropped."""
+    plain = bigstop_eval(e, n)
+    ann = annihilator_derivation(e, n)
+    mnf = mnf_bigstop_eval(to_mnf(e), n)
+    return [
+        (check_derivation(plain.derivation), plain.stopped),
+        (check_derivation(ann, "annihilator"), ann.rhs),
+        (check_derivation(mnf.derivation, "mnf"), mnf.stopped),
+    ]
+
+
+def test_the_tree_evaluators_run_deeper_than_the_recursion_limit(at_recursion_limit_1000):
+    # each evaluator is one loop over a stack of frames: GROW nests its
+    # redex 1,200 contexts deep, LOOP's trees are 200,000 levels deep
+    got = at_recursion_limit_1000(
+        grow=lambda: _runs_deep(GROW, 1200),
+        loop=lambda: _runs_deep(LOOP, 200_000),
+    )
+    # the annihilator cuts the last redex to z, GROW's under 1,199 s(.)
+    for name, e, n, cut_to in (("grow", GROW, 1200, numeral(1199)), ("loop", LOOP, 200_000, Zero())):
+        (plain, stopped), (ann, cut), (mnf, mnf_stopped) = got[name]
+        assert plain is ann is mnf is None
+        assert _same(stopped, multi_step(e, n).final)
+        assert _same(cut, cut_to)
+        assert _same(mnf_stopped, mnf_multi_step(to_mnf(e), n).final)
+
+
+def _same_runs_of_loop(a, b):
+    """_same for two derivations of LOOP, whose logs hold only t: two of
+    its traces are equal when their lengths are.  Comparing spans label by
+    label at every node would take the square of the run."""
+    logs, todo = {}, [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        if (a.rule, len(a.trace), len(a.premises)) != (b.rule, len(b.trace), len(b.premises)):
+            return False
+        if not (_same(a.lhs, b.lhs) and _same(a.rhs, b.rhs)):
+            return False
+        for t in (a.trace, b.trace):
+            labels = t.log if type(t) is Span else t
+            logs[id(labels)] = labels
+        todo += zip(a.premises, b.premises)
+    return all(set(labels) <= {"t"} for labels in logs.values())
+
+
+def test_compose_runs_deeper_than_the_recursion_limit(at_recursion_limit_1000):
+    # compose is one loop over a stack of jobs; LOOP's runs at 100,000
+    # contractions each nest 100,000 levels deep
+    def composed():
+        d1 = bigstop_eval(LOOP, 100_000).derivation
+        d = compose(d1, bigstop_eval(d1.rhs, 100_000).derivation)
+        return _same_runs_of_loop(d, bigstop_eval(LOOP, 200_000).derivation), check_derivation(d)
+
+    assert at_recursion_limit_1000(composed=composed)["composed"] == (True, None)
 
 
 ### README's Python examples

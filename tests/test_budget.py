@@ -4,7 +4,6 @@ one that is not an int the same way, with the errors check_budget raises."""
 import pytest
 
 from bigstop import (
-    Budget,
     annihilator_eval,
     big_step,
     bigstop_eval,
@@ -25,6 +24,7 @@ from bigstop import (
     step_trace,
     to_mnf,
 )
+from bigstop.budget import check_budget
 
 # terminating non-values: an engine that ignores a negative budget runs them
 # to the end and returns instead of raising
@@ -33,7 +33,7 @@ STMT = parse_stmt("x := 1")
 
 
 @pytest.mark.parametrize("run", [
-    lambda b: Budget(b),
+    lambda b: check_budget(b),
     lambda b: multi_step(TERM, b),
     lambda b: step_trace(TERM, b),
     lambda b: mnf_multi_step(to_mnf(TERM), b),
@@ -48,7 +48,7 @@ STMT = parse_stmt("x := 1")
     lambda b: annihilator_eval(TERM, b),
     lambda b: mnf_bigstop_eval(to_mnf(TERM), b),
     lambda b: correspondence_check(TERM, b),
-], ids=["Budget", "multi_step", "step_trace", "mnf_multi_step", "k_run", "imp_multi_step",
+], ids=["check_budget", "multi_step", "step_trace", "mnf_multi_step", "k_run", "imp_multi_step",
         "imp_bigstop", "imp_bigstop_freeze", "imp_bigstep", "big_step", "bigstop_eval",
         "ec_bigstop_eval", "annihilator_eval", "mnf_bigstop_eval", "correspondence_check"])
 def test_a_negative_budget_raises(run):
