@@ -39,7 +39,6 @@ from itertools import accumulate
 
 from .budget import check_budget
 from .record import record
-from .smallstep import decompose, plug
 from .syntax import (
     App, Case, Eff, Expr, Lam, Let, ParseError, Succ, SubstOpenValue, Var, Zero,
     beta, is_value, parse_expr, print_expr, subst,
@@ -63,6 +62,38 @@ class Derivation:
     rhs: Expr
     trace: object  # a Trace, or a Span of the run's label log
     premises: tuple = ()
+
+    def __eq__(self, other):
+        """Node by node over an explicit stack, so trees of any depth
+        compare: a pair of nodes compares its fields, then its premisses
+        item by item.  A pair that is one object is equal unlooked at, and
+        so is a pair of right sides that are each their node's left side."""
+        cls = self.__class__
+        if other.__class__ is not cls:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if a.__class__ is cls is b.__class__:
+                if not (a.rule == b.rule and a.lhs == b.lhs and a.trace == b.trace
+                        and (a.rhs is a.lhs and b.rhs is b.lhs or a.rhs == b.rhs)):
+                    return False
+                a, b = a.premises, b.premises
+                if a is b:
+                    continue
+            if a.__class__ is tuple is b.__class__:
+                if len(a) != len(b):
+                    return False
+                todo += zip(a, b)
+            elif not a == b:
+                return False
+        return True
+
+    def __hash__(self):
+        # the root's own conclusion, so a tree of any depth hashes in one step
+        return hash((self.rule, self.lhs, self.rhs))
 
 
 @record
@@ -779,40 +810,66 @@ def ec_bigstop_eval(e: Expr, budget: int) -> BigStopResult:
 
 def _ec(e: Expr, n: int, log: list, leaves: dict) -> Derivation:
     """A loop over the contractions, then their links folded into the EC-Seq
-    chain from its end.  A link's trace is the log from its contraction on."""
-    links = []
-    while n and (split := decompose(e)) is not None:
-        ctx, r = split
-        start = len(log)
-        step = _ec_redex(r, log, leaves)
+    chain from its end.  A link's trace is the log from its contraction on.
+    The loop walks its own spine: it keeps the terms around the redex,
+    outermost first, each with the hole at its evaluation position, rebuilds
+    the term around each contractum, and walks down from the contractum in
+    the same context, or from the root when the contractum is a value."""
+    links, ctx = [], []
+    r = None if is_value(e) else e
+    while n and r is not None:
+        while True:  # down through the evaluation positions to the redex
+            c = type(r)
+            if c is App:
+                sub = r.arg if is_value(r.fn) else r.fn
+            elif c is Case:
+                sub = r.scrutinee
+            elif c is Succ:
+                sub = r.body
+            else:
+                break
+            if is_value(sub):
+                break
+            ctx.append(r)
+            r = sub
+        start, v = len(log), None
+        if c is App and type(r.fn) is Lam:
+            v = r.arg
+            rule, out, trace = "EC-App", beta(r.fn, v), ()
+        elif c is Eff:
+            log.append(r.label)
+            rule, out, trace = "EC-Eff", r.body, Span(log, start, start + 1)
+        elif c is Case and type(r.scrutinee) is Zero:
+            rule, out, trace = "EC-CaseZ", r.zero_branch, ()
+        elif c is Case and type(r.scrutinee) is Succ:
+            v = r.scrutinee.body
+            rule, out, trace = "EC-CaseS", subst(r.succ_branch, {r.succ_var: v}), ()
+        else:
+            raise StuckError(r)  # no rule: a variable, a let, or a value where none fits
+        leaf = shared_leaf(leaves, "EC-Stop", out)
+        links.append((e, Derivation(rule, r, out, trace, (leaf,) if v is None else (val_leaf(leaves, v), leaf)), start))
         n -= 1
-        links.append((e, step, start))
-        e = plug(ctx, step.rhs)
+        e = out
+        for p in reversed(ctx) if ctx else ():  # a loop's redexes mostly sit at the root
+            c = type(p)
+            if c is Succ:
+                e = Succ(e)
+            elif c is Case:
+                e = Case(p.zero_branch, p.succ_var, p.succ_branch, e)
+            elif is_value(p.fn):
+                e = App(p.fn, e)
+            else:
+                e = App(e, p.arg)
+        if not is_value(out):
+            r = out
+        else:
+            ctx.clear()
+            r = None if is_value(e) else e
     d = Derivation("EC-Val" if n else "EC-Stop", e, e, (), ())
+    end = len(log)
     for e, step, start in reversed(links):
-        d = Derivation("EC-Seq", e, d.rhs, since(log, start), (step, d))
+        d = Derivation("EC-Seq", e, d.rhs, Span(log, start, end) if start < end else (), (step, d))
     return d
-
-
-def _ec_redex(r: Expr, log: list, leaves: dict) -> Derivation:
-    c = type(r)
-    if c is App:
-        f, v = r.fn, r.arg
-        if type(f) is Lam and is_value(v):
-            out = beta(f, v)
-            return Derivation("EC-App", r, out, (), (val_leaf(leaves, v), shared_leaf(leaves, "EC-Stop", out)))
-    elif c is Eff:
-        return Derivation("EC-Eff", r, r.body, emit(log, r.label), (shared_leaf(leaves, "EC-Stop", r.body),))
-    elif c is Case:
-        sc = r.scrutinee
-        if type(sc) is Zero:
-            zb = r.zero_branch
-            return Derivation("EC-CaseZ", r, zb, (), (shared_leaf(leaves, "EC-Stop", zb),))
-        if type(sc) is Succ and is_value(sc.body):
-            v = sc.body
-            out = subst(r.succ_branch, {r.succ_var: v})
-            return Derivation("EC-CaseS", r, out, (), (val_leaf(leaves, v), shared_leaf(leaves, "EC-Stop", out)))
-    raise StuckError(r)
 
 
 ### JSON round-trip

@@ -42,7 +42,7 @@ from .bigstop import (
 from .harness import GenConfig, run_property_suite, suite_names
 from .kmachine import KStatus, compile as k_compile, k_run, show_state, unwind
 from .mnf import NotMNF, mnf_bigstop_eval, to_mnf
-from .smallstep import RunStatus, _run, small_step
+from .smallstep import RunStatus, _run, _step
 from .syntax import ParseError, SubstOpenValue, parse_expr, print_expr
 from .traces import format_trace
 from .typecheck import TypeFailure, infer_type, print_type
@@ -223,14 +223,14 @@ def _pcf_run(ns, expr) -> int:
         d = _DERIVING[sem](expr, budget)
         stop, trace = d.rhs, d.trace
     elif sem == "multi":
-        def step(e):  # small_step, printing each point it reaches
-            r = small_step(e)
+        def step(e):  # _step, printing each point it reaches
+            r = _step(e)
             if r is not None:
-                print(print_expr(r.expr))
+                print(print_expr(r[0]))
             return r
         if ns.trace:
             print(print_expr(expr))
-        r = _run(step if ns.trace else small_step, expr, budget)
+        r = _run(step if ns.trace else _step, expr, budget)
         if r.status == RunStatus.STUCK:
             raise StuckError(r.final)
         stop, trace = r.final, r.trace

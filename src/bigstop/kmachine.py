@@ -9,6 +9,12 @@ node is entered.  unwind() reads the whole configuration back into a term,
 so machine runs can be compared position-for-position with the tree
 engines: correspondence_check() holds the machine to the step relation
 exactly, contraction by contraction.
+
+The transitions are written twice.  k_run makes its own, in its one loop,
+so a run pays for no call and no record per transition; _move makes one at
+a time on a stack it is handed, for correspondence_check's walk in
+lockstep with the step relation.  correspondence_check ends by holding
+k_run to the state that _move reached.
 """
 
 import enum
@@ -142,26 +148,57 @@ class KRunResult:
 
 def k_run(state: MachineState, budget: int) -> KRunResult:
     """Run the machine for at most budget transitions, each O(1) whatever
-    the depth of the stack."""
+    the depth of the stack.  The transitions are _move's, written out in
+    the loop; a transition that would get stuck ends it."""
     check_budget(budget)
-    mode, stack, e = state.mode, list(state.stack), state.expr
+    ret, stack, e = state.mode is Mode.RETURN, list(state.stack), state.expr
     labels: list = []
     steps = 0
-    status = KStatus.OUT_OF_BUDGET
-    while True:
-        if mode is Mode.RETURN and not stack:
-            status = KStatus.FINAL
-            break
-        if steps == budget:
-            break
-        nxt = _move(mode, stack, e)
-        if nxt is None:
-            status = KStatus.STUCK
-            break
-        mode, e, label = nxt
-        if label is not None:
-            labels.append(label)
+    while steps < budget:
+        if ret:  # returning e (a value) to the innermost frame
+            if not stack:
+                break
+            top = stack[-1]
+            c = type(top)
+            if c is FunF:
+                stack[-1] = ArgF(e)
+                e, ret = top.arg, False
+            elif c is SuccF:
+                stack.pop()
+                e = Succ(e)
+            else:  # a contraction, or stuck
+                if c is ArgF and type(top.fn_value) is Lam:
+                    e = beta(top.fn_value, e)
+                elif c is CaseF and type(e) is Zero:
+                    e = top.zero_branch
+                elif c is CaseF and type(e) is Succ:
+                    e = subst(top.succ_branch, {top.succ_var: e.body})
+                else:
+                    break
+                stack.pop()
+                ret = False
+        else:
+            c = type(e)
+            if c is App:
+                stack.append(FunF(e.arg))
+                e = e.fn
+            elif c is Eff:
+                labels.append(e.label)
+                e = e.body
+            elif c is Case:
+                stack.append(CaseF(e.zero_branch, e.succ_var, e.succ_branch))
+                e = e.scrutinee
+            elif c is Succ and not e._spine:
+                stack.append(_SUCC)
+                e = e.body
+            elif c is Zero or c is Lam or c is Succ:  # a numeral value returns whole
+                ret = True
+            else:
+                break
         steps += 1
+    status = (KStatus.FINAL if ret and not stack
+              else KStatus.OUT_OF_BUDGET if steps == budget else KStatus.STUCK)
+    mode = Mode.RETURN if ret else Mode.EVAL
     return KRunResult(MachineState(mode, tuple(stack), e), tuple(labels), steps, status)
 
 

@@ -148,10 +148,10 @@ def _spine(e: Expr):
     return lets, e
 
 
-def mnf_small_step(e: Expr):
-    """One MNF step, or None for values and stuck terms.  The step is taken
-    inside every let whose bound is no value, and those lets are rebuilt
-    around its result."""
+def _mnf_step(e: Expr):
+    """One MNF step as a (term, trace) pair, or None for values and stuck
+    terms.  The step is taken inside every let whose bound is no value, and
+    those lets are rebuilt around its result."""
     lets, e = _spine(e)
     c = type(e)
     if c is Let:
@@ -169,11 +169,17 @@ def mnf_small_step(e: Expr):
         return None
     for let in reversed(lets):
         e = Let(let.var, e, let.body)
-    return StepResult(e, tr)
+    return e, tr
+
+
+def mnf_small_step(e: Expr):
+    """One MNF step, or None for values and stuck terms."""
+    r = _mnf_step(e)
+    return None if r is None else StepResult(*r)
 
 
 def mnf_multi_step(e: Expr, budget: int) -> MultiResult:
-    return _run(mnf_small_step, e, budget)
+    return _run(_mnf_step, e, budget)
 
 
 class NotMNF(Exception):

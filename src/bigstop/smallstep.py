@@ -95,17 +95,22 @@ class StepResult:
     trace: Trace
 
 
-def small_step(e: Expr):
-    """One step, or None when e is a value or stuck."""
+def _step(e: Expr):
+    """One step as a (term, trace) pair, or None when e is a value or stuck."""
     dec = decompose(e)
     if dec is None:
         return None
     ctx, r = dec
     c = contract(r)
-    if c is None:
-        return None
-    e2, tr = c
-    return StepResult(plug(ctx, e2), tr)
+    if c is None or not ctx:
+        return c
+    return plug(ctx, c[0]), c[1]
+
+
+def small_step(e: Expr):
+    """One step, or None when e is a value or stuck."""
+    r = _step(e)
+    return None if r is None else StepResult(*r)
 
 
 class RunStatus(enum.Enum):
@@ -123,26 +128,26 @@ class MultiResult:
 
 
 def multi_step(e: Expr, budget: int) -> MultiResult:
-    return _run(small_step, e, budget)
+    return _run(_step, e, budget)
 
 
 def _run(step, e: Expr, budget: int) -> MultiResult:
-    """Take step until a value, the budget or a term step refuses; the loop
-    of multi_step and of mnf.mnf_multi_step, each with its own step."""
+    """Take step, a (term, trace) pair or None, until the budget or a term
+    step refuses, a value included; the loop of multi_step and of
+    mnf.mnf_multi_step, each with its own step."""
     check_budget(budget)
     labels: list = []
     steps = 0
-    while True:
-        if is_value(e):
-            return MultiResult(e, tuple(labels), steps, RunStatus.REACHED_VALUE)
-        if steps == budget:
-            return MultiResult(e, tuple(labels), steps, RunStatus.OUT_OF_BUDGET)
+    while steps < budget:
         r = step(e)
         if r is None:
-            return MultiResult(e, tuple(labels), steps, RunStatus.STUCK)
-        e = r.expr
-        labels += r.trace
+            break
+        e, tr = r
+        labels += tr
         steps += 1
+    status = (RunStatus.REACHED_VALUE if is_value(e)
+              else RunStatus.OUT_OF_BUDGET if steps == budget else RunStatus.STUCK)
+    return MultiResult(e, tuple(labels), steps, status)
 
 
 def step_trace(e: Expr, budget: int):
@@ -150,9 +155,9 @@ def step_trace(e: Expr, budget: int):
     check_budget(budget)
     out = [e]
     for _ in range(budget):
-        r = small_step(e)
+        r = _step(e)
         if r is None:
             break
-        e = r.expr
+        e = r[0]
         out.append(e)
     return out

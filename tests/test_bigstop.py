@@ -1,11 +1,14 @@
 """Budgeted evaluator: derivation shapes, the checker, big-step trees, composition,
 and the two alternate dialects (annihilator traces, context-threading)."""
 
+import ast
 import contextlib
 import dataclasses
 import gc
 import io
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -824,6 +827,22 @@ def test_ec_agrees_with_the_step_relation():
         assert r.trace == m.trace
 
 
+def test_the_ec_engine_imports_nothing_from_its_reference():
+    # the ec suite holds ec_bigstop_eval to multi_step, so bigstop.py walks
+    # its own spine rather than share smallstep's decompose and plug
+    tree = ast.parse(Path(bigstop.bigstop.__file__).read_text(encoding="utf-8"))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names += [node.module or "", *(a.name for a in node.names)]
+        elif isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+    assert "syntax" in names
+    assert not [n for n in names if "smallstep" in n.split(".")]
+    assert not [n for n, v in vars(bigstop.bigstop).items()
+                if getattr(v, "__module__", None) == "bigstop.smallstep"]
+
+
 def test_ec_checker_rejects_forgeries():
     d = ec_bigstop_eval(parse_expr("s((fun f(x) => x) z)"), 1).derivation
     assert check_derivation(mut(d, rhs=Zero()), dialect="ec") is not None
@@ -1354,6 +1373,11 @@ def test_every_node_emits_its_premisses_traces_in_order(dialect):
     assert nodes > 5_000
 
 
+# the node objects of omega's tree at 8,000: a node or two per contraction
+# and the shared leaves; an answer hash sees no sharing, so it is pinned here
+DISTINCT_AT_8000 = {"plain": 8_004, "ec": 16_004, "annihilator": 8_005, "mnf": 8_002}
+
+
 @pytest.mark.parametrize("dialect", sorted(BUILD))
 def test_a_long_loop_has_a_handful_of_leaf_objects(dialect):
     # a run keeps one leaf per rule and term object: omega's 8,000
@@ -1362,6 +1386,7 @@ def test_a_long_loop_has_a_handful_of_leaf_objects(dialect):
     positions = list(bigstop.bigstop._nodes(d))
     leaves = {id(n) for n in positions if not n.premises}
     assert len(leaves) <= 5
+    assert len({id(n) for n in positions}) == DISTINCT_AT_8000[dialect]
     assert len(positions) > 12_000  # a leaf is still one node per position
     assert check_derivation(d, dialect) is None
 
@@ -1534,6 +1559,23 @@ def _same_runs_of_loop(a, b):
             logs[id(labels)] = labels
         todo += zip(a.premises, b.premises)
     return all(set(labels) <= {"t"} for labels in logs.values())
+
+
+def test_equal_derivations_built_apart_compare_equal_at_any_depth():
+    # == on two trees that share no node walks both to the bottom; under
+    # the package's raised recursion limit a walk on the C stack crashed
+    code = """if True:
+        import bigstop as b
+        omega = b.parse_expr("(fun f(x) => eff[t] f x) z")
+        d1 = b.bigstop_eval(omega, 8000).derivation
+        d = b.compose(d1, b.bigstop_eval(d1.rhs, 8000).derivation)
+        whole = b.bigstop_eval(omega, 16000).derivation
+        print(d == whole, hash(d) == hash(whole), d != b.bigstop_eval(omega, 15998).derivation)
+    """
+    src = str(Path(bigstop.__file__).resolve().parent.parent)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "True True True\n", "")
 
 
 def test_compose_runs_deeper_than_the_recursion_limit(at_recursion_limit_1000):

@@ -185,14 +185,16 @@ def test_kmachine_trace_runs_the_machine_once(capsys, monkeypatch, src, budget):
     argv = ("pcf", "run", "--sem", "kmachine", "--budget", str(budget), "-e", src)
     plain = run(capsys, *argv)
     moves = 0
-    real = kmachine._move
+    real = cli.k_run
 
-    def counted(*args):
+    def counted(state, budget):
+        # the transitions the machine made, and the one a stuck run tried
         nonlocal moves
-        moves += 1
-        return real(*args)
+        r = real(state, budget)
+        moves += r.steps + (r.status is kmachine.KStatus.STUCK)
+        return r
 
-    monkeypatch.setattr(kmachine, "_move", counted)
+    monkeypatch.setattr(cli, "k_run", counted)
     code, out, err = run(capsys, *argv, "--trace")
     # the same exit code, error and answer line, after the states
     assert (code, err) == (plain[0], plain[2]) and out.endswith(plain[1])

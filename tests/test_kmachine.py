@@ -1,7 +1,9 @@
 """Stack machine: transitions, read-back, invariants, and the differential
 checks against the tree engines."""
 
+import inspect
 import sys
+import textwrap
 
 import pytest
 
@@ -297,3 +299,22 @@ def test_a_wrong_case_return_is_caught_at_its_contraction(monkeypatch):
         r = correspondence_check(e, budget)
         assert not r.ok
         assert r.detail.startswith("contraction 2: "), r.detail
+
+
+def test_a_wrong_case_return_in_k_run_alone_is_caught(monkeypatch):
+    # k_run makes its own transitions, apart from the _move that the walk
+    # in lockstep takes; the same wrong return written into k_run alone is
+    # caught where the check holds k_run to the state _move reached
+    right = "{top.succ_var: e.body}"
+    source = inspect.getsource(kmachine.k_run)
+    assert source.count(right) == 1
+    namespace = dict(vars(kmachine))
+    exec(textwrap.dedent(source.replace(right, "{top.succ_var: e}")), namespace)
+    e = parse_expr("(fun f(x) => case x { z => f x | s(m) => f m }) s(s(z))")
+    assert correspondence_check(e, 40).ok
+    monkeypatch.setattr(kmachine, "k_run", namespace["k_run"])
+    assert correspondence_check(e, 1).ok
+    for budget in (2, 12, 40):
+        r = correspondence_check(e, budget)
+        assert not r.ok
+        assert r.detail.startswith("k_run for "), r.detail

@@ -146,6 +146,8 @@ def test_a_record_costs_one_compile(monkeypatch):
 def test_a_records_methods_come_from_its_one_compile(name):
     cls = RECORDS[name]
     for method in ("__init__", "__eq__", "__hash__"):
+        if method != "__init__" and cls.__dict__[method].__module__ == cls.__module__:
+            continue  # the class's own, as bigstop.Derivation's walk without recursion
         assert getattr(cls, method).__code__.co_filename == f"<record {cls.__name__}>"
     for value in vars(cls).values():
         code = getattr(value, "__code__", None)
