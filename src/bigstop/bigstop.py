@@ -28,7 +28,8 @@ A run's equal leaves are one object: each engine keeps one leaf per rule
 and term object for the length of a run (shared_leaf), so a loop's tree
 holds a handful of leaf objects however long it runs.  The tree is the
 same under ==, hashing, JSON and _nodes, and the checker checks each
-distinct node object once.
+distinct node object once, by a check compiled from its rule's entry in
+the dialect's table.
 """
 
 import json
@@ -67,17 +68,19 @@ class Derivation:
         """Node by node over an explicit stack, so trees of any depth
         compare: a pair of nodes compares its fields, then its premisses
         item by item.  A pair that is one object is equal unlooked at, and
-        so is a pair of right sides that are each their node's left side."""
+        so is a pair of right sides that are each their node's left side.
+        A node's span lies inside its parent's, so the labels the roots'
+        spans compare cover the tree (_same_trace)."""
         cls = self.__class__
         if other.__class__ is not cls:
             return NotImplemented
-        todo = [(self, other)]
+        todo, windows = [(self, other)], {}
         while todo:
             a, b = todo.pop()
             if a is b:
                 continue
             if a.__class__ is cls is b.__class__:
-                if not (a.rule == b.rule and a.lhs == b.lhs and a.trace == b.trace
+                if not (a.rule == b.rule and a.lhs == b.lhs and _same_trace(a.trace, b.trace, windows)
                         and (a.rhs is a.lhs and b.rhs is b.lhs or a.rhs == b.rhs)):
                     return False
                 a, b = a.premises, b.premises
@@ -94,6 +97,21 @@ class Derivation:
     def __hash__(self):
         # the root's own conclusion, so a tree of any depth hashes in one step
         return hash((self.rule, self.lhs, self.rhs))
+
+
+def _same_trace(s, t, windows: dict) -> bool:
+    """s == t, where windows maps (id of s's log, id of t's log, offset)
+    to a window of s's log already found equal to t's log at that offset."""
+    if s.__class__ is not Span or t.__class__ is not Span or s.log is t.log:
+        return s == t
+    key = (id(s.log), id(t.log), s.start - t.start)
+    lo, hi = windows.get(key, (0, 0))
+    if lo <= s.start and s.end <= hi and s.end - s.start == t.end - t.start:
+        return True
+    same = s == t
+    if same and s.start >= 0 <= t.start:
+        windows[key] = (s.start, s.end)
+    return same
 
 
 @record
@@ -246,8 +264,9 @@ def _nodes(d: Derivation):
 
 ### checking derivations
 #
-# Each dialect is a table from rule names to Rule entries, and one walker
-# checks every node against its entry.  A rule is written once: the
+# Each dialect is a table from rule names to Rule entries.  The first time
+# a dialect is checked, its table is compiled into one check per rule, and
+# one loop runs each node's check.  A rule is written once: the
 # structural rules that the plain and annihilator dialects share have one
 # entry each, so do the redex rules of the MNF and evaluation-context
 # dialects.  A big-step tree is a plain tree that ends in a value.  A
@@ -307,12 +326,22 @@ def _val(at) -> Premiss:
     return Premiss(True, at)
 
 
-def _kind(cls):
-    return lambda e: isinstance(e, cls)
+@record
+class _Kind:
+    """applies(e) or ends(e): e is a cls.  A compiled check tests it inline."""
+    cls: type
+
+    def __call__(self, e):
+        return isinstance(e, self.cls)
 
 
-def _part(name: str):
-    return lambda lhs, ps: getattr(lhs, name)
+@record
+class _Part:
+    """at(lhs, ps): the lhs's field `name`.  A compiled check reads it inline."""
+    name: str
+
+    def __call__(self, lhs, ps):
+        return getattr(lhs, self.name)
 
 
 def _branch(case: Case, pred: Expr) -> Expr:
@@ -363,40 +392,40 @@ _STOP1 = Rule(
     rhs=lambda lhs, ps: _POSITION1[type(lhs)][1](lhs, ps[0].rhs),
 )
 _STOP2 = Rule(
-    _kind(App),
-    (_run(_part("fn")), _val(lambda lhs, ps: ps[0].rhs), _run(_part("arg"))),
+    _Kind(App),
+    (_run(_Part("fn")), _val(lambda lhs, ps: ps[0].rhs), _run(_Part("arg"))),
     rhs=lambda lhs, ps: App(ps[0].rhs, ps[2].rhs),
 )
 
 # the structural rules of the plain (StE) and annihilator (StA) dialects
-_SUCC = Rule(_kind(Succ), (_run(_part("body")),), rhs=lambda lhs, ps: Succ(ps[0].rhs))
+_SUCC = Rule(_Kind(Succ), (_run(_Part("body")),), rhs=lambda lhs, ps: Succ(ps[0].rhs))
 _CASEZ = Rule(
-    _kind(Case),
-    (_run(_part("scrutinee"), ends=_kind(Zero)), _run(_part("zero_branch"))),
+    _Kind(Case),
+    (_run(_Part("scrutinee"), ends=_Kind(Zero)), _run(_Part("zero_branch"))),
 )
 _CASES = Rule(
-    _kind(Case),
+    _Kind(Case),
     (
-        _run(_part("scrutinee"), ends=_kind(Succ)),
+        _run(_Part("scrutinee"), ends=_Kind(Succ)),
         _val(lambda lhs, ps: ps[0].rhs.body),
         _run(lambda lhs, ps: _branch(lhs, ps[0].rhs.body)),
     ),
 )
 _APP = Rule(
-    _kind(App),
+    _Kind(App),
     (
-        _run(_part("fn"), ends=_kind(Lam)),
-        _run(_part("arg")),
+        _run(_Part("fn"), ends=_Kind(Lam)),
+        _run(_Part("arg")),
         _val(lambda lhs, ps: ps[1].rhs),
         _run(lambda lhs, ps: beta(ps[0].rhs, ps[1].rhs)),
     ),
 )
-_EFF = Rule(_kind(Eff), (_run(_part("body")),), emits=True)
+_EFF = Rule(_Kind(Eff), (_run(_Part("body")),), emits=True)
 
 # the redex rules of the MNF (StM) and evaluation-context (EC) dialects
 _REDEX_CASEZ = Rule(
     lambda e: isinstance(e, Case) and isinstance(e.scrutinee, Zero),
-    (_run(_part("zero_branch")),),
+    (_run(_Part("zero_branch")),),
 )
 _REDEX_CASES = Rule(
     lambda e: isinstance(e, Case) and isinstance(e.scrutinee, Succ),
@@ -407,7 +436,7 @@ _REDEX_CASES = Rule(
 )
 _REDEX_APP = Rule(
     lambda e: isinstance(e, App) and isinstance(e.fn, Lam),
-    (_val(_part("arg")), _run(lambda lhs, ps: beta(lhs.fn, lhs.arg))),
+    (_val(_Part("arg")), _run(lambda lhs, ps: beta(lhs.fn, lhs.arg))),
 )
 
 _RULES = {
@@ -425,14 +454,14 @@ _RULES = {
         "Val": _VAL,
         "StM-Stop": _FREEZE,
         "StM-Let1": Rule(
-            _kind(Let),
-            (_run(_part("bound")),),
+            _Kind(Let),
+            (_run(_Part("bound")),),
             rhs=lambda lhs, ps: Let(lhs.var, ps[0].rhs, lhs.body),
         ),
         "StM-Let2": Rule(
-            _kind(Let),
+            _Kind(Let),
             (
-                _run(_part("bound")),
+                _run(_Part("bound")),
                 _val(lambda lhs, ps: ps[0].rhs),
                 _run(lambda lhs, ps: subst(lhs.body, {lhs.var: ps[0].rhs})),
             ),
@@ -479,102 +508,132 @@ def is_progressing(d: Derivation) -> bool:
 # how each dialect joins two traces; the annihilator's cut absorbs the rest
 _TRACES = {"plain": operator.add, "mnf": operator.add, "ec": operator.add, "annihilator": ann_join}
 
-# each dialect's rules as the checker reads them, read off the tables once:
-# rule name -> (applies, emits, one (index, is a Val, start, ends) row per
-# premiss, side, rhs, cut)
-_PLANS = {
-    dialect: {name: (r.applies, r.emits, tuple((i, p.val, p.at, p.ends) for i, p in enumerate(r.premises)),
-                     r.side, r.rhs, r.cut)
-              for name, r in rules.items()}
-    for dialect, rules in _RULES.items()
-}
+# each dialect's checks, compiled from its table when it is first checked
+_CHECKS: dict = {}
+
+
+def _checks(dialect: str) -> dict:
+    """The dialect's rules as one check each, all in one `compile`.  A check
+    gives None on a valid node, else why it is not valid: a str, or a
+    1-tuple when its one fault is a start that substitutes no closed value."""
+    try:
+        rules = _RULES[dialect]
+    except KeyError:
+        raise ValueError(f"unknown dialect {dialect!r}") from None
+    join = _TRACES[dialect]
+    env = {"Span": Span, "SubstOpenValue": SubstOpenValue, "join": join, "EMPTY": (), "CUT": (ANNIHILATOR,)}
+    # each check is named after its rule, so that a profile tells them apart
+    fns = {name: f"check{j}_" + re.sub("[^0-9A-Za-z]", "_", name) for j, name in enumerate(rules)}
+    src = [line for name, r in rules.items() for line in _check_source(fns[name], name, r, join is ann_join, env)]
+    exec(compile("\n".join(src), f"<checks {dialect}>", "exec"), env)
+    return _CHECKS.setdefault(dialect, {name: env[fn] for name, fn in fns.items()})
+
+
+def _check_source(fn: str, name: str, r: Rule, absorbs: bool, env: dict) -> list:
+    """The lines of `def fn(d)`, the check of rule r with its premisses
+    unrolled in order, and the callables it calls put in env.  A span trace
+    whose run premisses' spans follow the label it emits and each other in
+    its log passes on their bounds (under an absorbing join, only if none
+    but the last ends in the cut); any other is joined and compared, at the
+    same point in the order of tests."""
+    def fail(reason):
+        return f"return {f'{name} {reason}'!r}"
+
+    def call(key, f, args):
+        env[f"{fn}_{key}"] = f.cls if f.__class__ is _Kind else f
+        return f"isinstance({args}, {fn}_{key})" if f.__class__ is _Kind else f"{fn}_{key}({args})"
+
+    ps = r.premises
+    k, runs = len(ps), [i for i, p in enumerate(ps) if not p.val]
+    out = [f"if len(ps) != {k}:", f"    return {f'{name} wants {k} premisses, got '!r} + str(len(ps))"]
+    if r.applies is not None:
+        out += [f"if not {call('applies', r.applies, 'lhs')}:", "    " + fail("does not apply to this term")]
+    out += [f"{''.join(f'p{i}, ' for i in range(k))}= ps" if k else "", "opened, slow = None, True"]
+    if (runs or r.emits) and not r.cut:
+        fits = "q.log is log and q.start == a < q.end" + (
+            " <= e and (a == s or log[a - 1] != CUT[0])" if absorbs else "")
+        out += ["if t.__class__ is Span:", "    log, s, e = t.log, t.start, t.end",
+                f"    if {'0 <= s < e <= len(log)' if r.emits or absorbs else '0 <= s'}"
+                f"{' and log[s] == lhs.label' if r.emits else ''}:", f"        a = s{' + 1' if r.emits else ''}"]
+        for i in runs:
+            out += [f"        q = p{i}.trace", "        if q is not EMPTY:",
+                    f"            a = q.end if q.__class__ is Span and {fits} else None"]
+        out.append("        slow = a != e")
+    out += ["if slow:", f"    trace = {'(lhs.label,)' if r.emits else 'EMPTY'}"]
+    for i, p in enumerate(ps):
+        if p.val:
+            out += [f"if p{i}.rule != 'Val':", "    " + fail(f"premiss {i} must be a Val side condition")]
+        else:
+            out += ["if slow:", "    try:", f"        trace = join(trace, p{i}.trace)", "    except TypeError:",
+                    "        " + fail(f"premiss {i} holds something that is not a trace")]
+        if p.at.__class__ is _Part:  # a field of the lhs substitutes nothing
+            out += [f"if p{i}.lhs is not lhs.{p.at.name} and p{i}.lhs != lhs.{p.at.name}:",
+                    "    " + fail(f"premiss {i} starts at the wrong term")]
+        elif p.at is not None:
+            out += ["try:", f"    want = {call(f'at{i}', p.at, 'lhs, ps')}", "except SubstOpenValue:",
+                    f"    opened = opened or ({f'{name} premiss {i} substitutes no closed value'!r},)",
+                    "else:", f"    if p{i}.lhs is not want and p{i}.lhs != want:",
+                    "        " + fail(f"premiss {i} starts at the wrong term")]
+        if p.ends is not None:
+            out += [f"if not {call(f'ends{i}', p.ends, f'p{i}.rhs')}:",
+                    "    " + fail(f"cannot continue from the result of premiss {i}")]
+    if r.side is not None:
+        out += [f"if not {call('side', r.side, 'd')}:", "    " + fail("premisses do not fit any evaluation context")]
+    end = call("rhs", r.rhs, "lhs, ps") if r.rhs is not None else f"p{k - 1}.rhs" if k else "lhs"
+    out += [f"end = {end}", "if d.rhs is not end and d.rhs != end:",
+            "    " + fail("conclusion does not match its premisses"), "trace = join(trace, CUT)" if r.cut else "",
+            "if slow and t is not trace and t != trace:", "    " + fail("emits the wrong trace"), "return opened"]
+    return [f"def {fn}(d):", "    lhs, ps, t = d.lhs, d.premises, d.trace", *("    " + line for line in out)]
 
 
 def check_derivation(d: Derivation, dialect: str = "plain"):
     """Re-derive every node; None if valid, else the first RuleViolation
     in preorder.  Dialects: plain, mnf, ec, annihilator.
 
-    One walker checks every node of d against its entry in the dialect's
-    table, with the dialect's join of traces.  A node's validity is its
-    own, so each distinct node object is checked once: a run's equal
-    leaves are one object, and a node met again is skipped with its
-    subtree, which leaves the first violation in preorder where it was.  A
-    start that substitutes no closed value is left to the Val premiss that
-    asserts one, which is checked in its turn; an open function is
-    reported only if nothing else is wrong."""
-    try:
-        plans = _PLANS[dialect]
-    except KeyError:
-        raise ValueError(f"unknown dialect {dialect!r}") from None
-    join = _TRACES[dialect]
-    unclosed = None
-    seen = set()
-    todo = [(d, ())]
+    One loop pops each node off a stack and runs its rule's check,
+    compiled from the dialect's table when the dialect is first checked.
+    A node's validity is its own, so each distinct node object is checked
+    once: a run's equal leaves are one object, and a node met again is
+    skipped with its subtree, which leaves the first violation in preorder
+    where it was.  The stack holds nodes alone: a violation walks the tree
+    again in the same order to find its path.  A start that substitutes no
+    closed value is left to the Val premiss that asserts one, which is
+    checked in its turn; an open function is reported only if nothing else
+    is wrong."""
+    checks = _CHECKS.get(dialect) or _checks(dialect)
+    unclosed, seen, todo = None, set(), [d]
     while todo:
-        d, path = todo.pop()
-        k = id(d)  # the tree keeps every node alive, so ids stay unique
+        n = todo.pop()
+        k = id(n)  # the tree keeps every node alive, so ids stay unique
         if k in seen:
             continue
         seen.add(k)
-        plan = plans.get(d.rule)
-        if plan is None:
-            return _bad(path, f"unknown rule {d.rule!r} for the {dialect} dialect")
-        applies, emits, wants, side, rhs, cut = plan
-        lhs, ps = d.lhs, d.premises
-        if len(ps) != len(wants):
-            return _bad(path, f"{d.rule} wants {len(wants)} premisses, got {len(ps)}")
-        if applies is not None and not applies(lhs):
-            return _bad(path, f"{d.rule} does not apply to this term")
-        trace = (lhs.label,) if emits else ()
-        for (i, val, at, ends), p in zip(wants, ps):
-            if val:
-                if p.rule != "Val":
-                    return _bad(path, f"{d.rule} premiss {i} must be a Val side condition")
-            else:
-                try:
-                    trace = join(trace, p.trace)
-                except TypeError:
-                    return _bad(path, f"{d.rule} premiss {i} holds something that is not a trace")
-            if at is not None:
-                try:
-                    want = at(lhs, ps)
-                    wrong = p.lhs is not want and p.lhs != want
-                except SubstOpenValue:
-                    wrong = False
-                    unclosed = unclosed or _bad(path, f"{d.rule} premiss {i} substitutes no closed value")
-                if wrong:
-                    return _bad(path, f"{d.rule} premiss {i} starts at the wrong term")
-            if ends is not None and not ends(p.rhs):
-                return _bad(path, f"{d.rule} cannot continue from the result of premiss {i}")
-        if side is not None and not side(d):
-            return _bad(path, f"{d.rule} premisses do not fit any evaluation context")
-        end = rhs(lhs, ps) if rhs else ps[-1].rhs if ps else lhs
-        if d.rhs is not end and d.rhs != end:
-            return _bad(path, f"{d.rule} conclusion does not match its premisses")
-        if cut:
-            trace = join(trace, (ANNIHILATOR,))
-        if d.trace is not trace and d.trace != trace:
-            return _bad(path, f"{d.rule} emits the wrong trace")
-        i = len(ps)
-        while i:  # push the premisses so that the first is checked next
-            i -= 1
-            todo.append((ps[i], (path, i)))
-    return unclosed
+        check = checks.get(n.rule)
+        why = f"unknown rule {n.rule!r} for the {dialect} dialect" if check is None else check(n)
+        if why is not None:
+            if why.__class__ is str:
+                return _violation(d, n, why)
+            unclosed = unclosed or (n, why[0])
+        todo += n.premises[::-1]  # the first premiss is checked next
+    return unclosed and _violation(d, *unclosed)
 
 
-def _bad(path, reason):
-    return RuleViolation(_flat(path), reason)
-
-
-def _flat(path) -> tuple:
-    """A path as premiss indices from the root.  A path is () at the root
-    and (parent path, premiss index) below it, so descending costs one
-    pair; only a violation flattens it."""
-    flat = []
-    while path:
-        path, i = path
-        flat.append(i)
-    return tuple(reversed(flat))
+def _violation(d: Derivation, bad: Derivation, reason: str) -> RuleViolation:
+    """The violation at the position where check_derivation's walk of d
+    first met node `bad`: one more loop in the same order, which keeps each
+    node's path as (parent path, premiss index) and flattens only bad's."""
+    seen, todo = set(), [(d, ())]
+    while True:
+        n, path = todo.pop()
+        if n is bad:
+            flat = []
+            while path:
+                path, i = path
+                flat.append(i)
+            return RuleViolation(tuple(reversed(flat)), reason)
+        if id(n) not in seen:
+            seen.add(id(n))
+            todo += [(p, (path, i)) for i, p in reversed(tuple(enumerate(n.premises)))]
 
 
 ### composing derivations (constructive transitivity)

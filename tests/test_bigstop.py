@@ -5,6 +5,7 @@ import ast
 import contextlib
 import dataclasses
 import gc
+import hashlib
 import io
 import json
 import os
@@ -259,6 +260,28 @@ def test_a_premiss_with_a_cut_off_trace_is_a_violation_not_a_crash():
             assert (v.path, v.reason) == ((), want), (dialect, junk)
 
 
+def test_spans_that_tile_a_trace_after_its_cut_do_not_pass_it():
+    # the annihilator's join lets a trace that ends in the cut absorb what
+    # follows, so the premisses' spans tiling the node's span in the log
+    # is not enough: the node claims b after the cut, which its rule drops
+    d = annihilator_derivation(parse_expr("case z { z => eff[b] z | s(n) => n }"), 5)
+    (scrutinee, branch), log = d.premises, ["0", "b"]
+    assert (d.rule, scrutinee.rule, branch.rule) == ("StA-CaseZ", "StA-Val", "StA-Eff")
+    forged = mut(d, trace=Span(log, 0, 2),
+                 premises=(mut(scrutinee, trace=Span(log, 0, 1)), mut(branch, trace=Span(log, 1, 2))))
+    v = check_derivation(forged, "annihilator")
+    assert (v.path, v.reason) == ((), "StA-CaseZ emits the wrong trace")
+
+
+def test_a_span_that_starts_before_its_log_holds_no_labels():
+    # a span is log[start:end], so one from -1 to 0 is empty, although
+    # log[-1] is the label the node emits
+    d = bigstop_eval(parse_expr("eff[a] z"), 1).derivation
+    assert (d.trace.log, d.trace.start, d.trace.end) == (["a"], 0, 1)
+    v = check_derivation(mut(d, trace=Span(d.trace.log, -1, 0)))
+    assert (v.path, v.reason) == ((), "StE-Eff emits the wrong trace")
+
+
 def test_checker_localises_deep_faults():
     d = bigstop_eval(parse_expr("eff[a] ((fun f(x) => x) z)"), 4).derivation
     # mislabel a nested node whose endpoints are untouched: only the subtree
@@ -267,6 +290,49 @@ def test_checker_localises_deep_faults():
     v = check_derivation(mut(d, premises=(bad_inner,) + d.premises[1:]))
     assert v is not None
     assert v.path == (0,)
+
+
+CHECKER_ANSWERS = "562031e61b5d453da5bf713bcc17119f849a480cafed3209f3b5238e420541f0"
+
+
+def _trees_of_every_dialect(e, budget):
+    yield "plain", bigstop_eval(e, budget).derivation
+    yield "ec", ec_bigstop_eval(e, budget).derivation
+    yield "annihilator", annihilator_derivation(e, budget)
+    yield "mnf", mnf_bigstop_eval(to_mnf(e), budget).derivation
+
+
+def _single_node_mutants(node, rules):
+    """(name, mutant) for each single-node change the checker must judge."""
+    for rule in rules:
+        if rule != node.rule:
+            yield f"rule={rule}", mut(node, rule=rule)
+    yield "lhs=z", mut(node, lhs=Zero())
+    yield "rhs=z", mut(node, rhs=Zero())
+    yield "trace=b", mut(node, trace=("b",))
+    t = node.trace
+    if type(t) is Span:
+        yield "trace+1", mut(node, trace=Span(t.log, t.start + 1, t.end + 1))
+    if node.premises:
+        yield "drop last", mut(node, premises=node.premises[:-1])
+
+
+def test_the_checker_gives_the_pinned_answers_on_every_single_node_mutant():
+    # check_derivation's verdict, its path and reason included, on every
+    # single-node mutant of every small tree of every dialect: a change to
+    # how the checker runs must leave this hash alone
+    h = hashlib.sha256()
+    for e in enumerate_exprs(4):
+        for budget in range(7):
+            for dialect, d in _trees_of_every_dialect(e, budget):
+                rules = bigstop.bigstop._RULES[dialect]
+                h.update(f"{dialect}\t{print_expr(e)}\t{budget}\n".encode())
+                for path, node in _nodes(d):
+                    for name, m in _single_node_mutants(node, rules):
+                        v = check_derivation(_replace_at(d, path, m), dialect)
+                        got = "ok" if v is None else f"{v.path}\t{v.reason}"
+                        h.update(f"{path}\t{name}\t{got}\n".encode())
+    assert h.hexdigest() == CHECKER_ANSWERS
 
 
 def test_dialects_do_not_leak_into_each_other():
@@ -1279,6 +1345,54 @@ def test_a_deep_violation_reports_its_full_path():
     assert "unknown rule" in v.reason
 
 
+def _deepest(d, rules):
+    """The path of the deepest node whose rule is one of rules, looking at
+    every premiss down the spine of last premisses, in one loop."""
+    spine, best = [], None
+    while d.premises:
+        for i, p in enumerate(d.premises):
+            if p.rule in rules:
+                best = len(spine), i
+        spine.append(len(d.premises) - 1)
+        d = d.premises[-1]
+    depth, i = best
+    return (*spine[:depth], i)
+
+
+def test_a_violation_20000_levels_down_names_its_full_path(at_recursion_limit_1000):
+    # the run's last label is emitted by its deepest contraction: forged in
+    # the log, it fails that node alone, and the loop that finds the
+    # violation's path gives one index per level down to it
+    plain = bigstop_eval(LOOP, 20_000).derivation
+    ec = ec_bigstop_eval(LOOP, 20_000).derivation
+    for d in (plain, ec):
+        d.trace.log[-1] = "u"
+    got = at_recursion_limit_1000(
+        plain=lambda: check_derivation(plain),
+        ec=lambda: check_derivation(ec, "ec"),
+    )
+    for name, d, rule in (("plain", plain, "StE-Eff"), ("ec", ec, "EC-Eff")):
+        path = _deepest(d, {"StE-App", "StE-Eff", "EC-App", "EC-Eff"})
+        assert len(path) >= 19_999
+        assert _at(d, path).rule == rule
+        assert (got[name].path, got[name].reason) == (path, f"{rule} emits the wrong trace")
+
+
+def test_equality_compares_the_labels_of_spans_of_different_logs():
+    # labels found equal between two logs vouch for no third log
+    d1 = bigstop_eval(LOOP, 1000).derivation
+    d = compose(d1, bigstop_eval(d1.rhs, 1000).derivation)
+    whole = bigstop_eval(LOOP, 2000).derivation
+    path = _eff_paths(d)[300]
+    node = _at(d, path)
+    t = node.trace
+    other = list(t.log)
+    forged = _replace_at(d, path, mut(node, trace=Span(other, t.start, t.end)))
+    assert d == whole and forged == whole
+    other[t.end - 1] = "u"
+    assert forged != whole and whole != forged
+
+
 def test_json_string_form_is_one_line_and_round_trips():
     d = bigstop_eval(LOOP, 60).derivation
     text = derivation_to_json_str(d)
@@ -1541,26 +1655,6 @@ def test_the_tree_evaluators_run_deeper_than_the_recursion_limit(at_recursion_li
         assert _same(mnf_stopped, mnf_multi_step(to_mnf(e), n).final)
 
 
-def _same_runs_of_loop(a, b):
-    """_same for two derivations of LOOP, whose logs hold only t: two of
-    its traces are equal when their lengths are.  Comparing spans label by
-    label at every node would take the square of the run."""
-    logs, todo = {}, [(a, b)]
-    while todo:
-        a, b = todo.pop()
-        if a is b:
-            continue
-        if (a.rule, len(a.trace), len(a.premises)) != (b.rule, len(b.trace), len(b.premises)):
-            return False
-        if not (_same(a.lhs, b.lhs) and _same(a.rhs, b.rhs)):
-            return False
-        for t in (a.trace, b.trace):
-            labels = t.log if type(t) is Span else t
-            logs[id(labels)] = labels
-        todo += zip(a.premises, b.premises)
-    return all(set(labels) <= {"t"} for labels in logs.values())
-
-
 def test_equal_derivations_built_apart_compare_equal_at_any_depth():
     # == on two trees that share no node walks both to the bottom; under
     # the package's raised recursion limit a walk on the C stack crashed
@@ -1580,11 +1674,12 @@ def test_equal_derivations_built_apart_compare_equal_at_any_depth():
 
 def test_compose_runs_deeper_than_the_recursion_limit(at_recursion_limit_1000):
     # compose is one loop over a stack of jobs; LOOP's runs at 100,000
-    # contractions each nest 100,000 levels deep
+    # contractions each nest 100,000 levels deep.  == compares the labels
+    # of the composed tree's log with the whole run's once, not per node
     def composed():
         d1 = bigstop_eval(LOOP, 100_000).derivation
         d = compose(d1, bigstop_eval(d1.rhs, 100_000).derivation)
-        return _same_runs_of_loop(d, bigstop_eval(LOOP, 200_000).derivation), check_derivation(d)
+        return d == bigstop_eval(LOOP, 200_000).derivation, check_derivation(d)
 
     assert at_recursion_limit_1000(composed=composed)["composed"] == (True, None)
 
