@@ -13,6 +13,7 @@ import sys
 # the term walkers of ROADMAP item 15 (to_mnf, let_erase, typing,
 # substitution into an open term, ==) recurse once per level of a term
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
+del sys  # the package's names are its own
 
 from .bigstep import FuelExhausted, Stuck, Value, big_step
 from .bigstop import (

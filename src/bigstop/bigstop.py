@@ -521,7 +521,8 @@ def _checks(dialect: str) -> dict:
     except KeyError:
         raise ValueError(f"unknown dialect {dialect!r}") from None
     join = _TRACES[dialect]
-    env = {"Span": Span, "SubstOpenValue": SubstOpenValue, "join": join, "EMPTY": (), "CUT": (ANNIHILATOR,)}
+    env = {"Span": Span, "SubstOpenValue": SubstOpenValue, "join": join, "EMPTY": (), "CUT": (ANNIHILATOR,),
+           "outside": _outside}
     # each check is named after its rule, so that a profile tells them apart
     fns = {name: f"check{j}_" + re.sub("[^0-9A-Za-z]", "_", name) for j, name in enumerate(rules)}
     src = [line for name, r in rules.items() for line in _check_source(fns[name], name, r, join is ann_join, env)]
@@ -565,7 +566,8 @@ def _check_source(fn: str, name: str, r: Rule, absorbs: bool, env: dict) -> list
             out += [f"if p{i}.rule != 'Val':", "    " + fail(f"premiss {i} must be a Val side condition")]
         else:
             out += ["if slow:", "    try:", f"        trace = join(trace, p{i}.trace)", "    except TypeError:",
-                    "        " + fail(f"premiss {i} holds something that is not a trace")]
+                    "        " + fail(f"premiss {i} holds something that is not a trace"),
+                    "    except (IndexError, ValueError):", f"        return outside({name!r}, ps, {i})"]
         if p.at.__class__ is _Part:  # a field of the lhs substitutes nothing
             out += [f"if p{i}.lhs is not lhs.{p.at.name} and p{i}.lhs != lhs.{p.at.name}:",
                     "    " + fail(f"premiss {i} starts at the wrong term")]
@@ -584,6 +586,15 @@ def _check_source(fn: str, name: str, r: Rule, absorbs: bool, env: dict) -> list
             "    " + fail("conclusion does not match its premisses"), "trace = join(trace, CUT)" if r.cut else "",
             "if slow and t is not trace and t != trace:", "    " + fail("emits the wrong trace"), "return opened"]
     return [f"def {fn}(d):", "    lhs, ps, t = d.lhs, d.premises, d.trace", *("    " + line for line in out)]
+
+
+def _outside(name: str, ps: tuple, i: int) -> str:
+    """Why joining premiss i raised: the annihilator's join reads the last
+    label of a span, and one that lies outside its log, or ends before it
+    starts, has none to read.  Names the first such premiss up to i."""
+    spans = [p.trace for p in ps[:i + 1]]
+    j = next((j for j, q in enumerate(spans) if q.__class__ is Span and not 0 <= q.start <= q.end <= len(q.log)), i)
+    return f"{name} premiss {j} holds a span outside its log"
 
 
 def check_derivation(d: Derivation, dialect: str = "plain"):

@@ -20,29 +20,29 @@ property-suite failure, 141 stdout closed before the output was written
 printed).
 `python -m bigstop` takes the same arguments as the dispatcher:
 `python -m bigstop pcf run -e z`.
+
+`pcf run` and `imp run` look each --sem up in the answer tables of
+bigstop.harness, the ones the property suites read, and print the answer;
+only the machine, which counts transitions, is run here.
 """
 
 import argparse
 import os
 import sys
 
-from . import imp
-from .bigstep import FuelExhausted, Stuck, Value, big_step
 from .bigstop import (
     DIALECTS,
     DerivationFormatError,
     StuckError,
-    annihilator_derivation,
-    bigstop_eval,
     check_derivation,
     derivation_from_json,
     derivation_to_json_str,
-    ec_bigstop_eval,
 )
-from .harness import GenConfig, run_property_suite, suite_names
+from .harness import IMP_ENGINES, PCF_ENGINES, GenConfig, run_property_suite, suite_names
+from .imp import ImpConfig, ImpStatus, parse_init, parse_stmt, print_config, print_state
 from .kmachine import KStatus, compile as k_compile, k_run, show_state, unwind
-from .mnf import NotMNF, mnf_bigstop_eval, to_mnf
-from .smallstep import RunStatus, _run, _step
+from .mnf import NotMNF, to_mnf
+from .smallstep import RunStatus, step_trace
 from .syntax import ParseError, SubstOpenValue, parse_expr, print_expr
 from .traces import format_trace
 from .typecheck import TypeFailure, infer_type, print_type
@@ -152,15 +152,9 @@ def fuzz_entry():
 ### pcf
 
 
-# the semantics that build a derivation: --sem -> (term, budget) -> derivation
-_DERIVING = {
-    "bigstop": lambda e, b: bigstop_eval(e, b).derivation,
-    "annihilator": annihilator_derivation,
-    "mnf": lambda e, b: mnf_bigstop_eval(to_mnf(e), b).derivation,
-    "ec": lambda e, b: ec_bigstop_eval(e, b).derivation,
-}
-
-_PCF_SEMS = ("small", "multi", "big", *_DERIVING, "kmachine")
+# small is multi at budget 1; the machine, which counts transitions, has no row
+_PCF_SEMS = ("small", *PCF_ENGINES, "kmachine")
+_DERIVING = ("bigstop", "annihilator", "mnf", "ec")  # the rows that carry a derivation
 
 
 def _pcf(args) -> int:
@@ -219,31 +213,7 @@ def _pcf_run(ns, expr) -> int:
         raise _Usage(f"--derivation needs one of --sem {', '.join(_DERIVING)}")
     sem, budget = ("multi", 1) if ns.sem == "small" else (ns.sem, ns.budget)  # small: one multi step
 
-    if sem in _DERIVING:
-        d = _DERIVING[sem](expr, budget)
-        stop, trace = d.rhs, d.trace
-    elif sem == "multi":
-        def step(e):  # _step, printing each point it reaches
-            r = _step(e)
-            if r is not None:
-                print(print_expr(r[0]))
-            return r
-        if ns.trace:
-            print(print_expr(expr))
-        r = _run(step if ns.trace else _step, expr, budget)
-        if r.status == RunStatus.STUCK:
-            raise StuckError(r.final)
-        stop, trace = r.final, r.trace
-    elif sem == "big":
-        match big_step(expr, budget):
-            case Value(v, tr):
-                stop, trace = v, tr
-            case Stuck(at):
-                raise StuckError(at)
-            case FuelExhausted():
-                _err(f"no value within fuel {budget}")
-                return EVAL_ERROR
-    else:  # kmachine; traced, one transition per k_run call, each state printed
+    if sem == "kmachine":  # traced, one transition per k_run call, each state printed
         st, trace = k_compile(expr), []
         if ns.trace:
             print(show_state(st))
@@ -259,12 +229,26 @@ def _pcf_run(ns, expr) -> int:
             if ns.trace:
                 print(show_state(st))
         stop = unwind(st)
+    else:
+        if ns.trace:  # multi: step_trace a step at a time, each point printed before any error
+            points = [expr]
+            for n in range(budget + 1):
+                print(print_expr(points[-1]))
+                if n == budget or len(points := step_trace(points[-1], 1)) == 1:
+                    break
+        a = PCF_ENGINES[sem](expr, budget)
+        if a.status is RunStatus.STUCK:
+            raise StuckError(a.term)
+        if a.term is None:  # big-step out of fuel
+            _err(f"no value within fuel {budget}")
+            return EVAL_ERROR
+        stop, trace = a.term, a.trace
 
     print(f"{print_expr(stop)} | {format_trace(trace)}")
     if ns.derivation is not None:
         try:
             with open(ns.derivation, "w") as fh:
-                print(derivation_to_json_str(d), file=fh)
+                print(derivation_to_json_str(a.derivation), file=fh)
         except OSError as err:
             raise _Usage(f"cannot write {ns.derivation}: {err.strerror or err}")
     return OK
@@ -273,7 +257,7 @@ def _pcf_run(ns, expr) -> int:
 ### imp
 
 
-_IMP_SEMS = ("small", "multi", "big", "bigstop", "freeze")
+_IMP_SEMS = ("small", *IMP_ENGINES)
 
 
 def _imp(args) -> int:
@@ -287,25 +271,15 @@ def _imp(args) -> int:
     run.add_argument("-e", action="store_true", dest="literal")
     run.add_argument("program")
     ns = p.parse_args(args)
-    cfg = imp.ImpConfig(_load(imp.parse_stmt, ns), imp.parse_init(ns.init))
-
-    if ns.sem in ("small", "multi"):  # small is one step of multi
-        r = imp.imp_multi_step(cfg, 1 if ns.sem == "small" else ns.budget)
-        print(imp.print_config(r.config))
-        return OK
-    if ns.sem == "big":
-        out = imp.imp_bigstep(cfg, ns.budget)
-        if isinstance(out, imp.ImpFuelExhausted):
-            _err(f"no finish within fuel {ns.budget}")
-            return EVAL_ERROR
-        print(imp.print_config(imp.ImpConfig(imp.Skip(), out.state)))
-        return OK
-    if ns.sem == "bigstop":
-        print(imp.print_config(imp.imp_bigstop(cfg, ns.budget)))
-        return OK
-    # freeze
-    fz = imp.imp_bigstop_freeze(cfg, ns.budget)
-    print(f"{imp.print_state(fz.state)} | {'frozen' if fz.frozen else 'finished'}")
+    cfg = ImpConfig(_load(parse_stmt, ns), parse_init(ns.init))
+    a = IMP_ENGINES["multi"](cfg, 1) if ns.sem == "small" else IMP_ENGINES[ns.sem](cfg, ns.budget)
+    if a.trace is None:  # big-step out of fuel
+        _err(f"no finish within fuel {ns.budget}")
+        return EVAL_ERROR
+    if a.term is None:  # freeze: the store alone
+        print(f"{print_state(a.trace)} | {'frozen' if a.status is ImpStatus.OUT_OF_BUDGET else 'finished'}")
+    else:
+        print(print_config(ImpConfig(a.term, a.trace)))
     return OK
 
 

@@ -1,10 +1,16 @@
-"""Term generation, small-term enumeration, the worked-example corpus, and
-the differential property suites.
+"""Term generation, small-term enumeration, the worked-example corpus, the
+answer tables, and the differential property suites.
+
+Each language has one answer table, PCF_ENGINES and IMP_ENGINES: a row per
+engine, (term, budget) -> Answer(term, trace, status, derivation), which
+the CLI's --sem choices and the suites read alike.  One comparator, _agree,
+holds rows to a reference row, multi-step.
 
 Every suite pits at least two independently written engines against each
 other; the suites never consult a single engine twice and call it agreement.
 A suite is one table entry that gives its (term, budget) cases, the
-comparison that returns a mismatch, and a shrinker or None; one loop in
+comparison that returns a mismatch (_agree over rows of an answer table, or
+a lockstep check of its own), and a shrinker or None; one loop in
 run_property_suite counts the cases and shrinks and reports the first five
 that fail.  One greedy shrinker replaces subterms with z (or sub-statements
 with skip) while the failure persists.  A suite is the only statement of its
@@ -21,19 +27,21 @@ import random
 from dataclasses import dataclass
 
 from . import imp
-from .bigstep import FuelExhausted, Stuck, Value, big_step
+from .bigstep import Stuck, Value, big_step
 from .bigstop import (
+    BigStopResult,
+    Derivation,
     StuckError,
-    annihilator_eval,
+    annihilator_derivation,
     bigstop_eval,
     check_derivation,
     ec_bigstop_eval,
     is_progressing,
 )
 from .kmachine import correspondence_check
-from .mnf import _spine, let_erase, mnf_small_step, to_mnf
+from .mnf import _spine, let_erase, mnf_bigstop_eval, mnf_small_step, to_mnf
 from .record import record
-from .smallstep import RunStatus, multi_step, small_step, step_trace
+from .smallstep import MultiResult, RunStatus, multi_step, small_step, step_trace
 from .syntax import (
     App,
     Case,
@@ -51,7 +59,7 @@ from .syntax import (
     rebuild,
     scoped_children,
 )
-from .traces import AnnTrace, format_trace
+from .traces import ANNIHILATOR, format_trace
 from .typecheck import ArrowT, NatT, principal_type, principal_typing, types_unifiable
 
 ### generation
@@ -594,45 +602,97 @@ def _imp_cases(cfg: GenConfig, trials: int, max_budget: int):
             yield c, b
 
 
+### the answer tables: name -> (term, budget) -> Answer
+
+
+@record
+class Answer:
+    """Where a run stopped, what it emitted (in the while-language: the
+    statement and the store), how it ended (a RunStatus or ImpStatus), and
+    a tree engine's derivation.  A field the engine does not report is None."""
+
+    term: object
+    trace: object
+    status: object
+    derivation: object = None
+
+
+def _answer(engine, t, b) -> Answer:
+    """engine(t, b)'s own result as an Answer.  A tree engine's run is out
+    of budget where it stopped at no value or its trace ends in the cut."""
+    try:
+        r = engine(t, b)
+    except StuckError as err:
+        return Answer(err.at, None, RunStatus.STUCK)
+    match r:
+        case MultiResult(final, trace, _, status):
+            return Answer(final, trace, status)
+        case Value(v, trace):
+            return Answer(v, trace, RunStatus.REACHED_VALUE)
+        case Stuck(at):
+            return Answer(at, None, RunStatus.STUCK)
+        case BigStopResult(v, trace, d) | (Derivation(rhs=v, trace=trace) as d):  # the annihilator's is a tree
+            trace = tuple(trace)
+            done = is_value(v) and trace[-1:] != (ANNIHILATOR,)
+            return Answer(v, trace, RunStatus.REACHED_VALUE if done else RunStatus.OUT_OF_BUDGET, d)
+        case imp.ImpMultiResult(c, _, status):
+            return Answer(c.stmt, c.state, status)
+        case imp.ImpConfig(s, st):
+            return Answer(s, st, imp.ImpStatus.REACHED_SKIP if type(s) is imp.Skip else imp.ImpStatus.OUT_OF_BUDGET)
+        case imp.ImpDone(st):
+            return Answer(imp.Skip(), st, imp.ImpStatus.REACHED_SKIP)
+        case imp.FreezeResult(st, frozen):
+            return Answer(None, st, imp.ImpStatus.OUT_OF_BUDGET if frozen else imp.ImpStatus.REACHED_SKIP)
+        case imp.ImpFuelExhausted():
+            return Answer(None, None, imp.ImpStatus.OUT_OF_BUDGET)
+    return Answer(None, None, RunStatus.OUT_OF_BUDGET)  # big-step out of fuel
+
+
+# each row runs its one engine, looked up when it is called
+PCF_ENGINES = {
+    "multi": lambda e, b: _answer(multi_step, e, b),
+    "big": lambda e, b: _answer(big_step, e, b),
+    "bigstop": lambda e, b: _answer(bigstop_eval, e, b),
+    "annihilator": lambda e, b: _answer(annihilator_derivation, e, b),
+    "mnf": lambda e, b: _answer(mnf_bigstop_eval, to_mnf(e), b),
+    "ec": lambda e, b: _answer(ec_bigstop_eval, e, b),
+}
+
+IMP_ENGINES = {
+    "multi": lambda c, b: _answer(imp.imp_multi_step, c, b),
+    "big": lambda c, b: _answer(imp.imp_bigstep, c, b),
+    "bigstop": lambda c, b: _answer(imp.imp_bigstop, c, b),
+    "freeze": lambda c, b: _answer(imp.imp_bigstop_freeze, c, b),
+}
+
+
 ### mismatches: None when the engines agree, else (expected, actual)
 
 
-def _multi_mismatch(engine):
-    """The mismatch of engine(e, b) with multi_step(e, b): where each stops
-    and what it emitted, or the engine's StuckError."""
+def _agree(reference, rows, show):
+    """The mismatch of each row, in order, with the reference: both answers,
+    printed by show's term and trace printers, for the first that differs.
+    Status, then trace, then term are compared where the row reports them.
+    A trace that ends in the cut is compared up to it and its term not at
+    all; nor is a stuck term: multi-step's is whole, the others' a redex."""
 
-    def mismatch(e, b):
-        m = multi_step(e, b)
-        try:
-            s = engine(e, b)
-            if s.stopped == m.final and s.trace == m.trace:
-                return None
-            got = f"{print_expr(s.stopped)} | {format_trace(s.trace)}"
-        except StuckError as err:
-            got = f"stuck: {err}"
-        return (f"{print_expr(m.final)} | {format_trace(m.trace)}", got)
+    def shown(a, head=""):
+        return head + " | ".join("-" if x is None else f(x) for f, x in zip(show, (a.term, a.trace)))
+
+    def mismatch(t, b):
+        want = reference(t, b)
+        for row in rows:
+            got = row(t, b)
+            if got.status is not want.status:
+                return tuple(shown(a, f"{a.status.value}: ") for a in (want, got))
+            cut = got.trace is not None and got.trace[-1:] == (ANNIHILATOR,)
+            trace = got.trace[:-1] if cut else got.trace
+            term = None if cut or got.status is RunStatus.STUCK else got.term
+            if trace is not None and trace != want.trace or term is not None and term != want.term:
+                return shown(want), shown(got)
+        return None
 
     return mismatch
-
-
-def _three_way_mismatch(e, fuel):
-    m = multi_step(e, fuel)
-    s = bigstop_eval(e, fuel)
-    g = big_step(e, fuel)
-    msummary = f"{m.status.value}: {print_expr(m.final)} | {format_trace(m.trace)}"
-    if s.stopped != m.final or s.trace != m.trace:
-        return (msummary, f"bigstop: {print_expr(s.stopped)} | {format_trace(s.trace)}")
-    match g:
-        case Value(v, tr):
-            if m.status != RunStatus.REACHED_VALUE or v != m.final or tr != m.trace:
-                return (msummary, f"bigstep: Value {print_expr(v)} | {format_trace(tr)}")
-        case FuelExhausted():
-            if m.status != RunStatus.OUT_OF_BUDGET:
-                return (msummary, "bigstep: FuelExhausted")
-        case Stuck(at):
-            if m.status != RunStatus.STUCK:
-                return (msummary, f"bigstep: Stuck at {print_expr(at)}")
-    return None
 
 
 def _progress_violation(e, fuel):
@@ -678,17 +738,6 @@ def _kmachine_mismatch(e, b):
     return (f"machine equal to the step relation at every contraction up to {b}", r.detail)
 
 
-def _annihilator_mismatch(e, b):
-    # multi_step(e, b)'s labels, a cut exactly when it reached no value, else its value
-    m = multi_step(e, b)
-    v, t = annihilator_eval(e, b)
-    done = m.status == RunStatus.REACHED_VALUE
-    if t.prefix == m.trace and t.annihilated != done and (not done or v == m.final):
-        return None
-    return (f"{print_expr(m.final) if done else 'any value'} | {AnnTrace(m.trace, not done)}",
-            f"{print_expr(v)} | {t}")
-
-
 def _mnf_mismatch(e, fuel):
     """e and its MNF image in step for up to fuel contractions; before each
     one the image takes its silent administrative steps, uncounted but fewer
@@ -722,33 +771,17 @@ def _shrink_config(c, still_fails):
     return imp.ImpConfig(small, c.state)
 
 
-def _imp_mismatch(c, b):
-    # big-stop, big-step, then freeze against one multi-step run
-    m = imp.imp_multi_step(c, b)
-    s = imp.imp_bigstop(c, b)
-    if s != m.config:
-        return (imp.print_config(m.config), imp.print_config(s))
-    done = m.status == imp.ImpStatus.REACHED_SKIP
-    g = imp.imp_bigstep(c, b)
-    if g != (imp.ImpDone(m.config.state) if done else imp.ImpFuelExhausted()):
-        got = f"done {imp.print_state(g.state)}" if isinstance(g, imp.ImpDone) else "out of fuel"
-        return (f"{m.status.value}: {imp.print_config(m.config)}", f"bigstep: {got}")
-    fz = imp.imp_bigstop_freeze(c, b)
-    if fz.state == m.config.state and fz.frozen != done:
-        return None
-    return (
-        f"{imp.print_state(m.config.state)} frozen={not done}",
-        f"{imp.print_state(fz.state)} frozen={fz.frozen}",
-    )
+def _against_multi(*rows, table=PCF_ENGINES, show=(print_expr, format_trace)):
+    return _agree(table["multi"], [table[r] for r in rows], show)
 
 
 # name -> (cfg, trials, max_budget) -> (cases, mismatch, shrinker or None);
 # trials counts generated terms or programs, not cases
 _SUITES = {
     "stop-multi": lambda cfg, trials, mb: (
-        _enum_cases(cfg, range(mb + 1)), _multi_mismatch(bigstop_eval), shrink_expr),
+        _enum_cases(cfg, range(mb + 1)), _against_multi("bigstop"), shrink_expr),
     "stop-step-big": lambda cfg, trials, mb: (
-        _gen_cases(cfg, trials or 2000, mb), _three_way_mismatch, shrink_expr),
+        _gen_cases(cfg, trials or 2000, mb), _against_multi("bigstop", "big"), shrink_expr),
     "progress-preservation": lambda cfg, trials, mb: (
         _gen_cases(cfg, trials or 2000, mb), _progress_violation, None),
     "derivation-integrity": lambda cfg, trials, mb: (
@@ -762,13 +795,15 @@ _SUITES = {
             ((e, b) for e in _divergers() for b in range(max(mb, _MACHINE_FUEL) + 1))),
         _kmachine_mismatch, shrink_expr),
     "annihilator": lambda cfg, trials, mb: (
-        _enum_cases(cfg, range(mb + 1)), _annihilator_mismatch, shrink_expr),
+        _enum_cases(cfg, range(mb + 1)), _against_multi("annihilator"), shrink_expr),
     "ec": lambda cfg, trials, mb: (
-        _enum_cases(cfg, range(mb + 1)), _multi_mismatch(ec_bigstop_eval), shrink_expr),
+        _enum_cases(cfg, range(mb + 1)), _against_multi("ec"), shrink_expr),
     "mnf": lambda cfg, trials, mb: (
         _gen_cases(cfg, trials or 2000, mb), _mnf_mismatch, None),
     "imp": lambda cfg, trials, mb: (
-        _imp_cases(cfg, trials or 2000, mb), _imp_mismatch, _shrink_config),
+        _imp_cases(cfg, trials or 2000, mb),
+        _against_multi("bigstop", "big", "freeze", table=IMP_ENGINES, show=(imp.print_stmt, imp.print_state)),
+        _shrink_config),
 }
 
 

@@ -282,6 +282,24 @@ def test_a_span_that_starts_before_its_log_holds_no_labels():
     assert (v.path, v.reason) == ((), "StE-Eff emits the wrong trace")
 
 
+def test_a_premiss_span_outside_its_log_is_a_violation_not_a_crash():
+    # the annihilator's join reads a trace's last label, which a span past
+    # its log's end, or one that ends before it starts, does not have
+    e = parse_expr("(fun f(x) => x) (eff[a] z)")
+    for budget in range(1, 5):
+        d = annihilator_derivation(e, budget)
+        log = d.trace.log
+        assert (d.rule, d.premises[1].rule) == ("StA-App", "StA-Eff")
+        for bounds in ((2, 3), (0, 2), (0, 5), (5, 6), (1, 0)):
+            forged = mut(d.premises[1], trace=Span(log, *bounds))
+            v = check_derivation(_replace_at(d, (1,), forged), "annihilator")
+            if budget == 1 and bounds == (0, 2):  # a·0, all of the cut run's log
+                assert (v.path, v.reason) == ((1,), "StA-Eff emits the wrong trace")
+            else:
+                assert (v.path, v.reason) == ((), "StA-App premiss 1 holds a span outside its log"), (
+                    budget, bounds)
+
+
 def test_checker_localises_deep_faults():
     d = bigstop_eval(parse_expr("eff[a] ((fun f(x) => x) z)"), 4).derivation
     # mislabel a nested node whose endpoints are untouched: only the subtree

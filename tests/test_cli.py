@@ -1,16 +1,20 @@
 """Command line entry points: running programs under every semantics,
 typechecking, normal-form translation, and the suite runner."""
 
+import ast
+import importlib
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import bigstop
 import bigstop.cli as cli
 import bigstop.harness as harness
 import bigstop.kmachine as kmachine
@@ -58,6 +62,20 @@ def test_multi_trace_prints_each_configuration(capsys):
     )
     assert code == 0
     assert out == "eff[a] z\nz\nz | a\n"
+    # a stuck run prints its points, then one stuck line
+    code, out, err = run(capsys, "pcf", "run", "--sem", "multi", "--trace", "-e", "s(eff[a] z z)")
+    assert (code, out, err) == (1, "s(eff[a] z z)\ns(z z)\n", "error: stuck at s(z z)\n")
+    code, out, err = run(capsys, "pcf", "run", "--sem", "multi", "--trace", "-e", "z z")
+    assert (code, out, err) == (1, "z z\n", "error: stuck at z z\n")
+    # out of budget: budget + 1 points, then the answer
+    omega = "(fun f(x) => eff[t] f x) z"
+    code, out, _ = run(capsys, "pcf", "run", "--sem", "multi", "--trace", "--budget", "2", "-e", omega)
+    assert (code, out) == (0, f"{omega}\neff[t] {omega}\n{omega}\n{omega} | t\n")
+    # an open program prints the points it reached before the step that fails
+    code, out, err = run(capsys, "pcf", "run", "--sem", "multi", "--trace", "-e",
+                         "case z { z => (fun f(y) => x) z | s(n) => z }")
+    assert (code, out) == (1, "case z { z => (fun f(y) => x) z | s(n) => z }\n(fun f(y) => x) z\n")
+    assert err == "error: open program: substituting non-closed-value for f: fun f(y) => x\n"
 
 
 def test_running_out_of_budget_is_still_an_answer(capsys):
@@ -656,3 +674,37 @@ def test_fuzz_failures_exit_three(capsys, monkeypatch):
     code, out, _ = run(capsys, "fuzz", "--suite", "stop-multi")
     assert code == 3
     assert "FAIL" in out
+
+
+### what the front end and the package import
+
+# every engine's entry point; the CLI runs the machine and prints
+# step_trace's points itself, and reaches every other engine through the
+# answer tables
+_ENGINES = {
+    "small_step", "multi_step", "step_trace", "big_step", "bigstop_eval", "ec_bigstop_eval",
+    "annihilator_eval", "annihilator_derivation", "mnf_small_step", "mnf_multi_step", "mnf_bigstop_eval",
+    "compile", "k_step", "k_run", "unwind", "imp_small_step", "imp_multi_step", "imp_bigstep",
+    "imp_bigstop", "imp_bigstop_freeze",
+}
+
+
+def test_the_cli_imports_no_private_name_and_only_the_machine_and_step_trace():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("bigstop") for a in node.names), ast.unparse(node)
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("bigstop")):
+            module = importlib.import_module(".".join(filter(None, ("bigstop" if node.level else "", node.module))))
+            for a in node.names:
+                assert not a.name.startswith("_"), ast.unparse(node)
+                # a module would reach its engines past this check
+                assert not isinstance(getattr(module, a.name), types.ModuleType), ast.unparse(node)
+                imported.append(a.name)
+    assert "PCF_ENGINES" in imported and "IMP_ENGINES" in imported
+    assert _ENGINES.intersection(imported) == {"compile", "k_run", "unwind", "step_trace"}
+
+
+def test_importing_the_package_leaves_no_stray_name():
+    assert "sys" not in vars(bigstop)

@@ -417,8 +417,8 @@ replace = dataclasses.replace
 # kmachine and imp hold two comparisons each:
 # name -> (suite, module, engine the suite compares, how it goes wrong, scale)
 WRONG_ENGINES = {
-    "annihilator": ("annihilator", "bigstop.harness", "annihilator_eval", _wrong(
-        lambda r, e: (r[0], replace(r[1], prefix=r[1].prefix[1:])), at=1), SMALL),
+    "annihilator": ("annihilator", "bigstop.harness", "annihilator_derivation", _wrong(
+        lambda d, e: replace(d, trace=tuple(d.trace)[1:]), at=1), SMALL),
     "derivation-integrity": ("derivation-integrity", "bigstop.harness", "bigstop_eval", _wrong(
         lambda r, e: replace(r, derivation=replace(
             r.derivation, trace=(*r.derivation.trace, "a"))), at=1), SMALL),
@@ -489,13 +489,18 @@ def _one_step_late(step):
     return delay
 
 
+def _flip_the_cut(d, _):
+    # a cut tree loses its trailing 0, any other gains one
+    t = tuple(d.trace)
+    return replace(d, trace=t[:-1] if t[-1:] == ("0",) else (*t, "0"))
+
+
 # engines wrong in ways only an exact comparison per case sees:
 # name -> (suite, engine the suite compares, how it goes wrong, scale)
 SABOTAGED = {
-    "annihilator-cut-flipped": ("annihilator", "annihilator_eval", _wrong(
-        lambda r, e: (r[0], replace(r[1], annihilated=not r[1].annihilated))), SMALL),
-    "annihilator-value-z": ("annihilator", "annihilator_eval", _wrong(
-        lambda r, e: (Zero(), r[1])), SMALL),
+    "annihilator-cut-flipped": ("annihilator", "annihilator_derivation", _wrong(_flip_the_cut), SMALL),
+    "annihilator-value-z": ("annihilator", "annihilator_derivation", _wrong(
+        lambda d, e: replace(d, rhs=Zero())), SMALL),
     "mnf-folds-administrative-lets": ("mnf", "mnf_small_step", _fold_administrative, SMALL_GEN),
     "mnf-labels-one-step-late": ("mnf", "mnf_small_step", _one_step_late, SMALL_GEN),
     "mnf-labels-administrative-lets": ("mnf", "mnf_small_step", _at_administrative_lets(
