@@ -42,7 +42,7 @@ from .harness import IMP_ENGINES, PCF_ENGINES, GenConfig, run_property_suite, su
 from .imp import ImpConfig, ImpStatus, parse_init, parse_stmt, print_config, print_state
 from .kmachine import KStatus, compile as k_compile, k_run, show_state, unwind
 from .mnf import NotMNF, to_mnf
-from .smallstep import RunStatus, step_trace
+from .smallstep import RunStatus
 from .syntax import ParseError, SubstOpenValue, parse_expr, print_expr
 from .traces import format_trace
 from .typecheck import TypeFailure, infer_type, print_type
@@ -230,19 +230,23 @@ def _pcf_run(ns, expr) -> int:
                 print(show_state(st))
         stop = unwind(st)
     else:
-        if ns.trace:  # multi: step_trace a step at a time, each point printed before any error
-            points = [expr]
-            for n in range(budget + 1):
-                print(print_expr(points[-1]))
-                if n == budget or len(points := step_trace(points[-1], 1)) == 1:
-                    break
-        a = PCF_ENGINES[sem](expr, budget)
+        a = PCF_ENGINES[sem](expr, 0 if ns.trace else budget)
+        trace = a.trace
+        if ns.trace:  # multi: the row a step at a time, each point printed before any error
+            print(print_expr(expr))
+            trace = []
+            for _ in range(budget):
+                point, a = a.term, PCF_ENGINES[sem](a.term, 1)
+                if a.status is RunStatus.STUCK or a.status is RunStatus.REACHED_VALUE and a.term is point:
+                    break  # no step taken; a self-loop may step to its own term object
+                trace += a.trace
+                print(print_expr(a.term))
         if a.status is RunStatus.STUCK:
             raise StuckError(a.term)
         if a.term is None:  # big-step out of fuel
             _err(f"no value within fuel {budget}")
             return EVAL_ERROR
-        stop, trace = a.term, a.trace
+        stop = a.term
 
     print(f"{print_expr(stop)} | {format_trace(trace)}")
     if ns.derivation is not None:

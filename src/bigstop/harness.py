@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 
 from . import imp
-from .bigstep import Stuck, Value, big_step
+from .bigstep import FuelExhausted, Stuck, Value, big_step
 from .bigstop import (
     BigStopResult,
     Derivation,
@@ -619,7 +619,8 @@ class Answer:
 
 def _answer(engine, t, b) -> Answer:
     """engine(t, b)'s own result as an Answer.  A tree engine's run is out
-    of budget where it stopped at no value or its trace ends in the cut."""
+    of budget where it stopped at no value or its trace ends in the cut.  A
+    result of any other shape is a TypeError, never an answer."""
     try:
         r = engine(t, b)
     except StuckError as err:
@@ -643,9 +644,11 @@ def _answer(engine, t, b) -> Answer:
             return Answer(imp.Skip(), st, imp.ImpStatus.REACHED_SKIP)
         case imp.FreezeResult(st, frozen):
             return Answer(None, st, imp.ImpStatus.OUT_OF_BUDGET if frozen else imp.ImpStatus.REACHED_SKIP)
+        case FuelExhausted():  # big-step out of fuel
+            return Answer(None, None, RunStatus.OUT_OF_BUDGET)
         case imp.ImpFuelExhausted():
             return Answer(None, None, imp.ImpStatus.OUT_OF_BUDGET)
-    return Answer(None, None, RunStatus.OUT_OF_BUDGET)  # big-step out of fuel
+    raise TypeError(f"no answer shape: {r!r}")
 
 
 # each row runs its one engine, looked up when it is called

@@ -9,12 +9,6 @@ node is entered.  unwind() reads the whole configuration back into a term,
 so machine runs can be compared position-for-position with the tree
 engines: correspondence_check() holds the machine to the step relation
 exactly, contraction by contraction.
-
-The transitions are written twice.  k_run makes its own, in its one loop,
-so a run pays for no call and no record per transition; _move makes one at
-a time on a stack it is handed, for correspondence_check's walk in
-lockstep with the step relation.  correspondence_check ends by holding
-k_run to the state that _move reached.
 """
 
 import enum
@@ -83,55 +77,6 @@ def halted(s: MachineState) -> bool:
 _SUCC = SuccF()
 
 
-# hand-written frames, not read off the syntax table: engines stay independent
-def _move(mode: Mode, stack: list, e: Expr):
-    """One transition on a list stack, updated in place: (mode, expr, label).
-
-    label is None when the transition emits nothing.  Returns None, with the
-    stack untouched, when the machine is stuck.
-    """
-    if mode is Mode.EVAL:
-        c = type(e)
-        if c is App:
-            stack.append(FunF(e.arg))
-            return Mode.EVAL, e.fn, None
-        if c is Zero or c is Lam:
-            return Mode.RETURN, e, None
-        if c is Succ:
-            if e._spine:  # a numeral value returns whole, as z and functions do
-                return Mode.RETURN, e, None
-            stack.append(_SUCC)
-            return Mode.EVAL, e.body, None
-        if c is Eff:
-            return Mode.EVAL, e.body, e.label
-        if c is Case:
-            stack.append(CaseF(e.zero_branch, e.succ_var, e.succ_branch))
-            return Mode.EVAL, e.scrutinee, None
-        return None
-    # returning e (a value) to the innermost frame
-    top = stack[-1]
-    c = type(top)
-    if c is FunF:
-        stack[-1] = ArgF(e)
-        return Mode.EVAL, top.arg, None
-    if c is ArgF:
-        f = top.fn_value
-        if type(f) is Lam:
-            stack.pop()
-            return Mode.EVAL, beta(f, e), None
-    elif c is SuccF:
-        stack.pop()
-        return Mode.RETURN, Succ(e), None
-    elif c is CaseF:
-        if type(e) is Zero:
-            stack.pop()
-            return Mode.EVAL, top.zero_branch, None
-        if type(e) is Succ:
-            stack.pop()
-            return Mode.EVAL, subst(top.succ_branch, {top.succ_var: e.body}), None
-    return None
-
-
 class KStatus(enum.Enum):
     FINAL = "Final"
     OUT_OF_BUDGET = "OutOfBudget"
@@ -146,10 +91,12 @@ class KRunResult:
     status: KStatus
 
 
+# hand-written frames, not read off the syntax table: engines stay independent
 def k_run(state: MachineState, budget: int) -> KRunResult:
     """Run the machine for at most budget transitions, each O(1) whatever
-    the depth of the stack.  The transitions are _move's, written out in
-    the loop; a transition that would get stuck ends it."""
+    the depth of the stack; a transition that would get stuck ends it.
+    This loop is the only writing of the transitions: k_step and
+    correspondence_check take them one at a time through it."""
     check_budget(budget)
     ret, stack, e = state.mode is Mode.RETURN, list(state.stack), state.expr
     labels: list = []
@@ -271,44 +218,40 @@ def correspondence_check(e: Expr, budget: int) -> Report:
     """The machine after n contractions is small_step taken n times.
 
     Contractions are the moves that enter an eff node and the returns into
-    a CaseF or an ArgF frame; every other move is free and leaves unwind()
-    unchanged.  The machine is driven once, one move at a time, with
-    small_step in lockstep: after each contraction n <= budget the unwound
-    state must equal the stepped term and the label it emitted the step's
+    a CaseF or an ArgF frame, read off the state before the move; every
+    other move is free and leaves unwind() unchanged.  The machine is
+    driven once, by k_run one transition at a time, with small_step in
+    lockstep: after each contraction n <= budget the unwound state must
+    equal the stepped term and the labels its moves emitted the step's
     label, and the two must halt or get stuck at the same n.  The end is
-    compared once with bigstop_eval(e, budget), and k_run given exactly the
-    moves driven must end in the same state with the same trace.  Each
-    contraction unwinds and compares the whole term: linear in the budget
-    while the stack stays bounded, quadratic on a growing context, as the
-    step relation is.  A failure names the first contraction that differs.
+    compared once with bigstop_eval(e, budget), and k_run given all the
+    moves in one call must end in the state the single moves reached, with
+    the same trace.  Each move and contraction copies or unwinds the whole
+    configuration: linear in the budget while the stack stays bounded,
+    quadratic on a growing context, as the step relation is.  A failure
+    names the first contraction that differs.
     """
     from .bigstop import StuckError, bigstop_eval
     from .smallstep import small_step
 
     check_budget(budget)
-    mode, stack, cur = Mode.EVAL, [], e
-    term, labels = e, []
+    state, term, labels = compile(e), e, []
     n, moves, end = 0, 0, "out of budget"
     while n < budget:
         step = small_step(term)
+        emitted = ()
         # free moves up to the next contraction, then the contraction
         while True:
-            if mode is Mode.RETURN and not stack:
-                end = "halted"
+            contraction = (type(state.expr) is Eff if state.mode is Mode.EVAL
+                           else not halted(state) and type(state.stack[-1]) in (CaseF, ArgF))
+            r = k_run(state, 1)
+            if r.steps == 0:
+                end = "halted" if r.status is KStatus.FINAL else "stuck"
                 break
-            if mode is Mode.EVAL:
-                contraction = isinstance(cur, Eff)
-            else:
-                contraction = isinstance(stack[-1], (CaseF, ArgF))
-            nxt = _move(mode, stack, cur)
-            if nxt is None:
-                end = "stuck"
-                break
-            mode, cur, label = nxt
-            moves += 1
+            state, emitted, moves = r.state, emitted + r.trace, moves + 1
             if contraction:
                 break
-        here = unwind(MachineState(mode, tuple(stack), cur))
+        here = unwind(state)
         if end != "out of budget":
             tree = "halted" if is_value(term) else "stuck" if step is None else "steps on"
             if end != tree or here != term:
@@ -316,7 +259,6 @@ def correspondence_check(e: Expr, budget: int) -> Report:
                                      f"step relation {tree} at {print_expr(term)}")
             break
         n += 1
-        emitted = () if label is None else (label,)
         if step is None or here != step.expr or emitted != step.trace:
             tree = (f"no step from {print_expr(term)}" if step is None
                     else _shown(step.expr, (*labels, *step.trace)))
@@ -324,10 +266,10 @@ def correspondence_check(e: Expr, budget: int) -> Report:
                                  f"{_shown(here, (*labels, *emitted))}, step relation at {tree}")
         term = step.expr
         labels += emitted
-    driven, k = MachineState(mode, tuple(stack), cur), k_run(compile(e), moves)
-    if k.state != driven or k.trace != tuple(labels):
+    k = k_run(compile(e), moves)
+    if k.state != state or k.trace != tuple(labels):
         return Report(False, f"k_run for {moves} moves: {show_state(k.state)} | "
-                             f"{format_trace(k.trace)}, driven to {show_state(driven)}")
+                             f"{format_trace(k.trace)}, driven to {show_state(state)}")
     try:
         r = bigstop_eval(e, budget)
         agree = end != "stuck" and r.stopped == term and r.trace == tuple(labels)

@@ -137,8 +137,9 @@ def test_04_every_emitted_derivation_checks_and_forgeries_do_not():
 
 def test_05_machine_agrees_with_the_tree_engines():
     # every enumerated or corpus term at fuel 64, and the three divergent
-    # reference programs at every budget up to 200: exactly, contraction by
-    # contraction, with k_run given the same moves ending in the same state
+    # reference programs at every budget up to 200: the machine walked one
+    # k_run transition at a time agrees exactly, contraction by contraction,
+    # and k_run given all those moves in one call ends in the same state
     # (16,019 terms and 603 divergent cases)
     holds("kmachine", 16_622, max_budget=200)
 

@@ -35,6 +35,7 @@ from bigstop import (
     print_stmt,
     to_mnf,
 )
+import bigstop.harness as harness
 from bigstop.harness import IMP_ENGINES, PCF_ENGINES, Answer, _agree
 from bigstop.traces import format_trace
 
@@ -200,3 +201,10 @@ def test_the_first_row_that_differs_is_reported_with_its_status():
     rows = (_fixed(want), _fixed(Answer(None, None, OUT)), _fixed(Answer("w", ("a",), VALUE)))
     assert _agree(_fixed(want), rows, _show)(None, 0) == ("ReachedValue: v | ('a',)", "OutOfBudget: - | -")
     assert _agree(_fixed(want), rows[::2], _show)(None, 0) == ("v | ('a',)", "w | ('a',)")
+
+
+def test_a_result_of_no_known_shape_is_refused_not_read_as_out_of_budget(monkeypatch):
+    # were it out of budget, omega's run would agree with multi-step's
+    monkeypatch.setattr(harness, "bigstop_eval", lambda e, b: None)
+    with pytest.raises(TypeError, match=r"^no answer shape: None$"):
+        harness._against_multi("bigstop")(harness.corpus_term("omega"), 5)

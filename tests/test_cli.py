@@ -18,6 +18,7 @@ import bigstop
 import bigstop.cli as cli
 import bigstop.harness as harness
 import bigstop.kmachine as kmachine
+import bigstop.smallstep as smallstep
 from bigstop import (
     Failure,
     PropertyReport,
@@ -76,6 +77,38 @@ def test_multi_trace_prints_each_configuration(capsys):
                          "case z { z => (fun f(y) => x) z | s(n) => z }")
     assert (code, out) == (1, "case z { z => (fun f(y) => x) z | s(n) => z }\n(fun f(y) => x) z\n")
     assert err == "error: open program: substituting non-closed-value for f: fun f(y) => x\n"
+
+
+@pytest.mark.parametrize("src, budget, points", [
+    ("(fun f(x) => f x) z", 4, 5),  # each step gives back its own term object
+    ("(fun f(x) => eff[t] f x) z", 10, 11),
+    ("case s(s(z)) { z => z | s(n) => eff[a] n }", 10, 3),
+    ("s(eff[a] z z)", 10, 2),
+])
+def test_multi_trace_takes_each_step_once(capsys, monkeypatch, src, budget, points):
+    # every printed point after the first is one step of the multi row, and
+    # the answer is read off the last point, not run again from the start
+    steps = contractions = 0
+    real_multi, real_step = harness.multi_step, smallstep._step
+
+    def counted_multi(e, b):
+        nonlocal steps
+        r = real_multi(e, b)
+        steps += r.steps
+        return r
+
+    def counted_step(e):
+        nonlocal contractions
+        r = real_step(e)
+        contractions += r is not None
+        return r
+
+    monkeypatch.setattr(harness, "multi_step", counted_multi)
+    monkeypatch.setattr(smallstep, "_step", counted_step)
+    code, out, _ = run(capsys, "pcf", "run", "--sem", "multi", "--trace", "--budget", str(budget), "-e", src)
+    printed = out.splitlines()[:-1 if code == 0 else None]  # the answer line follows the points
+    assert len(printed) == points
+    assert steps == contractions == points - 1
 
 
 def test_running_out_of_budget_is_still_an_answer(capsys):
@@ -678,9 +711,9 @@ def test_fuzz_failures_exit_three(capsys, monkeypatch):
 
 ### what the front end and the package import
 
-# every engine's entry point; the CLI runs the machine and prints
-# step_trace's points itself, and reaches every other engine through the
-# answer tables
+# every engine's entry point; the CLI runs the machine itself, and reaches
+# every other engine, a traced multi-step run included, through the answer
+# tables
 _ENGINES = {
     "small_step", "multi_step", "step_trace", "big_step", "bigstop_eval", "ec_bigstop_eval",
     "annihilator_eval", "annihilator_derivation", "mnf_small_step", "mnf_multi_step", "mnf_bigstop_eval",
@@ -689,7 +722,7 @@ _ENGINES = {
 }
 
 
-def test_the_cli_imports_no_private_name_and_only_the_machine_and_step_trace():
+def test_the_cli_imports_no_private_name_and_only_the_machine():
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     imported = []
     for node in ast.walk(tree):
@@ -703,7 +736,7 @@ def test_the_cli_imports_no_private_name_and_only_the_machine_and_step_trace():
                 assert not isinstance(getattr(module, a.name), types.ModuleType), ast.unparse(node)
                 imported.append(a.name)
     assert "PCF_ENGINES" in imported and "IMP_ENGINES" in imported
-    assert _ENGINES.intersection(imported) == {"compile", "k_run", "unwind", "step_trace"}
+    assert _ENGINES.intersection(imported) == {"compile", "k_run", "unwind"}
 
 
 def test_importing_the_package_leaves_no_stray_name():
