@@ -294,3 +294,22 @@ def test_a_wrong_case_return_is_caught_at_its_contraction(monkeypatch):
         r = correspondence_check(e, budget)
         assert not r.ok
         assert r.detail.startswith("contraction 2: "), r.detail
+
+
+def test_a_wrong_case_return_in_k_run_alone_is_caught(monkeypatch):
+    # the same wrong return, but only past a call's first transition: each
+    # single move of the walk is right, and only k_run given all the moves
+    # in one call goes wrong; the check holds that call to the walked state
+    right = "{top.succ_var: e.body}"
+    source = inspect.getsource(kmachine.k_run)
+    assert source.count(right) == 1
+    namespace = dict(vars(kmachine))
+    wrong = "{top.succ_var: e.body if steps == 0 else e}"
+    exec(textwrap.dedent(source.replace(right, wrong)), namespace)
+    e = parse_expr("(fun f(x) => case x { z => f x | s(m) => f m }) s(s(z))")
+    monkeypatch.setattr(kmachine, "k_run", namespace["k_run"])
+    assert correspondence_check(e, 1).ok
+    for budget in (2, 12, 40):
+        r = correspondence_check(e, budget)
+        assert not r.ok
+        assert r.detail.startswith("k_run for "), r.detail
