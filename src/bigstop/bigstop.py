@@ -36,10 +36,11 @@ import json
 import operator
 import re
 from collections.abc import Callable
+from gc import disable, enable, isenabled
 from itertools import accumulate
 
 from .budget import check_budget
-from .record import record
+from .record import paused, record
 from .syntax import (
     App, Case, Eff, Expr, Lam, Let, ParseError, Succ, SubstOpenValue, Var, Zero,
     beta, is_value, parse_expr, print_expr, subst,
@@ -155,8 +156,18 @@ def bigstop_eval(e: Expr, budget: int) -> BigStopResult:
     result is wherever the term got to, as a checkable derivation whose
     conclusion matches multi_step(e, budget) exactly.
     """
-    d = _stop(e, check_budget(budget), [], {})
-    return BigStopResult(d.rhs, tuple(d.trace), d)
+    n = check_budget(budget)
+    # record.paused written out, here and in ec_bigstop_eval and
+    # annihilator_eval: these run on every tiny term of an enumeration,
+    # where a call of it costs a few per cent
+    enabled = isenabled()
+    disable()
+    try:
+        d = _stop(e, n, [], {})
+        return BigStopResult(d.rhs, tuple(d.trace), d)
+    finally:
+        if enabled:
+            enable()
 
 
 # what a node of _stop or _ann waits on: the run of its function, argument,
@@ -665,6 +676,10 @@ def compose(d1: Derivation, d2: Derivation) -> Derivation:
     loop pops jobs off a stack: a pair of trees to compose, or a node to
     build once the pairs pushed after it are composed.
     """
+    return paused(_compose, d1, d2)
+
+
+def _compose(d1: Derivation, d2: Derivation) -> Derivation:
     log, mid = [*d1.trace, *d2.trace], len(d1.trace)  # d1's trace, then from mid on d2's
     plain = _RULES["plain"]
     done, todo = [], [(d1, d2)]
@@ -756,15 +771,22 @@ def annihilator_derivation(e: Expr, budget: int) -> Derivation:
     demand of e itself: fn if e's type is an arrow, else nat; that type is
     inferred only when such a cut happens, so at most once a run.
     """
-    return _ann(e, check_budget(budget), [], {})
+    return paused(_ann, e, check_budget(budget), [], {})
 
 
 def annihilator_eval(e: Expr, budget: int):
     """(value, cut-off trace) for e under the annihilator semantics."""
-    d = annihilator_derivation(e, budget)
-    t = tuple(d.trace)
-    cut = t[-1:] == (ANNIHILATOR,)
-    return d.rhs, AnnTrace(t[:-1] if cut else t, cut)
+    n = check_budget(budget)
+    enabled = isenabled()
+    disable()
+    try:
+        d = _ann(e, n, [], {})
+        t = tuple(d.trace)
+        cut = t[-1:] == (ANNIHILATOR,)
+        return d.rhs, AnnTrace(t[:-1] if cut else t, cut)
+    finally:
+        if enabled:
+            enable()
 
 
 _CUT = (ANNIHILATOR,)  # the trace of every cut after a run's first
@@ -874,8 +896,15 @@ def ec_bigstop_eval(e: Expr, budget: int) -> BigStopResult:
     """Budgeted evaluation presented as context-decomposition chains:
     each contraction is one EC-Seq link whose left premiss is the redex
     rule and whose right premiss continues with the plugged-back term."""
-    d = _ec(e, check_budget(budget), [], {})
-    return BigStopResult(d.rhs, tuple(d.trace), d)
+    n = check_budget(budget)
+    enabled = isenabled()
+    disable()
+    try:
+        d = _ec(e, n, [], {})
+        return BigStopResult(d.rhs, tuple(d.trace), d)
+    finally:
+        if enabled:
+            enable()
 
 
 def _ec(e: Expr, n: int, log: list, leaves: dict) -> Derivation:
@@ -978,6 +1007,10 @@ class DerivationFormatError(ValueError):
 
 def derivation_to_json(d: Derivation) -> dict:
     """d as a dict in the format above, ready for json.dump."""
+    return paused(_to_json, d)
+
+
+def _to_json(d: Derivation) -> dict:
     terms: list = []
     by_id: dict = {}  # the tree keeps every term alive, so ids stay unique
     by_text: dict = {}
@@ -1018,18 +1051,18 @@ def derivation_to_json(d: Derivation) -> dict:
 
 
 def derivation_to_json_str(d: Derivation) -> str:
-    return json.dumps(derivation_to_json(d), separators=(",", ":"))
+    return paused(_to_json_str, d)
+
+
+def _to_json_str(d: Derivation) -> str:
+    return json.dumps(_to_json(d), separators=(",", ":"))
 
 
 def derivation_from_json(obj) -> Derivation:
     """The derivation that derivation_to_json wrote as obj (or as its JSON
     text).  Raises DerivationFormatError on any other input."""
     try:
-        if isinstance(obj, str):
-            if _nested_too_deeply(obj):
-                raise DerivationFormatError(f"nested too deeply for format {FORMAT}")
-            obj = json.loads(obj)
-        return _decode(obj)
+        return paused(_decode, obj)
     except DerivationFormatError:
         raise
     except RecursionError:
@@ -1039,6 +1072,10 @@ def derivation_from_json(obj) -> Derivation:
 
 
 def _decode(obj) -> Derivation:
+    if isinstance(obj, str):
+        if _nested_too_deeply(obj):
+            raise DerivationFormatError(f"nested too deeply for format {FORMAT}")
+        obj = json.loads(obj)
     if type(obj) is not dict or obj.get("format") != FORMAT:
         raise DerivationFormatError(f"not a format {FORMAT} derivation file")
     texts, labels, rows = obj["terms"], obj["labels"], obj["nodes"]

@@ -16,7 +16,7 @@ import enum
 from .budget import check_budget
 from .record import record
 from .syntax import (
-    App, Case, Eff, Expr, Lam, Succ, Zero,
+    App, Case, Eff, Expr, Lam, Succ, SubstOpenValue, Zero,
     beta, is_value, print_expr, subst,
 )
 from .traces import Trace, format_trace
@@ -229,7 +229,8 @@ def correspondence_check(e: Expr, budget: int) -> Report:
     the same trace.  Each move and contraction copies or unwinds the whole
     configuration: linear in the budget while the stack stays bounded,
     quadratic on a growing context, as the step relation is.  A failure
-    names the first contraction that differs.
+    names the first contraction that differs, or that would substitute an
+    open function.
     """
     from .bigstop import StuckError, bigstop_eval
     from .smallstep import small_step
@@ -238,7 +239,10 @@ def correspondence_check(e: Expr, budget: int) -> Report:
     state, term, labels = compile(e), e, []
     n, moves, end = 0, 0, "out of budget"
     while n < budget:
-        step = small_step(term)
+        try:
+            step = small_step(term)
+        except SubstOpenValue as err:  # an open program: neither side has the contraction
+            return Report(False, f"contraction {n + 1}: open program, {err}")
         emitted = ()
         # free moves up to the next contraction, then the contraction
         while True:

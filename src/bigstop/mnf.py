@@ -10,6 +10,7 @@ same value up to erasing the lets back out.
 import itertools
 
 from .budget import check_budget
+from .record import paused
 from .bigstop import (
     BigStopResult, Derivation, StuckError, val_leaf,
 )
@@ -190,7 +191,11 @@ def mnf_bigstop_eval(e: Expr, budget: int) -> BigStopResult:
     """Budgeted evaluation of an MNF term with an StM-* derivation."""
     if not check_mnf(e):
         raise NotMNF(f"not in monadic normal form: {print_expr(e)}")
-    d = _mstop(e, check_budget(budget), [], {})
+    return paused(_result, e, check_budget(budget))
+
+
+def _result(e: Expr, n: int) -> BigStopResult:
+    d = _mstop(e, n, [], {})
     return BigStopResult(d.rhs, tuple(d.trace), d)
 
 

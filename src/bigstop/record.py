@@ -1,4 +1,4 @@
-"""Frozen records at the cost of a plain object.
+"""Frozen records as small as a hand-slotted object.
 
 `record` makes a slotted class that `dataclasses` takes for a frozen
 dataclass: `fields`, `replace`, `is_dataclass`, pattern matching,
@@ -31,6 +31,7 @@ compute its derived slots again.
 """
 
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, is_dataclass
+from gc import disable, enable, isenabled
 from reprlib import recursive_repr
 
 _PARAMS = dataclass(frozen=True, init=False)(type("Frozen", (), {"__doc__": "-"})).__dataclass_params__
@@ -106,3 +107,24 @@ def record(cls):
     # __init__ looks these up when it runs
     env.update({f"_set_{n}": cls.__dict__[n].__set__ for n in (*names, *derive)})
     return cls
+
+
+def paused(build, *args):
+    """build(*args) with automatic cyclic collection paused, then the
+    collector as it was found: one already off stays off, so calls nest.
+
+    A tree of records built bottom-up from fields that already exist holds
+    no cycle, so reference counting alone frees it, and the collector's
+    rescans of a growing derivation find nothing.  The exception is `beta`'s
+    cache: a function whose instantiated body holds the function itself is
+    a cycle, which the first collection after the call finds.  The cost
+    falls on other threads: their cyclic garbage waits until the call ends,
+    and a collector they switch off meanwhile is on again after it.
+    """
+    if not isenabled():
+        return build(*args)
+    disable()
+    try:
+        return build(*args)
+    finally:
+        enable()

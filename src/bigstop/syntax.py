@@ -229,7 +229,9 @@ def subst(e: Expr, mapping: dict) -> Expr:
 def beta(f: Lam, v: Expr) -> Expr:
     """f's body with f for its self binder and v for its parameter, which
     wins where both are one name.  f keeps its last instantiation: a loop
-    that applies it to the same v object again gets the same term back."""
+    that applies it to the same v object again gets the same term back.
+    That cache is the one reference cycle among terms: when the body holds
+    f, f holds its instantiation, which holds f (see record.paused)."""
     inst = getattr(f, "_inst", None)
     if inst is None or inst[0] is not v:
         inst = (v, subst(f.body, {f.self_var: f, f.param: v}))

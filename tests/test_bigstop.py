@@ -1440,6 +1440,121 @@ def test_eval_and_check_memory_grows_linearly_with_the_budget():
     assert large <= 2.5 * small, (small, large)
 
 
+### the collector is paused while a tree is built
+
+ZZ = parse_expr("z z")
+COUNTDOWN = App(parse_expr("fun f(x) => case x { z => z | s(m) => eff[t] f m }"), numeral(300))
+ALLOC = App(corpus_term("alloc-unbounded"), Succ(Zero()))
+
+
+def _loop_tree(n):
+    return bigstop_eval(LOOP, n).derivation
+
+
+# name: (a call that returns, a call that raises, what it raises)
+BUILDERS = {
+    "bigstop_eval": (lambda: bigstop_eval(LOOP, 40), lambda: bigstop_eval(ZZ, 3), StuckError),
+    "ec_bigstop_eval": (lambda: ec_bigstop_eval(LOOP, 40), lambda: ec_bigstop_eval(ZZ, 3), StuckError),
+    "annihilator_eval": (lambda: annihilator_eval(LOOP, 40), lambda: annihilator_eval(ZZ, 3), StuckError),
+    "annihilator_derivation": (
+        lambda: annihilator_derivation(LOOP, 40), lambda: annihilator_derivation(ZZ, 3), StuckError),
+    "compose": (
+        lambda: compose(_loop_tree(20), _loop_tree(20)), lambda: compose(_loop_tree(1), _loop_tree(2)),
+        ComposeMismatch),
+    "derivation_to_json": (
+        lambda: derivation_to_json(_loop_tree(40)), lambda: derivation_to_json(None), AttributeError),
+    "derivation_to_json_str": (
+        lambda: derivation_to_json_str(_loop_tree(40)), lambda: derivation_to_json_str(None), AttributeError),
+    "derivation_from_json": (
+        lambda: derivation_from_json(GOOD_FILE), lambda: derivation_from_json("{}"), DerivationFormatError),
+}
+
+
+@pytest.fixture
+def collector():
+    """Puts the collector back as the test found it."""
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("name", BUILDERS)
+def test_a_builder_leaves_the_collector_as_it_found_it(name, enabled, collector):
+    returns, raises, error = BUILDERS[name]
+    (gc.enable if enabled else gc.disable)()
+    returns()
+    assert gc.isenabled() is enabled
+    with pytest.raises(error):
+        raises()
+    assert gc.isenabled() is enabled
+
+
+def collections_during(fn, *args) -> list:
+    """The generations of the collections that start while fn(*args) runs."""
+    assert gc.isenabled()
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()  # zero the counts, so the call starts from an empty young generation
+    gc.callbacks.append(count)
+    try:
+        fn(*args)
+    finally:
+        gc.callbacks.remove(count)
+    return starts
+
+
+LONG_BUILDS = {  # name: the call and its inputs, which build omega at 20,000
+    "bigstop_eval": lambda: (bigstop_eval, LOOP, 20_000),
+    "ec_bigstop_eval": lambda: (ec_bigstop_eval, LOOP, 20_000),
+    "annihilator_eval": lambda: (annihilator_eval, LOOP, 20_000),
+    "annihilator_derivation": lambda: (annihilator_derivation, LOOP, 20_000),
+    "compose": lambda: (compose, _loop_tree(10_000), _loop_tree(10_000)),
+    "derivation_to_json": lambda: (derivation_to_json, _loop_tree(20_000)),
+    "derivation_to_json_str": lambda: (derivation_to_json_str, _loop_tree(20_000)),
+    "derivation_from_json": lambda: (derivation_from_json, derivation_to_json_str(_loop_tree(20_000))),
+}
+
+
+@pytest.mark.parametrize("name", LONG_BUILDS)
+def test_no_collection_starts_while_a_long_tree_is_built(name):
+    # the collector is paused at every public entry that builds a tree;
+    # without the pause each of these calls sets off 50 to 200 collections
+    starts = collections_during(*LONG_BUILDS[name]())
+    assert not starts, f"{len(starts)} collections started"
+
+
+def garbage_left(build, e, budget) -> int:
+    """The objects that only the cyclic collector frees once the tree of
+    build(e, budget) is dropped."""
+    gc.collect()
+    build(e, budget)
+    return gc.collect()
+
+
+TREES = {
+    "plain": lambda e, n: bigstop_eval(e, n).derivation,
+    "ec": lambda e, n: ec_bigstop_eval(e, n).derivation,
+    "annihilator": annihilator_derivation,
+}
+
+
+@pytest.mark.parametrize("dialect", TREES)
+def test_a_dropped_tree_holds_no_cycle_but_a_fresh_function_cache(dialect, collector):
+    # the premise of the pause: a tree is freed by reference counting alone;
+    # the one cycle is beta's cache on a function that the run made itself
+    # and that holds itself in its instantiated body, here alloc's inner loop
+    gc.enable()
+    build = TREES[dialect]
+    for e in (LOOP, COUNTDOWN):
+        assert garbage_left(build, e, 4000) == 0
+    assert 0 < garbage_left(build, ALLOC, 1000) == garbage_left(build, ALLOC, 4000) <= 10
+
+
 ### one rule table, walked without recursion
 
 def test_the_twenty_forgeries_are_rejected_at_the_root():

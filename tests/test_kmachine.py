@@ -277,6 +277,21 @@ def test_stuck_runs_correspond():
     assert r.detail.endswith("both are stuck")
 
 
+@pytest.mark.parametrize("src, at", [("(fun f(y) => x) z", 1), ("eff[a] s((fun f(y) => x) z)", 2)])
+def test_an_open_function_fails_the_check_at_its_contraction(src, at):
+    # substituting an open function is no contraction of either side: the
+    # check reports it, where it used to raise SubstOpenValue
+    assert correspondence_check(parse_expr(src), at - 1).ok
+    r = correspondence_check(parse_expr(src), at + 3)
+    assert not r.ok
+    assert r.detail == f"contraction {at}: open program, substituting non-closed-value for f: fun f(y) => x"
+
+
+def test_an_open_term_that_gets_stuck_still_corresponds():
+    r = correspondence_check(parse_expr("x z"), 5)
+    assert r.ok and r.detail.endswith("both are stuck")
+
+
 def test_a_wrong_case_return_is_caught_at_its_contraction(monkeypatch):
     # k_run hands s(v) instead of v to the successor branch: no label
     # changes, only the term, and the term only from the second contraction;

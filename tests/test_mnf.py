@@ -1,6 +1,7 @@
 """Monadic normal form: the translation, its erasure inverse, and the
 dedicated engines."""
 
+import gc
 import re
 
 import pytest
@@ -26,6 +27,7 @@ from bigstop import (
     to_mnf,
 )
 from bigstop.syntax import SubstOpenValue
+from test_bigstop import ALLOC, COUNTDOWN, LOOP, ZZ, collections_during, collector, garbage_left  # noqa: F401
 
 
 ### translation goldens
@@ -200,3 +202,32 @@ def test_divergence_survives_translation():
     loop = parse_expr("(fun f(x) => f x) z")
     assert multi_step(loop, 50).status is RunStatus.OUT_OF_BUDGET
     assert mnf_multi_step(to_mnf(loop), 50).status is RunStatus.OUT_OF_BUDGET
+
+
+### the collector is paused while a tree is built
+
+IMAGES = {name: to_mnf(e) for name, e in (("loop", LOOP), ("countdown", COUNTDOWN), ("alloc", ALLOC))}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_the_engine_leaves_the_collector_as_it_found_it(enabled, collector):
+    (gc.enable if enabled else gc.disable)()
+    mnf_bigstop_eval(IMAGES["loop"], 40)
+    assert gc.isenabled() is enabled
+    with pytest.raises(StuckError):
+        mnf_bigstop_eval(to_mnf(ZZ), 3)
+    assert gc.isenabled() is enabled
+
+
+def test_no_collection_starts_while_the_engine_builds_a_long_tree():
+    starts = collections_during(mnf_bigstop_eval, IMAGES["loop"], 20_000)
+    assert not starts, f"{len(starts)} collections started"
+
+
+def test_a_dropped_tree_holds_no_cycle_but_a_fresh_function_cache(collector):
+    # the images are kept, so only what the run made is dropped
+    gc.enable()
+    assert garbage_left(mnf_bigstop_eval, IMAGES["loop"], 4000) == 0
+    assert garbage_left(mnf_bigstop_eval, IMAGES["countdown"], 4000) == 0
+    left = [garbage_left(mnf_bigstop_eval, IMAGES["alloc"], n) for n in (1000, 4000)]
+    assert 0 < left[0] == left[1] <= 10
