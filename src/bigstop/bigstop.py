@@ -36,7 +36,6 @@ import json
 import operator
 import re
 from collections.abc import Callable
-from gc import disable, enable, isenabled
 from itertools import accumulate
 
 from .budget import check_budget
@@ -149,6 +148,7 @@ def val_leaf(leaves: dict, v: Expr) -> Derivation:
 ### the evaluator
 
 
+@paused
 def bigstop_eval(e: Expr, budget: int) -> BigStopResult:
     """Evaluate e for at most `budget` contractions.
 
@@ -156,18 +156,8 @@ def bigstop_eval(e: Expr, budget: int) -> BigStopResult:
     result is wherever the term got to, as a checkable derivation whose
     conclusion matches multi_step(e, budget) exactly.
     """
-    n = check_budget(budget)
-    # record.paused written out, here and in ec_bigstop_eval and
-    # annihilator_eval: these run on every tiny term of an enumeration,
-    # where a call of it costs a few per cent
-    enabled = isenabled()
-    disable()
-    try:
-        d = _stop(e, n, [], {})
-        return BigStopResult(d.rhs, tuple(d.trace), d)
-    finally:
-        if enabled:
-            enable()
+    d = _stop(e, check_budget(budget), [], {})
+    return BigStopResult(d.rhs, tuple(d.trace), d)
 
 
 # what a node of _stop or _ann waits on: the run of its function, argument,
@@ -676,10 +666,6 @@ def compose(d1: Derivation, d2: Derivation) -> Derivation:
     loop pops jobs off a stack: a pair of trees to compose, or a node to
     build once the pairs pushed after it are composed.
     """
-    return paused(_compose, d1, d2)
-
-
-def _compose(d1: Derivation, d2: Derivation) -> Derivation:
     log, mid = [*d1.trace, *d2.trace], len(d1.trace)  # d1's trace, then from mid on d2's
     plain = _RULES["plain"]
     done, todo = [], [(d1, d2)]
@@ -771,22 +757,16 @@ def annihilator_derivation(e: Expr, budget: int) -> Derivation:
     demand of e itself: fn if e's type is an arrow, else nat; that type is
     inferred only when such a cut happens, so at most once a run.
     """
-    return paused(_ann, e, check_budget(budget), [], {})
+    return _ann(e, check_budget(budget), [], {})
 
 
+@paused
 def annihilator_eval(e: Expr, budget: int):
     """(value, cut-off trace) for e under the annihilator semantics."""
-    n = check_budget(budget)
-    enabled = isenabled()
-    disable()
-    try:
-        d = _ann(e, n, [], {})
-        t = tuple(d.trace)
-        cut = t[-1:] == (ANNIHILATOR,)
-        return d.rhs, AnnTrace(t[:-1] if cut else t, cut)
-    finally:
-        if enabled:
-            enable()
+    d = annihilator_derivation(e, budget)
+    t = tuple(d.trace)
+    cut = t[-1:] == (ANNIHILATOR,)
+    return d.rhs, AnnTrace(t[:-1] if cut else t, cut)
 
 
 _CUT = (ANNIHILATOR,)  # the trace of every cut after a run's first
@@ -892,19 +872,13 @@ def _cut(e: Expr, demand: str | Expr, trace, leaves: dict) -> Derivation:
 ### the evaluation-context dialect
 
 
+@paused
 def ec_bigstop_eval(e: Expr, budget: int) -> BigStopResult:
     """Budgeted evaluation presented as context-decomposition chains:
     each contraction is one EC-Seq link whose left premiss is the redex
     rule and whose right premiss continues with the plugged-back term."""
-    n = check_budget(budget)
-    enabled = isenabled()
-    disable()
-    try:
-        d = _ec(e, n, [], {})
-        return BigStopResult(d.rhs, tuple(d.trace), d)
-    finally:
-        if enabled:
-            enable()
+    d = _ec(e, check_budget(budget), [], {})
+    return BigStopResult(d.rhs, tuple(d.trace), d)
 
 
 def _ec(e: Expr, n: int, log: list, leaves: dict) -> Derivation:
@@ -1007,10 +981,6 @@ class DerivationFormatError(ValueError):
 
 def derivation_to_json(d: Derivation) -> dict:
     """d as a dict in the format above, ready for json.dump."""
-    return paused(_to_json, d)
-
-
-def _to_json(d: Derivation) -> dict:
     terms: list = []
     by_id: dict = {}  # the tree keeps every term alive, so ids stay unique
     by_text: dict = {}
@@ -1050,19 +1020,21 @@ def _to_json(d: Derivation) -> dict:
     return {"format": FORMAT, "terms": terms, "labels": labels, "nodes": rows}
 
 
+@paused
 def derivation_to_json_str(d: Derivation) -> str:
-    return paused(_to_json_str, d)
+    return json.dumps(derivation_to_json(d), separators=(",", ":"))
 
 
-def _to_json_str(d: Derivation) -> str:
-    return json.dumps(_to_json(d), separators=(",", ":"))
-
-
+@paused
 def derivation_from_json(obj) -> Derivation:
     """The derivation that derivation_to_json wrote as obj (or as its JSON
     text).  Raises DerivationFormatError on any other input."""
     try:
-        return paused(_decode, obj)
+        if isinstance(obj, str):
+            if _nested_too_deeply(obj):
+                raise DerivationFormatError(f"nested too deeply for format {FORMAT}")
+            obj = json.loads(obj)
+        return _decode(obj)
     except DerivationFormatError:
         raise
     except RecursionError:
@@ -1072,10 +1044,6 @@ def derivation_from_json(obj) -> Derivation:
 
 
 def _decode(obj) -> Derivation:
-    if isinstance(obj, str):
-        if _nested_too_deeply(obj):
-            raise DerivationFormatError(f"nested too deeply for format {FORMAT}")
-        obj = json.loads(obj)
     if type(obj) is not dict or obj.get("format") != FORMAT:
         raise DerivationFormatError(f"not a format {FORMAT} derivation file")
     texts, labels, rows = obj["terms"], obj["labels"], obj["nodes"]

@@ -187,15 +187,12 @@ class NotMNF(Exception):
     pass
 
 
+@paused
 def mnf_bigstop_eval(e: Expr, budget: int) -> BigStopResult:
     """Budgeted evaluation of an MNF term with an StM-* derivation."""
     if not check_mnf(e):
         raise NotMNF(f"not in monadic normal form: {print_expr(e)}")
-    return paused(_result, e, check_budget(budget))
-
-
-def _result(e: Expr, n: int) -> BigStopResult:
-    d = _mstop(e, n, [], {})
+    d = _mstop(e, check_budget(budget), [], {})
     return BigStopResult(d.rhs, tuple(d.trace), d)
 
 

@@ -31,6 +31,7 @@ compute its derived slots again.
 """
 
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, is_dataclass
+from functools import wraps
 from gc import disable, enable, isenabled
 from reprlib import recursive_repr
 
@@ -109,22 +110,26 @@ def record(cls):
     return cls
 
 
-def paused(build, *args):
-    """build(*args) with automatic cyclic collection paused, then the
-    collector as it was found: one already off stays off, so calls nest.
+def paused(build):
+    """build with automatic cyclic collection paused while it runs, then
+    the collector as it was found: one already off stays off, so calls nest.
 
     A tree of records built bottom-up from fields that already exist holds
     no cycle, so reference counting alone frees it, and the collector's
     rescans of a growing derivation find nothing.  The exception is `beta`'s
     cache: a function whose instantiated body holds the function itself is
-    a cycle, which the first collection after the call finds.  The cost
-    falls on other threads: their cyclic garbage waits until the call ends,
-    and a collector they switch off meanwhile is on again after it.
+    a cycle, which the first collection after the call finds.  The switch is
+    interpreter-wide, so it is not thread-safe: another thread's cyclic
+    garbage waits until the call ends, and a collector that anything switches
+    off during the call is on again after it.
     """
-    if not isenabled():
-        return build(*args)
-    disable()
-    try:
-        return build(*args)
-    finally:
-        enable()
+    @wraps(build)
+    def run(*args, **kwargs):
+        if not isenabled():
+            return build(*args, **kwargs)
+        disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            enable()
+    return run
